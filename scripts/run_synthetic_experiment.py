@@ -58,8 +58,7 @@ def main() -> None:
         workspace = Path(args.workspace) if args.workspace else Path(tmp) / "ws"
         write_transcripts(corpus, workspace / "transcripts")
         pipeline = Pipeline(config, workspace)
-        table = run_ablation(("no_debate", "no_synthesis", "no_analysis"),
-                             pipeline, corpus.dataset)
+        table = run_ablation(("no_debate", "no_analysis"), pipeline, corpus.dataset)
         print(format_ablation_table(table))
 
     print("\n== role-dependent task: role-embedding ablation ==")

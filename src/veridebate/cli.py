@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(command)
         if name == "ablate":
             command.add_argument(
-                "--toggles", default="no_debate,no_synthesis,no_analysis",
-                help="comma-separated subset of no_debate,no_synthesis,no_analysis",
+                "--toggles", default="no_debate,no_analysis",
+                help="comma-separated subset of no_debate,no_analysis",
             )
     return parser
 

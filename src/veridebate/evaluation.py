@@ -19,7 +19,7 @@ from .domain import LABEL_FAKE, LABEL_NAMES, LABEL_REAL, NewsItem, label_to_int
 
 logger = logging.getLogger(__name__)
 
-ABLATION_TOGGLES = ("no_debate", "no_synthesis", "no_analysis")
+ABLATION_TOGGLES = ("no_debate", "no_analysis")
 
 
 class DatasetError(Exception):

@@ -3,8 +3,9 @@
 Graph attention layers, the debate-news interactive attention block,
 the softmax classifier, exact reverse-mode gradients for all of it, an
 Adam optimizer, and the training loop. Everything runs in float64 on
-numpy; no autograd framework is involved, which is what makes the
-finite-difference oracle in the test suite meaningful.
+numpy over one padded dense batch (see ``model.collate``); no autograd
+framework is involved, which is what makes the finite-difference oracle
+in the test suite meaningful.
 """
 
 from .adam import AdamState, adam_step

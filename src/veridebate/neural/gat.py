@@ -1,12 +1,17 @@
-"""Graph attention layer with exact analytic gradients.
+"""Graph attention layer over a padded batch of graphs, with exact
+analytic gradients.
 
-Per node i the layer computes
+Features arrive as ``(B, n, in_dim)``: B graphs padded to n nodes. A
+boolean ``(B, n, n)`` adjacency marks ``adjacency[b, i, j]`` when j is
+an in-neighbor of i; every row needs at least one entry, so padding
+nodes carry a self-loop. Per node i the layer computes
 
     h_i' = act( sum_{j in N(i)} alpha_ij * W h_j )
 
-where the attention weights alpha_i* are a softmax over i's neighbors
-of leaky-ReLU(a . [W h_i ; W h_j]) with slope 0.2. Hidden layers use
-ELU as ``act``; the last layer of a stack uses the identity.
+where the attention row alpha_i* is a softmax over i's neighbors of
+leaky-ReLU(a . [W h_i ; W h_j]) with slope 0.2; non-neighbors are masked
+to -inf before the softmax, so they get weight exactly 0. Hidden layers
+use ELU as ``act``; the last layer of a stack uses the identity.
 """
 
 from __future__ import annotations
@@ -36,9 +41,15 @@ def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x)
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Softmax over the last axis; -inf entries get weight 0."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(weights: np.ndarray, d_weights: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the softmax input, given the gradient w.r.t. its
+    output; both over the last axis."""
+    return weights * (d_weights - np.sum(weights * d_weights, axis=-1, keepdims=True))
 
 
 @dataclass
@@ -82,91 +93,78 @@ class GatLayer:
         return elu_grad(x) if self.activation == "elu" else np.ones_like(x)
 
 
+def padded_adjacency(neighbor_ids, n: int) -> np.ndarray:
+    """(n, n) boolean in-neighbor mask of a graph whose nodes are the
+    first len(neighbor_ids) of n; each padding node after them gets a
+    self-loop, so its softmax row stays finite."""
+    k = len(neighbor_ids)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.repeat(np.arange(k), [len(nb) for nb in neighbor_ids]),
+              np.concatenate(neighbor_ids)] = True
+    adjacency[np.arange(k, n), np.arange(k, n)] = True
+    return adjacency
+
+
 @dataclass
 class GatCache:
-    features: np.ndarray
-    projected: np.ndarray
-    neighbor_ids: list[np.ndarray]
-    alphas: list[np.ndarray]
-    logits_pre: list[np.ndarray]
-    aggregated: np.ndarray
+    features: np.ndarray    # (B, n, in_dim)
+    projected: np.ndarray   # (B, n, out_dim)
+    alpha: np.ndarray       # (B, n, n), 0 off the adjacency
+    logits_pre: np.ndarray  # (B, n, n), leaky-ReLU input on every pair
+    aggregated: np.ndarray  # (B, n, out_dim)
 
 
 def gat_forward_cached(layer: GatLayer, features: np.ndarray,
-                       neighbor_ids: list[np.ndarray]) -> tuple[np.ndarray, GatCache]:
+                       adjacency: np.ndarray) -> tuple[np.ndarray, GatCache]:
     features = np.asarray(features, dtype=np.float64)
-    if features.shape[1] != layer.in_dim:
+    if features.shape[-1] != layer.in_dim:
         raise ValueError(
-            f"feature dim {features.shape[1]} does not match layer in_dim {layer.in_dim}"
+            f"feature dim {features.shape[-1]} does not match layer in_dim {layer.in_dim}"
         )
-    n = features.shape[0]
     out_dim = layer.out_dim
-    projected = features @ layer.weight.T  # (n, out_dim)
-    a_src = layer.attn[:out_dim]
-    a_dst = layer.attn[out_dim:]
-    score_src = projected @ a_src  # contribution of the attending node
-    score_dst = projected @ a_dst  # contribution of each neighbor
-
-    aggregated = np.empty((n, out_dim))
-    alphas: list[np.ndarray] = []
-    logits_pre: list[np.ndarray] = []
-    for i in range(n):
-        nb = neighbor_ids[i]
-        pre = score_src[i] + score_dst[nb]
-        alpha = softmax(leaky_relu(pre, layer.leaky_slope))
-        aggregated[i] = alpha @ projected[nb]
-        alphas.append(alpha)
-        logits_pre.append(pre)
-    output = layer._apply_act(aggregated)
-    cache = GatCache(features, projected, list(neighbor_ids), alphas, logits_pre, aggregated)
-    return output, cache
+    projected = features @ layer.weight.T
+    score_src = projected @ layer.attn[:out_dim]  # the attending node
+    score_dst = projected @ layer.attn[out_dim:]  # each neighbor
+    pre = score_src[:, :, None] + score_dst[:, None, :]
+    alpha = softmax(np.where(adjacency, leaky_relu(pre, layer.leaky_slope), -np.inf))
+    aggregated = alpha @ projected
+    cache = GatCache(features, projected, alpha, pre, aggregated)
+    return layer._apply_act(aggregated), cache
 
 
 def gat_backward(layer: GatLayer, cache: GatCache,
                  d_output: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. the layer inputs and parameters,
-    given the gradient w.r.t. the layer output."""
-    projected = cache.projected
-    n, out_dim = projected.shape
-    a_src = layer.attn[:out_dim]
-    a_dst = layer.attn[out_dim:]
+    """Gradients of a scalar loss w.r.t. the layer inputs and parameters
+    (summed over the batch), given the gradient w.r.t. the layer output."""
+    projected, alpha = cache.projected, cache.alpha
+    out_dim = layer.out_dim
+    a_src, a_dst = layer.attn[:out_dim], layer.attn[out_dim:]
 
     d_agg = d_output * layer._act_grad(cache.aggregated)
-    d_proj = np.zeros_like(projected)
-    d_a_src = np.zeros(out_dim)
-    d_a_dst = np.zeros(out_dim)
-    for i in range(n):
-        nb = cache.neighbor_ids[i]
-        alpha = cache.alphas[i]
-        pre = cache.logits_pre[i]
-        dm = d_agg[i]
+    d_alpha = d_agg @ projected.transpose(0, 2, 1)
+    d_pre = softmax_backward(alpha, d_alpha) * leaky_relu_grad(cache.logits_pre,
+                                                               layer.leaky_slope)
+    d_src = d_pre.sum(axis=2)  # (B, n)
+    d_dst = d_pre.sum(axis=1)
+    d_proj = (alpha.transpose(0, 2, 1) @ d_agg
+              + d_src[:, :, None] * a_src + d_dst[:, :, None] * a_dst)
 
-        d_alpha = projected[nb] @ dm
-        d_proj[nb] += np.outer(alpha, dm)
-
-        d_logit = alpha * (d_alpha - alpha @ d_alpha)
-        d_pre = d_logit * leaky_relu_grad(pre, layer.leaky_slope)
-
-        total = d_pre.sum()
-        d_a_src += total * projected[i]
-        d_proj[i] += total * a_src
-        d_a_dst += d_pre @ projected[nb]
-        d_proj[nb] += np.outer(d_pre, a_dst)
-
-    d_weight = d_proj.T @ cache.features
-    d_features = d_proj @ layer.weight
-    return d_features, d_weight, np.concatenate([d_a_src, d_a_dst])
+    flat_proj = projected.reshape(-1, out_dim)
+    d_attn = np.concatenate([d_src.reshape(-1) @ flat_proj, d_dst.reshape(-1) @ flat_proj])
+    d_weight = d_proj.reshape(-1, out_dim).T @ cache.features.reshape(-1, layer.in_dim)
+    return d_proj @ layer.weight, d_weight, d_attn
 
 
 def gat_forward(layer: GatLayer, features: np.ndarray, graph: DebateGraph,
                 return_attention: bool = False):
-    """Apply one GAT layer over a debate graph.
+    """Apply one GAT layer over a single debate graph.
 
     With ``return_attention`` the per-node attention rows come back too,
-    aligned with sorted neighbor index arrays.
+    each as (sorted neighbor index array, weights over those neighbors).
     """
     nbrs = neighbor_lists(graph.edges, graph.num_nodes)
-    output, cache = gat_forward_cached(layer, features, nbrs)
+    output, cache = gat_forward_cached(layer, np.asarray(features)[None],
+                                       padded_adjacency(nbrs, graph.num_nodes)[None])
     if return_attention:
-        return output, list(zip(cache.neighbor_ids, cache.alphas))
-    return output
+        return output[0], [(nb, cache.alpha[0, i, nb]) for i, nb in enumerate(nbrs)]
+    return output[0]

@@ -1,12 +1,16 @@
-"""The full debate classifier and its exact gradients.
+"""The full debate classifier and its exact gradients, over one padded
+dense batch.
 
-Forward path for one sample: trainable role vectors are projected and
-concatenated onto the frozen turn embeddings, the stack of GAT layers
-runs over the debate graph, the node matrix is mean-pooled, the
-interactive attention block fuses it with the news embedding, and a
-softmax head predicts (p_real, p_fake). ``backward`` differentiates the
-mean batch cross-entropy w.r.t. every parameter block, role table
-included.
+``collate`` pads B samples to the batch's largest node count n. Padding
+nodes have zero features, no role and a lone self-loop, and are masked
+out of pooling and of the attention keys, so a sample's result does not
+depend on what it is batched with. The forward pass concatenates the
+projected role vectors onto the frozen turn embeddings, runs the GAT
+stack, mean-pools the real nodes, fuses the result with the news
+embedding by interactive attention, and a softmax head predicts
+(p_real, p_fake). ``loss_and_grad`` differentiates the mean batch
+cross-entropy w.r.t. every parameter block. All parameters live in one
+flat float64 buffer; each named block is a view into it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from ..domain import DebateLog
 from ..encoding import ROLE_PAIR_INDEX, EmbeddingVector, RoleTable
 from ..graph import edges_for_log, neighbor_lists
 from .attention import InteractionHead, interact_backward, interact_cached
-from .gat import GatLayer, gat_backward, gat_forward_cached, softmax
+from .gat import GatLayer, gat_backward, gat_forward_cached, padded_adjacency, softmax
 
 LOG_CLAMP = 1e-12
 
@@ -48,26 +52,35 @@ class ClassifierHead:
 
 
 def classify(fused: np.ndarray, head: ClassifierHead) -> np.ndarray:
-    """Softmax over the two class logits; entries are positive and sum
-    to 1 (up to float rounding)."""
+    """Softmax over the two class logits of one fused vector or of a
+    ``(B, width)`` batch; entries are positive and each row sums to 1
+    (up to float rounding)."""
     fused = np.asarray(fused, dtype=np.float64)
-    if fused.shape[0] != head.weight.shape[1]:
+    if fused.shape[-1] != head.weight.shape[1]:
         raise ValueError(
-            f"fused vector width {fused.shape[0]} does not match head ({head.weight.shape[1]})"
+            f"fused vector width {fused.shape[-1]} does not match head ({head.weight.shape[1]})"
         )
-    return softmax(head.weight @ fused + head.bias)
+    return softmax(fused @ head.weight.T + head.bias)
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log-probability of the true class, clamped at 1e-12 so a
-    fully saturated wrong prediction cannot produce -log 0."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    return float(-np.log(max(float(probs[label]), LOG_CLAMP)))
+def cross_entropy(probs: np.ndarray, labels) -> float:
+    """Mean negative log-probability of the true classes, for one (2,)
+    distribution and label or a (B, 2) batch and B labels; clamped at
+    1e-12 so a fully saturated wrong prediction cannot produce -log 0."""
+    probs, labels = np.atleast_2d(probs), np.atleast_1d(labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {labels!r}")
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.log(np.maximum(picked, LOG_CLAMP)).mean())
 
 
-def global_mean_pool(features: np.ndarray) -> np.ndarray:
+def global_mean_pool(features: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Mean over the nodes of one ``(n, d)`` graph, or over the real
+    nodes of each graph in a ``(B, n, d)`` batch given its ``(B, n)``
+    node mask."""
     features = np.asarray(features, dtype=np.float64)
+    if mask is not None:
+        return (features * mask[..., None]).sum(axis=1) / mask.sum(axis=1, keepdims=True)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("global_mean_pool needs at least one node")
     return features.mean(axis=0)
@@ -139,8 +152,43 @@ def make_news_only_sample(news_id: str, news_embedding: EmbeddingVector,
     )
 
 
+@dataclass(frozen=True)
+class Batch:
+    nodes: np.ndarray      # (B, n, d_h), zero on padding
+    role_ids: np.ndarray   # (B, n), -1 for role-less and padding nodes
+    adjacency: np.ndarray  # (B, n, n) bool, [b, i, j] iff j is an in-neighbor of i
+    mask: np.ndarray       # (B, n) bool, real nodes
+    news: np.ndarray       # (B, d_h)
+
+
+def collate(samples: list[Sample]) -> Batch:
+    """Pad samples to the batch's largest node count."""
+    if not samples:
+        raise ValueError("batch must be non-empty")
+    n = max(s.node_embeddings.shape[0] for s in samples)
+    d_h = samples[0].node_embeddings.shape[1]
+    nodes = np.zeros((len(samples), n, d_h))
+    role_ids = np.full((len(samples), n), -1, dtype=np.intp)
+    mask = np.zeros((len(samples), n), dtype=bool)
+    for b, s in enumerate(samples):
+        k = s.node_embeddings.shape[0]
+        nodes[b, :k] = s.node_embeddings
+        role_ids[b, :k] = s.role_ids
+        mask[b, :k] = True
+    adjacency = np.stack([padded_adjacency(s.neighbor_ids, n) for s in samples])
+    news = np.stack([s.news_embedding for s in samples]).astype(np.float64)
+    return Batch(nodes, role_ids, adjacency, mask, news)
+
+
+def _labels(batch: list[Sample]) -> np.ndarray:
+    for sample in batch:
+        if sample.label is None:
+            raise ValueError(f"sample {sample.news_id!r} has no label")
+    return np.array([s.label for s in batch], dtype=np.intp)
+
+
 class AnalysisModel:
-    """All trainable parameters, plus flattening for the optimizer."""
+    """All trainable parameters, held as views into one flat buffer."""
 
     def __init__(self, config: ModelConfig, role_table: RoleTable,
                  gat_layers: list[GatLayer], interaction: InteractionHead,
@@ -150,6 +198,25 @@ class AnalysisModel:
         self.gat_layers = gat_layers
         self.interaction = interaction
         self.classifier = classifier
+
+        owners = [("role_embeddings", role_table, "embeddings"),
+                  ("role_projection", role_table, "projection")]
+        owners += [(f"gat{l}.{attr}", layer, attr)
+                   for l, layer in enumerate(gat_layers) for attr in ("weight", "attn")]
+        owners += [(f"interaction.{attr}", interaction, attr)
+                   for attr in ("graph_proj", "news_proj", "query", "key", "value", "out")]
+        owners += [(f"classifier.{attr}", classifier, attr) for attr in ("weight", "bias")]
+
+        # Move every block into one buffer and leave a view in its place.
+        self._flat = np.concatenate([getattr(owner, attr).ravel() for _, owner, attr in owners])
+        self._blocks: list[tuple[str, slice, tuple[int, ...]]] = []
+        offset = 0
+        for name, owner, attr in owners:
+            shape = getattr(owner, attr).shape
+            sl = slice(offset, offset + math.prod(shape))
+            setattr(owner, attr, self._flat[sl].reshape(shape))
+            self._blocks.append((name, sl, shape))
+            offset = sl.stop
 
     @classmethod
     def create(cls, config: ModelConfig) -> "AnalysisModel":
@@ -168,109 +235,76 @@ class AnalysisModel:
 
     # ---- parameter bookkeeping -------------------------------------------
 
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[sl].reshape(shape) for name, sl, shape in self._blocks}
+
     def param_blocks(self) -> list[tuple[str, np.ndarray]]:
-        blocks = [
-            ("role_embeddings", self.role_table.embeddings),
-            ("role_projection", self.role_table.projection),
-        ]
-        for l, layer in enumerate(self.gat_layers):
-            blocks.append((f"gat{l}.weight", layer.weight))
-            blocks.append((f"gat{l}.attn", layer.attn))
-        for name in ("graph_proj", "news_proj", "query", "key", "value", "out"):
-            blocks.append((f"interaction.{name}", getattr(self.interaction, name)))
-        blocks.append(("classifier.weight", self.classifier.weight))
-        blocks.append(("classifier.bias", self.classifier.bias))
-        return blocks
+        return list(self._views(self._flat).items())
+
+    def block_slices(self) -> list[tuple[str, slice]]:
+        return [(name, sl) for name, sl, _ in self._blocks]
 
     @property
     def num_params(self) -> int:
-        return sum(array.size for _, array in self.param_blocks())
+        return self._flat.size
 
     def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([array.ravel() for _, array in self.param_blocks()])
+        return self._flat.copy()
 
     def set_parameter_vector(self, vector: np.ndarray) -> None:
         vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.num_params,):
+        if vector.shape != self._flat.shape:
             raise ValueError(f"expected {self.num_params} parameters, got {vector.shape}")
-        offset = 0
-        for _, array in self.param_blocks():
-            chunk = vector[offset : offset + array.size]
-            array[...] = chunk.reshape(array.shape)
-            offset += array.size
-
-    def block_slices(self) -> list[tuple[str, slice]]:
-        slices = []
-        offset = 0
-        for name, array in self.param_blocks():
-            slices.append((name, slice(offset, offset + array.size)))
-            offset += array.size
-        return slices
+        self._flat[...] = vector
 
     # ---- forward / backward ----------------------------------------------
 
-    def _node_matrix(self, sample: Sample) -> np.ndarray:
-        n = sample.node_embeddings.shape[0]
-        d_h = self.config.d_h
-        if sample.node_embeddings.shape[1] != d_h:
-            raise ValueError(
-                f"sample embeddings have dim {sample.node_embeddings.shape[1]}, "
-                f"model expects {d_h}"
-            )
-        tail = np.zeros((n, d_h))
-        mask = sample.role_ids >= 0
-        if np.any(mask):
-            role_vecs = self.role_table.embeddings[sample.role_ids[mask]]
-            tail[mask] = role_vecs @ self.role_table.projection.T
-        return np.concatenate([sample.node_embeddings, tail], axis=1)
-
-    def forward(self, sample: Sample):
-        """Run the full forward pass; returns (probs, cache)."""
-        nodes = self._node_matrix(sample)
-        activations = nodes
+    def forward(self, samples: list[Sample]):
+        """Run the full forward pass over a batch; returns (probs, cache)
+        with probs of shape (B, 2)."""
+        batch = collate(samples)
+        if batch.nodes.shape[2] != self.config.d_h:
+            raise ValueError(f"sample embeddings have dim {batch.nodes.shape[2]}, "
+                             f"model expects {self.config.d_h}")
+        # One-hot role rows; role-less and padding nodes get a zero row.
+        table = self.role_table.embeddings @ self.role_table.projection.T
+        roles = (batch.role_ids[..., None] == np.arange(table.shape[0])).astype(np.float64)
+        activations = np.concatenate([batch.nodes, roles @ table], axis=2)
         gat_caches = []
         for layer in self.gat_layers:
-            activations, cache = gat_forward_cached(layer, activations,
-                                                    list(sample.neighbor_ids))
+            activations, cache = gat_forward_cached(layer, activations, batch.adjacency)
             gat_caches.append(cache)
-        pooled = global_mean_pool(activations)
+        pooled = global_mean_pool(activations, batch.mask)
         fused, att_cache = interact_cached(
-            sample.news_embedding, activations, pooled, self.interaction,
-            self.config.interaction_mode,
+            batch.news, activations, pooled, self.interaction,
+            self.config.interaction_mode, batch.mask,
         )
         probs = classify(fused, self.classifier)
-        return probs, {
-            "gat": gat_caches,
-            "attention": att_cache,
-            "final_nodes": activations,
-            "fused": fused,
-            "probs": probs,
-            "sample": sample,
-        }
+        return probs, {"batch": batch, "roles": roles, "gat": gat_caches,
+                       "attention": att_cache, "fused": fused, "probs": probs}
 
-    def predict_proba(self, sample: Sample) -> np.ndarray:
-        probs, _ = self.forward(sample)
-        return probs
+    def gradient(self, cache: dict, labels: np.ndarray) -> np.ndarray:
+        """Gradient of the mean cross-entropy of a forward batch, as one
+        flat vector aligned with ``parameter_vector``."""
+        flat = np.empty(self.num_params)
+        grads = self._views(flat)
+        batch: Batch = cache["batch"]
+        d_logits = cache["probs"].copy()
+        d_logits[np.arange(len(labels)), labels] -= 1.0
+        d_logits /= len(labels)
 
-    def _backward_sample(self, cache: dict, label: int) -> dict[str, np.ndarray]:
-        sample: Sample = cache["sample"]
-        probs = cache["probs"]
-        d_logits = probs.copy()
-        d_logits[label] -= 1.0
-
-        grads: dict[str, np.ndarray] = {}
-        grads["classifier.weight"] = np.outer(d_logits, cache["fused"])
-        grads["classifier.bias"] = d_logits
-        d_fused = self.classifier.weight.T @ d_logits
+        grads["classifier.weight"][...] = d_logits.T @ cache["fused"]
+        grads["classifier.bias"][...] = d_logits.sum(axis=0)
+        d_fused = d_logits @ self.classifier.weight
 
         d_nodes_att, d_pooled, att_grads = interact_backward(
             self.interaction, cache["attention"], d_fused
         )
         for name, grad in att_grads.items():
-            grads[f"interaction.{name}"] = grad
+            grads[f"interaction.{name}"][...] = grad
 
-        n = cache["final_nodes"].shape[0]
-        d_activations = np.tile(d_pooled / n, (n, 1))
+        counts = batch.mask.sum(axis=1)
+        d_activations = batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
         if d_nodes_att is not None:
             d_activations = d_activations + d_nodes_att
 
@@ -278,62 +312,35 @@ class AnalysisModel:
             d_activations, d_weight, d_attn = gat_backward(
                 self.gat_layers[l], cache["gat"][l], d_activations
             )
-            grads[f"gat{l}.weight"] = d_weight
-            grads[f"gat{l}.attn"] = d_attn
+            grads[f"gat{l}.weight"][...] = d_weight
+            grads[f"gat{l}.attn"][...] = d_attn
 
         d_h = self.config.d_h
-        d_tail = d_activations[:, d_h:]
-        d_role_emb = np.zeros_like(self.role_table.embeddings)
-        d_role_proj = np.zeros_like(self.role_table.projection)
-        mask = sample.role_ids >= 0
-        if np.any(mask):
-            ids = sample.role_ids[mask]
-            d_tail_used = d_tail[mask]
-            role_vecs = self.role_table.embeddings[ids]
-            d_role_proj = d_tail_used.T @ role_vecs
-            np.add.at(d_role_emb, ids, d_tail_used @ self.role_table.projection)
-        grads["role_embeddings"] = d_role_emb
-        grads["role_projection"] = d_role_proj
-        return grads
+        roles = cache["roles"]
+        d_table = roles.reshape(-1, roles.shape[2]).T @ d_activations[..., d_h:].reshape(-1, d_h)
+        grads["role_embeddings"][...] = d_table @ self.role_table.projection
+        grads["role_projection"][...] = d_table.T @ self.role_table.embeddings
+        return flat
 
 
 def batch_loss(model: AnalysisModel, batch: list[Sample]) -> float:
     """Mean cross-entropy over the batch."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    total = 0.0
-    for sample in batch:
-        if sample.label is None:
-            raise ValueError(f"sample {sample.news_id!r} has no label")
-        probs, _ = model.forward(sample)
-        total += cross_entropy(probs, sample.label)
-    return total / len(batch)
+    labels = _labels(batch)
+    probs, _ = model.forward(batch)
+    return cross_entropy(probs, labels)
 
 
 def backward(model: AnalysisModel, batch: list[Sample]) -> np.ndarray:
     """Gradient of the mean batch loss as one flat vector aligned with
     ``parameter_vector``."""
-    loss, grad = loss_and_grad(model, batch)
-    return grad
+    return loss_and_grad(model, batch)[1]
 
 
 def loss_and_grad(model: AnalysisModel, batch: list[Sample]) -> tuple[float, np.ndarray]:
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    accum: dict[str, np.ndarray] = {
-        name: np.zeros_like(array) for name, array in model.param_blocks()
-    }
-    total = 0.0
-    for sample in batch:
-        if sample.label is None:
-            raise ValueError(f"sample {sample.news_id!r} has no label")
-        probs, cache = model.forward(sample)
-        total += cross_entropy(probs, sample.label)
-        for name, grad in model._backward_sample(cache, sample.label).items():
-            accum[name] += grad
-    scale = 1.0 / len(batch)
-    bad = [name for name, grad in accum.items() if not np.all(np.isfinite(grad))]
-    if bad:
+    labels = _labels(batch)
+    probs, cache = model.forward(batch)
+    grad = model.gradient(cache, labels)
+    if not np.all(np.isfinite(grad)):
+        bad = [name for name, sl in model.block_slices() if not np.all(np.isfinite(grad[sl]))]
         raise NumericalFault(f"non-finite gradient in parameter blocks: {bad}")
-    flat = np.concatenate([(accum[name] * scale).ravel() for name, _ in model.param_blocks()])
-    return total / len(batch), flat
+    return cross_entropy(probs, labels), grad

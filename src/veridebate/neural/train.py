@@ -10,6 +10,10 @@ import numpy as np
 from .adam import AdamState, adam_step
 from .model import AnalysisModel, Sample, loss_and_grad
 
+# Samples per forward pass when predicting; bounds peak memory on large
+# splits.
+PREDICT_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -31,7 +35,9 @@ class TrainResult:
 
 
 def predict_proba(model: AnalysisModel, samples: list[Sample]) -> np.ndarray:
-    return np.stack([model.predict_proba(s) for s in samples])
+    """(len(samples), 2) class probabilities, in chunks of PREDICT_CHUNK."""
+    return np.concatenate([model.forward(samples[start : start + PREDICT_CHUNK])[0]
+                           for start in range(0, len(samples), PREDICT_CHUNK)])
 
 
 def predict(model: AnalysisModel, samples: list[Sample]) -> np.ndarray:
@@ -60,14 +66,13 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
 
     frozen_mask = None
     if config.freeze_blocks:
-        known = {name for name, _ in model.param_blocks()}
-        unknown = set(config.freeze_blocks) - known
+        slices = dict(model.block_slices())
+        unknown = set(config.freeze_blocks) - set(slices)
         if unknown:
             raise ValueError(f"unknown parameter blocks to freeze: {sorted(unknown)}")
         frozen_mask = np.ones(params.size)
-        for name, sl in model.block_slices():
-            if name in config.freeze_blocks:
-                frozen_mask[sl] = 0.0
+        for name in config.freeze_blocks:
+            frozen_mask[slices[name]] = 0.0
 
     loss_history: list[float] = []
     val_history: list[float] = []

@@ -2,10 +2,10 @@
 
 A workspace directory accumulates per-item artifacts (transcripts,
 reports, embedding and generation caches, checkpoints, predictions,
-metrics) so every stage is resumable: existing transcript and report
-files are picked up instead of regenerated, and embeddings come from
-the on-disk cache. Ablation variants re-wire the feature path without
-touching the persisted artifacts.
+metrics) so every stage is resumable: existing valid transcript and
+report files are picked up (an unusable one is regenerated), and
+embeddings come from the on-disk cache. Ablation variants re-wire the
+feature path without touching the persisted artifacts.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import PipelineConfig
-from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, NewsItem, VerdictHint
+from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, NewsItem, VerdictHint, validate_log
 from .encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider, RemoteEmbeddingProvider
 from .engine import log_from_json, log_to_json, run_debate
 from .evaluation import Dataset, MetricsReport, compute_metrics, write_predictions_jsonl
@@ -27,6 +27,7 @@ from .neural import (
     Sample,
     make_news_only_sample,
     make_sample,
+    predict_proba,
     save_model,
     train,
 )
@@ -74,11 +75,7 @@ class StageReport:
     name: str
     processed: int = 0
     skipped: int = 0
-    failures: list[str] = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    failures: list[str] = field(default_factory=list)
 
 
 class Pipeline:
@@ -100,18 +97,39 @@ class Pipeline:
         path.mkdir(parents=True, exist_ok=True)
         return path
 
+    @staticmethod
+    def _reuse(path: Path, parse, news_id: str, check=lambda record: []):
+        """The record stored at ``path`` for ``news_id``, or None when the
+        file is absent or unusable (it does not parse, fails ``check``, or
+        belongs to another item); an unusable file is logged by name."""
+        if not path.exists():
+            return None
+        try:
+            record = parse(path.read_text(encoding="utf-8"))
+            problems = check(record)
+            if record.news_id != news_id:
+                problems.append(f"holds news_id {record.news_id!r}")
+            if problems:
+                raise ValueError("; ".join(problems))
+        except Exception as exc:
+            logger.warning("regenerating unusable artifact %s: %s", path, exc)
+            return None
+        return record
+
     # ---- debate stage --------------------------------------------------------
 
     def run_debates(self, dataset: Dataset) -> tuple[dict[str, DebateLog], StageReport]:
-        """One transcript per item; existing transcript files are reused."""
+        """One transcript per item; existing valid transcript files are
+        reused."""
         transcripts = self._dir("transcripts")
         report = StageReport("debate")
         logs: dict[str, DebateLog] = {}
 
         def produce(item: NewsItem):
             path = transcripts / f"{item.id}.json"
-            if path.exists():
-                return item.id, log_from_json(path.read_text(encoding="utf-8")), True, None
+            log = self._reuse(path, log_from_json, item.id, validate_log)
+            if log is not None:
+                return item.id, log, True, None
             try:
                 log = run_debate(item, self.config.debate_config(), self.gateway)
             except Exception as exc:
@@ -146,8 +164,9 @@ class Pipeline:
         reports = {}
         for news_id in sorted(logs):
             path = reports_dir / f"{news_id}.json"
-            if path.exists():
-                reports[news_id] = report_from_json(path.read_text(encoding="utf-8"))
+            reused = self._reuse(path, report_from_json, news_id)
+            if reused is not None:
+                reports[news_id] = reused
                 report.skipped += 1
                 continue
             try:
@@ -202,18 +221,9 @@ class Pipeline:
         items = dataset.split(split)
         if not items:
             raise StageError("predict", f"no items in split {split!r}")
-        rows = []
-        for item in items:
-            probs = model.predict_proba(samples[item.id])
-            rows.append(
-                {
-                    "id": item.id,
-                    "label": item.label,
-                    "prediction": int(probs.argmax()),
-                    "p_fake": float(probs[LABEL_FAKE]),
-                }
-            )
-        return rows
+        probs = predict_proba(model, [samples[item.id] for item in items])
+        return [{"id": item.id, "label": item.label, "prediction": int(p.argmax()),
+                 "p_fake": float(p[LABEL_FAKE])} for item, p in zip(items, probs)]
 
     @staticmethod
     def hint_rows(dataset: Dataset, reports: dict, split: str = "test") -> list[dict]:
@@ -250,16 +260,10 @@ class Pipeline:
 
         logs, debate_report = self.run_debates(dataset)
         self._check_stage(debate_report)
+        reports, synth_report = self.run_synthesis(logs)
+        self._check_stage(synth_report)
         if variant == "no_analysis":
-            reports, report = self.run_synthesis(logs)
-            self._check_stage(report)
             return self._metrics_from_rows(self.hint_rows(dataset, reports))
-
-        # "full" and "no_synthesis" share the trained path; the report
-        # stage is simply omitted for the latter.
-        if variant == "full":
-            _, synth_report = self.run_synthesis(logs)
-            self._check_stage(synth_report)
         samples = self.build_samples(dataset, logs, "full")
         model = self.train_model(dataset, samples, f"model-{variant}.bin")
         return self._metrics_from_rows(self.predict_rows(model, dataset, samples))

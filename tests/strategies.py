@@ -76,15 +76,12 @@ def random_graph_sample(rng: np.random.Generator, n_nodes: int, d_h: int,
 
 
 def _kink_clearance(model: AnalysisModel, batch: list[Sample]) -> float:
-    """Smallest |leaky-ReLU pre-activation| reached anywhere in the
-    batch's forward passes."""
-    clearance = np.inf
-    for sample in batch:
-        _, cache = model.forward(sample)
-        for layer_cache in cache["gat"]:
-            pre = np.concatenate(layer_cache.logits_pre)
-            clearance = min(clearance, float(np.abs(pre).min()))
-    return clearance
+    """Smallest |leaky-ReLU pre-activation| reached on any real edge of a
+    real node in the batch's forward pass (a padding node's self-loop
+    pre-activation is exactly 0 and never reaches a real output)."""
+    _, cache = model.forward(batch)
+    real = cache["batch"].adjacency & cache["batch"].mask[:, :, None]
+    return min(float(np.abs(layer.logits_pre[real]).min()) for layer in cache["gat"])
 
 
 def make_gradcheck_case(seed: int, mode: str = "nodes", layers: int = 2,

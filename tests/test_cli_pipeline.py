@@ -237,6 +237,77 @@ class TestAblateCommand:
         assert code == 1
 
 
+def corrupt(path, fault: str, other) -> None:
+    """Overwrite an artifact: cut it short, replace it with one that
+    parses but is invalid, or copy another item's file over it."""
+    text = path.read_text(encoding="utf-8")
+    if fault == "truncated":
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+    elif fault == "invalid":
+        record = json.loads(text)
+        if "turns" in record:
+            record["turns"] = []
+        else:
+            record["text"] = ""
+        path.write_text(json.dumps(record), encoding="utf-8")
+    else:
+        path.write_text(other.read_text(encoding="utf-8"), encoding="utf-8")
+
+
+FAULTS = ("truncated", "invalid", "other_news_id")
+
+
+class TestReusedArtifacts:
+    """A reused transcript or report that does not parse, fails
+    validation, or belongs to another item is regenerated with a warning
+    naming the file, and the stage carries on."""
+
+    def _setup(self, small_setup):
+        tmp_path, dataset_path, config_path = small_setup
+        dataset = load_dataset(dataset_path)
+        config = load_config(config_path)
+        workspace = tmp_path / "ws"
+        pipeline = Pipeline(config, workspace, gateway=Gateway(CountingBackend()))
+        logs, _ = pipeline.run_debates(dataset)
+        pipeline.run_synthesis(logs)
+        return dataset, config, workspace
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_bad_transcript_is_regenerated(self, small_setup, fault, caplog):
+        dataset, config, workspace = self._setup(small_setup)
+        first, second = sorted((workspace / "transcripts").glob("*.json"))[:2]
+        original = first.read_bytes()
+        corrupt(first, fault, second)
+
+        backend = CountingBackend()
+        pipeline = Pipeline(config, workspace, gateway=Gateway(backend))
+        logs, report = pipeline.run_debates(dataset)
+        assert report.failures == []
+        assert (report.processed, report.skipped) == (1, 15)
+        assert backend.calls == 8
+        assert first.read_bytes() == original
+        assert logs[first.stem].news_id == first.stem
+        assert str(first) in caplog.text
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_bad_report_is_regenerated(self, small_setup, fault, caplog):
+        dataset, config, workspace = self._setup(small_setup)
+        first, second = sorted((workspace / "reports").glob("*.json"))[:2]
+        original = first.read_bytes()
+        corrupt(first, fault, second)
+
+        backend = CountingBackend()
+        pipeline = Pipeline(config, workspace, gateway=Gateway(backend))
+        logs, _ = pipeline.run_debates(dataset)
+        reports, report = pipeline.run_synthesis(logs)
+        assert report.failures == []
+        assert (report.processed, report.skipped) == (1, 15)
+        assert backend.calls == 1
+        assert first.read_bytes() == original
+        assert reports[first.stem].news_id == first.stem
+        assert str(first) in caplog.text
+
+
 class ExplodingBackend:
     backend_id = "exploding"
 

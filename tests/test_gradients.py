@@ -48,8 +48,8 @@ def test_saturated_correct_prediction_has_tiny_classifier_gradient():
     model = tiny_model()
     rng = np.random.default_rng(3)
     sample = random_graph_sample(rng, 4, 4, label=0)
-    _, cache = model.forward(sample)
-    fused = cache["fused"]
+    _, cache = model.forward([sample])
+    fused = cache["fused"][0]
     # Point the classifier so hard at the true class that the softmax
     # saturates; the loss sits on its flat optimum.
     direction = fused / (fused @ fused)

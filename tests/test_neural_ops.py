@@ -17,6 +17,7 @@ from veridebate.neural import (
     cross_entropy,
     global_mean_pool,
     interact,
+    predict_proba,
 )
 from veridebate.neural.gat import GatLayer, elu, gat_forward, leaky_relu
 
@@ -233,6 +234,10 @@ class TestLoss:
         value = cross_entropy(np.array([0.0, 1.0]), 0)
         assert value == pytest.approx(-math.log(1e-12))
 
+    def test_batch_is_mean_of_rows(self):
+        probs = np.array([[0.5, 0.5], [0.75, 0.25]])
+        assert cross_entropy(probs, [1, 1]) == pytest.approx((math.log(2) + math.log(4)) / 2)
+
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
             cross_entropy(np.array([0.5, 0.5]), 2)
@@ -303,6 +308,6 @@ class TestNormalizationSweep:
         )
         for _ in range(50):
             sample = random_graph_sample(rng, int(rng.integers(2, 8)), 4)
-            probs = model.predict_proba(sample)
+            probs = predict_proba(model, [sample])[0]
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(probs > 0)

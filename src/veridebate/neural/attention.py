@@ -126,8 +126,19 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
     weights = softmax(scores)
     concat = (weights[:, :, None, :] @ values).reshape(batch, head.d_p)
     fused = np.concatenate([g_proj, concat @ head.out.T], axis=1)
-    cache = InteractCache(mode, news_emb, pooled, node_feats, kv, e_proj, queries, keys,
-                          values, weights, concat)
+    cache = InteractCache(
+        mode=mode,
+        news_emb=news_emb,
+        pooled=pooled,
+        node_feats=node_feats,
+        kv=kv,
+        e_proj=e_proj,
+        queries=queries,
+        keys=keys,
+        values=values,
+        weights=weights,
+        concat=concat,
+    )
     return fused, cache
 
 

@@ -3,6 +3,7 @@ followed by the flat parameter vector as little-endian float64."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,18 +13,10 @@ FORMAT_NAME = "veridebate-checkpoint"
 
 
 def save_model(path: str | Path, model: AnalysisModel) -> None:
-    cfg = model.config
     header = {
         "format": FORMAT_NAME,
         "version": 1,
-        "d_h": cfg.d_h,
-        "d_r": cfg.d_r,
-        "gat_hidden": cfg.gat_hidden,
-        "gat_layers": cfg.gat_layers,
-        "d_p": cfg.d_p,
-        "heads": cfg.heads,
-        "interaction_mode": cfg.interaction_mode,
-        "seed": cfg.seed,
+        **dataclasses.asdict(model.config),
         "labels": {"real": 0, "fake": 1},
         "param_count": model.num_params,
     }
@@ -45,16 +38,7 @@ def load_model(path: str | Path) -> AnalysisModel:
     header = json.loads(header_line.decode("utf-8"))
     if header.get("format") != FORMAT_NAME:
         raise ValueError(f"{path} is not a {FORMAT_NAME} file")
-    config = ModelConfig(
-        d_h=header["d_h"],
-        d_r=header["d_r"],
-        gat_hidden=header["gat_hidden"],
-        gat_layers=header["gat_layers"],
-        d_p=header["d_p"],
-        heads=header["heads"],
-        interaction_mode=header["interaction_mode"],
-        seed=header["seed"],
-    )
+    config = ModelConfig(**{f.name: header[f.name] for f in dataclasses.fields(ModelConfig)})
     model = AnalysisModel.create(config)
     vector = np.frombuffer(payload, dtype="<f8")
     if vector.size != header["param_count"] or vector.size != model.num_params:

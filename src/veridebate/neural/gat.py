@@ -28,16 +28,8 @@ def elu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, np.expm1(x))
 
 
-def elu_grad(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
-
-
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
-
-
-def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, 1.0, slope)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -86,12 +78,6 @@ class GatLayer:
     def out_dim(self) -> int:
         return int(self.weight.shape[0])
 
-    def _apply_act(self, x: np.ndarray) -> np.ndarray:
-        return elu(x) if self.activation == "elu" else x
-
-    def _act_grad(self, x: np.ndarray) -> np.ndarray:
-        return elu_grad(x) if self.activation == "elu" else np.ones_like(x)
-
 
 def padded_adjacency(neighbor_ids, n: int) -> np.ndarray:
     """(n, n) boolean in-neighbor mask of a graph whose nodes are the
@@ -129,7 +115,7 @@ def gat_forward_cached(layer: GatLayer, features: np.ndarray,
     alpha = softmax(np.where(adjacency, leaky_relu(pre, layer.leaky_slope), -np.inf))
     aggregated = alpha @ projected
     cache = GatCache(features, projected, alpha, pre, aggregated)
-    return layer._apply_act(aggregated), cache
+    return (elu(aggregated) if layer.activation == "elu" else aggregated), cache
 
 
 def gat_backward(layer: GatLayer, cache: GatCache,
@@ -140,10 +126,12 @@ def gat_backward(layer: GatLayer, cache: GatCache,
     out_dim = layer.out_dim
     a_src, a_dst = layer.attn[:out_dim], layer.attn[out_dim:]
 
-    d_agg = d_output * layer._act_grad(cache.aggregated)
+    d_agg = d_output
+    if layer.activation == "elu":
+        d_agg = d_output * np.exp(np.minimum(cache.aggregated, 0.0))  # 1 where positive
     d_alpha = d_agg @ projected.transpose(0, 2, 1)
-    d_pre = softmax_backward(alpha, d_alpha) * leaky_relu_grad(cache.logits_pre,
-                                                               layer.leaky_slope)
+    d_pre = softmax_backward(alpha, d_alpha) * np.where(cache.logits_pre > 0, 1.0,
+                                                        layer.leaky_slope)
     d_src = d_pre.sum(axis=2)  # (B, n)
     d_dst = d_pre.sum(axis=1)
     d_proj = (alpha.transpose(0, 2, 1) @ d_agg

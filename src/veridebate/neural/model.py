@@ -79,11 +79,11 @@ def global_mean_pool(features: np.ndarray, mask: np.ndarray | None = None) -> np
     nodes of each graph in a ``(B, n, d)`` batch given its ``(B, n)``
     node mask."""
     features = np.asarray(features, dtype=np.float64)
-    if mask is not None:
-        return (features * mask[..., None]).sum(axis=1) / mask.sum(axis=1, keepdims=True)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("global_mean_pool needs at least one node")
-    return features.mean(axis=0)
+    if mask is None:
+        if features.ndim != 2 or features.shape[0] == 0:
+            raise ValueError("global_mean_pool needs at least one node")
+        return global_mean_pool(features[None], np.ones((1, len(features)), dtype=bool))[0]
+    return (features * mask[..., None]).sum(axis=1) / mask.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -235,12 +235,6 @@ class AnalysisModel:
 
     # ---- parameter bookkeeping -------------------------------------------
 
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[sl].reshape(shape) for name, sl, shape in self._blocks}
-
-    def param_blocks(self) -> list[tuple[str, np.ndarray]]:
-        return list(self._views(self._flat).items())
-
     def block_slices(self) -> list[tuple[str, slice]]:
         return [(name, sl) for name, sl, _ in self._blocks]
 
@@ -287,7 +281,7 @@ class AnalysisModel:
         """Gradient of the mean cross-entropy of a forward batch, as one
         flat vector aligned with ``parameter_vector``."""
         flat = np.empty(self.num_params)
-        grads = self._views(flat)
+        grads = {name: flat[sl].reshape(shape) for name, sl, shape in self._blocks}
         batch: Batch = cache["batch"]
         d_logits = cache["probs"].copy()
         d_logits[np.arange(len(labels)), labels] -= 1.0

@@ -101,7 +101,8 @@ class Pipeline:
     def _reuse(path: Path, parse, news_id: str, check=lambda record: []):
         """The record stored at ``path`` for ``news_id``, or None when the
         file is absent or unusable (it does not parse, fails ``check``, or
-        belongs to another item); an unusable file is logged by name."""
+        belongs to another item); an unusable file is logged by name. An
+        error reading the file is not a parse error and propagates."""
         if not path.exists():
             return None
         try:
@@ -111,7 +112,7 @@ class Pipeline:
                 problems.append(f"holds news_id {record.news_id!r}")
             if problems:
                 raise ValueError("; ".join(problems))
-        except Exception as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             logger.warning("regenerating unusable artifact %s: %s", path, exc)
             return None
         return record
@@ -222,8 +223,15 @@ class Pipeline:
         if not items:
             raise StageError("predict", f"no items in split {split!r}")
         probs = predict_proba(model, [samples[item.id] for item in items])
-        return [{"id": item.id, "label": item.label, "prediction": int(p.argmax()),
-                 "p_fake": float(p[LABEL_FAKE])} for item, p in zip(items, probs)]
+        return [
+            {
+                "id": item.id,
+                "label": item.label,
+                "prediction": int(p.argmax()),
+                "p_fake": float(p[LABEL_FAKE]),
+            }
+            for item, p in zip(items, probs)
+        ]
 
     @staticmethod
     def hint_rows(dataset: Dataset, reports: dict, split: str = "test") -> list[dict]:

@@ -307,6 +307,17 @@ class TestReusedArtifacts:
         assert reports[first.stem].news_id == first.stem
         assert str(first) in caplog.text
 
+    def test_unreadable_transcript_is_reported_not_regenerated(self, small_setup):
+        dataset, config, workspace = self._setup(small_setup)
+        first = sorted((workspace / "transcripts").glob("*.json"))[0]
+        first.unlink()
+        first.mkdir()  # reading it raises an OSError, not a parse error
+
+        pipeline = Pipeline(config, workspace, gateway=Gateway(CountingBackend()))
+        with pytest.raises(IsADirectoryError):
+            pipeline.run_debates(dataset)
+        assert first.is_dir()
+
 
 class ExplodingBackend:
     backend_id = "exploding"

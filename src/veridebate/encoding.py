@@ -5,6 +5,11 @@ hash-projection provider for hermetic runs, or a remote embedding
 endpoint). A node vector for a turn is the concatenation of its frozen
 text embedding with a trainable projected role embedding, keyed by the
 (role, stance) pair so the two teams' rebutters stay distinguishable.
+
+Embeddings are cached on disk under ``<root>/<provider_id>/``, in
+append-only, checksummed pack files (see ``packs.py``): each record is
+keyed by the sha256 of the text and holds the vector as little-endian
+float32. A damaged or torn record reads as a miss and is recomputed.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 from .domain import DebateRole, DebateTurn, Stance
 from .gateway import API_KEY_ENV, MalformedResponseError, TransportError, _urllib_transport
+from .packs import PackStore
 
 # Fixed ordering of the trainable role vectors.
 ROLE_STANCE_PAIRS = tuple((role, stance) for role in DebateRole for stance in Stance)
@@ -132,49 +138,34 @@ class RemoteEmbeddingProvider:
         return EmbeddingVector(vec, self.provider_id)
 
 
-# --------------------------------------------------------------------------
-# On-disk vector storage: little-endian float32 payload + JSON sidecar
-# --------------------------------------------------------------------------
-
-
-def write_f32(path: Path, array: np.ndarray, meta: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(array, dtype="<f4")
-    path.write_bytes(data.tobytes())
-    sidecar = dict(meta)
-    sidecar["shape"] = list(array.shape)
-    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True), encoding="utf-8")
-
-
-def read_f32(path: Path) -> tuple[np.ndarray, dict]:
-    meta = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    flat = np.frombuffer(path.read_bytes(), dtype="<f4").astype(np.float64)
-    return flat.reshape(meta["shape"]), meta
+def _text_key(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class EmbeddingCache:
-    """Disk cache keyed by (provider_id, text digest)."""
+    """Disk cache keyed by (provider_id, text digest): one pack store per
+    provider directory, holding each vector as little-endian float32."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._stores: dict[str, PackStore] = {}
 
-    def _path(self, provider_id: str, text: str) -> Path:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        safe = re.sub(r"[^\w.-]", "_", provider_id)
-        return self.root / safe / f"{digest}.f32"
+    def _store(self, provider_id: str) -> PackStore:
+        store = self._stores.get(provider_id)
+        if store is None:
+            safe = re.sub(r"[^\w.-]", "_", provider_id)
+            store = self._stores[provider_id] = PackStore(self.root / safe)
+        return store
 
     def get(self, provider_id: str, text: str) -> np.ndarray | None:
-        path = self._path(provider_id, text)
-        if not path.exists():
+        payload = self._store(provider_id).get(_text_key(text))
+        if payload is None:
             return None
-        values, meta = read_f32(path)
-        if meta.get("provider_id") != provider_id:
-            return None
-        return values
+        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
     def put(self, provider_id: str, text: str, values: np.ndarray) -> None:
-        path = self._path(provider_id, text)
-        write_f32(path, values, {"dim": int(values.shape[0]), "provider_id": provider_id})
+        payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
+        self._store(provider_id).put(_text_key(text), payload)
 
 
 class CachedEmbedder:

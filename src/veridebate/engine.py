@@ -8,6 +8,7 @@ editable text assets under ``templates/``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -66,14 +67,19 @@ class PromptTemplate:
             ) from exc
 
 
+@functools.cache
 def load_template(template_id: str) -> PromptTemplate:
-    """Load a template asset; the system and user parts are separated by
-    a line containing only ``---``."""
-    raw = (
-        resources.files("veridebate")
-        .joinpath("templates", f"{template_id}.txt")
-        .read_text(encoding="utf-8")
-    )
+    """Load a template asset, once per id; the system and user parts are
+    separated by a line containing only ``---``. A missing or malformed
+    template raises PromptError (errors are not cached)."""
+    try:
+        raw = (
+            resources.files("veridebate")
+            .joinpath("templates", f"{template_id}.txt")
+            .read_text(encoding="utf-8")
+        )
+    except FileNotFoundError as exc:
+        raise PromptError(f"no template {template_id!r}") from exc
     system_text, sep, user_text = raw.partition("\n---\n")
     if not sep:
         raise PromptError(f"template {template_id!r} lacks a system/user separator")

@@ -5,6 +5,12 @@ endpoint and a deterministic mock used for hermetic tests. The gateway
 wraps either with an on-disk response cache, bounded retry with
 nondecreasing backoff, and gateway-wide rate limiting, and is safe to
 share across threads.
+
+The response cache is content-addressed by the request digest
+(``cache_key``) and lives in append-only, checksummed pack files under the
+cache directory (see ``packs.py``), one pack per gateway that writes. Each
+record holds the JSON entry ``{digest, text, backend_id, timestamp}``; a
+damaged or torn record reads as a miss and the request is sent again.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .packs import PackStore
 
 API_KEY_ENV = "VERIDEBATE_API_KEY"
 
@@ -296,46 +305,49 @@ class Gateway:
                  retry: RetryPolicy = RetryPolicy(), limiter: RateLimiter | None = None,
                  sleep=time.sleep):
         self.backend = backend
-        self.cache_dir = Path(cache_dir) if cache_dir else None
         self.retry = retry
         self.limiter = limiter
         self._sleep = sleep
-        self._key_locks: dict[str, threading.Lock] = {}
+        self._store = PackStore(cache_dir) if cache_dir else None
+        self._key_locks: dict[str, list] = {}  # digest -> [lock, threads holding or waiting]
         self._master_lock = threading.Lock()
 
-    def _lock_for(self, digest: str) -> threading.Lock:
+    @contextmanager
+    def _key_lock(self, digest: str):
+        """Hold the lock for one digest; its entry is dropped once no
+        thread holds or waits on it."""
         with self._master_lock:
-            lock = self._key_locks.get(digest)
-            if lock is None:
-                lock = self._key_locks[digest] = threading.Lock()
-            return lock
-
-    def _cache_path(self, digest: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+            entry = self._key_locks.get(digest)
+            if entry is None:
+                entry = self._key_locks[digest] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._master_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[digest]
 
     def _cache_read(self, digest: str) -> GenerationResponse | None:
-        path = self._cache_path(digest)
-        if not path.exists():
+        payload = self._store.get(digest)
+        if payload is None:
             return None
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry = json.loads(payload)
             return GenerationResponse(entry["text"], entry["backend_id"], cached=True)
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError):
             return None
 
     def _cache_write(self, digest: str, text: str) -> None:
-        path = self._cache_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "digest": digest,
             "text": text,
             "backend_id": self.backend.backend_id,
             "timestamp": time.time(),
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+        self._store.put(digest, json.dumps(entry, ensure_ascii=False).encode("utf-8"))
 
     def _call_with_retry(self, req: GenerationRequest) -> str:
         last: Exception | None = None
@@ -355,7 +367,7 @@ class Gateway:
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if not isinstance(req, GenerationRequest):
             raise TypeError("generate expects a GenerationRequest")
-        if self.cache_dir is None:
+        if self._store is None:
             text = self._call_with_retry(req)
             if not text:
                 raise MalformedResponseError("backend returned empty text")
@@ -364,7 +376,7 @@ class Gateway:
         digest = cache_key(req)
         # A per-key lock keeps concurrent identical requests down to one
         # backend call per digest.
-        with self._lock_for(digest):
+        with self._key_lock(digest):
             hit = self._cache_read(digest)
             if hit is not None:
                 return hit

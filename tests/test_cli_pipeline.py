@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -317,6 +318,47 @@ class TestReusedArtifacts:
         with pytest.raises(IsADirectoryError):
             pipeline.run_debates(dataset)
         assert first.is_dir()
+
+
+class CountingProvider:
+    """Embedding provider wrapper that counts embed calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.provider_id = inner.provider_id
+        self.dim = inner.dim
+        self.calls = 0
+
+    def embed_text(self, text):
+        self.calls += 1
+        return self.inner.embed_text(text)
+
+
+class TestResume:
+    def test_caches_alone_rebuild_the_run(self, small_setup):
+        """With transcripts and reports gone, a fresh pipeline over the
+        same workspace rebuilds everything from the generation and
+        embedding caches: no backend or provider call, same metrics."""
+        tmp_path, dataset_path, config_path = small_setup
+        dataset = load_dataset(dataset_path)
+        config = load_config(config_path)
+        workspace = tmp_path / "ws"
+
+        def run():
+            pipeline = Pipeline(config, workspace)
+            backend = pipeline.gateway.backend = CountingBackend()
+            provider = pipeline.embedder.provider = CountingProvider(pipeline.embedder.provider)
+            pipeline.run(dataset)
+            return backend.calls, provider.calls, (workspace / "metrics.json").read_bytes()
+
+        cold_calls, cold_embeds, cold_metrics = run()
+        assert cold_calls == 16 * 9 and cold_embeds > 0
+        for name in ("transcripts", "reports"):
+            shutil.rmtree(workspace / name)
+        warm_calls, warm_embeds, warm_metrics = run()
+        assert (warm_calls, warm_embeds) == (0, 0)
+        assert warm_metrics == cold_metrics
+        assert len(list((workspace / "transcripts").glob("*.json"))) == 16
 
 
 class ExplodingBackend:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,6 @@ from veridebate.encoding import (
     RemoteEmbeddingProvider,
     RoleTable,
     build_node,
-    read_f32,
-    write_f32,
 )
 
 # A small fixed corpus used to pin down provider distinctness. All
@@ -91,25 +91,18 @@ class TestEmbeddingCache:
         warm = embedder.embed_text("cache me")
         assert np.array_equal(cold.values, warm.values)
 
-    def test_sidecar_metadata(self, tmp_path):
+    def test_one_pack_per_provider(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         embedder = CachedEmbedder(HashEmbeddingProvider(dim=8, seed=0), cache)
-        embedder.embed_text("sidecar check")
-        paths = list(tmp_path.rglob("*.f32"))
+        embedder.embed_text("pack check")
+        paths = list(tmp_path.rglob("*.pack"))
         assert len(paths) == 1
-        values, meta = read_f32(paths[0])
-        assert meta["dim"] == 8
-        assert meta["provider_id"] == embedder.provider_id
+        assert paths[0].parent == tmp_path / embedder.provider_id
+        header, payload = paths[0].read_bytes().split(b"\n", 1)
+        assert json.loads(header)["size"] == len(payload)  # exactly one record
+        values = np.frombuffer(payload, dtype="<f4")
         assert values.shape == (8,)
-
-    def test_f32_matrix_roundtrip(self, tmp_path):
-        matrix = np.random.default_rng(0).standard_normal((3, 5))
-        path = tmp_path / "m.f32"
-        write_f32(path, matrix, {"kind": "features"})
-        loaded, meta = read_f32(path)
-        assert loaded.shape == (3, 5)
-        assert np.allclose(loaded, matrix, atol=1e-6)
-        assert meta["kind"] == "features"
+        assert np.array_equal(values, embedder.embed_text("pack check").values)
 
 
 class TestRemoteProvider:

@@ -1,5 +1,6 @@
 import pytest
 
+from veridebate import engine
 from veridebate.domain import (
     DebateConfig,
     DebateRole,
@@ -69,6 +70,30 @@ class TestTemplates:
         for template_id in TEMPLATE_IDS:
             template = load_template(template_id)
             assert template.system_text and template.user_text
+
+    def test_loaded_once_per_id(self):
+        assert load_template("opening") is load_template("opening")
+
+    def test_missing_template_raises_every_call(self):
+        for _ in range(2):
+            with pytest.raises(PromptError, match="no template"):
+                load_template("no_such_template")
+
+    def test_malformed_template_raises_every_call(self, monkeypatch):
+        class Asset:
+            def files(self, package):
+                return self
+
+            def joinpath(self, *parts):
+                return self
+
+            def read_text(self, encoding):
+                return "system text with no separator"
+
+        monkeypatch.setattr(engine, "resources", Asset())
+        for _ in range(2):
+            with pytest.raises(PromptError, match="separator"):
+                load_template("malformed_template")
 
     def test_unresolved_placeholder_raises(self):
         template = PromptTemplate("bad", "sys", "hello {nonexistent}")

@@ -1,5 +1,6 @@
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from veridebate.gateway import (
     TransportError,
     cache_key,
 )
+from veridebate.packs import PackStore
 
 
 def req(text="hello there", seed=0, temperature=0.7):
@@ -97,13 +99,12 @@ class TestCache:
         assert not first.cached and second.cached
         assert first.text == second.text
 
-    def test_cache_layout_two_hex_prefix(self, tmp_path):
+    def test_cache_layout_one_pack(self, tmp_path):
         gateway = Gateway(MockBackend(), cache_dir=tmp_path)
         gateway.generate(req())
         digest = cache_key(req())
-        path = tmp_path / digest[:2] / f"{digest}.json"
-        assert path.exists()
-        entry = json.loads(path.read_text())
+        assert [path.suffix for path in tmp_path.iterdir()] == [".pack"]
+        entry = json.loads(PackStore(tmp_path).get(digest))
         assert entry["digest"] == digest
         assert entry["text"]
         assert "timestamp" in entry
@@ -117,6 +118,15 @@ class TestCache:
         for t in threads:
             t.join()
         assert backend.calls == 1
+
+    def test_key_locks_freed_after_use(self, tmp_path):
+        backend = CountingBackend()
+        gateway = Gateway(backend, cache_dir=tmp_path)
+        requests = [req(text=f"request {i}") for i in range(50)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(gateway.generate, requests))
+        assert backend.calls == 50
+        assert gateway._key_locks == {}
 
 
 class FlakyBackend:

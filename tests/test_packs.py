@@ -1,0 +1,122 @@
+"""The pack store behind the generation and embedding caches: its record
+layout, and what a torn, damaged or foreign file does to a later reader."""
+
+import gc
+import json
+import sys
+import threading
+import zlib
+
+import numpy as np
+
+from veridebate.encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider
+from veridebate.packs import PackStore
+
+
+def packs(root):
+    return sorted(root.glob("*.pack"))
+
+
+class TestPackStore:
+    def test_float32_matrix_roundtrip(self, tmp_path):
+        matrix = np.random.default_rng(0).standard_normal((3, 5))
+        PackStore(tmp_path).put("m", matrix.astype("<f4").tobytes())
+        loaded = np.frombuffer(PackStore(tmp_path).get("m"), dtype="<f4").reshape(3, 5)
+        assert np.allclose(loaded, matrix, atol=1e-6)
+
+    def test_record_layout(self, tmp_path):
+        PackStore(tmp_path).put("k", b"payload")
+        (pack,) = packs(tmp_path)
+        header, payload = pack.read_bytes().split(b"\n", 1)
+        assert json.loads(header) == {"key": "k", "size": 7, "crc": zlib.crc32(b"payload")}
+        assert payload == b"payload"
+
+    def test_reads_create_no_file(self, tmp_path):
+        root = tmp_path / "cache"
+        store = PackStore(root)
+        assert store.get("absent") is None
+        assert not root.exists()
+
+    def test_new_store_sees_earlier_records(self, tmp_path):
+        first = PackStore(tmp_path)
+        first.put("a", b"alpha")
+        assert first.get("a") == b"alpha"
+        assert PackStore(tmp_path).get("a") == b"alpha"
+
+    def test_two_writers_write_two_packs(self, tmp_path):
+        one, two = PackStore(tmp_path), PackStore(tmp_path)
+        for i in range(6):
+            (one if i % 2 == 0 else two).put(f"k{i}", f"v{i}".encode())
+        assert len(packs(tmp_path)) == 2
+        third = PackStore(tmp_path)
+        assert [third.get(f"k{i}") for i in range(6)] == [f"v{i}".encode() for i in range(6)]
+
+    def test_truncated_pack_keeps_earlier_records(self, tmp_path):
+        store = PackStore(tmp_path)
+        for key in ("a", "b", "c"):
+            store.put(key, key.encode() * 100)
+        (pack,) = packs(tmp_path)
+        data = pack.read_bytes()
+        pack.write_bytes(data[: len(data) - 50])  # cut inside c's payload
+        reader = PackStore(tmp_path)
+        assert reader.get("a") == b"a" * 100
+        assert reader.get("b") == b"b" * 100
+        assert reader.get("c") is None
+
+    def test_flipped_payload_byte_reads_as_miss(self, tmp_path):
+        provider = HashEmbeddingProvider(dim=8, seed=0)
+        expected = CachedEmbedder(provider, EmbeddingCache(tmp_path)).embed_text("flip me").values
+        (pack,) = packs(tmp_path / provider.provider_id)
+        data = bytearray(pack.read_bytes())
+        data[-3] ^= 0x40  # one bit in the float32 payload
+        pack.write_bytes(bytes(data))
+
+        cache = EmbeddingCache(tmp_path)
+        assert cache.get(provider.provider_id, "flip me") is None
+        recomputed = CachedEmbedder(provider, cache).embed_text("flip me").values
+        assert np.array_equal(recomputed, expected)
+
+    def test_old_layout_files_ignored(self, tmp_path):
+        (tmp_path / "ab").mkdir()
+        (tmp_path / "ab" / ("ab" + "0" * 62 + ".json")).write_text('{"text": "old"}')
+        (tmp_path / "deadbeef.f32").write_bytes(b"\x00" * 32)
+        (tmp_path / "deadbeef.json").write_text('{"dim": 8, "shape": [8]}')
+        store = PackStore(tmp_path)
+        assert store.get("ab" + "0" * 62) is None
+        assert store.get("deadbeef") is None
+        store.put("deadbeef", b"new")
+        assert PackStore(tmp_path).get("deadbeef") == b"new"
+
+    def test_concurrent_puts_all_land(self, tmp_path):
+        store = PackStore(tmp_path)
+        keys = [[f"t{t}-{i}" for i in range(50)] for t in range(8)]
+
+        def put_all(own):
+            for key in own:
+                store.put(key, key.encode() * 7)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put_all, args=(own,)) for own in keys]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(packs(tmp_path)) == 1
+        reader = PackStore(tmp_path)
+        for key in (k for own in keys for k in own):
+            assert store.get(key) == key.encode() * 7
+            assert reader.get(key) == key.encode() * 7
+
+    def test_descriptors_close_with_the_store(self, tmp_path):
+        store = PackStore(tmp_path)
+        store.put("a", b"alpha")
+        descriptors = store._fds
+        assert descriptors
+        del store
+        gc.collect()
+        assert descriptors == []

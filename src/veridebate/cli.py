@@ -25,6 +25,7 @@ from .evaluation import (
     format_ablation_table,
     load_dataset,
     run_ablation,
+    write_metrics_json,
     write_predictions_jsonl,
 )
 from .neural import load_model
@@ -121,10 +122,7 @@ def cmd_synthesize(config: PipelineConfig) -> int:
 def cmd_train(config: PipelineConfig) -> int:
     pipeline = Pipeline(config, _workspace(config))
     dataset = _dataset(config)
-    logs, report = pipeline.run_debates(dataset)
-    pipeline._check_stage(report)
-    samples = pipeline.build_samples(dataset, logs)
-    pipeline.train_model(dataset, samples)
+    pipeline.train_model(dataset, pipeline.encode(dataset))
     print(f"train: checkpoint -> {pipeline.workspace / 'checkpoints' / 'model.bin'}")
     return 0
 
@@ -136,10 +134,7 @@ def cmd_predict(config: PipelineConfig) -> int:
     if not checkpoint.exists():
         raise SystemExit(f"no checkpoint at {checkpoint}; run `veridebate train` first")
     model = load_model(checkpoint)
-    logs, report = pipeline.run_debates(dataset)
-    pipeline._check_stage(report)
-    samples = pipeline.build_samples(dataset, logs)
-    rows = pipeline.predict_rows(model, dataset, samples)
+    rows = pipeline.predict_rows(model, dataset, pipeline.encode(dataset))
     out = pipeline.workspace / "predictions.jsonl"
     write_predictions_jsonl(out, rows)
     print(f"predict: {len(rows)} rows -> {out}")
@@ -157,9 +152,7 @@ def cmd_evaluate(config: PipelineConfig) -> int:
         if line.strip()
     ]
     metrics = compute_metrics([r["prediction"] for r in rows], [r["label"] for r in rows])
-    (workspace / "metrics.json").write_text(
-        json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_metrics_json(workspace / "metrics.json", metrics)
     print(metrics.format_table())
     return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .domain import DebateConfig
@@ -17,46 +17,46 @@ from .neural.model import ModelConfig
 from .neural.train import TrainConfig
 
 
+def _in(section: str, default):
+    """A field set from ``[section]`` of the config file."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class PipelineConfig:
-    # [gateway]
-    backend: str = "mock"
-    endpoint: str = ""
-    model_name: str = "gpt-4o-mini"
-    requests_per_minute: float = 0.0  # 0 disables pacing
-    max_concurrency: int = 1
-    gateway_cache: bool = True
+    backend: str = _in("gateway", "mock")
+    endpoint: str = _in("gateway", "")
+    model_name: str = _in("gateway", "gpt-4o-mini")
+    requests_per_minute: float = _in("gateway", 0.0)  # 0 disables pacing
+    max_concurrency: int = _in("gateway", 1)
+    gateway_cache: bool = _in("gateway", True)
 
-    # [debate]
-    agents_per_team: int = 2
-    temperature: float = 0.7
-    max_tokens: int = 300
-    history_char_budget: int = 6000
-    language: str = "en"
+    agents_per_team: int = _in("debate", 2)
+    temperature: float = _in("debate", 0.7)
+    max_tokens: int = _in("debate", 300)
+    history_char_budget: int = _in("debate", 6000)
+    language: str = _in("debate", "en")
 
-    # [embedding]
-    provider: str = "hash"
-    d_h: int = 384
-    embed_seed: int = 0
-    embedding_endpoint: str = ""
-    embedding_model: str = "text-embedding-3-small"
+    provider: str = _in("embedding", "hash")
+    d_h: int = _in("embedding", 384)
+    embed_seed: int = _in("embedding", 0)
+    embedding_endpoint: str = _in("embedding", "")
+    embedding_model: str = _in("embedding", "text-embedding-3-small")
 
-    # [model]
-    d_r: int = 16
-    gat_hidden: int = 128
-    gat_layers: int = 2
-    d_p: int = 128
-    heads: int = 4
-    interaction_mode: str = "nodes"
-    lr: float = 5e-3
-    epochs: int = 30
-    batch_size: int = 32
+    d_r: int = _in("model", 16)
+    gat_hidden: int = _in("model", 128)
+    gat_layers: int = _in("model", 2)
+    d_p: int = _in("model", 128)
+    heads: int = _in("model", 4)
+    interaction_mode: str = _in("model", "nodes")
+    lr: float = _in("model", 5e-3)
+    epochs: int = _in("model", 30)
+    batch_size: int = _in("model", 32)
 
-    # [paths] / run options
-    dataset: str = ""
-    out: str = ""
-    seed: int = 0
-    strict: bool = False
+    dataset: str = _in("paths", "")
+    out: str = _in("paths", "")
+    seed: int = _in("paths", 0)
+    strict: bool = _in("paths", False)
 
     def __post_init__(self):
         if self.backend not in ("mock", "remote"):
@@ -98,26 +98,6 @@ class PipelineConfig:
         )
 
 
-_SECTION_FIELDS = {
-    "gateway": (
-        "backend", "endpoint", "model_name", "requests_per_minute",
-        "max_concurrency", "gateway_cache",
-    ),
-    "debate": (
-        "agents_per_team", "temperature", "max_tokens", "history_char_budget",
-        "language",
-    ),
-    "embedding": (
-        "provider", "d_h", "embed_seed", "embedding_endpoint", "embedding_model",
-    ),
-    "model": (
-        "d_r", "gat_hidden", "gat_layers", "d_p", "heads", "interaction_mode",
-        "lr", "epochs", "batch_size",
-    ),
-    "paths": ("dataset", "out", "seed", "strict"),
-}
-
-
 def load_config(path: str | Path | None = None) -> PipelineConfig:
     """Read a config file into a PipelineConfig; absent keys keep their
     defaults. Unknown keys are rejected so typos fail loudly."""
@@ -128,14 +108,15 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     read = parser.read(str(path))
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    sections = {f.metadata["section"] for f in fields.values()}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTION_FIELDS[section]:
+            if key not in fields or fields[key].metadata["section"] != section:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-            setattr(config, key, _coerce(raw, types[key]))
+            setattr(config, key, _coerce(raw, fields[key].type))
     config.__post_init__()
     return config
 

@@ -1,10 +1,12 @@
-"""Text embeddings and role-aware node construction.
+"""Text embeddings and the role vocabulary.
 
 Turn texts are embedded by a pluggable provider (a deterministic
 hash-projection provider for hermetic runs, or a remote embedding
-endpoint). A node vector for a turn is the concatenation of its frozen
-text embedding with a trainable projected role embedding, keyed by the
-(role, stance) pair so the two teams' rebutters stay distinguishable.
+endpoint). ``RoleTable`` holds the trainable role embeddings, one per
+(role, stance) pair so the two teams' rebutters stay distinguishable,
+and the projection that lifts them to the embedding dimension;
+``AnalysisModel.forward`` joins the projected role vectors to the frozen
+text embeddings to form the graph's node features.
 
 Embeddings are cached on disk under ``<root>/<provider_id>/``, in
 append-only, checksummed pack files (see ``packs.py``): each record is
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import DebateRole, DebateTurn, Stance
+from .domain import DebateRole, Stance
 from .gateway import API_KEY_ENV, MalformedResponseError, TransportError, _urllib_transport
 from .packs import PackStore
 
@@ -194,7 +196,7 @@ class CachedEmbedder:
 
 
 # --------------------------------------------------------------------------
-# Role-aware nodes
+# Role vocabulary
 # --------------------------------------------------------------------------
 
 
@@ -222,31 +224,3 @@ class RoleTable:
         embeddings = rng.uniform(-scale, scale, size=(len(ROLE_STANCE_PAIRS), d_r))
         projection = rng.uniform(-scale, scale, size=(d_h, d_r))
         return cls(embeddings, projection)
-
-    @property
-    def d_h(self) -> int:
-        return int(self.projection.shape[0])
-
-    @property
-    def d_r(self) -> int:
-        return int(self.projection.shape[1])
-
-    @staticmethod
-    def index_of(role: DebateRole, stance: Stance) -> int:
-        try:
-            return ROLE_PAIR_INDEX[(role, stance)]
-        except KeyError as exc:
-            raise KeyError(f"unknown (role, stance) pair: ({role}, {stance})") from exc
-
-    def projected_role(self, role: DebateRole, stance: Stance) -> np.ndarray:
-        return self.projection @ self.embeddings[self.index_of(role, stance)]
-
-
-def build_node(turn: DebateTurn, emb: EmbeddingVector, table: RoleTable) -> np.ndarray:
-    """Concatenate the turn's text embedding with its projected role
-    vector; output has twice the embedding dimension."""
-    if emb.dim != table.d_h:
-        raise ValueError(
-            f"embedding dimension {emb.dim} does not match role projection rows {table.d_h}"
-        )
-    return np.concatenate([emb.values, table.projected_role(turn.role, turn.stance)])

@@ -153,17 +153,15 @@ def format_history(turns: Sequence[DebateTurn], char_budget: int | None = None) 
     return rendered
 
 
-def _settings(config: DebateConfig) -> GenerationSettings:
-    return GenerationSettings(
-        temperature=config.temperature, max_tokens=config.max_tokens, seed=config.seed
-    )
-
-
-def _request(template_id: str, config: DebateConfig, **values: str) -> GenerationRequest:
+def build_request(template_id: str, config: DebateConfig, **values: str) -> GenerationRequest:
+    """The system + user request rendered from a prompt template, with
+    the sampling settings of ``config``."""
     system_text, user_text = load_template(template_id).render(**values)
     return GenerationRequest(
         messages=(("system", system_text), ("user", user_text)),
-        settings=_settings(config),
+        settings=GenerationSettings(
+            temperature=config.temperature, max_tokens=config.max_tokens, seed=config.seed
+        ),
     )
 
 
@@ -186,7 +184,7 @@ def build_opening_prompt(news: NewsItem, stance: Stance,
                          config: DebateConfig = DebateConfig()) -> GenerationRequest:
     if not news.content.strip():
         raise ValueError(f"news {news.id!r}: content is empty")
-    return _request(
+    return build_request(
         "opening",
         config,
         news=news.content,
@@ -204,7 +202,7 @@ def build_cross_exam_prompt(history: DebateLog | Sequence[DebateTurn], stance: S
         t for t in turns
         if t.stage is DebateStage.OPENING and t.stance is stance.opponent
     ]
-    return _request(
+    return build_request(
         "cross_exam",
         config,
         stance=stance.value,
@@ -223,7 +221,7 @@ def build_rebuttal_prompt(history: DebateLog | Sequence[DebateTurn], stance: Sta
         t for t in turns
         if t.stage is DebateStage.CROSS_EXAMINATION and t.stance is stance.opponent
     ]
-    return _request(
+    return build_request(
         "rebuttal",
         config,
         stance=stance.value,
@@ -240,7 +238,7 @@ def build_closing_prompt(history: DebateLog | Sequence[DebateTurn], stance: Stan
     for stage in (DebateStage.OPENING, DebateStage.CROSS_EXAMINATION, DebateStage.REBUTTAL):
         _require_stage(turns, stage)
     prior = [t for t in turns if t.stage < DebateStage.CLOSING]
-    return _request(
+    return build_request(
         "closing",
         config,
         stance=stance.value,

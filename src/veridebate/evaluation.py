@@ -59,16 +59,13 @@ class Dataset:
         return counts
 
 
-def load_dataset(path: str | Path, fmt: str = "jsonl", strict: bool = True,
-                 language: str = "en") -> Dataset:
-    """Parse a dataset file.
+def load_dataset(path: str | Path, strict: bool = True, language: str = "en") -> Dataset:
+    """Parse a JSONL dataset file.
 
     In strict mode any malformed line, duplicate id, or missing label
     raises with the offending line numbers; in lenient mode bad lines
     are skipped with a warning.
     """
-    if fmt != "jsonl":
-        raise DatasetError(f"unsupported dataset format {fmt!r}")
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
@@ -218,6 +215,12 @@ def write_predictions_jsonl(path: str | Path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def write_metrics_json(path: str | Path, metrics: MetricsReport) -> None:
+    """Persist a metrics report as key-sorted, indented JSON."""
+    Path(path).write_text(json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
 
 
 # --------------------------------------------------------------------------

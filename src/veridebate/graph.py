@@ -2,32 +2,19 @@
 
 Every turn is a node; edges are predefined from the debate structure:
 a self-loop per node, both directions of each sequential adjacency, and
-both directions of each explicit turn reference. Edges are kept as a
-directed list with multiplicity (a reference that coincides with a
-sequential link appears twice), which keeps the edge count at the
-closed form ``n + 2(n-1) + 2*total_targets``; neighbor queries
-deduplicate.
+both directions of each explicit turn reference. ``edges_for_log`` keeps
+them as a directed list with multiplicity (a reference that coincides
+with a sequential link appears twice), which keeps the edge count at the
+closed form ``n + 2(n-1) + 2*total_targets``. The classifier reads the
+graph only as ``adjacency_mask``: a boolean ``(n, n)`` matrix with
+``mask[i, j]`` set when j is an in-neighbor of i.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import DebateLog, DebateRole, DebateStage, Stance
-
-
-@dataclass(frozen=True)
-class DebateGraph:
-    node_features: np.ndarray  # (num_turns, feature_dim)
-    edges: tuple[tuple[int, int], ...]  # directed (src, dst), with multiplicity
-    node_meta: tuple[tuple[Stance, DebateRole, DebateStage], ...]
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.node_features.shape[0])
+from .domain import DebateLog
 
 
 def edges_for_log(log: DebateLog) -> tuple[tuple[int, int], ...]:
@@ -43,37 +30,10 @@ def edges_for_log(log: DebateLog) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def build_graph(log: DebateLog, nodes) -> DebateGraph:
-    """Assemble the graph for a log from its per-turn node vectors."""
-    features = np.asarray(nodes, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("nodes must form a 2-D matrix (num_turns x feature_dim)")
-    if features.shape[0] != len(log.turns):
-        raise ValueError(
-            f"got {features.shape[0]} node vectors for {len(log.turns)} turns"
-        )
-    meta = tuple((t.stance, t.role, t.stage) for t in log.turns)
-    return DebateGraph(node_features=features, edges=edges_for_log(log), node_meta=meta)
-
-
-def neighbors(graph: DebateGraph, i: int) -> set[int]:
-    """In-neighbors of node i (nodes j with an edge j -> i), always
-    including i itself via its self-loop."""
-    if not 0 <= i < graph.num_nodes:
-        raise IndexError(f"node {i} out of range for {graph.num_nodes} nodes")
-    return {src for src, dst in graph.edges if dst == i}
-
-
-def neighbor_lists(edges, num_nodes: int) -> list[np.ndarray]:
-    """Sorted, deduplicated in-neighbor index arrays for every node."""
-    sets: list[set[int]] = [set() for _ in range(num_nodes)]
-    for src, dst in edges:
-        sets[dst].add(src)
-    return [np.array(sorted(s), dtype=np.intp) for s in sets]
-
-
-def graph_to_json(graph: DebateGraph) -> str:
-    return json.dumps(
-        {"num_nodes": graph.num_nodes, "edges": [list(e) for e in graph.edges]},
-        sort_keys=True,
-    )
+def adjacency_mask(edges, num_nodes: int) -> np.ndarray:
+    """Boolean ``(num_nodes, num_nodes)`` in-neighbor mask of directed
+    ``(src, dst)`` edges: ``mask[dst, src]`` is set for each edge."""
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    mask = np.zeros((num_nodes, num_nodes), dtype=bool)
+    mask[edges[:, 1], edges[:, 0]] = True
+    return mask

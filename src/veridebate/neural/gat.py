@@ -2,9 +2,10 @@
 analytic gradients.
 
 Features arrive as ``(B, n, in_dim)``: B graphs padded to n nodes. A
-boolean ``(B, n, n)`` adjacency marks ``adjacency[b, i, j]`` when j is
-an in-neighbor of i; every row needs at least one entry, so padding
-nodes carry a self-loop. Per node i the layer computes
+graph is nothing but its boolean in-neighbor mask (``graph.adjacency_mask``),
+so the batch carries a ``(B, n, n)`` adjacency with ``adjacency[b, i, j]``
+set when j is an in-neighbor of i; every row needs at least one entry,
+so padding nodes carry a self-loop. Per node i the layer computes
 
     h_i' = act( sum_{j in N(i)} alpha_ij * W h_j )
 
@@ -20,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..graph import DebateGraph, neighbor_lists
 
 
 def elu(x: np.ndarray) -> np.ndarray:
@@ -79,18 +78,6 @@ class GatLayer:
         return int(self.weight.shape[0])
 
 
-def padded_adjacency(neighbor_ids, n: int) -> np.ndarray:
-    """(n, n) boolean in-neighbor mask of a graph whose nodes are the
-    first len(neighbor_ids) of n; each padding node after them gets a
-    self-loop, so its softmax row stays finite."""
-    k = len(neighbor_ids)
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[np.repeat(np.arange(k), [len(nb) for nb in neighbor_ids]),
-              np.concatenate(neighbor_ids)] = True
-    adjacency[np.arange(k, n), np.arange(k, n)] = True
-    return adjacency
-
-
 @dataclass
 class GatCache:
     features: np.ndarray    # (B, n, in_dim)
@@ -143,16 +130,16 @@ def gat_backward(layer: GatLayer, cache: GatCache,
     return d_proj @ layer.weight, d_weight, d_attn
 
 
-def gat_forward(layer: GatLayer, features: np.ndarray, graph: DebateGraph,
+def gat_forward(layer: GatLayer, features: np.ndarray, adjacency: np.ndarray,
                 return_attention: bool = False):
-    """Apply one GAT layer over a single debate graph.
+    """Apply one GAT layer over a single graph given as its ``(n, n)``
+    in-neighbor mask.
 
-    With ``return_attention`` the per-node attention rows come back too,
-    each as (sorted neighbor index array, weights over those neighbors).
+    With ``return_attention`` the dense ``(n, n)`` attention matrix comes
+    back too: row i holds i's weights over its in-neighbors, 0 elsewhere.
     """
-    nbrs = neighbor_lists(graph.edges, graph.num_nodes)
     output, cache = gat_forward_cached(layer, np.asarray(features)[None],
-                                       padded_adjacency(nbrs, graph.num_nodes)[None])
+                                       np.asarray(adjacency, dtype=bool)[None])
     if return_attention:
-        return output[0], [(nb, cache.alpha[0, i, nb]) for i, nb in enumerate(nbrs)]
+        return output[0], cache.alpha[0]
     return output[0]

@@ -22,9 +22,9 @@ import numpy as np
 
 from ..domain import DebateLog
 from ..encoding import ROLE_PAIR_INDEX, EmbeddingVector, RoleTable
-from ..graph import edges_for_log, neighbor_lists
+from ..graph import adjacency_mask, edges_for_log
 from .attention import InteractionHead, interact_backward, interact_cached
-from .gat import GatLayer, gat_backward, gat_forward_cached, padded_adjacency, softmax
+from .gat import GatLayer, gat_backward, gat_forward_cached, softmax
 
 LOG_CLAMP = 1e-12
 
@@ -110,13 +110,14 @@ class ModelConfig:
 class Sample:
     """One classification instance: frozen per-turn embeddings, role ids
     into the role table (-1 means no role, e.g. a bare news node), the
-    graph's neighbor lists, and the frozen news embedding."""
+    debate graph as its boolean in-neighbor mask, and the frozen news
+    embedding."""
 
     news_id: str
-    node_embeddings: np.ndarray          # (n, d_h)
-    role_ids: np.ndarray                 # (n,), -1 for role-less nodes
-    neighbor_ids: tuple[np.ndarray, ...]  # sorted in-neighbors per node
-    news_embedding: np.ndarray           # (d_h,)
+    node_embeddings: np.ndarray  # (n, d_h)
+    role_ids: np.ndarray         # (n,), -1 for role-less nodes
+    adjacency: np.ndarray        # (n, n) bool, [i, j] iff j is an in-neighbor of i
+    news_embedding: np.ndarray   # (d_h,)
     label: int | None = None
 
 
@@ -127,12 +128,11 @@ def make_sample(log: DebateLog, turn_embeddings: list[EmbeddingVector],
     role_ids = np.array(
         [ROLE_PAIR_INDEX[(t.role, t.stance)] for t in log.turns], dtype=np.intp
     )
-    nbrs = tuple(neighbor_lists(edges_for_log(log), len(log.turns)))
     return Sample(
         news_id=log.news_id,
         node_embeddings=np.stack([e.values for e in turn_embeddings]),
         role_ids=role_ids,
-        neighbor_ids=nbrs,
+        adjacency=adjacency_mask(edges_for_log(log), len(log.turns)),
         news_embedding=news_embedding.values,
         label=label,
     )
@@ -146,7 +146,7 @@ def make_news_only_sample(news_id: str, news_embedding: EmbeddingVector,
         news_id=news_id,
         node_embeddings=news_embedding.values[None, :],
         role_ids=np.array([-1], dtype=np.intp),
-        neighbor_ids=(np.array([0], dtype=np.intp),),
+        adjacency=np.ones((1, 1), dtype=bool),
         news_embedding=news_embedding.values,
         label=label,
     )
@@ -162,20 +162,23 @@ class Batch:
 
 
 def collate(samples: list[Sample]) -> Batch:
-    """Pad samples to the batch's largest node count."""
+    """Pad samples to the batch's largest node count. The adjacency
+    starts as the identity, so each padding node keeps a lone self-loop
+    and its softmax row stays finite."""
     if not samples:
         raise ValueError("batch must be non-empty")
     n = max(s.node_embeddings.shape[0] for s in samples)
     d_h = samples[0].node_embeddings.shape[1]
     nodes = np.zeros((len(samples), n, d_h))
     role_ids = np.full((len(samples), n), -1, dtype=np.intp)
+    adjacency = np.tile(np.eye(n, dtype=bool), (len(samples), 1, 1))
     mask = np.zeros((len(samples), n), dtype=bool)
     for b, s in enumerate(samples):
         k = s.node_embeddings.shape[0]
         nodes[b, :k] = s.node_embeddings
         role_ids[b, :k] = s.role_ids
+        adjacency[b, :k, :k] = s.adjacency
         mask[b, :k] = True
-    adjacency = np.stack([padded_adjacency(s.neighbor_ids, n) for s in samples])
     news = np.stack([s.news_embedding for s in samples]).astype(np.float64)
     return Batch(nodes, role_ids, adjacency, mask, news)
 

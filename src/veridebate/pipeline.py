@@ -20,7 +20,13 @@ from .config import PipelineConfig
 from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, NewsItem, VerdictHint, validate_log
 from .encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider, RemoteEmbeddingProvider
 from .engine import log_from_json, log_to_json, run_debate
-from .evaluation import Dataset, MetricsReport, compute_metrics, write_predictions_jsonl
+from .evaluation import (
+    Dataset,
+    MetricsReport,
+    compute_metrics,
+    write_metrics_json,
+    write_predictions_jsonl,
+)
 from .gateway import Gateway, MockBackend, RateLimiter, RemoteBackend, RetryPolicy
 from .neural import (
     AnalysisModel,
@@ -201,6 +207,21 @@ class Pipeline:
             samples[item.id] = make_sample(log, turn_embs, news_emb, item.label)
         return samples
 
+    def encode(self, dataset: Dataset,
+               logs: dict[str, DebateLog] | None = None) -> dict[str, Sample]:
+        """Full-variant samples for every item. Without ``logs`` the
+        debates are run (or reused) first and their stage is checked.
+        Any encode error surfaces as a ``StageError``."""
+        if logs is None:
+            logs, debate_report = self.run_debates(dataset)
+            self._check_stage(debate_report)
+        try:
+            return self.build_samples(dataset, logs, "full")
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError("encode", str(exc)) from exc
+
     # ---- training / prediction ------------------------------------------------
 
     def train_model(self, dataset: Dataset, samples: dict[str, Sample],
@@ -272,7 +293,7 @@ class Pipeline:
         self._check_stage(synth_report)
         if variant == "no_analysis":
             return self._metrics_from_rows(self.hint_rows(dataset, reports))
-        samples = self.build_samples(dataset, logs, "full")
+        samples = self.encode(dataset, logs)
         model = self.train_model(dataset, samples, f"model-{variant}.bin")
         return self._metrics_from_rows(self.predict_rows(model, dataset, samples))
 
@@ -288,12 +309,7 @@ class Pipeline:
         self._check_stage(debate_report)
         reports, synth_report = self.run_synthesis(logs)
         self._check_stage(synth_report)
-        try:
-            samples = self.build_samples(dataset, logs, "full")
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("encode", str(exc)) from exc
+        samples = self.encode(dataset, logs)
         model = self.train_model(dataset, samples)
         rows = self.predict_rows(model, dataset, samples)
         metrics = self._metrics_from_rows(rows)
@@ -311,8 +327,5 @@ class Pipeline:
             with open(self.workspace / "explanations.jsonl", "w", encoding="utf-8") as fh:
                 for entry in explanations:
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            (self.workspace / "metrics.json").write_text(
-                json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
+            write_metrics_json(self.workspace / "metrics.json", metrics)
         return metrics

@@ -13,7 +13,7 @@ import json
 import re
 
 from .domain import DebateConfig, DebateLog, SummaryReport, VerdictHint, validate_log
-from .engine import format_history, load_template, _settings
+from .engine import build_request, format_history
 from .gateway import GenerationRequest
 
 CHECKLIST_EN = (
@@ -46,14 +46,8 @@ def checklist_for(language: str) -> tuple[str, ...]:
 def build_synthesis_prompt(log: DebateLog, language: str = "en",
                            config: DebateConfig = DebateConfig()) -> GenerationRequest:
     checklist_for(language)
-    template = load_template(_TEMPLATE_BY_LANGUAGE[language])
-    system_text, user_text = template.render(
-        history=format_history(log.turns, config.history_char_budget)
-    )
-    return GenerationRequest(
-        messages=(("system", system_text), ("user", user_text)),
-        settings=_settings(config),
-    )
+    return build_request(_TEMPLATE_BY_LANGUAGE[language], config,
+                         history=format_history(log.turns, config.history_char_budget))
 
 
 _REAL_PATTERNS = (

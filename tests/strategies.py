@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from veridebate.domain import STAGES, DebateLog, DebateTurn, Stance
 from veridebate.engine import STAGE_ROLE
-from veridebate.graph import neighbor_lists
 from veridebate.neural import AnalysisModel, ModelConfig, Sample
 
 _WORDS = ("alpha", "bravo", "cedar", "delta", "ember", "frost", "gale", "harbor")
@@ -57,19 +56,19 @@ def valid_logs(draw) -> DebateLog:
 def random_graph_sample(rng: np.random.Generator, n_nodes: int, d_h: int,
                         label: int | None = None) -> Sample:
     """A synthetic classification sample over a random connected
-    symmetric graph (chain plus a few extra symmetric edges)."""
-    edges = [(i, i) for i in range(n_nodes)]
-    for i in range(n_nodes - 1):
-        edges += [(i, i + 1), (i + 1, i)]
+    symmetric graph (chain plus a few extra symmetric edges), given as
+    its in-neighbor mask."""
+    chain = np.arange(n_nodes - 1)
+    adjacency = np.eye(n_nodes, dtype=bool)
+    adjacency[chain, chain + 1] = adjacency[chain + 1, chain] = True
     for _ in range(int(rng.integers(0, 3))):
         a, b = (int(x) for x in rng.integers(0, n_nodes, 2))
-        if a != b:
-            edges += [(a, b), (b, a)]
+        adjacency[a, b] = adjacency[b, a] = True
     return Sample(
         news_id="sample",
         node_embeddings=rng.standard_normal((n_nodes, d_h)),
         role_ids=rng.integers(0, 10, n_nodes).astype(np.intp),
-        neighbor_ids=tuple(neighbor_lists(edges, n_nodes)),
+        adjacency=adjacency,
         news_embedding=rng.standard_normal(d_h),
         label=int(rng.integers(0, 2)) if label is None else label,
     )

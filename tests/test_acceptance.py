@@ -26,7 +26,7 @@ from veridebate.encoding import HashEmbeddingProvider
 from veridebate.engine import log_to_json, run_debate
 from veridebate.evaluation import compute_metrics, run_ablation, write_dataset_jsonl
 from veridebate.gateway import Gateway, MockBackend
-from veridebate.graph import build_graph, neighbors
+from veridebate.graph import adjacency_mask, edges_for_log
 from veridebate.neural import (
     AnalysisModel,
     ModelConfig,
@@ -94,18 +94,10 @@ def test_criterion_3_normalization_suite():
         n = int(rng.integers(2, 7))
         sample = random_graph_sample(rng, n, 3)
         layer = GatLayer.create(3, 4, rng)
-        from veridebate.graph import DebateGraph
-
-        graph = DebateGraph(
-            node_features=np.zeros((n, 3)),
-            edges=tuple((int(j), i) for i, nbrs in enumerate(sample.neighbor_ids)
-                        for j in nbrs),
-            node_meta=tuple(() for _ in range(n)),
-        )
-        _, attention = gat_forward(layer, sample.node_embeddings, graph,
-                                   return_attention=True)
-        for _, alpha in attention:
-            assert abs(alpha.sum() - 1.0) < 1e-6
+        _, alpha = gat_forward(layer, sample.node_embeddings, sample.adjacency,
+                               return_attention=True)
+        assert np.all(np.abs(alpha.sum(axis=1) - 1.0) < 1e-6)
+        assert not alpha[~sample.adjacency].any()
 
     head = InteractionHead.create(node_dim=6, news_dim=3, d_p=8, heads=4,
                                   rng=np.random.default_rng(78))
@@ -158,12 +150,13 @@ def test_criterion_5_graph_oracle():
     for _ in range(100):
         log = random_valid_log(rng)
         n = len(log.turns)
-        graph = build_graph(log, np.zeros((n, 2)))
+        edges = edges_for_log(log)
         total_targets = sum(len(t.targets) for t in log.turns)
-        assert len(graph.edges) == n + 2 * (n - 1) + 2 * total_targets
-        oracle = brute_force_neighbors(graph.edges, n)
+        assert len(edges) == n + 2 * (n - 1) + 2 * total_targets
+        mask = adjacency_mask(edges, n)
+        oracle = brute_force_neighbors(edges, n)
         for i in range(n):
-            assert neighbors(graph, i) == oracle[i]
+            assert set(np.flatnonzero(mask[i]).tolist()) == oracle[i]
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report("criterion 5: graph oracle", f"100 random logs, {elapsed:.2f}s")

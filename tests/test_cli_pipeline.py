@@ -214,6 +214,20 @@ class TestPipelineCommand:
         assert run_cli("evaluate", *common) == 0
         assert (out / "metrics.json").exists()
 
+    def test_stage_commands_reproduce_pipeline_bytes(self, tmp_path):
+        corpus = make_synthetic_corpus(n_train=24, n_val=6, n_test=12, seed=5, task="stance")
+        dataset_path = tmp_path / "data.jsonl"
+        write_dataset_jsonl(corpus.dataset, dataset_path)
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(SMALL_CONFIG)
+        common = ("--config", config_path, "--dataset", dataset_path, "--seed", "5")
+        for command in ("train", "predict", "evaluate"):
+            assert run_cli(command, *common, "--out", tmp_path / "stages") == 0
+        assert run_cli("pipeline", *common, "--out", tmp_path / "whole") == 0
+        for name in ("metrics.json", "predictions.jsonl", "checkpoints/model.bin"):
+            staged = (tmp_path / "stages" / name).read_bytes()
+            assert staged == (tmp_path / "whole" / name).read_bytes(), name
+
     def test_predict_without_checkpoint_exits(self, small_setup):
         tmp_path, dataset_path, config_path = small_setup
         with pytest.raises(SystemExit):

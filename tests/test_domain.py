@@ -13,8 +13,7 @@ from veridebate.domain import (
     label_to_int,
     validate_log,
 )
-from veridebate.graph import build_graph
-import numpy as np
+from veridebate.graph import adjacency_mask, edges_for_log
 
 
 def make_turn(i, stance, role, stage, text="some words", targets=()):
@@ -95,9 +94,9 @@ def test_valid_logs_sort_identity(log):
 
 @given(valid_logs())
 def test_valid_log_builds_a_graph(log):
-    nodes = np.zeros((len(log.turns), 3))
-    graph = build_graph(log, nodes)
-    assert graph.num_nodes == len(log.turns)
+    n = len(log.turns)
+    mask = adjacency_mask(edges_for_log(log), n)
+    assert mask.shape == (n, n) and mask.diagonal().all()
 
 
 class TestDomainTypes:

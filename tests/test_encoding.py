@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from veridebate.domain import DebateRole, DebateStage, DebateTurn, Stance
+from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, Stance
 from veridebate.encoding import (
+    ROLE_PAIR_INDEX,
     ROLE_STANCE_PAIRS,
     CachedEmbedder,
     EmbeddingCache,
@@ -12,8 +13,8 @@ from veridebate.encoding import (
     HashEmbeddingProvider,
     RemoteEmbeddingProvider,
     RoleTable,
-    build_node,
 )
+from veridebate.neural import AnalysisModel, ModelConfig, make_sample
 
 # A small fixed corpus used to pin down provider distinctness. All
 # entries have distinct token multisets; the provider is a bag-of-tokens
@@ -134,8 +135,8 @@ class TestRoleTable:
     def test_covers_all_pairs(self):
         assert len(ROLE_STANCE_PAIRS) == 10
         table = RoleTable.create(d_h=4, d_r=2, rng=np.random.default_rng(0))
-        for role, stance in ROLE_STANCE_PAIRS:
-            assert table.projected_role(role, stance).shape == (4,)
+        for pair in ROLE_STANCE_PAIRS:
+            assert (table.projection @ table.embeddings[ROLE_PAIR_INDEX[pair]]).shape == (4,)
 
     def test_init_range(self):
         table = RoleTable.create(d_h=8, d_r=4, rng=np.random.default_rng(1))
@@ -147,34 +148,46 @@ class TestRoleTable:
             RoleTable(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
+def node_features(table: RoleTable, turns, emb: EmbeddingVector) -> np.ndarray:
+    """The node features the model feeds its first GAT layer, for one
+    sample whose turns all carry the text embedding ``emb``, under a
+    model holding ``table``'s role parameters."""
+    d_h, d_r = table.projection.shape
+    model = AnalysisModel.create(ModelConfig(d_h=d_h, d_r=d_r, gat_hidden=3, d_p=2, heads=1))
+    model.role_table.embeddings[...] = table.embeddings
+    model.role_table.projection[...] = table.projection
+    sample = make_sample(DebateLog("n", tuple(turns)), [emb] * len(turns), emb)
+    return model.forward([sample])[1]["gat"][0].features[0]
+
+
 class TestBuildNode:
     def test_hand_computed_case(self):
         # d_h=2, d_r=1, W_role=[[1],[2]], e=[3], emb=[5,7] -> [5,7,3,6]
         table = RoleTable(np.full((10, 1), 3.0), np.array([[1.0], [2.0]]))
         emb = EmbeddingVector(np.array([5.0, 7.0]), "p")
-        node = build_node(turn(), emb, table)
+        node = node_features(table, [turn()], emb)[0]
         assert np.array_equal(node, [5.0, 7.0, 3.0, 6.0])
 
     def test_zero_projection_gives_zero_tail(self):
         table = RoleTable(np.random.default_rng(0).uniform(-1, 1, (10, 3)),
                           np.zeros((4, 3)))
         emb = EmbeddingVector(np.arange(4.0), "p")
-        node = build_node(turn(), emb, table)
+        node = node_features(table, [turn()], emb)[0]
         assert np.array_equal(node[:4], emb.values)
         assert np.array_equal(node[4:], np.zeros(4))
 
     def test_dimension_mismatch_rejected(self):
         table = RoleTable.create(d_h=4, d_r=2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            build_node(turn(), EmbeddingVector(np.ones(3), "p"), table)
+            node_features(table, [turn()], EmbeddingVector(np.ones(3), "p"))
 
     def test_linear_in_role_vector(self):
         rng = np.random.default_rng(2)
         table = RoleTable.create(d_h=4, d_r=2, rng=rng)
         emb = EmbeddingVector(rng.standard_normal(4), "p")
-        base = build_node(turn(), emb, table)
+        base = node_features(table, [turn()], emb)[0]
         scaled_table = RoleTable(table.embeddings * 2.5, table.projection)
-        scaled = build_node(turn(), emb, scaled_table)
+        scaled = node_features(scaled_table, [turn()], emb)[0]
         assert np.allclose(scaled[:4], base[:4])
         assert np.allclose(scaled[4:], base[4:] * 2.5)
 
@@ -182,11 +195,10 @@ class TestBuildNode:
         rng = np.random.default_rng(3)
         table = RoleTable.create(d_h=4, d_r=2, rng=rng)
         emb = EmbeddingVector(rng.standard_normal(4), "p")
-        a = build_node(turn(role=DebateRole.QUESTIONER), emb, table)
-        b = build_node(
+        a, b = node_features(table, [
+            turn(role=DebateRole.QUESTIONER),
             DebateTurn(4, "pro_0", Stance.TRUE, DebateRole.REBUTTER,
                        DebateStage.REBUTTAL, "text"),
-            emb, table,
-        )
+        ], emb)
         assert np.array_equal(a[:4], b[:4])
         assert not np.allclose(a[4:], b[4:])

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from oracles import brute_force_neighbors
 from strategies import random_valid_log, valid_logs
 from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, Stance
-from veridebate.graph import build_graph, edges_for_log, graph_to_json, neighbors
+from veridebate.encoding import EmbeddingVector
+from veridebate.graph import adjacency_mask, edges_for_log
+from veridebate.neural import make_sample
 
 
 def one_turn_log():
@@ -16,61 +18,55 @@ def one_turn_log():
     return DebateLog("single", (turn,))
 
 
+def mask_for(log: DebateLog) -> np.ndarray:
+    return adjacency_mask(edges_for_log(log), len(log.turns))
+
+
 class TestBuildGraph:
     def test_default_log_has_thirty_directed_edges(self, default_log):
-        nodes = np.zeros((8, 4))
-        graph = build_graph(default_log, nodes)
         # 8 self-loops + 14 sequential + 8 reference edges; the (4,3)
         # reference coincides with a sequential pair and is kept, so the
         # count stays at the closed form.
-        assert len(graph.edges) == 30
+        assert len(edges_for_log(default_log)) == 30
 
     def test_single_turn_graph_is_one_self_loop(self):
-        graph = build_graph(one_turn_log(), np.zeros((1, 2)))
-        assert graph.edges == ((0, 0),)
+        assert edges_for_log(one_turn_log()) == ((0, 0),)
+        assert np.array_equal(mask_for(one_turn_log()), [[True]])
 
     def test_node_count_mismatch_rejected(self, default_log):
+        news = EmbeddingVector(np.ones(4), "p")
         with pytest.raises(ValueError):
-            build_graph(default_log, np.zeros((5, 4)))
+            make_sample(default_log, [news] * 5, news)
 
     def test_self_loops_present_for_every_node(self, default_log):
-        graph = build_graph(default_log, np.zeros((8, 4)))
-        for i in range(8):
-            assert (i, i) in graph.edges
+        assert mask_for(default_log).diagonal().all()
 
     def test_non_loop_edges_symmetric(self, default_log):
-        graph = build_graph(default_log, np.zeros((8, 4)))
-        for src, dst in graph.edges:
-            if src != dst:
-                assert (dst, src) in graph.edges
+        mask = mask_for(default_log)
+        assert np.array_equal(mask, mask.T)
 
     def test_rebuild_is_identical(self, default_log):
-        nodes = np.random.default_rng(0).standard_normal((8, 4))
-        a = build_graph(default_log, nodes)
-        b = build_graph(default_log, nodes)
-        assert a.edges == b.edges
-        assert np.array_equal(a.node_features, b.node_features)
-        assert graph_to_json(a) == graph_to_json(b)
+        assert edges_for_log(default_log) == edges_for_log(default_log)
+        a, b = mask_for(default_log), mask_for(default_log)
+        assert a.dtype == bool and a.shape == (8, 8)
+        assert np.array_equal(a, b)
 
 
 class TestNeighbors:
     def test_default_log_node_zero(self, default_log):
-        graph = build_graph(default_log, np.zeros((8, 4)))
-        assert neighbors(graph, 0) == {0, 1, 2}
+        assert np.flatnonzero(mask_for(default_log)[0]).tolist() == [0, 1, 2]
 
     def test_single_node(self):
-        graph = build_graph(one_turn_log(), np.zeros((1, 2)))
-        assert neighbors(graph, 0) == {0}
+        assert np.flatnonzero(mask_for(one_turn_log())[0]).tolist() == [0]
 
-    def test_out_of_range_rejected(self, default_log):
-        graph = build_graph(default_log, np.zeros((8, 4)))
+    def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
-            neighbors(graph, 8)
+            adjacency_mask([(0, 0), (0, 8)], 8)
 
     def test_always_contains_self(self, default_log):
-        graph = build_graph(default_log, np.zeros((8, 4)))
+        mask = mask_for(default_log)
         for i in range(8):
-            assert i in neighbors(graph, i)
+            assert i in np.flatnonzero(mask[i])
 
 
 def closed_form_count(log: DebateLog) -> int:
@@ -82,33 +78,32 @@ def closed_form_count(log: DebateLog) -> int:
 @settings(max_examples=60, deadline=None)
 @given(valid_logs())
 def test_edge_count_matches_closed_form(log):
-    graph = build_graph(log, np.zeros((len(log.turns), 2)))
-    assert len(graph.edges) == closed_form_count(log)
+    assert len(edges_for_log(log)) == closed_form_count(log)
 
 
 @settings(max_examples=60, deadline=None)
 @given(valid_logs())
 def test_neighbors_match_brute_force(log):
-    graph = build_graph(log, np.zeros((len(log.turns), 2)))
-    oracle = brute_force_neighbors(graph.edges, graph.num_nodes)
-    for i in range(graph.num_nodes):
-        assert neighbors(graph, i) == oracle[i]
+    n = len(log.turns)
+    mask = mask_for(log)
+    oracle = brute_force_neighbors(edges_for_log(log), n)
+    for i in range(n):
+        assert set(np.flatnonzero(mask[i]).tolist()) == oracle[i]
 
 
 @settings(max_examples=40, deadline=None)
 @given(valid_logs())
 def test_graph_connected_for_valid_logs(log):
-    graph = build_graph(log, np.zeros((len(log.turns), 2)))
+    mask = mask_for(log)
     seen = {0}
     frontier = [0]
-    adjacency = brute_force_neighbors(graph.edges, graph.num_nodes)
     while frontier:
         node = frontier.pop()
-        for other in adjacency[node]:
+        for other in np.flatnonzero(mask[node]).tolist():
             if other not in seen:
                 seen.add(other)
                 frontier.append(other)
-    assert seen == set(range(graph.num_nodes))
+    assert seen == set(range(len(log.turns)))
 
 
 def test_random_log_generator_exercises_adjacent_targets():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from strategies import random_graph_sample
-from veridebate.graph import DebateGraph
+from veridebate.graph import adjacency_mask
 from veridebate.neural import (
     AdamState,
     AnalysisModel,
@@ -22,16 +22,11 @@ from veridebate.neural import (
 from veridebate.neural.gat import GatLayer, elu, gat_forward, leaky_relu
 
 
-def graph_from_edges(edges, n, dim=2):
-    return DebateGraph(node_features=np.zeros((n, dim)), edges=tuple(edges),
-                       node_meta=tuple(() for _ in range(n)))
-
-
-def chain_graph(n, dim=2):
+def chain_graph(n):
     edges = [(i, i) for i in range(n)]
     for i in range(n - 1):
         edges += [(i, i + 1), (i + 1, i)]
-    return graph_from_edges(edges, n, dim)
+    return adjacency_mask(edges, n)
 
 
 class TestActivations:
@@ -50,20 +45,18 @@ class TestGatForward:
     def test_single_node_attention_is_one(self):
         rng = np.random.default_rng(0)
         layer = GatLayer.create(3, 4, rng)
-        graph = graph_from_edges([(0, 0)], 1, dim=3)
         feats = rng.standard_normal((1, 3))
-        out, attention = gat_forward(layer, feats, graph, return_attention=True)
-        nbrs, alpha = attention[0]
-        assert alpha == pytest.approx([1.0])
+        out, alpha = gat_forward(layer, feats, [[True]], return_attention=True)
+        assert alpha[0] == pytest.approx([1.0])
         expected = elu(layer.weight @ feats[0])
         assert np.allclose(out[0], expected)
 
     def test_two_node_chain_uniform_attention_with_zero_a(self):
         layer = GatLayer(weight=np.eye(2), attn=np.zeros(4), activation="elu")
         feats = np.array([[1.0, -2.0], [3.0, 0.5]])
-        out, attention = gat_forward(layer, feats, chain_graph(2), return_attention=True)
-        for _, alpha in attention:
-            assert alpha == pytest.approx([0.5, 0.5])
+        out, alpha = gat_forward(layer, feats, chain_graph(2), return_attention=True)
+        for row in alpha:
+            assert row == pytest.approx([0.5, 0.5])
         expected = elu(feats.mean(axis=0))
         assert np.allclose(out[0], expected)
         assert np.allclose(out[1], expected)
@@ -72,7 +65,7 @@ class TestGatForward:
         rng = np.random.default_rng(1)
         layer = GatLayer.create(3, 3, rng)
         edges = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 0), (2, 3), (3, 2)]
-        graph = graph_from_edges(edges, 4, dim=3)
+        graph = adjacency_mask(edges, 4)
         feats = rng.standard_normal((4, 3))
         out_a = gat_forward(layer, feats, graph)
         changed = feats.copy()
@@ -84,7 +77,7 @@ class TestGatForward:
     def test_dimension_mismatch_rejected(self):
         layer = GatLayer.create(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            gat_forward(layer, np.zeros((2, 5)), chain_graph(2, dim=5))
+            gat_forward(layer, np.zeros((2, 5)), chain_graph(2))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
@@ -94,13 +87,13 @@ class TestGatForward:
         for i in range(n - 1):
             edges += [(i, i + 1), (i + 1, i)]
         edges += [(0, 3), (3, 0)]
-        graph = graph_from_edges(edges, n, dim=4)
+        graph = adjacency_mask(edges, n)
         feats = rng.standard_normal((n, 4))
         out = gat_forward(layer, feats, graph)
 
         perm = rng.permutation(n)
         perm_edges = [(int(perm[a]), int(perm[b])) for a, b in edges]
-        perm_graph = graph_from_edges(perm_edges, n, dim=4)
+        perm_graph = adjacency_mask(perm_edges, n)
         perm_feats = np.empty_like(feats)
         perm_feats[perm] = feats
         perm_out = gat_forward(layer, perm_feats, perm_graph)
@@ -288,18 +281,11 @@ class TestNormalizationSweep:
         for _ in range(50):
             n = int(rng.integers(2, 9))
             sample = random_graph_sample(rng, n, 4)
-            graph = DebateGraph(
-                node_features=np.zeros((n, 4)),
-                edges=tuple(
-                    (int(j), i) for i, nbrs in enumerate(sample.neighbor_ids) for j in nbrs
-                ),
-                node_meta=tuple(() for _ in range(n)),
-            )
             layer = GatLayer.create(4, 5, rng)
-            _, attention = gat_forward(layer, sample.node_embeddings, graph,
-                                       return_attention=True)
-            for _, alpha in attention:
-                assert abs(alpha.sum() - 1.0) < 1e-6
+            _, alpha = gat_forward(layer, sample.node_embeddings, sample.adjacency,
+                                   return_attention=True)
+            assert np.all(np.abs(alpha.sum(axis=1) - 1.0) < 1e-6)
+            assert not alpha[~sample.adjacency].any()
 
     def test_model_probs_normalized(self):
         rng = np.random.default_rng(12)

@@ -43,6 +43,16 @@ class TestSynthesisPrompt:
         for turn in default_log.turns:
             assert one_line_abstract(turn.text) in user or turn.text in user
 
+    def test_template_loaded_through_engine_module(self, default_log, monkeypatch):
+        import veridebate.engine as engine
+
+        loaded = []
+        load = engine.load_template
+        monkeypatch.setattr(engine, "load_template",
+                            lambda template_id: loaded.append(template_id) or load(template_id))
+        build_synthesis_prompt(default_log, language="cn")
+        assert loaded == ["synthesis_cn"]
+
 
 class TestSynthesize:
     def test_mock_report_deterministic(self, default_log, mock_gateway):

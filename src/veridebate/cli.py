@@ -2,7 +2,7 @@
 
     veridebate debate|synthesize|train|predict|evaluate|pipeline|ablate
         --config FILE --dataset FILE --out DIR --seed N
-        --backend {mock,remote} --interaction-mode {nodes,pooled} --strict
+        --backend {mock,remote} --interaction-mode {pooled,nodes} --strict
 
 Every command operates on a run workspace (--out): transcripts, reports,
 caches, checkpoints, and result files accumulate there, which makes
@@ -13,6 +13,7 @@ iff the command completed with zero strict-mode failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -29,6 +30,7 @@ from .evaluation import (
     write_predictions_jsonl,
 )
 from .neural import load_model
+from .neural.attention import INTERACTION_MODES
 from .pipeline import Pipeline, StageError
 
 logger = logging.getLogger("veridebate")
@@ -41,43 +43,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed for debates, init, and shuffling")
     parser.add_argument("--backend", choices=["mock", "remote"], help="generation backend")
     parser.add_argument(
-        "--interaction-mode", choices=["nodes", "pooled"], dest="interaction_mode",
+        "--interaction-mode", choices=INTERACTION_MODES, dest="interaction_mode",
         help="attention key/value source for the debate-news fusion",
     )
     parser.add_argument("--strict", action="store_true", default=None,
                         help="treat per-item failures as fatal")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="veridebate")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, hint in (
-        ("debate", "run debates and write one transcript per item"),
-        ("synthesize", "write a judge report per existing transcript"),
-        ("train", "train the classifier on the train split"),
-        ("predict", "write per-item predictions for the test split"),
-        ("evaluate", "score an existing predictions file"),
-        ("pipeline", "run all stages end to end"),
-        ("ablate", "run component-removal variants and tabulate metrics"),
-    ):
-        command = sub.add_parser(name, help=hint)
-        _add_common(command)
-        if name == "ablate":
-            command.add_argument(
-                "--toggles", default="no_debate,no_analysis",
-                help="comma-separated subset of no_debate,no_analysis",
-            )
-    return parser
-
-
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config)
-    for key in ("dataset", "out", "seed", "backend", "interaction_mode", "strict"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    config.__post_init__()
-    return config
+    overrides = {
+        key: getattr(args, key)
+        for key in ("dataset", "out", "seed", "backend", "interaction_mode", "strict")
+        if getattr(args, key, None) is not None
+    }
+    return dataclasses.replace(load_config(args.config), **overrides)
 
 
 def _workspace(config: PipelineConfig) -> Path:
@@ -89,15 +68,17 @@ def _workspace(config: PipelineConfig) -> Path:
     return Path("runs") / f"{stamp}-seed{config.seed}"
 
 
-def _dataset(config: PipelineConfig):
+def _setup(config: PipelineConfig):
+    """The dataset, then the pipeline over the workspace; a dataset error
+    stops the command before the workspace is created."""
     if not config.dataset:
         raise SystemExit("a dataset is required (--dataset or [paths] dataset)")
-    return load_dataset(config.dataset, strict=config.strict, language=config.language)
+    dataset = load_dataset(config.dataset, strict=config.strict, language=config.language)
+    return Pipeline(config, _workspace(config)), dataset
 
 
-def cmd_debate(config: PipelineConfig) -> int:
-    pipeline = Pipeline(config, _workspace(config))
-    dataset = _dataset(config)
+def cmd_debate(config: PipelineConfig, args: argparse.Namespace) -> int:
+    pipeline, dataset = _setup(config)
     _, report = pipeline.run_debates(dataset)
     print(
         f"debate: {report.processed} generated, {report.skipped} reused, "
@@ -106,9 +87,8 @@ def cmd_debate(config: PipelineConfig) -> int:
     return 1 if (report.failures and config.strict) else 0
 
 
-def cmd_synthesize(config: PipelineConfig) -> int:
-    pipeline = Pipeline(config, _workspace(config))
-    dataset = _dataset(config)
+def cmd_synthesize(config: PipelineConfig, args: argparse.Namespace) -> int:
+    pipeline, dataset = _setup(config)
     logs, debate_report = pipeline.run_debates(dataset)
     _, report = pipeline.run_synthesis(logs)
     failures = len(debate_report.failures) + len(report.failures)
@@ -119,17 +99,15 @@ def cmd_synthesize(config: PipelineConfig) -> int:
     return 1 if (failures and config.strict) else 0
 
 
-def cmd_train(config: PipelineConfig) -> int:
-    pipeline = Pipeline(config, _workspace(config))
-    dataset = _dataset(config)
+def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> int:
+    pipeline, dataset = _setup(config)
     pipeline.train_model(dataset, pipeline.encode(dataset))
     print(f"train: checkpoint -> {pipeline.workspace / 'checkpoints' / 'model.bin'}")
     return 0
 
 
-def cmd_predict(config: PipelineConfig) -> int:
-    pipeline = Pipeline(config, _workspace(config))
-    dataset = _dataset(config)
+def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
+    pipeline, dataset = _setup(config)
     checkpoint = pipeline.workspace / "checkpoints" / "model.bin"
     if not checkpoint.exists():
         raise SystemExit(f"no checkpoint at {checkpoint}; run `veridebate train` first")
@@ -141,7 +119,7 @@ def cmd_predict(config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_evaluate(config: PipelineConfig) -> int:
+def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
     workspace = _workspace(config)
     predictions_path = workspace / "predictions.jsonl"
     if not predictions_path.exists():
@@ -157,19 +135,17 @@ def cmd_evaluate(config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_pipeline(config: PipelineConfig) -> int:
-    pipeline = Pipeline(config, _workspace(config))
-    dataset = _dataset(config)
+def cmd_pipeline(config: PipelineConfig, args: argparse.Namespace) -> int:
+    pipeline, dataset = _setup(config)
     metrics = pipeline.run(dataset)
     print(metrics.format_table())
     print(f"pipeline: artifacts -> {pipeline.workspace}")
     return 0
 
 
-def cmd_ablate(config: PipelineConfig, toggles: str) -> int:
-    pipeline = Pipeline(config, _workspace(config))
-    dataset = _dataset(config)
-    names = tuple(t.strip() for t in toggles.split(",") if t.strip())
+def cmd_ablate(config: PipelineConfig, args: argparse.Namespace) -> int:
+    pipeline, dataset = _setup(config)
+    names = tuple(t.strip() for t in args.toggles.split(",") if t.strip())
     table = run_ablation(names, pipeline, dataset)
     out = pipeline.workspace / "ablation.json"
     out.write_text(
@@ -182,30 +158,39 @@ def cmd_ablate(config: PipelineConfig, toggles: str) -> int:
     return 0
 
 
+COMMANDS = {
+    "debate": (cmd_debate, "run debates and write one transcript per item"),
+    "synthesize": (cmd_synthesize, "write a judge report per existing transcript"),
+    "train": (cmd_train, "train the classifier on the train split"),
+    "predict": (cmd_predict, "write per-item predictions for the test split"),
+    "evaluate": (cmd_evaluate, "score an existing predictions file"),
+    "pipeline": (cmd_pipeline, "run all stages end to end"),
+    "ablate": (cmd_ablate, "run component-removal variants and tabulate metrics"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="veridebate")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, hint) in COMMANDS.items():
+        command = sub.add_parser(name, help=hint)
+        _add_common(command)
+        if name == "ablate":
+            command.add_argument(
+                "--toggles", default="no_debate,no_analysis",
+                help="comma-separated subset of no_debate,no_analysis",
+            )
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        if args.command == "debate":
-            return cmd_debate(config)
-        if args.command == "synthesize":
-            return cmd_synthesize(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "predict":
-            return cmd_predict(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "pipeline":
-            return cmd_pipeline(config)
-        if args.command == "ablate":
-            return cmd_ablate(config, args.toggles)
-        raise SystemExit(f"unknown command {args.command!r}")
-    except StageError as exc:
-        logger.error("%s", exc)
-        return 1
-    except (ValueError, OSError) as exc:
+        handler, _ = COMMANDS[args.command]
+        return handler(config, args)
+    except (StageError, ValueError, OSError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -29,7 +29,6 @@ class PipelineConfig:
     model_name: str = _in("gateway", "gpt-4o-mini")
     requests_per_minute: float = _in("gateway", 0.0)  # 0 disables pacing
     max_concurrency: int = _in("gateway", 1)
-    gateway_cache: bool = _in("gateway", True)
 
     agents_per_team: int = _in("debate", 2)
     temperature: float = _in("debate", 0.7)
@@ -59,66 +58,55 @@ class PipelineConfig:
     strict: bool = _in("paths", False)
 
     def __post_init__(self):
+        """Validate every setting, so a bad value fails at load, before any
+        stage starts."""
         if self.backend not in ("mock", "remote"):
             raise ValueError(f"backend must be 'mock' or 'remote', got {self.backend!r}")
         if self.provider not in ("hash", "remote"):
             raise ValueError(f"provider must be 'hash' or 'remote', got {self.provider!r}")
-        if self.interaction_mode not in ("nodes", "pooled"):
-            raise ValueError(f"interaction_mode must be 'nodes' or 'pooled'")
         if self.language not in ("en", "cn"):
             raise ValueError("language must be 'en' or 'cn'")
+        self.debate_config()
+        self.model_config()
+        self.train_config()
+
+    def _stage_config(self, cls):
+        """A ``cls`` built from this config's fields of the same names;
+        its other fields keep their defaults."""
+        ours = {f.name for f in dataclasses.fields(self)}
+        return cls(**{f.name: getattr(self, f.name)
+                      for f in dataclasses.fields(cls) if f.name in ours})
 
     def debate_config(self) -> DebateConfig:
-        return DebateConfig(
-            agents_per_team=self.agents_per_team,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            seed=self.seed,
-            history_char_budget=self.history_char_budget,
-        )
+        return self._stage_config(DebateConfig)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d_h=self.d_h,
-            d_r=self.d_r,
-            gat_hidden=self.gat_hidden,
-            gat_layers=self.gat_layers,
-            d_p=self.d_p,
-            heads=self.heads,
-            interaction_mode=self.interaction_mode,
-            seed=self.seed,
-        )
+        return self._stage_config(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+        return self._stage_config(TrainConfig)
 
 
 def load_config(path: str | Path | None = None) -> PipelineConfig:
     """Read a config file into a PipelineConfig; absent keys keep their
     defaults. Unknown keys are rejected so typos fail loudly."""
-    config = PipelineConfig()
     if path is None:
-        return config
+        return PipelineConfig()
     parser = configparser.ConfigParser()
     read = parser.read(str(path))
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     sections = {f.metadata["section"] for f in fields.values()}
+    values = {}
     for section in parser.sections():
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in fields or fields[key].metadata["section"] != section:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-            setattr(config, key, _coerce(raw, fields[key].type))
-    config.__post_init__()
-    return config
+            values[key] = _coerce(raw, fields[key].type)
+    return PipelineConfig(**values)
 
 
 def _coerce(raw: str, field_type: str):

@@ -187,7 +187,6 @@ class DebateConfig:
     temperature: float = 0.7
     max_tokens: int = 300
     seed: int = 0
-    proponent_first: bool = True
     history_char_budget: int = 6000
 
     def __post_init__(self):

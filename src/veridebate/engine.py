@@ -105,16 +105,14 @@ class StagePlan:
 
 def plan_debate(config: DebateConfig) -> list[StagePlan]:
     """Lay out the full speaking order: four stages, one slot per team
-    per stage, Proponent first under the default policy. Roles are
-    spread round-robin over each team's roster."""
+    per stage, Proponent first. Roles are spread round-robin over each
+    team's roster."""
     plans = []
     for stage in STAGES:
         role = STAGE_ROLE[stage]
         agent_slot = stage.value % config.agents_per_team
-        pro = SpeakerSlot(Stance.TRUE, role, agent_slot)
-        opp = SpeakerSlot(Stance.FAKE, role, agent_slot)
-        ordered = (pro, opp) if config.proponent_first else (opp, pro)
-        plans.append(StagePlan(stage, ordered))
+        plans.append(StagePlan(stage, (SpeakerSlot(Stance.TRUE, role, agent_slot),
+                                       SpeakerSlot(Stance.FAKE, role, agent_slot))))
     return plans
 
 

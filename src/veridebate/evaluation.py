@@ -22,7 +22,7 @@ logger = logging.getLogger(__name__)
 ABLATION_TOGGLES = ("no_debate", "no_analysis")
 
 
-class DatasetError(Exception):
+class DatasetError(ValueError):
     pass
 
 

@@ -15,6 +15,7 @@ damaged or torn record reads as a miss and the request is sent again.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -82,6 +83,11 @@ class GenerationRequest:
             if not text:
                 raise ValueError("message text must be non-empty")
 
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 hex digest of ``canonical_request(self)``, computed once."""
+        return hashlib.sha256(canonical_request(self).encode("utf-8")).hexdigest()
+
     def last_user_text(self) -> str:
         for kind, text in reversed(self.messages):
             if kind == "user":
@@ -111,7 +117,7 @@ def canonical_request(req: GenerationRequest) -> str:
 
 def cache_key(req: GenerationRequest) -> str:
     """64-hex-char digest; equal canonical requests map to equal digests."""
-    return hashlib.sha256(canonical_request(req).encode("utf-8")).hexdigest()
+    return req.digest
 
 
 # --------------------------------------------------------------------------
@@ -152,8 +158,7 @@ class MockBackend:
     backend_id = "mock"
 
     def complete(self, req: GenerationRequest) -> str:
-        digest = hashlib.sha256(canonical_request(req).encode("utf-8")).digest()
-        rng = random.Random(int.from_bytes(digest[:8], "big"))
+        rng = random.Random(int(req.digest[:16], 16))
         words = re.findall(r"[\w']+", req.last_user_text())
         if not words:
             words = ["this", "item"]

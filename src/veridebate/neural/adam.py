@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -13,30 +17,31 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def create(cls, num_params: int, lr: float) -> "AdamState":
         return cls(lr=lr, m=np.zeros(num_params), v=np.zeros(num_params))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One update: returns the new parameter vector and the advanced
-    state (moments updated in place, step count incremented)."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One update of the float64 vector ``params``, in place; the moments
+    are updated in place and the step count incremented."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads, and optimizer state must share one shape")
-    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(grads))):
-        raise ValueError("adam_step requires finite params and grads")
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("adam_step requires finite grads")
 
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    updated = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return updated, state
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grads
+    buf = (1.0 - BETA2) * grads**2
+    state.v *= BETA2
+    state.v += buf
+    # buf is reused for the denominator sqrt(v_hat) + eps
+    np.divide(state.v, 1.0 - BETA2**state.step, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += EPS
+    update = state.m / (1.0 - BETA1**state.step)
+    update *= state.lr
+    update /= buf
+    params -= update

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+LEAKY_SLOPE = 0.2
+
 
 def elu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, np.expm1(x))
@@ -48,7 +50,6 @@ class GatLayer:
     weight: np.ndarray  # (out_dim, in_dim)
     attn: np.ndarray    # (2 * out_dim,)
     activation: str = "elu"  # "elu" | "identity"
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -99,7 +100,7 @@ def gat_forward_cached(layer: GatLayer, features: np.ndarray,
     score_src = projected @ layer.attn[:out_dim]  # the attending node
     score_dst = projected @ layer.attn[out_dim:]  # each neighbor
     pre = score_src[:, :, None] + score_dst[:, None, :]
-    alpha = softmax(np.where(adjacency, leaky_relu(pre, layer.leaky_slope), -np.inf))
+    alpha = softmax(np.where(adjacency, leaky_relu(pre, LEAKY_SLOPE), -np.inf))
     aggregated = alpha @ projected
     cache = GatCache(features, projected, alpha, pre, aggregated)
     return (elu(aggregated) if layer.activation == "elu" else aggregated), cache
@@ -117,8 +118,7 @@ def gat_backward(layer: GatLayer, cache: GatCache,
     if layer.activation == "elu":
         d_agg = d_output * np.exp(np.minimum(cache.aggregated, 0.0))  # 1 where positive
     d_alpha = d_agg @ projected.transpose(0, 2, 1)
-    d_pre = softmax_backward(alpha, d_alpha) * np.where(cache.logits_pre > 0, 1.0,
-                                                        layer.leaky_slope)
+    d_pre = softmax_backward(alpha, d_alpha) * np.where(cache.logits_pre > 0, 1.0, LEAKY_SLOPE)
     d_src = d_pre.sum(axis=2)  # (B, n)
     d_dst = d_pre.sum(axis=1)
     d_proj = (alpha.transpose(0, 2, 1) @ d_agg

@@ -23,7 +23,7 @@ import numpy as np
 from ..domain import DebateLog
 from ..encoding import ROLE_PAIR_INDEX, EmbeddingVector, RoleTable
 from ..graph import adjacency_mask, edges_for_log
-from .attention import InteractionHead, interact_backward, interact_cached
+from .attention import INTERACTION_MODES, InteractionHead, interact_backward, interact_cached
 from .gat import GatLayer, gat_backward, gat_forward_cached, softmax
 
 LOG_CLAMP = 1e-12
@@ -102,7 +102,7 @@ class ModelConfig:
             raise ValueError("need at least one GAT layer")
         if self.d_p % self.heads != 0:
             raise ValueError("d_p must be divisible by heads")
-        if self.interaction_mode not in ("nodes", "pooled"):
+        if self.interaction_mode not in INTERACTION_MODES:
             raise ValueError(f"unknown interaction mode {self.interaction_mode!r}")
 
 
@@ -191,7 +191,8 @@ def _labels(batch: list[Sample]) -> np.ndarray:
 
 
 class AnalysisModel:
-    """All trainable parameters, held as views into one flat buffer."""
+    """All trainable parameters, held as views into one flat buffer,
+    ``flat``; updating it in place updates every block."""
 
     def __init__(self, config: ModelConfig, role_table: RoleTable,
                  gat_layers: list[GatLayer], interaction: InteractionHead,
@@ -211,13 +212,13 @@ class AnalysisModel:
         owners += [(f"classifier.{attr}", classifier, attr) for attr in ("weight", "bias")]
 
         # Move every block into one buffer and leave a view in its place.
-        self._flat = np.concatenate([getattr(owner, attr).ravel() for _, owner, attr in owners])
+        self.flat = np.concatenate([getattr(owner, attr).ravel() for _, owner, attr in owners])
         self._blocks: list[tuple[str, slice, tuple[int, ...]]] = []
         offset = 0
         for name, owner, attr in owners:
             shape = getattr(owner, attr).shape
             sl = slice(offset, offset + math.prod(shape))
-            setattr(owner, attr, self._flat[sl].reshape(shape))
+            setattr(owner, attr, self.flat[sl].reshape(shape))
             self._blocks.append((name, sl, shape))
             offset = sl.stop
 
@@ -243,16 +244,16 @@ class AnalysisModel:
 
     @property
     def num_params(self) -> int:
-        return self._flat.size
+        return self.flat.size
 
     def parameter_vector(self) -> np.ndarray:
-        return self._flat.copy()
+        return self.flat.copy()
 
     def set_parameter_vector(self, vector: np.ndarray) -> None:
         vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != self._flat.shape:
+        if vector.shape != self.flat.shape:
             raise ValueError(f"expected {self.num_params} parameters, got {vector.shape}")
-        self._flat[...] = vector
+        self.flat[...] = vector
 
     # ---- forward / backward ----------------------------------------------
 

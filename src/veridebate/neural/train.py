@@ -21,7 +21,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
     # Parameter blocks whose gradients are zeroed before each update
     # (e.g. to freeze a zeroed role table for an ablation).
     freeze_blocks: tuple[str, ...] = ()
@@ -61,8 +60,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
     if not train_samples:
         raise ValueError("no training items")
     rng = np.random.default_rng(config.seed)
-    params = model.parameter_vector()
-    state = AdamState.create(params.size, config.lr)
+    state = AdamState.create(model.num_params, config.lr)
 
     frozen_mask = None
     if config.freeze_blocks:
@@ -70,7 +68,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
         unknown = set(config.freeze_blocks) - set(slices)
         if unknown:
             raise ValueError(f"unknown parameter blocks to freeze: {sorted(unknown)}")
-        frozen_mask = np.ones(params.size)
+        frozen_mask = np.ones(model.num_params)
         for name in config.freeze_blocks:
             frozen_mask[slices[name]] = 0.0
 
@@ -82,7 +80,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
 
     n = len(train_samples)
     for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = [train_samples[i] for i in order[start : start + config.batch_size]]
@@ -90,8 +88,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
             total += loss * len(batch)
             if frozen_mask is not None:
                 grad = grad * frozen_mask
-            params, state = adam_step(params, grad, state)
-            model.set_parameter_vector(params)
+            adam_step(model.flat, grad, state)
         loss_history.append(total / n)
 
         if val_samples:
@@ -100,7 +97,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
             if acc > best_acc:
                 best_acc = acc
                 best_epoch = epoch
-                best_params = params.copy()
+                best_params = model.parameter_vector()
 
     if best_params is not None:
         model.set_parameter_vector(best_params)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import PipelineConfig
-from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, NewsItem, VerdictHint, validate_log
+from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, VerdictHint, validate_log
 from .encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider, RemoteEmbeddingProvider
 from .engine import log_from_json, log_to_json, run_debate
 from .evaluation import (
@@ -53,9 +53,7 @@ def build_gateway(config: PipelineConfig, workspace: Path | None) -> Gateway:
         backend = MockBackend()
     else:
         backend = RemoteBackend(config.endpoint, model=config.model_name)
-    cache_dir = None
-    if config.gateway_cache and workspace is not None:
-        cache_dir = workspace / "cache" / "gen"
+    cache_dir = workspace / "cache" / "gen" if workspace is not None else None
     limiter = None
     if config.requests_per_minute or config.max_concurrency > 1:
         limiter = RateLimiter(
@@ -123,72 +121,73 @@ class Pipeline:
             return None
         return record
 
-    # ---- debate stage --------------------------------------------------------
+    # ---- debate and synthesis stages ------------------------------------------
 
-    def run_debates(self, dataset: Dataset) -> tuple[dict[str, DebateLog], StageReport]:
-        """One transcript per item; existing valid transcript files are
-        reused."""
-        transcripts = self._dir("transcripts")
-        report = StageReport("debate")
-        logs: dict[str, DebateLog] = {}
+    def _run_items(self, stage: str, dirname: str, jobs, produce, parse, dump,
+                   check=lambda record: []) -> tuple[dict, StageReport]:
+        """One record per ``(news_id, source)`` job, stored as
+        ``<dirname>/<news_id>.json``: a valid stored record is reused,
+        otherwise ``produce(source)`` makes one and it is written. A
+        failure to produce is counted per item; on ``max_concurrency > 1``
+        the jobs run on a thread pool."""
+        directory = self._dir(dirname)
 
-        def produce(item: NewsItem):
-            path = transcripts / f"{item.id}.json"
-            log = self._reuse(path, log_from_json, item.id, validate_log)
-            if log is not None:
-                return item.id, log, True, None
+        def one(job):
+            news_id, source = job
+            path = directory / f"{news_id}.json"
+            record = self._reuse(path, parse, news_id, check)
+            if record is not None:
+                return news_id, record, True, None
             try:
-                log = run_debate(item, self.config.debate_config(), self.gateway)
+                record = produce(source)
             except Exception as exc:
-                return item.id, None, False, f"{item.id}: {exc}"
-            path.write_text(log_to_json(log), encoding="utf-8")
-            return item.id, log, False, None
+                return news_id, None, False, f"{news_id}: {exc}"
+            path.write_text(dump(record), encoding="utf-8")
+            return news_id, record, False, None
 
         workers = max(1, self.config.max_concurrency)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(produce, dataset.items))
+                results = list(pool.map(one, jobs))
         else:
-            results = [produce(item) for item in dataset.items]
+            results = [one(job) for job in jobs]
 
-        for item_id, log, skipped, failure in results:
+        report = StageReport(stage)
+        records = {}
+        for news_id, record, reused, failure in results:
             if failure is not None:
                 report.failures.append(failure)
-                logger.error("debate failed for %s", failure)
+                logger.error("%s failed for %s", stage, failure)
                 continue
-            logs[item_id] = log
-            if skipped:
+            records[news_id] = record
+            if reused:
                 report.skipped += 1
             else:
                 report.processed += 1
-        return logs, report
+        return records, report
 
-    # ---- synthesis stage -----------------------------------------------------
+    # The stage functions and parsers below are looked up as module globals
+    # at call time, so a caller may rebind them (the benchmark times them so).
+
+    def run_debates(self, dataset: Dataset) -> tuple[dict[str, DebateLog], StageReport]:
+        """One transcript per item; existing valid transcript files are
+        reused."""
+        config = self.config.debate_config()
+        return self._run_items(
+            "debate", "transcripts", [(item.id, item) for item in dataset.items],
+            lambda item: run_debate(item, config, self.gateway),
+            log_from_json, log_to_json, validate_log,
+        )
 
     def run_synthesis(self, logs: dict[str, DebateLog]) -> tuple[dict, StageReport]:
-        reports_dir = self._dir("reports")
-        report = StageReport("synthesize")
-        reports = {}
-        for news_id in sorted(logs):
-            path = reports_dir / f"{news_id}.json"
-            reused = self._reuse(path, report_from_json, news_id)
-            if reused is not None:
-                reports[news_id] = reused
-                report.skipped += 1
-                continue
-            try:
-                summary = synthesize(
-                    logs[news_id], self.gateway, self.config.language,
-                    self.config.debate_config(),
-                )
-            except Exception as exc:
-                report.failures.append(f"{news_id}: {exc}")
-                logger.error("synthesis failed for %s: %s", news_id, exc)
-                continue
-            path.write_text(report_to_json(summary), encoding="utf-8")
-            reports[news_id] = summary
-            report.processed += 1
-        return reports, report
+        """One judge report per transcript; existing valid report files
+        are reused."""
+        config = self.config.debate_config()
+        return self._run_items(
+            "synthesize", "reports", [(news_id, logs[news_id]) for news_id in sorted(logs)],
+            lambda log: synthesize(log, self.gateway, self.config.language, config),
+            report_from_json, report_to_json,
+        )
 
     # ---- features ------------------------------------------------------------
 
@@ -239,10 +238,11 @@ class Pipeline:
         return model
 
     def predict_rows(self, model: AnalysisModel, dataset: Dataset,
-                     samples: dict[str, Sample], split: str = "test") -> list[dict]:
-        items = dataset.split(split)
+                     samples: dict[str, Sample]) -> list[dict]:
+        """One prediction row per test item."""
+        items = dataset.split("test")
         if not items:
-            raise StageError("predict", f"no items in split {split!r}")
+            raise StageError("predict", "no items in split 'test'")
         probs = predict_proba(model, [samples[item.id] for item in items])
         return [
             {
@@ -255,11 +255,11 @@ class Pipeline:
         ]
 
     @staticmethod
-    def hint_rows(dataset: Dataset, reports: dict, split: str = "test") -> list[dict]:
-        """Predictions taken directly from report verdict hints; an
-        undecided report falls back to the majority class (real)."""
+    def hint_rows(dataset: Dataset, reports: dict) -> list[dict]:
+        """Test-item predictions taken directly from report verdict hints;
+        an undecided report falls back to the majority class (real)."""
         rows = []
-        for item in dataset.split(split):
+        for item in dataset.split("test"):
             report = reports.get(item.id)
             hint = report.verdict_hint if report is not None else None
             prediction = LABEL_FAKE if hint is VerdictHint.LEANS_FAKE else LABEL_REAL
@@ -287,10 +287,7 @@ class Pipeline:
             model = self.train_model(dataset, samples, f"model-{variant}.bin")
             return self._metrics_from_rows(self.predict_rows(model, dataset, samples))
 
-        logs, debate_report = self.run_debates(dataset)
-        self._check_stage(debate_report)
-        reports, synth_report = self.run_synthesis(logs)
-        self._check_stage(synth_report)
+        logs, reports = self._debate_and_synthesize(dataset)
         if variant == "no_analysis":
             return self._metrics_from_rows(self.hint_rows(dataset, reports))
         samples = self.encode(dataset, logs)
@@ -301,14 +298,19 @@ class Pipeline:
         if report.failures and self.config.strict:
             raise StageError(report.name, f"{len(report.failures)} item(s) failed")
 
-    def run(self, dataset: Dataset) -> MetricsReport:
-        """The full pipeline: debate, synthesize, encode, train, predict,
-        evaluate. Persists predictions, metrics, and the explanation
-        bundle (per item: the report and transcript file references)."""
+    def _debate_and_synthesize(self, dataset: Dataset) -> tuple[dict, dict]:
+        """Transcripts and reports for every item, each stage checked."""
         logs, debate_report = self.run_debates(dataset)
         self._check_stage(debate_report)
         reports, synth_report = self.run_synthesis(logs)
         self._check_stage(synth_report)
+        return logs, reports
+
+    def run(self, dataset: Dataset) -> MetricsReport:
+        """The full pipeline: debate, synthesize, encode, train, predict,
+        evaluate. Persists predictions, metrics, and the explanation
+        bundle (per item: the report and transcript file references)."""
+        logs, _ = self._debate_and_synthesize(dataset)
         samples = self.encode(dataset, logs)
         model = self.train_model(dataset, samples)
         rows = self.predict_rows(model, dataset, samples)

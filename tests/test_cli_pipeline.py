@@ -7,7 +7,7 @@ from conftest import CountingBackend
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
 from veridebate.evaluation import load_dataset, write_dataset_jsonl
-from veridebate.gateway import Gateway
+from veridebate.gateway import Gateway, MockBackend
 from veridebate.pipeline import Pipeline, StageError, build_gateway
 from veridebate.synthetic import make_synthetic_corpus
 
@@ -34,6 +34,11 @@ def small_setup(tmp_path):
     config_path = tmp_path / "cfg.ini"
     config_path.write_text(SMALL_CONFIG)
     return tmp_path, dataset_path, config_path
+
+
+# Values only a stage config rejects: the engine's max_tokens and the
+# model's heads, which must divide d_p = 128.
+BAD_STAGE_CONFIGS = ("[debate]\nmax_tokens = 0\n", "[model]\nheads = 3\n")
 
 
 def run_cli(*args) -> int:
@@ -78,6 +83,31 @@ class TestConfig:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(backend="quantum")
+
+    @pytest.mark.parametrize("body", BAD_STAGE_CONFIGS, ids=("max_tokens", "heads"))
+    def test_bad_stage_value_rejected_at_load(self, tmp_path, body):
+        path = tmp_path / "bad.ini"
+        path.write_text(body)
+        with pytest.raises(ValueError):
+            load_config(path)
+
+    @pytest.mark.parametrize("body", BAD_STAGE_CONFIGS, ids=("max_tokens", "heads"))
+    def test_bad_stage_value_stops_cli_before_any_stage(self, small_setup, body,
+                                                          monkeypatch):
+        tmp_path, dataset_path, _ = small_setup
+        monkeypatch.setattr(MockBackend, "complete", ExplodingBackend.complete)
+        path = tmp_path / "bad.ini"
+        path.write_text(body)
+        code = run_cli("pipeline", "--config", path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws")
+        assert code == 1
+        assert not (tmp_path / "ws").exists()
+
+    def test_missing_dataset_exits_nonzero(self, tmp_path, caplog):
+        code = run_cli("pipeline", "--dataset", tmp_path / "missing.jsonl",
+                       "--out", tmp_path / "ws")
+        assert code == 1
+        assert "dataset file not found" in caplog.text
 
 
 class TestDebateCommand:
@@ -140,11 +170,15 @@ class TestDebateCommand:
         sequential = load_config(config_path)
         concurrent = load_config(config_path)
         concurrent.max_concurrency = 4
-        Pipeline(sequential, tmp_path / "seq").run_debates(dataset)
-        Pipeline(concurrent, tmp_path / "par").run_debates(dataset)
-        for path in sorted((tmp_path / "seq" / "transcripts").glob("*.json")):
-            twin = tmp_path / "par" / "transcripts" / path.name
-            assert path.read_bytes() == twin.read_bytes()
+        for config, name in ((sequential, "seq"), (concurrent, "par")):
+            pipeline = Pipeline(config, tmp_path / name)
+            pipeline.run_synthesis(pipeline.run_debates(dataset)[0])
+        for stage in ("transcripts", "reports"):
+            paths = sorted((tmp_path / "seq" / stage).glob("*.json"))
+            assert len(paths) == len(dataset.items)
+            for path in paths:
+                twin = tmp_path / "par" / stage / path.name
+                assert path.read_bytes() == twin.read_bytes()
 
     def test_per_item_failures_respect_strict_flag(self, small_setup):
         tmp_path, dataset_path, config_path = small_setup

@@ -58,10 +58,6 @@ class TestPlanDebate:
         with pytest.raises(ValueError):
             plan_debate(DebateConfig(agents_per_team=0))
 
-    def test_opponent_first_policy(self):
-        plans = plan_debate(DebateConfig(proponent_first=False))
-        assert plans[0].slots[0].stance is Stance.FAKE
-
 
 class TestTemplates:
     def test_all_stage_templates_load(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CountingBackend
+from veridebate import gateway as gateway_module
 from veridebate.gateway import (
     Gateway,
     GenerationRequest,
@@ -118,6 +119,15 @@ class TestCache:
         for t in threads:
             t.join()
         assert backend.calls == 1
+
+    def test_cold_request_serialized_once(self, tmp_path, monkeypatch):
+        calls = []
+        serialize = gateway_module.canonical_request
+        monkeypatch.setattr(gateway_module, "canonical_request",
+                            lambda request: calls.append(request) or serialize(request))
+        response = Gateway(MockBackend(), cache_dir=tmp_path).generate(req())
+        assert not response.cached
+        assert len(calls) == 1
 
     def test_key_locks_freed_after_use(self, tmp_path):
         backend = CountingBackend()

@@ -240,23 +240,24 @@ class TestAdam:
     def test_zero_gradient_keeps_params(self):
         state = AdamState.create(3, lr=0.1)
         params = np.array([1.0, -2.0, 0.5])
-        updated, state = adam_step(params, np.zeros(3), state)
-        assert np.array_equal(updated, params)
+        adam_step(params, np.zeros(3), state)
+        assert np.array_equal(params, [1.0, -2.0, 0.5])
         assert state.step == 1
 
     def test_single_step_hand_case(self):
         state = AdamState.create(1, lr=0.1)
-        updated, _ = adam_step(np.array([1.0]), np.array([0.5]), state)
+        params = np.array([1.0])
+        adam_step(params, np.array([0.5]), state)
         # bias-corrected m=0.5, v=0.25 -> delta = -lr * 0.5/(0.5 + eps)
-        assert updated[0] == pytest.approx(0.9, abs=1e-6)
+        assert params[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_constant_gradient_approaches_lr_magnitude(self):
         state = AdamState.create(2, lr=0.01)
         params = np.zeros(2)
         grad = np.array([0.3, -4.0])
-        previous = params
         for _ in range(200):
-            previous, params = params, adam_step(params, grad, state)[0]
+            previous = params.copy()
+            adam_step(params, grad, state)
         delta = params - previous
         assert np.allclose(np.abs(delta), 0.01, rtol=1e-3)
         assert np.all(np.sign(delta) == -np.sign(grad))

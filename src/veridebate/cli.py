@@ -68,12 +68,16 @@ def _workspace(config: PipelineConfig) -> Path:
     return Path("runs") / f"{stamp}-seed{config.seed}"
 
 
+def _dataset(config: PipelineConfig):
+    if not config.dataset:
+        raise SystemExit("a dataset is required (--dataset or [paths] dataset)")
+    return load_dataset(config.dataset, strict=config.strict, language=config.language)
+
+
 def _setup(config: PipelineConfig):
     """The dataset, then the pipeline over the workspace; a dataset error
     stops the command before the workspace is created."""
-    if not config.dataset:
-        raise SystemExit("a dataset is required (--dataset or [paths] dataset)")
-    dataset = load_dataset(config.dataset, strict=config.strict, language=config.language)
+    dataset = _dataset(config)
     return Pipeline(config, _workspace(config)), dataset
 
 
@@ -120,6 +124,9 @@ def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
+    """Score predictions.jsonl, which must hold one row per test item of
+    the dataset, in order; otherwise exit 1 and leave metrics.json be."""
+    test_ids = [item.id for item in _dataset(config).split("test")]
     workspace = _workspace(config)
     predictions_path = workspace / "predictions.jsonl"
     if not predictions_path.exists():
@@ -129,6 +136,15 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
         for line in predictions_path.read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
+    row_ids = [r["id"] for r in rows]
+    if row_ids != test_ids:
+        missing = sorted(set(test_ids) - set(row_ids))[:5]
+        unexpected = sorted(set(row_ids) - set(test_ids))[:5]
+        raise ValueError(
+            f"{predictions_path}: its {len(row_ids)} row ids do not match the dataset's "
+            f"{len(test_ids)} test ids (missing {missing}, unexpected {unexpected}); "
+            "rerun `veridebate predict`"
+        )
     metrics = compute_metrics([r["prediction"] for r in rows], [r["label"] for r in rows])
     write_metrics_json(workspace / "metrics.json", metrics)
     print(metrics.format_table())

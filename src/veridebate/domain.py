@@ -114,8 +114,9 @@ class NewsItem:
     split: str | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("news id must be non-empty")
+        # The id names the item's files (transcripts/<id>.json, ...).
+        if self.id in ("", ".", "..") or any(c in self.id for c in "/\\\0"):
+            raise ValueError(f"news id {self.id!r} cannot be used as a file name")
         if not self.content or not self.content.strip():
             raise ValueError(f"news {self.id!r}: content is empty")
         if self.label is not None and self.label not in (LABEL_REAL, LABEL_FAKE):

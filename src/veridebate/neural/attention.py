@@ -13,6 +13,14 @@ attention, with heads as an array axis. Two key/value sources exist:
   real-node mask keeps padding nodes out of the keys.
 
 The fused output is [g_proj ; context], ``(B, 2 * d_p)``.
+
+The node features arrive with a linear map, ``node_map``, that has not
+been applied to them. The model passes the last GAT layer's
+pre-projection aggregate Z with node_map = W_last, instead of its
+node_dim-wide output Z W_lastᵀ; the single-graph ``interact`` passes
+its features with the identity. The interaction forms graph_proj @
+node_map once and applies it to the features and to their pool. The
+backward pass returns the gradients of both factors.
 """
 
 from __future__ import annotations
@@ -83,8 +91,10 @@ class InteractionHead:
 class InteractCache:
     mode: str
     news_emb: np.ndarray    # (B, news_dim)
-    pooled: np.ndarray      # (B, node_dim)
-    node_feats: np.ndarray  # (B, n, node_dim), read in nodes mode only
+    pooled: np.ndarray      # (B, f)
+    node_feats: np.ndarray  # (B, n, f), read in nodes mode only
+    node_map: np.ndarray    # (node_dim, f)
+    graph_map: np.ndarray   # (d_p, f), graph_proj @ node_map
     kv: np.ndarray          # (B, m, d_p), m = n in nodes mode, 1 in pooled
     e_proj: np.ndarray      # (B, d_p)
     queries: np.ndarray     # (B, heads, head_dim)
@@ -95,27 +105,32 @@ class InteractCache:
 
 
 def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.ndarray,
-                    head: InteractionHead, mode: str = "nodes",
+                    node_map: np.ndarray, head: InteractionHead, mode: str = "nodes",
                     mask: np.ndarray | None = None):
+    """Batched forward pass. The debate vectors are ``node_feats @
+    node_mapᵀ`` and ``pooled @ node_mapᵀ``, and neither is built:
+    ``graph_proj @ node_map`` is formed once and applied to the
+    narrower inputs instead."""
     if mode not in INTERACTION_MODES:
         raise ValueError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     news_emb = np.asarray(news_emb, dtype=np.float64)
     pooled = np.asarray(pooled, dtype=np.float64)
     node_feats = np.asarray(node_feats, dtype=np.float64)
-    if pooled.shape[-1] != head.graph_proj.shape[1]:
+    graph_map = head.graph_proj @ node_map
+    if pooled.shape[-1] != graph_map.shape[1]:
         raise ValueError("pooled vector width does not match graph projection")
     if news_emb.shape[-1] != head.news_proj.shape[1]:
         raise ValueError("news embedding width does not match news projection")
 
     batch = news_emb.shape[0]
-    g_proj = pooled @ head.graph_proj.T
+    g_proj = pooled @ graph_map.T
     e_proj = news_emb @ head.news_proj.T
     if mode == "pooled":
         kv, mask = g_proj[:, None, :], None
     else:
-        if node_feats.shape[-1] != head.graph_proj.shape[1]:
+        if node_feats.shape[-1] != graph_map.shape[1]:
             raise ValueError("node feature width does not match graph projection")
-        kv = node_feats @ head.graph_proj.T
+        kv = node_feats @ graph_map.T
 
     queries = (e_proj @ head.query.T).reshape(batch, head.heads, head.head_dim)
     keys = head.split_heads(kv @ head.key.T)
@@ -131,6 +146,8 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
         news_emb=news_emb,
         pooled=pooled,
         node_feats=node_feats,
+        node_map=node_map,
+        graph_map=graph_map,
         kv=kv,
         e_proj=e_proj,
         queries=queries,
@@ -148,7 +165,8 @@ def interact(news_emb, node_feats, pooled, head: InteractionHead, mode: str = "n
     vector [g_proj ; context], plus the (heads, keys) attention weight
     matrix when asked."""
     fused, cache = interact_cached(np.asarray(news_emb)[None], np.asarray(node_feats)[None],
-                                   np.asarray(pooled)[None], head, mode)
+                                   np.asarray(pooled)[None],
+                                   np.eye(head.graph_proj.shape[1]), head, mode)
     if return_weights:
         return fused[0], cache.weights[0]
     return fused[0]
@@ -157,9 +175,10 @@ def interact(news_emb, node_feats, pooled, head: InteractionHead, mode: str = "n
 def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.ndarray):
     """Backward pass of interact_cached, summed over the batch.
 
-    Returns (d_node_feats, d_pooled, grads) where grads maps the
-    projection names to their gradient arrays; d_node_feats is None in
-    pooled mode (node features are not consumed there).
+    Returns (d_node_feats, d_pooled, d_node_map, grads): the first three
+    are w.r.t. the inputs as passed, d_node_feats is None in pooled mode
+    (node features are not consumed there), and grads maps the
+    projection names to their gradients.
     """
     d_p = head.d_p
     batch, m = cache.kv.shape[:2]
@@ -189,23 +208,24 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
     d_value_w = d_value_flat.T @ kv_flat
     d_kv = (d_key_flat @ head.key + d_value_flat @ head.value).reshape(batch, m, d_p)
 
+    graph_map = cache.graph_map
     if cache.mode == "pooled":
         d_g_proj = d_g_proj + d_kv[:, 0]
-        d_graph_proj = d_g_proj.T @ cache.pooled
+        d_graph_map = d_g_proj.T @ cache.pooled
         d_node_feats = None
     else:
-        node_dim = cache.node_feats.shape[-1]
-        d_graph_proj = (d_g_proj.T @ cache.pooled
-                        + d_kv.reshape(-1, d_p).T @ cache.node_feats.reshape(-1, node_dim))
-        d_node_feats = d_kv @ head.graph_proj
-    d_pooled = d_g_proj @ head.graph_proj
+        width = graph_map.shape[1]
+        d_graph_map = (d_g_proj.T @ cache.pooled
+                       + d_kv.reshape(-1, d_p).T @ cache.node_feats.reshape(-1, width))
+        d_node_feats = d_kv @ graph_map
+    d_pooled = d_g_proj @ graph_map
 
     grads = {
-        "graph_proj": d_graph_proj,
+        "graph_proj": d_graph_map @ cache.node_map.T,
         "news_proj": d_news_proj,
         "query": d_query,
         "key": d_key_w,
         "value": d_value_w,
         "out": d_out,
     }
-    return d_node_feats, d_pooled, grads
+    return d_node_feats, d_pooled, head.graph_proj.T @ d_graph_map, grads

@@ -4,13 +4,26 @@ dense batch.
 ``collate`` pads B samples to the batch's largest node count n. Padding
 nodes have zero features, no role and a lone self-loop, and are masked
 out of pooling and of the attention keys, so a sample's result does not
-depend on what it is batched with. The forward pass concatenates the
-projected role vectors onto the frozen turn embeddings, runs the GAT
-stack, mean-pools the real nodes, fuses the result with the news
-embedding by interactive attention, and a softmax head predicts
-(p_real, p_fake). ``loss_and_grad`` differentiates the mean batch
-cross-entropy w.r.t. every parameter block. All parameters live in one
-flat float64 buffer; each named block is a view into it.
+depend on what it is batched with. The model concatenates the projected
+role vectors onto the frozen turn embeddings, runs the GAT stack,
+mean-pools the real nodes, fuses the result with the news embedding by
+interactive attention, and a softmax head predicts (p_real, p_fake).
+``loss_and_grad`` differentiates the mean batch cross-entropy w.r.t.
+every parameter block. All parameters live in one flat float64 buffer;
+each named block is a view into it.
+
+The forward pass computes that function without building any node_dim
+(= 2 * d_h) wide activation. Every such array only ever feeds a linear
+map, so the maps are multiplied together first:
+
+* the first layer's W_0 = [W_e | W_r] meets [embedding ; onehot @ T],
+  with T the role table, as [W_e | W_r Tᵀ] applied to [embedding ;
+  onehot];
+* the last, identity, layer returns the gat_hidden-wide aggregate Z, and
+  the interaction applies M = graph_proj @ W_last to Z and to its mean.
+
+The backward pass takes the same route, and the gradients of W_0, the
+role table, W_last and graph_proj come from those of the products.
 """
 
 from __future__ import annotations
@@ -261,24 +274,32 @@ class AnalysisModel:
         """Run the full forward pass over a batch; returns (probs, cache)
         with probs of shape (B, 2)."""
         batch = collate(samples)
-        if batch.nodes.shape[2] != self.config.d_h:
+        d_h = self.config.d_h
+        if batch.nodes.shape[2] != d_h:
             raise ValueError(f"sample embeddings have dim {batch.nodes.shape[2]}, "
-                             f"model expects {self.config.d_h}")
+                             f"model expects {d_h}")
         # One-hot role rows; role-less and padding nodes get a zero row.
         table = self.role_table.embeddings @ self.role_table.projection.T
         roles = (batch.role_ids[..., None] == np.arange(table.shape[0])).astype(np.float64)
-        activations = np.concatenate([batch.nodes, roles @ table], axis=2)
+        # Layer 0 reads [embedding ; roles @ table] through W_0 = [W_e | W_r],
+        # which equals [W_e | W_r tableᵀ] applied to [embedding ; roles].
+        first = self.gat_layers[0].weight
+        weights = [layer.weight for layer in self.gat_layers]
+        weights[0] = np.concatenate([first[:, :d_h], first[:, d_h:] @ table.T], axis=1)
+        activations = np.concatenate([batch.nodes, roles], axis=2)
         gat_caches = []
-        for layer in self.gat_layers:
-            activations, cache = gat_forward_cached(layer, activations, batch.adjacency)
+        for layer, weight in zip(self.gat_layers, weights):
+            activations, cache = gat_forward_cached(layer, activations, batch.adjacency, weight)
             gat_caches.append(cache)
+        # The last layer is the identity: its output is activations @
+        # weights[-1]ᵀ, and interaction folds that map into graph_proj.
         pooled = global_mean_pool(activations, batch.mask)
         fused, att_cache = interact_cached(
-            batch.news, activations, pooled, self.interaction,
+            batch.news, activations, pooled, weights[-1], self.interaction,
             self.config.interaction_mode, batch.mask,
         )
         probs = classify(fused, self.classifier)
-        return probs, {"batch": batch, "roles": roles, "gat": gat_caches,
+        return probs, {"batch": batch, "table": table, "gat": gat_caches,
                        "attention": att_cache, "fused": fused, "probs": probs}
 
     def gradient(self, cache: dict, labels: np.ndarray) -> np.ndarray:
@@ -295,7 +316,7 @@ class AnalysisModel:
         grads["classifier.bias"][...] = d_logits.sum(axis=0)
         d_fused = d_logits @ self.classifier.weight
 
-        d_nodes_att, d_pooled, att_grads = interact_backward(
+        d_nodes_att, d_pooled, d_node_map, att_grads = interact_backward(
             self.interaction, cache["attention"], d_fused
         )
         for name, grad in att_grads.items():
@@ -306,16 +327,23 @@ class AnalysisModel:
         if d_nodes_att is not None:
             d_activations = d_activations + d_nodes_att
 
-        for l in range(len(self.gat_layers) - 1, -1, -1):
+        last = len(self.gat_layers) - 1
+        for l in range(last, -1, -1):
             d_activations, d_weight, d_attn = gat_backward(
-                self.gat_layers[l], cache["gat"][l], d_activations
+                self.gat_layers[l], cache["gat"][l], d_activations, input_grad=l > 0
             )
-            grads[f"gat{l}.weight"][...] = d_weight
+            if l == last:
+                d_weight += d_node_map
+            if l > 0:
+                grads[f"gat{l}.weight"][...] = d_weight
             grads[f"gat{l}.attn"][...] = d_attn
 
-        d_h = self.config.d_h
-        roles = cache["roles"]
-        d_table = roles.reshape(-1, roles.shape[2]).T @ d_activations[..., d_h:].reshape(-1, d_h)
+        # Back from [W_e | W_r tableᵀ] to W_0 and the role table.
+        d_h, table = self.config.d_h, cache["table"]
+        d_roles = d_weight[:, d_h:]
+        grads["gat0.weight"][:, :d_h] = d_weight[:, :d_h]
+        grads["gat0.weight"][:, d_h:] = d_roles @ table
+        d_table = d_roles.T @ self.gat_layers[0].weight[:, d_h:]
         grads["role_embeddings"][...] = d_table @ self.role_table.projection
         grads["role_projection"][...] = d_table.T @ self.role_table.embeddings
         return flat

@@ -2,8 +2,9 @@
 
 Each function here recomputes a quantity from first principles by a
 route the production code never takes: central finite differences for
-gradients, raw confusion-count arithmetic for metrics, and edge-scan
-neighbor recomputation for graphs.
+gradients, raw confusion-count arithmetic for metrics, edge-scan
+neighbor recomputation for graphs, and a literal one-sample-at-a-time
+forward pass of the classifier.
 """
 
 from __future__ import annotations
@@ -30,6 +31,53 @@ def finite_difference_gradient(model: AnalysisModel, batch: list[Sample],
         grad[k] = (up - down) / (2 * step)
     model.set_parameter_vector(params)
     return grad
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def reference_forward(model: AnalysisModel, samples: list[Sample]) -> np.ndarray:
+    """(len(samples), 2) class probabilities, computed from the model's
+    formulas one sample at a time, with every layer's full-width output
+    built: node features are [embedding ; role vector], each GAT layer
+    forms W h, scores every edge and aggregates, the debate vectors are
+    the last layer's outputs (or their mean) projected by graph_proj,
+    and the news queries them head by head."""
+    roles, head, classifier = model.role_table, model.interaction, model.classifier
+    role_vectors = roles.embeddings @ roles.projection.T  # one row per role
+    probs = []
+    for sample in samples:
+        n = len(sample.node_embeddings)
+        role_part = np.zeros_like(sample.node_embeddings)
+        for i, role in enumerate(sample.role_ids):
+            if 0 <= role < len(role_vectors):  # -1: a node without a role
+                role_part[i] = role_vectors[role]
+        h = np.concatenate([sample.node_embeddings, role_part], axis=1)
+        for layer in model.gat_layers:
+            wh = h @ layer.weight.T
+            a_src, a_dst = layer.attn[: layer.out_dim], layer.attn[layer.out_dim :]
+            h = np.zeros_like(wh)
+            for i in range(n):
+                neighbors = [j for j in range(n) if sample.adjacency[i, j]]
+                scores = np.array([a_src @ wh[i] + a_dst @ wh[j] for j in neighbors])
+                weights = _softmax(np.where(scores > 0, scores, 0.2 * scores))
+                h[i] = sum(w * wh[j] for w, j in zip(weights, neighbors))
+            if layer.activation == "elu":
+                h = np.where(h > 0, h, np.expm1(h))
+        g = head.graph_proj @ h.mean(axis=0)
+        kv = h @ head.graph_proj.T if model.config.interaction_mode == "nodes" else g[None]
+        query = head.query @ (head.news_proj @ sample.news_embedding)
+        keys, values = kv @ head.key.T, kv @ head.value.T
+        context = []
+        for k in range(head.heads):
+            cols = slice(k * head.head_dim, (k + 1) * head.head_dim)
+            weights = _softmax(keys[:, cols] @ query[cols] / np.sqrt(head.head_dim))
+            context.append(weights @ values[:, cols])
+        fused = np.concatenate([g, head.out @ np.concatenate(context)])
+        probs.append(_softmax(classifier.weight @ fused + classifier.bias))
+    return np.array(probs)
 
 
 def block_relative_errors(model: AnalysisModel, analytic: np.ndarray,

@@ -248,6 +248,33 @@ class TestPipelineCommand:
         assert run_cli("evaluate", *common) == 0
         assert (out / "metrics.json").exists()
 
+    def test_evaluate_rejects_truncated_predictions(self, small_setup, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        out = tmp_path / "ws"
+        common = ("--config", config_path, "--dataset", dataset_path, "--out", out,
+                  "--seed", "5")
+        for command in ("train", "predict", "evaluate"):
+            assert run_cli(command, *common) == 0
+        metrics = (out / "metrics.json").read_bytes()
+        predictions = out / "predictions.jsonl"
+        lines = predictions.read_text().splitlines(keepends=True)
+        predictions.write_text("".join(lines[:-1]))
+        assert run_cli("evaluate", *common) == 1
+        assert "row ids do not match" in caplog.text
+        assert (out / "metrics.json").read_bytes() == metrics
+
+    def test_escaping_id_writes_nothing_outside_the_workspace(self, small_setup):
+        tmp_path, dataset_path, config_path = small_setup
+        rows = dataset_path.read_text().splitlines(keepends=True)
+        escaping = json.loads(rows[0])
+        escaping["id"] = "../escape"
+        dataset_path.write_text(json.dumps(escaping) + "\n" + "".join(rows[1:]))
+        out = tmp_path / "ws"
+        assert run_cli("debate", "--config", config_path, "--dataset", dataset_path,
+                       "--out", out, "--seed", "5") == 0
+        assert not (out / "escape.json").exists()
+        assert len(list((out / "transcripts").iterdir())) == len(rows) - 1
+
     def test_stage_commands_reproduce_pipeline_bytes(self, tmp_path):
         corpus = make_synthetic_corpus(n_train=24, n_val=6, n_test=12, seed=5, task="stance")
         dataset_path = tmp_path / "data.jsonl"

@@ -151,13 +151,16 @@ class TestRoleTable:
 def node_features(table: RoleTable, turns, emb: EmbeddingVector) -> np.ndarray:
     """The node features the model feeds its first GAT layer, for one
     sample whose turns all carry the text embedding ``emb``, under a
-    model holding ``table``'s role parameters."""
+    model holding ``table``'s role parameters. The first layer's weight
+    is set to the identity, so its projection W x is the features x."""
     d_h, d_r = table.projection.shape
-    model = AnalysisModel.create(ModelConfig(d_h=d_h, d_r=d_r, gat_hidden=3, d_p=2, heads=1))
+    model = AnalysisModel.create(ModelConfig(d_h=d_h, d_r=d_r, gat_hidden=2 * d_h, d_p=2,
+                                             heads=1))
     model.role_table.embeddings[...] = table.embeddings
     model.role_table.projection[...] = table.projection
+    model.gat_layers[0].weight[...] = np.eye(2 * d_h)
     sample = make_sample(DebateLog("n", tuple(turns)), [emb] * len(turns), emb)
-    return model.forward([sample])[1]["gat"][0].features[0]
+    return model.forward([sample])[1]["gat"][0].projected[0]
 
 
 class TestBuildNode:

@@ -85,6 +85,19 @@ class TestLoadDataset:
         dataset = load_dataset(path, strict=False)
         assert len(dataset) == 2
 
+    @pytest.mark.parametrize("bad_id", ["../escape", "a/b", "a\\b", "a\0b", ".", "..", ""])
+    def test_id_that_is_no_file_name_rejected(self, tmp_path, caplog, bad_id):
+        path = tmp_path / "ids.jsonl"
+        write_jsonl(path, [
+            {"id": "a", "content": "x", "label": 0},
+            {"id": bad_id, "content": "y", "label": 1},
+        ])
+        with pytest.raises(DatasetError, match="line 2"):
+            load_dataset(path)
+        dataset = load_dataset(path, strict=False)
+        assert [item.id for item in dataset.items] == ["a"]
+        assert "line 2" in caplog.text
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(tmp_path / "nope.jsonl")

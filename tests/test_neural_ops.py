@@ -19,6 +19,7 @@ from veridebate.neural import (
     interact,
     predict_proba,
 )
+from veridebate.neural.adam import BETA1, BETA2, CHUNK, EPS
 from veridebate.neural.gat import GatLayer, elu, gat_forward, leaky_relu
 
 
@@ -261,6 +262,23 @@ class TestAdam:
         delta = params - previous
         assert np.allclose(np.abs(delta), 0.01, rtol=1e-3)
         assert np.all(np.sign(delta) == -np.sign(grad))
+
+    def test_chunked_step_is_bit_identical_to_whole_vector_formula(self):
+        rng = np.random.default_rng(13)
+        size = 2 * CHUNK + 17  # two full chunks and a short tail
+        state = AdamState.create(size, lr=0.01)
+        params = rng.standard_normal(size)
+        m, v, expected = np.zeros(size), np.zeros(size), params.copy()
+        for step in range(1, 6):
+            grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
+            adam_step(params, grads, state)
+            m = BETA1 * m + (1.0 - BETA1) * grads
+            v = BETA2 * v + (1.0 - BETA2) * grads**2
+            denom = np.sqrt(v / (1.0 - BETA2**step)) + EPS
+            expected = expected - (m / (1.0 - BETA1**step)) * state.lr / denom
+        assert np.array_equal(params, expected)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
 
     def test_non_finite_rejected(self):
         state = AdamState.create(1, lr=0.1)

@@ -29,6 +29,7 @@ from .evaluation import (
     write_metrics_json,
     write_predictions_jsonl,
 )
+from .files import atomic_write
 from .neural import load_model
 from .neural.attention import INTERACTION_MODES
 from .pipeline import Pipeline, StageError
@@ -164,11 +165,8 @@ def cmd_ablate(config: PipelineConfig, args: argparse.Namespace) -> int:
     names = tuple(t.strip() for t in args.toggles.split(",") if t.strip())
     table = run_ablation(names, pipeline, dataset)
     out = pipeline.workspace / "ablation.json"
-    out.write_text(
-        json.dumps({k: v.to_dict() for k, v in table.items()}, sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    atomic_write(out, json.dumps({k: v.to_dict() for k, v in table.items()},
+                                 sort_keys=True, indent=2) + "\n")
     print(format_ablation_table(table))
     print(f"ablate: table -> {out}")
     return 0

@@ -66,6 +66,9 @@ class PipelineConfig:
             raise ValueError(f"provider must be 'hash' or 'remote', got {self.provider!r}")
         if self.language not in ("en", "cn"):
             raise ValueError("language must be 'en' or 'cn'")
+        if not self.lr > 0:
+            # A run would save an untrained checkpoint.
+            raise ValueError(f"lr must be positive, got {self.lr}")
         self.debate_config()
         self.model_config()
         self.train_config()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import LABEL_FAKE, LABEL_NAMES, LABEL_REAL, NewsItem, label_to_int
+from .files import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -210,17 +211,13 @@ def compute_metrics(predictions, labels) -> MetricsReport:
 
 def write_predictions_jsonl(path: str | Path, rows: list[dict]) -> None:
     """Persist per-item predictions as {id, label, prediction, p_fake}."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    atomic_write(path, [json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+                        for row in rows])
 
 
 def write_metrics_json(path: str | Path, metrics: MetricsReport) -> None:
     """Persist a metrics report as key-sorted, indented JSON."""
-    Path(path).write_text(json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    atomic_write(path, json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -30,6 +30,13 @@ class AdamState:
         return cls(lr=lr, m=np.zeros(num_params), v=np.zeros(num_params))
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether no entry is NaN or infinite, with no array-sized
+    temporary: min and max are NaN if any entry is, else infinite if
+    any entry is."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One update of the float64 vector ``params``, in place; the moments
     are updated in place and the step count incremented. Runs chunk by
@@ -38,7 +45,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     formula, so the result is bit-identical to it."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads, and optimizer state must share one shape")
-    if not np.all(np.isfinite(grads)):
+    if not all_finite(grads):
         raise ValueError("adam_step requires finite grads")
 
     state.step += 1

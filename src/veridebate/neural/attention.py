@@ -20,7 +20,10 @@ pre-projection aggregate Z with node_map = W_last, instead of its
 node_dim-wide output Z W_lastᵀ; the single-graph ``interact`` passes
 its features with the identity. The interaction forms graph_proj @
 node_map once and applies it to the features and to their pool. The
-backward pass returns the gradients of both factors.
+backward pass writes each projection's gradient, graph_proj's
+included, into the array it is handed, and returns the gradient of
+the small product graph_proj @ node_map; the caller forms node_map's
+from it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ import numpy as np
 from .gat import softmax, softmax_backward
 
 INTERACTION_MODES = ("pooled", "nodes")
+# The trainable projections, in parameter-buffer order.
+PROJECTIONS = ("graph_proj", "news_proj", "query", "key", "value", "out")
 
 
 @dataclass
@@ -46,7 +51,7 @@ class InteractionHead:
     heads: int
 
     def __post_init__(self):
-        for name in ("graph_proj", "news_proj", "query", "key", "value", "out"):
+        for name in PROJECTIONS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         d_p = self.graph_proj.shape[0]
         for name in ("query", "key", "value", "out"):
@@ -172,13 +177,16 @@ def interact(news_emb, node_feats, pooled, head: InteractionHead, mode: str = "n
     return fused[0]
 
 
-def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.ndarray):
-    """Backward pass of interact_cached, summed over the batch.
+def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.ndarray,
+                      grads: dict[str, np.ndarray]):
+    """Backward pass of interact_cached, summed over the batch. The
+    gradient of each projection in ``PROJECTIONS`` is written into
+    ``grads[name]``, each by one product.
 
-    Returns (d_node_feats, d_pooled, d_node_map, grads): the first three
-    are w.r.t. the inputs as passed, d_node_feats is None in pooled mode
-    (node features are not consumed there), and grads maps the
-    projection names to their gradients.
+    Returns (d_node_feats, d_pooled, d_graph_map), w.r.t. the inputs as
+    passed and the product graph_proj @ node_map: d_node_feats is None
+    in pooled mode (node features are not consumed there). node_map's
+    gradient is graph_projᵀ d_graph_map, which the caller forms.
     """
     d_p = head.d_p
     batch, m = cache.kv.shape[:2]
@@ -186,7 +194,7 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
 
     d_g_proj = d_fused[:, :d_p]
     d_context = d_fused[:, d_p:]
-    d_out = d_context.T @ cache.concat
+    np.matmul(d_context.T, cache.concat, out=grads["out"])
     d_per_head = (d_context @ head.out).reshape(batch, head.heads, 1, head.head_dim)
 
     d_values = cache.weights[..., None] * d_per_head
@@ -196,17 +204,19 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
     d_keys = d_scores[..., None] * cache.queries[:, :, None, :]
 
     d_q_full = d_queries.reshape(batch, d_p)
-    d_query = d_q_full.T @ cache.e_proj
+    np.matmul(d_q_full.T, cache.e_proj, out=grads["query"])
     d_e_proj = d_q_full @ head.query
-    d_news_proj = d_e_proj.T @ cache.news_emb
+    np.matmul(d_e_proj.T, cache.news_emb, out=grads["news_proj"])
 
     # (B, heads, m, head_dim) -> (B * m, d_p), the row layout of kv.
     d_key_flat = d_keys.transpose(0, 2, 1, 3).reshape(batch * m, d_p)
     d_value_flat = d_values.transpose(0, 2, 1, 3).reshape(batch * m, d_p)
     kv_flat = cache.kv.reshape(batch * m, d_p)
-    d_key_w = d_key_flat.T @ kv_flat
-    d_value_w = d_value_flat.T @ kv_flat
-    d_kv = (d_key_flat @ head.key + d_value_flat @ head.value).reshape(batch, m, d_p)
+    np.matmul(d_key_flat.T, kv_flat, out=grads["key"])
+    np.matmul(d_value_flat.T, kv_flat, out=grads["value"])
+    d_kv = d_key_flat @ head.key
+    d_kv += d_value_flat @ head.value
+    d_kv = d_kv.reshape(batch, m, d_p)
 
     graph_map = cache.graph_map
     if cache.mode == "pooled":
@@ -215,17 +225,8 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
         d_node_feats = None
     else:
         width = graph_map.shape[1]
-        d_graph_map = (d_g_proj.T @ cache.pooled
-                       + d_kv.reshape(-1, d_p).T @ cache.node_feats.reshape(-1, width))
+        d_graph_map = d_g_proj.T @ cache.pooled
+        d_graph_map += d_kv.reshape(-1, d_p).T @ cache.node_feats.reshape(-1, width)
         d_node_feats = d_kv @ graph_map
-    d_pooled = d_g_proj @ graph_map
-
-    grads = {
-        "graph_proj": d_graph_map @ cache.node_map.T,
-        "news_proj": d_news_proj,
-        "query": d_query,
-        "key": d_key_w,
-        "value": d_value_w,
-        "out": d_out,
-    }
-    return d_node_feats, d_pooled, head.graph_proj.T @ d_graph_map, grads
+    np.matmul(d_graph_map, cache.node_map.T, out=grads["graph_proj"])
+    return d_node_feats, d_g_proj @ graph_map, d_graph_map

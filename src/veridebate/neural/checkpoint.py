@@ -7,12 +7,18 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
+
+from ..files import atomic_write
+from .adam import all_finite
 from .model import AnalysisModel, ModelConfig
 
 FORMAT_NAME = "veridebate-checkpoint"
 
 
 def save_model(path: str | Path, model: AnalysisModel) -> None:
+    """Write the checkpoint atomically; the payload is ``model.flat``
+    itself (no copy on a little-endian machine)."""
     header = {
         "format": FORMAT_NAME,
         "version": 1,
@@ -20,30 +26,35 @@ def save_model(path: str | Path, model: AnalysisModel) -> None:
         "labels": {"real": 0, "fake": 1},
         "param_count": model.num_params,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = model.parameter_vector().astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload)
+    atomic_write(path, [json.dumps(header, sort_keys=True) + "\n",
+                        model.flat.astype("<f8", copy=False)])
 
 
 def load_model(path: str | Path) -> AnalysisModel:
-    import numpy as np
-
+    """Read a checkpoint, checking its header, payload size, parameter
+    count and finiteness; any defect is a ValueError that names the
+    file."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != FORMAT_NAME:
-        raise ValueError(f"{path} is not a {FORMAT_NAME} file")
-    config = ModelConfig(**{f.name: header[f.name] for f in dataclasses.fields(ModelConfig)})
-    model = AnalysisModel.create(config)
-    vector = np.frombuffer(payload, dtype="<f8")
-    if vector.size != header["param_count"] or vector.size != model.num_params:
-        raise ValueError(
-            f"checkpoint holds {vector.size} parameters, expected {model.num_params}"
-        )
-    model.set_parameter_vector(vector.astype(np.float64))
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+            raise ValueError(f"not a {FORMAT_NAME} file")
+        config = ModelConfig(**{f.name: header[f.name]
+                                for f in dataclasses.fields(ModelConfig)})
+        model = AnalysisModel.create(config)
+        if len(payload) % 8:
+            raise ValueError(f"payload of {len(payload)} bytes is not a whole number "
+                             "of float64 values")
+        vector = np.frombuffer(payload, dtype="<f8")
+        if vector.size != header["param_count"] or vector.size != model.num_params:
+            raise ValueError(f"holds {vector.size} parameters, header says "
+                             f"{header['param_count']}, model has {model.num_params}")
+        if not all_finite(vector):
+            raise ValueError("holds non-finite parameters")
+    except (ValueError, KeyError, TypeError) as exc:
+        detail = f"missing header field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: bad checkpoint: {detail}") from exc
+    model.set_parameter_vector(vector)
     return model

@@ -20,6 +20,10 @@ h_j . (Wᵀ a_dst) without projecting. An identity layer's output
 in_dim-wide ``alpha @ H`` and leaves W to the caller, which folds it
 into the linear map that follows. The caller passes the weight to
 apply: the model's first layer uses an equivalent narrower one.
+
+The backward pass writes the weight and attention gradients into the
+arrays it is handed (views into the model's gradient buffer), each by
+one product.
 """
 
 from __future__ import annotations
@@ -118,15 +122,25 @@ def gat_forward_cached(layer: GatLayer, features: np.ndarray, adjacency: np.ndar
 
 
 def gat_backward(layer: GatLayer, cache: GatCache, d_output: np.ndarray,
-                 input_grad: bool = True):
-    """Gradients of a scalar loss w.r.t. the layer inputs (None unless
-    ``input_grad``), the applied weight and the attention vector, summed
-    over the batch, given the gradient w.r.t. what the forward pass
-    returned. For an identity layer that is Z, so ``d_weight`` holds
-    only the score path; the caller adds the term of the map it applied."""
+                 d_weight: np.ndarray, d_attn: np.ndarray, input_grad: bool = True,
+                 map_grad: tuple[np.ndarray, np.ndarray] | None = None):
+    """Gradients of a scalar loss, summed over the batch, given the
+    gradient w.r.t. what the forward pass returned. The gradients of the
+    applied weight and of the attention vector are written into
+    ``d_weight`` and ``d_attn``, each by one product; the gradient
+    w.r.t. the layer inputs is returned (None unless ``input_grad``).
+
+    A hidden layer's projection P = X Wᵀ feeds both the aggregate and
+    the scores, so with G = dP, score path included, dW = Gᵀ X and dX =
+    G W. An identity layer returned Z, and the caller applied a map C to
+    Z Wᵀ: W gets the score terms aᵀ x (x = d_scores X) plus Cᵀ dM, with
+    dM the gradient of M = C W. For such a layer the caller passes
+    ``map_grad = (S, dM)`` with S = [a_src ; a_dst ; C] stacked by rows,
+    and dW = Sᵀ [x ; dM] is one product."""
     features, weight, alpha = cache.features, cache.weight, cache.alpha
     out_dim = layer.out_dim
     flat_features = features.reshape(-1, features.shape[-1])
+    pair = layer.attn.reshape(2, out_dim)
 
     identity = cache.projected is None
     if identity:
@@ -134,24 +148,28 @@ def gat_backward(layer: GatLayer, cache: GatCache, d_output: np.ndarray,
     else:
         d_agg = d_output * np.exp(np.minimum(cache.aggregated, 0.0))  # 1 where positive
         d_alpha = d_agg @ cache.projected.transpose(0, 2, 1)
-        d_proj = alpha.transpose(0, 2, 1) @ d_agg
     d_pre = softmax_backward(alpha, d_alpha) * np.where(cache.logits_pre > 0, 1.0, LEAKY_SLOPE)
     # (2, B * n): how the loss moves with each node's source and neighbor score.
     d_scores = np.stack([d_pre.sum(axis=2), d_pre.sum(axis=1)]).reshape(2, -1)
 
-    # The scores are features @ (Wᵀ a), so W gets the rank-one terms
-    # a_src ⊗ x_src + a_dst ⊗ x_dst.
-    x = d_scores @ flat_features  # (2, in_dim)
-    pair = layer.attn.reshape(2, out_dim)
-    d_weight = pair.T @ x
-    if not identity:
-        d_weight += d_proj.reshape(-1, out_dim).T @ flat_features
-    d_attn = (x @ weight.T).reshape(-1)
+    if identity:
+        x = d_scores @ flat_features  # (2, in_dim)
+        stacked, d_map = map_grad
+        np.matmul(stacked.T, np.concatenate([x, d_map]), out=d_weight)
+        np.matmul(x, weight.T, out=d_attn.reshape(2, out_dim))
+        if not input_grad:
+            return None
+        d_features = alpha.transpose(0, 2, 1) @ d_output
+        d_features += (d_scores.T @ (pair @ weight)).reshape(features.shape)
+        return d_features
+    # The scores are P a, so P gets d_scores ⊗ a beside its aggregate term.
+    d_proj = (alpha.transpose(0, 2, 1) @ d_agg).reshape(-1, out_dim)
+    d_proj += d_scores.T @ pair
+    np.matmul(d_proj.T, flat_features, out=d_weight)
+    np.matmul(d_scores, cache.projected.reshape(-1, out_dim), out=d_attn.reshape(2, out_dim))
     if not input_grad:
-        return None, d_weight, d_attn
-    d_features = alpha.transpose(0, 2, 1) @ d_output if identity else d_proj @ weight
-    d_features += (d_scores.T @ (pair @ weight)).reshape(features.shape)
-    return d_features, d_weight, d_attn
+        return None
+    return (d_proj @ weight).reshape(features.shape)
 
 
 def gat_forward(layer: GatLayer, features: np.ndarray, adjacency: np.ndarray,

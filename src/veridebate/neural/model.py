@@ -24,6 +24,15 @@ map, so the maps are multiplied together first:
 
 The backward pass takes the same route, and the gradients of W_0, the
 role table, W_last and graph_proj come from those of the products.
+
+The gradient is one flat vector aligned with the parameters, and the
+caller may pass it in (``out``): training fills one buffer at every
+step. Each block is written in place by the product that computes it
+(``np.matmul(..., out=view)``), so a step allocates, copies and frees
+no parameter-block-sized array. W_last's gradient, the attention score
+term plus graph_projᵀ dM (M = graph_proj @ W_last), is one product:
+W_last's attention vector and graph_proj are neighbouring parameter
+blocks, so their stack [a_src ; a_dst ; graph_proj] is a view.
 """
 
 from __future__ import annotations
@@ -36,7 +45,14 @@ import numpy as np
 from ..domain import DebateLog
 from ..encoding import ROLE_PAIR_INDEX, EmbeddingVector, RoleTable
 from ..graph import adjacency_mask, edges_for_log
-from .attention import INTERACTION_MODES, InteractionHead, interact_backward, interact_cached
+from .adam import all_finite
+from .attention import (
+    INTERACTION_MODES,
+    PROJECTIONS,
+    InteractionHead,
+    interact_backward,
+    interact_cached,
+)
 from .gat import GatLayer, gat_backward, gat_forward_cached, softmax
 
 LOG_CLAMP = 1e-12
@@ -220,8 +236,7 @@ class AnalysisModel:
                   ("role_projection", role_table, "projection")]
         owners += [(f"gat{l}.{attr}", layer, attr)
                    for l, layer in enumerate(gat_layers) for attr in ("weight", "attn")]
-        owners += [(f"interaction.{attr}", interaction, attr)
-                   for attr in ("graph_proj", "news_proj", "query", "key", "value", "out")]
+        owners += [(f"interaction.{attr}", interaction, attr) for attr in PROJECTIONS]
         owners += [(f"classifier.{attr}", classifier, attr) for attr in ("weight", "bias")]
 
         # Move every block into one buffer and leave a view in its place.
@@ -234,6 +249,14 @@ class AnalysisModel:
             setattr(owner, attr, self.flat[sl].reshape(shape))
             self._blocks.append((name, sl, shape))
             offset = sl.stop
+        # The last GAT layer's attention vector and graph_proj are
+        # neighbouring blocks, so [a_src ; a_dst ; graph_proj] is one
+        # (2 + d_p, node_dim) view: the left factor of that layer's
+        # weight gradient (see gat_backward).
+        slices = dict(self.block_slices())
+        self._score_and_graph_proj = self.flat[
+            slices[f"gat{len(gat_layers) - 1}.attn"].start:slices["interaction.graph_proj"].stop
+        ].reshape(-1, interaction.graph_proj.shape[1])
 
     @classmethod
     def create(cls, config: ModelConfig) -> "AnalysisModel":
@@ -259,8 +282,12 @@ class AnalysisModel:
     def num_params(self) -> int:
         return self.flat.size
 
-    def parameter_vector(self) -> np.ndarray:
-        return self.flat.copy()
+    def parameter_vector(self, out: np.ndarray | None = None) -> np.ndarray:
+        """A copy of the parameters: a new vector, or ``out`` filled."""
+        if out is None:
+            return self.flat.copy()
+        np.copyto(out, self.flat)
+        return out
 
     def set_parameter_vector(self, vector: np.ndarray) -> None:
         vector = np.asarray(vector, dtype=np.float64)
@@ -302,51 +329,65 @@ class AnalysisModel:
         return probs, {"batch": batch, "table": table, "gat": gat_caches,
                        "attention": att_cache, "fused": fused, "probs": probs}
 
-    def gradient(self, cache: dict, labels: np.ndarray) -> np.ndarray:
+    def gradient(self, cache: dict, labels: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the mean cross-entropy of a forward batch, as one
-        flat vector aligned with ``parameter_vector``."""
-        flat = np.empty(self.num_params)
-        grads = {name: flat[sl].reshape(shape) for name, sl, shape in self._blocks}
+        flat vector aligned with ``parameter_vector``: a new one, or
+        ``out`` filled. Each block is written in place by the product
+        that computes it."""
+        if out is None:
+            out = np.empty(self.num_params)
+        elif out.shape != self.flat.shape or out.dtype != np.float64 \
+                or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous float64 vector of {self.num_params}")
+        grads = {name: out[sl].reshape(shape) for name, sl, shape in self._blocks}
         batch: Batch = cache["batch"]
         d_logits = cache["probs"].copy()
         d_logits[np.arange(len(labels)), labels] -= 1.0
         d_logits /= len(labels)
 
-        grads["classifier.weight"][...] = d_logits.T @ cache["fused"]
-        grads["classifier.bias"][...] = d_logits.sum(axis=0)
+        np.matmul(d_logits.T, cache["fused"], out=grads["classifier.weight"])
+        np.sum(d_logits, axis=0, out=grads["classifier.bias"])
         d_fused = d_logits @ self.classifier.weight
 
-        d_nodes_att, d_pooled, d_node_map, att_grads = interact_backward(
-            self.interaction, cache["attention"], d_fused
+        d_activations, d_pooled, d_graph_map = interact_backward(
+            self.interaction, cache["attention"], d_fused,
+            {name: grads[f"interaction.{name}"] for name in PROJECTIONS},
         )
-        for name, grad in att_grads.items():
-            grads[f"interaction.{name}"][...] = grad
-
         counts = batch.mask.sum(axis=1)
-        d_activations = batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
-        if d_nodes_att is not None:
-            d_activations = d_activations + d_nodes_att
+        d_mean = batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
+        if d_activations is None:
+            d_activations = d_mean
+        else:
+            d_activations += d_mean
+
+        # Layer 0 applied [W_e | W_r tableᵀ], width d_h + roles; its
+        # gradient goes to the leading columns of W_0's block when they
+        # fit, and the role columns are then mapped back below.
+        d_h, table = self.config.d_h, cache["table"]
+        d_w0 = grads["gat0.weight"]
+        width = d_h + table.shape[0]
+        fits = width <= d_w0.shape[1]
+        d_applied = d_w0[:, :width] if fits else np.empty((len(d_w0), width))
 
         last = len(self.gat_layers) - 1
         for l in range(last, -1, -1):
-            d_activations, d_weight, d_attn = gat_backward(
-                self.gat_layers[l], cache["gat"][l], d_activations, input_grad=l > 0
+            d_activations = gat_backward(
+                self.gat_layers[l], cache["gat"][l], d_activations,
+                d_applied if l == 0 else grads[f"gat{l}.weight"], grads[f"gat{l}.attn"],
+                input_grad=l > 0,
+                map_grad=(self._score_and_graph_proj, d_graph_map) if l == last else None,
             )
-            if l == last:
-                d_weight += d_node_map
-            if l > 0:
-                grads[f"gat{l}.weight"][...] = d_weight
-            grads[f"gat{l}.attn"][...] = d_attn
 
         # Back from [W_e | W_r tableᵀ] to W_0 and the role table.
-        d_h, table = self.config.d_h, cache["table"]
-        d_roles = d_weight[:, d_h:]
-        grads["gat0.weight"][:, :d_h] = d_weight[:, :d_h]
-        grads["gat0.weight"][:, d_h:] = d_roles @ table
+        d_roles = d_applied[:, d_h:].copy()
+        if not fits:
+            d_w0[:, :d_h] = d_applied[:, :d_h]
+        np.matmul(d_roles, table, out=d_w0[:, d_h:])
         d_table = d_roles.T @ self.gat_layers[0].weight[:, d_h:]
-        grads["role_embeddings"][...] = d_table @ self.role_table.projection
-        grads["role_projection"][...] = d_table.T @ self.role_table.embeddings
-        return flat
+        np.matmul(d_table, self.role_table.projection, out=grads["role_embeddings"])
+        np.matmul(d_table.T, self.role_table.embeddings, out=grads["role_projection"])
+        return out
 
 
 def batch_loss(model: AnalysisModel, batch: list[Sample]) -> float:
@@ -362,11 +403,14 @@ def backward(model: AnalysisModel, batch: list[Sample]) -> np.ndarray:
     return loss_and_grad(model, batch)[1]
 
 
-def loss_and_grad(model: AnalysisModel, batch: list[Sample]) -> tuple[float, np.ndarray]:
+def loss_and_grad(model: AnalysisModel, batch: list[Sample],
+                  out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean batch loss and its gradient: a new vector, or ``out``
+    filled and returned."""
     labels = _labels(batch)
     probs, cache = model.forward(batch)
-    grad = model.gradient(cache, labels)
-    if not np.all(np.isfinite(grad)):
-        bad = [name for name, sl in model.block_slices() if not np.all(np.isfinite(grad[sl]))]
+    grad = model.gradient(cache, labels, out)
+    if not all_finite(grad):
+        bad = [name for name, sl in model.block_slices() if not all_finite(grad[sl])]
         raise NumericalFault(f"non-finite gradient in parameter blocks: {bad}")
     return cross_entropy(probs, labels), grad

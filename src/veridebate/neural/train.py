@@ -3,6 +3,7 @@ and best-validation checkpointing."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,15 @@ class TrainConfig:
     # Parameter blocks whose gradients are zeroed before each update
     # (e.g. to freeze a zeroed role table for an ablation).
     freeze_blocks: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # lr = 0 is a well-defined no-op update; PipelineConfig refuses it.
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass
@@ -72,11 +82,14 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
         for name in config.freeze_blocks:
             frozen_mask[slices[name]] = 0.0
 
+    # One gradient buffer serves every step, and one snapshot buffer
+    # holds the best epoch's parameters.
+    grad = np.empty(model.num_params)
+    best_params = np.empty(model.num_params) if val_samples else None
     loss_history: list[float] = []
     val_history: list[float] = []
     best_epoch: int | None = None
     best_acc = -1.0
-    best_params: np.ndarray | None = None
 
     n = len(train_samples)
     for epoch in range(config.epochs):
@@ -84,10 +97,10 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = [train_samples[i] for i in order[start : start + config.batch_size]]
-            loss, grad = loss_and_grad(model, batch)
+            loss, _ = loss_and_grad(model, batch, out=grad)
             total += loss * len(batch)
             if frozen_mask is not None:
-                grad = grad * frozen_mask
+                grad *= frozen_mask
             adam_step(model.flat, grad, state)
         loss_history.append(total / n)
 
@@ -97,8 +110,8 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
             if acc > best_acc:
                 best_acc = acc
                 best_epoch = epoch
-                best_params = model.parameter_vector()
+                model.parameter_vector(out=best_params)
 
-    if best_params is not None:
+    if best_epoch is not None:
         model.set_parameter_vector(best_params)
     return TrainResult(loss_history, val_history, best_epoch)

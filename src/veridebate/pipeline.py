@@ -27,6 +27,7 @@ from .evaluation import (
     write_metrics_json,
     write_predictions_jsonl,
 )
+from .files import atomic_write
 from .gateway import Gateway, MockBackend, RateLimiter, RemoteBackend, RetryPolicy
 from .neural import (
     AnalysisModel,
@@ -326,8 +327,7 @@ class Pipeline:
                 }
                 for row in rows
             ]
-            with open(self.workspace / "explanations.jsonl", "w", encoding="utf-8") as fh:
-                for entry in explanations:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            atomic_write(self.workspace / "explanations.jsonl",
+                         [json.dumps(entry, sort_keys=True) + "\n" for entry in explanations])
             write_metrics_json(self.workspace / "metrics.json", metrics)
         return metrics

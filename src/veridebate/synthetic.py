@@ -32,6 +32,7 @@ from .domain import (
 )
 from .engine import log_to_json
 from .evaluation import Dataset
+from .files import atomic_write
 
 # stance/role/stage/targets of the default eight-slot protocol.
 DEFAULT_TURN_SPECS = (
@@ -168,9 +169,5 @@ def make_synthetic_corpus(n_train: int = 500, n_test: int = 200, n_val: int = 0,
 def write_transcripts(corpus: SyntheticCorpus, transcripts_dir: str | Path) -> None:
     """Persist the corpus logs in the standard transcript layout so a
     pipeline run picks them up instead of generating debates."""
-    transcripts_dir = Path(transcripts_dir)
-    transcripts_dir.mkdir(parents=True, exist_ok=True)
     for news_id, log in corpus.logs.items():
-        (transcripts_dir / f"{news_id}.json").write_text(
-            log_to_json(log), encoding="utf-8"
-        )
+        atomic_write(Path(transcripts_dir) / f"{news_id}.json", log_to_json(log))

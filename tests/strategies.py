@@ -85,7 +85,7 @@ def _kink_clearance(model: AnalysisModel, batch: list[Sample]) -> float:
 
 def make_gradcheck_case(seed: int, mode: str = "nodes", layers: int = 2,
                         heads: int = 1, batch_size: int = 2,
-                        min_clearance: float = 3e-3):
+                        min_clearance: float = 3e-3, d_h: int = 4):
     """A random tiny model plus batch suitable for finite-difference
     checking at step 1e-4.
 
@@ -97,12 +97,12 @@ def make_gradcheck_case(seed: int, mode: str = "nodes", layers: int = 2,
     rng = np.random.default_rng(seed)
     while True:
         config = ModelConfig(
-            d_h=4, d_r=2, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
+            d_h=d_h, d_r=2, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
             interaction_mode=mode, seed=int(rng.integers(0, 2**31)),
         )
         model = AnalysisModel.create(config)
         batch = [
-            random_graph_sample(rng, int(rng.integers(3, 9)), 4)
+            random_graph_sample(rng, int(rng.integers(3, 9)), d_h)
             for _ in range(batch_size)
         ]
         if _kink_clearance(model, batch) >= min_clearance:

@@ -36,9 +36,12 @@ def small_setup(tmp_path):
     return tmp_path, dataset_path, config_path
 
 
-# Values only a stage config rejects: the engine's max_tokens and the
-# model's heads, which must divide d_p = 128.
-BAD_STAGE_CONFIGS = ("[debate]\nmax_tokens = 0\n", "[model]\nheads = 3\n")
+# Values only a stage config rejects: the engine's max_tokens, the
+# model's heads, which must divide d_p = 128, and the training settings.
+BAD_STAGE_CONFIGS = ("[debate]\nmax_tokens = 0\n", "[model]\nheads = 3\n",
+                     "[model]\nlr = nan\n", "[model]\nlr = 0\n",
+                     "[model]\nepochs = 0\n", "[model]\nbatch_size = 0\n")
+BAD_STAGE_IDS = ("max_tokens", "heads", "lr_nan", "lr_zero", "epochs", "batch_size")
 
 
 def run_cli(*args) -> int:
@@ -84,14 +87,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(backend="quantum")
 
-    @pytest.mark.parametrize("body", BAD_STAGE_CONFIGS, ids=("max_tokens", "heads"))
+    @pytest.mark.parametrize("body", BAD_STAGE_CONFIGS, ids=BAD_STAGE_IDS)
     def test_bad_stage_value_rejected_at_load(self, tmp_path, body):
         path = tmp_path / "bad.ini"
         path.write_text(body)
         with pytest.raises(ValueError):
             load_config(path)
 
-    @pytest.mark.parametrize("body", BAD_STAGE_CONFIGS, ids=("max_tokens", "heads"))
+    @pytest.mark.parametrize("body", BAD_STAGE_CONFIGS, ids=BAD_STAGE_IDS)
     def test_bad_stage_value_stops_cli_before_any_stage(self, small_setup, body,
                                                           monkeypatch):
         tmp_path, dataset_path, _ = small_setup
@@ -288,6 +291,19 @@ class TestPipelineCommand:
         for name in ("metrics.json", "predictions.jsonl", "checkpoints/model.bin"):
             staged = (tmp_path / "stages" / name).read_bytes()
             assert staged == (tmp_path / "whole" / name).read_bytes(), name
+
+    def test_predict_rejects_non_finite_checkpoint(self, small_setup, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        out = tmp_path / "ws"
+        common = ("--config", config_path, "--dataset", dataset_path, "--out", out,
+                  "--seed", "5")
+        assert run_cli("train", *common) == 0
+        checkpoint = out / "checkpoints" / "model.bin"
+        header, payload = checkpoint.read_bytes().split(b"\n", 1)
+        checkpoint.write_bytes(header + b"\n" + b"\xff" * 8 + payload[8:])  # a NaN
+        assert run_cli("predict", *common) == 1
+        assert str(checkpoint) in caplog.text
+        assert not (out / "predictions.jsonl").exists()
 
     def test_predict_without_checkpoint_exits(self, small_setup):
         tmp_path, dataset_path, config_path = small_setup

@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -127,8 +131,6 @@ class TestCheckpoints:
                               predict_proba(loaded, samples))
 
     def test_header_records_label_convention(self, tmp_path):
-        import json
-
         model = AnalysisModel.create(small_config())
         path = tmp_path / "model.bin"
         save_model(path, model)
@@ -141,3 +143,41 @@ class TestCheckpoints:
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ValueError):
             load_model(path)
+
+
+def _drop_d_h(header: bytes, payload: bytes) -> bytes:
+    fields = json.loads(header)
+    del fields["d_h"]
+    return json.dumps(fields).encode() + b"\n" + payload
+
+
+def _nan_first(header: bytes, payload: bytes) -> bytes:
+    return header + b"\n" + np.float64(np.nan).astype("<f8").tobytes() + payload[8:]
+
+
+# Each damages a valid checkpoint, given as its header line and payload.
+CHECKPOINT_FAULTS = {
+    "header_not_json": lambda header, payload: b"{not json\n" + payload,
+    "header_lacks_field": _drop_d_h,
+    "payload_not_whole_floats": lambda header, payload: header + b"\n" + payload[:-3],
+    "wrong_parameter_count": lambda header, payload: header + b"\n" + payload[:-8],
+    "non_finite_parameter": _nan_first,
+}
+
+
+@pytest.mark.parametrize("fault", CHECKPOINT_FAULTS)
+def test_damaged_checkpoint_rejected_with_its_name(tmp_path, fault):
+    path = tmp_path / "model.bin"
+    save_model(path, AnalysisModel.create(small_config()))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(CHECKPOINT_FAULTS[fault](header, payload))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_model(path)
+
+
+@pytest.mark.parametrize("values", [dict(lr=math.nan), dict(lr=math.inf), dict(lr=-1e-3),
+                                    dict(epochs=0), dict(batch_size=0)],
+                         ids=("lr_nan", "lr_inf", "lr_negative", "epochs", "batch_size"))
+def test_bad_train_config_rejected(values):
+    with pytest.raises(ValueError):
+        TrainConfig(**values)

@@ -116,7 +116,7 @@ def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
     checkpoint = pipeline.workspace / "checkpoints" / "model.bin"
     if not checkpoint.exists():
         raise SystemExit(f"no checkpoint at {checkpoint}; run `veridebate train` first")
-    model = load_model(checkpoint)
+    model = load_model(checkpoint, pipeline.embedder.provider_id)
     rows = pipeline.predict_rows(model, dataset, pipeline.encode(dataset))
     out = pipeline.workspace / "predictions.jsonl"
     write_predictions_jsonl(out, rows)

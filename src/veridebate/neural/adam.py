@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,8 +10,8 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-# Elements per pass: params, grads, m, v and the two scratch rows of one
-# chunk (6 x 256 KiB) stay in a core's L2 cache.
+# Elements per pass: params, grads, m, v and the scratch row of one chunk
+# (5 x 256 KiB) stay in a core's L2 cache.
 CHUNK = 32768
 
 
@@ -23,7 +24,7 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.empty((2, min(CHUNK, self.m.size)))
+        self.scratch = np.empty(min(CHUNK, self.m.size))
 
     @classmethod
     def create(cls, num_params: int, lr: float) -> "AdamState":
@@ -39,33 +40,39 @@ def all_finite(values: np.ndarray) -> bool:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One update of the float64 vector ``params``, in place; the moments
-    are updated in place and the step count incremented. Runs chunk by
-    chunk through ``state.scratch`` with no temporaries; every element
-    sees the same operations in the same order as the whole-vector
-    formula, so the result is bit-identical to it."""
+    are updated in place and the step count incremented.
+
+    Uses the efficient order of Kingma & Ba (arXiv:1412.6980, section
+    2): the bias corrections fold into the step size, α_t = lr *
+    sqrt(1 - β2^t) / (1 - β1^t), and the epsilon, ε̂ = ε * sqrt(1 -
+    β2^t), so ``params -= m / (sqrt(v) + ε̂) * α_t``. That is the
+    textbook bias-corrected update, exactly in real arithmetic, with
+    one division and one square root per element. Runs chunk by chunk
+    through ``state.scratch`` with no temporaries; every element sees
+    the same operations in the same order as that whole-vector formula,
+    so the result is bit-identical to it."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads, and optimizer state must share one shape")
     if not all_finite(grads):
         raise ValueError("adam_step requires finite grads")
 
     state.step += 1
-    m_scale = 1.0 - BETA1**state.step
-    v_scale = 1.0 - BETA2**state.step
+    root = math.sqrt(1.0 - BETA2**state.step)
+    alpha = state.lr * root / (1.0 - BETA1**state.step)
+    eps_hat = EPS * root
     for start in range(0, params.size, CHUNK):
         sl = slice(start, start + CHUNK)
         g, m, v = grads[sl], state.m[sl], state.v[sl]
-        buf, update = state.scratch[:, : g.size]
+        buf = state.scratch[: g.size]
         m *= BETA1
         m += np.multiply(1.0 - BETA1, g, out=buf)
         np.square(g, out=buf)
         buf *= 1.0 - BETA2
         v *= BETA2
         v += buf
-        # buf is reused for the denominator sqrt(v_hat) + eps
-        np.divide(v, v_scale, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += EPS
-        np.divide(m, m_scale, out=update)
-        update *= state.lr
-        update /= buf
-        params[sl] -= update
+        # buf is reused for the step m / (sqrt(v) + eps_hat) * alpha
+        np.sqrt(v, out=buf)
+        buf += eps_hat
+        np.divide(m, buf, out=buf)
+        buf *= alpha
+        params[sl] -= buf

@@ -1,5 +1,6 @@
-"""Model checkpoints: one JSON header line (dims, seed, label convention)
-followed by the flat parameter vector as little-endian float64."""
+"""Model checkpoints: one JSON header line (dims, seed, label convention,
+the embedder's provider id) followed by the flat parameter vector as
+little-endian float64."""
 
 from __future__ import annotations
 
@@ -16,24 +17,26 @@ from .model import AnalysisModel, ModelConfig
 FORMAT_NAME = "veridebate-checkpoint"
 
 
-def save_model(path: str | Path, model: AnalysisModel) -> None:
-    """Write the checkpoint atomically; the payload is ``model.flat``
-    itself (no copy on a little-endian machine)."""
+def save_model(path: str | Path, model: AnalysisModel, provider_id: str) -> None:
+    """Write the checkpoint of a model trained on ``provider_id``'s
+    embeddings atomically; the payload is ``model.flat`` itself (no copy
+    on a little-endian machine)."""
     header = {
         "format": FORMAT_NAME,
         "version": 1,
         **dataclasses.asdict(model.config),
         "labels": {"real": 0, "fake": 1},
         "param_count": model.num_params,
+        "provider_id": provider_id,
     }
     atomic_write(path, [json.dumps(header, sort_keys=True) + "\n",
                         model.flat.astype("<f8", copy=False)])
 
 
-def load_model(path: str | Path) -> AnalysisModel:
-    """Read a checkpoint, checking its header, payload size, parameter
-    count and finiteness; any defect is a ValueError that names the
-    file."""
+def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
+    """Read a checkpoint to score ``provider_id``'s embeddings, checking
+    its header, its embedder, payload size, parameter count and
+    finiteness; any defect is a ValueError that names the file."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -41,6 +44,9 @@ def load_model(path: str | Path) -> AnalysisModel:
         header = json.loads(header_line.decode("utf-8"))
         if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise ValueError(f"not a {FORMAT_NAME} file")
+        if header["provider_id"] != provider_id:
+            raise ValueError(f"trained on embeddings from {header['provider_id']!r}, "
+                             f"but the configured embedder is {provider_id!r}")
         config = ModelConfig(**{f.name: header[f.name]
                                 for f in dataclasses.fields(ModelConfig)})
         model = AnalysisModel.create(config)

@@ -20,7 +20,8 @@ map, so the maps are multiplied together first:
   with T the role table, as [W_e | W_r Tᵀ] applied to [embedding ;
   onehot];
 * the last, identity, layer returns the gat_hidden-wide aggregate Z, and
-  the interaction applies M = graph_proj @ W_last to Z and to its mean.
+  the interaction applies M = graph_proj @ W_last to its mean, and
+  key @ M and value @ M to Z (see ``attention``).
 
 The backward pass takes the same route, and the gradients of W_0, the
 role table, W_last and graph_proj come from those of the products.

@@ -235,7 +235,8 @@ class Pipeline:
         model = AnalysisModel.create(self.config.model_config())
         train(model, train_samples, self.config.train_config(), val_samples)
         if self.workspace is not None:
-            save_model(self._dir("checkpoints") / checkpoint_name, model)
+            save_model(self._dir("checkpoints") / checkpoint_name, model,
+                       self.embedder.provider_id)
         return model
 
     def predict_rows(self, model: AnalysisModel, dataset: Dataset,

@@ -80,6 +80,23 @@ def reference_forward(model: AnalysisModel, samples: list[Sample]) -> np.ndarray
     return np.array(probs)
 
 
+def literal_attention_weights(head, news_embedding: np.ndarray, sources: np.ndarray,
+                              node_map: np.ndarray) -> np.ndarray:
+    """(heads, n) interaction weights of one graph's n real sources z_j,
+    computed with every per-node key built: key_j = K M z_j with M =
+    graph_proj @ node_map, the query q = Q W_e news, and head h a
+    softmax over (key_j,h · q_h) / sqrt(head_dim)."""
+    graph_map = head.graph_proj @ node_map
+    query = head.query @ (head.news_proj @ news_embedding)
+    keys = [head.key @ (graph_map @ z) for z in sources]
+    weights = []
+    for k in range(head.heads):
+        cols = slice(k * head.head_dim, (k + 1) * head.head_dim)
+        scores = np.array([key[cols] @ query[cols] for key in keys])
+        weights.append(_softmax(scores / np.sqrt(head.head_dim)))
+    return np.array(weights)
+
+
 def block_relative_errors(model: AnalysisModel, analytic: np.ndarray,
                           numeric: np.ndarray) -> dict[str, float]:
     errors = {}

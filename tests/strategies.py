@@ -85,9 +85,11 @@ def _kink_clearance(model: AnalysisModel, batch: list[Sample]) -> float:
 
 def make_gradcheck_case(seed: int, mode: str = "nodes", layers: int = 2,
                         heads: int = 1, batch_size: int = 2,
-                        min_clearance: float = 3e-3, d_h: int = 4):
+                        min_clearance: float = 3e-3, d_h: int = 4,
+                        node_counts: tuple[int, ...] | None = None):
     """A random tiny model plus batch suitable for finite-difference
-    checking at step 1e-4.
+    checking at step 1e-4. The batch holds ``batch_size`` graphs of 3 to
+    8 nodes, or one graph per entry of ``node_counts``.
 
     The attention logits pass through a leaky ReLU, which has no
     derivative at 0; configurations whose pre-activations sit inside the
@@ -101,9 +103,7 @@ def make_gradcheck_case(seed: int, mode: str = "nodes", layers: int = 2,
             interaction_mode=mode, seed=int(rng.integers(0, 2**31)),
         )
         model = AnalysisModel.create(config)
-        batch = [
-            random_graph_sample(rng, int(rng.integers(3, 9)), d_h)
-            for _ in range(batch_size)
-        ]
+        counts = node_counts or [int(rng.integers(3, 9)) for _ in range(batch_size)]
+        batch = [random_graph_sample(rng, n, d_h) for n in counts]
         if _kink_clearance(model, batch) >= min_clearance:
             return model, batch

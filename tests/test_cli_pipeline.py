@@ -305,6 +305,19 @@ class TestPipelineCommand:
         assert str(checkpoint) in caplog.text
         assert not (out / "predictions.jsonl").exists()
 
+    def test_predict_rejects_checkpoint_of_another_embedder(self, small_setup, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        out = tmp_path / "ws"
+        common = ("--dataset", dataset_path, "--out", out, "--seed", "5")
+        assert run_cli("train", "--config", config_path, *common) == 0
+        other = tmp_path / "other.ini"
+        other.write_text(SMALL_CONFIG.replace("d_h = 16", "d_h = 16\nembed_seed = 1"))
+        assert run_cli("predict", "--config", other, *common) == 1
+        checkpoint = out / "checkpoints" / "model.bin"
+        for part in (str(checkpoint), "'hash-d16-s0'", "'hash-d16-s1'"):
+            assert part in caplog.text
+        assert not (out / "predictions.jsonl").exists()
+
     def test_predict_without_checkpoint_exits(self, small_setup):
         tmp_path, dataset_path, config_path = small_setup
         with pytest.raises(SystemExit):

@@ -65,7 +65,7 @@ def small_corpus():
 
 
 def write_checkpoint(tmp_path):
-    save_model(tmp_path / "model.bin", tiny_model())
+    save_model(tmp_path / "model.bin", tiny_model(), "hash-d4-s0")
 
 
 def write_predictions(tmp_path):

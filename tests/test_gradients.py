@@ -46,6 +46,19 @@ def test_gradient_check_with_multiple_heads():
     assert max(errors.values()) < TOLERANCE, errors
 
 
+@pytest.mark.parametrize("mode", ["nodes", "pooled"])
+@pytest.mark.parametrize("heads", [2, 4])
+def test_gradient_matches_finite_differences_per_head(mode, heads):
+    # Graphs of 3, 7 and 5 nodes: the shorter two are padded, so their
+    # padding keys are masked out of every head's softmax.
+    model, batch = make_gradcheck_case(seed=40 + heads + (mode == "pooled"), mode=mode,
+                                       heads=heads, node_counts=(3, 7, 5))
+    analytic = backward(model, batch)
+    numeric = finite_difference_gradient(model, batch, step=1e-4)
+    errors = block_relative_errors(model, analytic, numeric)
+    assert max(errors.values()) < TOLERANCE, errors
+
+
 def test_pooled_mode_news_projection_gradient_is_zero():
     # Attention over a single key ignores the query entirely, so the
     # news projection cannot receive gradient in pooled mode.

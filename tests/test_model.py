@@ -9,9 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import reference_forward
+from oracles import literal_attention_weights, reference_forward
 from strategies import random_graph_sample
-from veridebate.neural import AnalysisModel, ModelConfig, TrainConfig, train
+from veridebate.neural import AnalysisModel, ModelConfig, TrainConfig, interact, train
 from veridebate.neural.model import loss_and_grad
 
 # import_module: veridebate.neural re-exports a function named ``train``
@@ -22,8 +22,8 @@ train_module = importlib.import_module("veridebate.neural.train")
 D_H = 6  # node_dim = 12, a width no other dimension here shares
 
 
-def small_model(mode: str, layers: int, d_h: int = D_H) -> AnalysisModel:
-    config = ModelConfig(d_h=d_h, d_r=3, gat_hidden=5, gat_layers=layers, d_p=4, heads=2,
+def small_model(mode: str, layers: int, d_h: int = D_H, heads: int = 2) -> AnalysisModel:
+    config = ModelConfig(d_h=d_h, d_r=3, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
                          interaction_mode=mode, seed=layers)
     return AnalysisModel.create(config)
 
@@ -43,6 +43,41 @@ def test_forward_matches_literal_reference(mode, layers):
     samples = mixed_samples(layers)
     probs, _ = model.forward(samples)
     assert np.abs(probs - reference_forward(model, samples)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_weights_match_literal_per_node_keys(heads):
+    model = small_model("nodes", layers=2, heads=heads)
+    samples = mixed_samples(heads)  # 1, 4, 9 and 2 nodes: three are padded
+    _, cache = model.forward(samples)
+    att = cache["attention"]
+    head, node_map = model.interaction, model.gat_layers[-1].weight
+    for b, sample in enumerate(samples):
+        k = len(sample.node_embeddings)
+        expected = literal_attention_weights(head, sample.news_embedding,
+                                             att.sources[b, :k], node_map)
+        assert np.abs(att.weights[b, :, :k] - expected).max() <= 1e-12
+        assert np.all(att.weights[b, :, k:] == 0.0)
+    # The single-graph entry point: full-width features, identity map.
+    rng = np.random.default_rng(heads)
+    nodes = rng.standard_normal((5, 2 * D_H))
+    news = rng.standard_normal(D_H)
+    _, weights = interact(news, nodes, nodes.mean(axis=0), head, return_weights=True)
+    expected = literal_attention_weights(head, news, nodes, np.eye(2 * D_H))
+    assert np.abs(weights - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_pooled_attention_weights_are_exactly_one(heads):
+    model = small_model("pooled", layers=2, heads=heads)
+    _, cache = model.forward(mixed_samples(heads))
+    assert cache["attention"].weights.shape == (4, heads, 1)
+    assert np.all(cache["attention"].weights == 1.0)
+    rng = np.random.default_rng(heads)
+    nodes = rng.standard_normal((5, 2 * D_H))
+    _, weights = interact(rng.standard_normal(D_H), nodes, nodes.mean(axis=0),
+                          model.interaction, mode="pooled", return_weights=True)
+    assert np.all(weights == 1.0)
 
 
 @pytest.mark.parametrize("mode", ["nodes", "pooled"])

@@ -272,13 +272,34 @@ class TestAdam:
         for step in range(1, 6):
             grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
             adam_step(params, grads, state)
+            # The efficient order: bias corrections folded into the step
+            # size and epsilon.
+            root = math.sqrt(1.0 - BETA2**step)
+            alpha = state.lr * root / (1.0 - BETA1**step)
             m = BETA1 * m + (1.0 - BETA1) * grads
             v = BETA2 * v + (1.0 - BETA2) * grads**2
-            denom = np.sqrt(v / (1.0 - BETA2**step)) + EPS
-            expected = expected - (m / (1.0 - BETA1**step)) * state.lr / denom
+            expected = expected - m / (np.sqrt(v) + EPS * root) * alpha
         assert np.array_equal(params, expected)
         assert np.array_equal(state.m, m)
         assert np.array_equal(state.v, v)
+
+    def test_efficient_order_matches_textbook_update(self):
+        rng = np.random.default_rng(14)
+        size = 4096
+        state = AdamState.create(size, lr=0.01)
+        params = rng.standard_normal(size)
+        m, v, expected = np.zeros(size), np.zeros(size), params.copy()
+        for step in range(1, 6):
+            # Magnitudes from 1e-6 to 1e2, so eps matters for some entries.
+            grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
+            adam_step(params, grads, state)
+            m = BETA1 * m + (1.0 - BETA1) * grads
+            v = BETA2 * v + (1.0 - BETA2) * grads**2
+            m_hat = m / (1.0 - BETA1**step)
+            v_hat = v / (1.0 - BETA2**step)
+            expected = expected - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        for actual, textbook in ((params, expected), (state.m, m), (state.v, v)):
+            np.testing.assert_allclose(actual, textbook, rtol=1e-12, atol=0)
 
     def test_non_finite_rejected(self):
         state = AdamState.create(1, lr=0.1)

@@ -26,6 +26,10 @@ def small_config(seed=0):
                        seed=seed)
 
 
+# The embedder every checkpoint here is written for.
+PROVIDER = "hash-d4-s0"
+
+
 def random_samples(n, seed=0):
     rng = np.random.default_rng(seed)
     return [random_graph_sample(rng, int(rng.integers(3, 7)), 4) for _ in range(n)]
@@ -124,8 +128,8 @@ class TestCheckpoints:
         samples = random_samples(6, seed=13)
         train(model, samples, TrainConfig(lr=1e-3, epochs=2, seed=14))
         path = tmp_path / "model.bin"
-        save_model(path, model)
-        loaded = load_model(path)
+        save_model(path, model, PROVIDER)
+        loaded = load_model(path, PROVIDER)
         assert np.array_equal(model.parameter_vector(), loaded.parameter_vector())
         assert np.array_equal(predict_proba(model, samples),
                               predict_proba(loaded, samples))
@@ -133,22 +137,33 @@ class TestCheckpoints:
     def test_header_records_label_convention(self, tmp_path):
         model = AnalysisModel.create(small_config())
         path = tmp_path / "model.bin"
-        save_model(path, model)
+        save_model(path, model, PROVIDER)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header["labels"] == {"real": 0, "fake": 1}
         assert header["param_count"] == model.num_params
+        assert header["provider_id"] == PROVIDER
+
+    def test_other_embedder_rejected_naming_both_ids(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, AnalysisModel.create(small_config()), PROVIDER)
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path, "hash-d4-s1")
+        assert all(part in str(excinfo.value) for part in (str(path), PROVIDER, "hash-d4-s1"))
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ValueError):
-            load_model(path)
+            load_model(path, PROVIDER)
 
 
-def _drop_d_h(header: bytes, payload: bytes) -> bytes:
-    fields = json.loads(header)
-    del fields["d_h"]
-    return json.dumps(fields).encode() + b"\n" + payload
+def _dropping(field):
+    def drop(header: bytes, payload: bytes) -> bytes:
+        fields = json.loads(header)
+        del fields[field]
+        return json.dumps(fields).encode() + b"\n" + payload
+
+    return drop
 
 
 def _nan_first(header: bytes, payload: bytes) -> bytes:
@@ -158,7 +173,7 @@ def _nan_first(header: bytes, payload: bytes) -> bytes:
 # Each damages a valid checkpoint, given as its header line and payload.
 CHECKPOINT_FAULTS = {
     "header_not_json": lambda header, payload: b"{not json\n" + payload,
-    "header_lacks_field": _drop_d_h,
+    "header_lacks_field": _dropping("d_h"),
     "payload_not_whole_floats": lambda header, payload: header + b"\n" + payload[:-3],
     "wrong_parameter_count": lambda header, payload: header + b"\n" + payload[:-8],
     "non_finite_parameter": _nan_first,
@@ -168,11 +183,20 @@ CHECKPOINT_FAULTS = {
 @pytest.mark.parametrize("fault", CHECKPOINT_FAULTS)
 def test_damaged_checkpoint_rejected_with_its_name(tmp_path, fault):
     path = tmp_path / "model.bin"
-    save_model(path, AnalysisModel.create(small_config()))
+    save_model(path, AnalysisModel.create(small_config()), PROVIDER)
     header, payload = path.read_bytes().split(b"\n", 1)
     path.write_bytes(CHECKPOINT_FAULTS[fault](header, payload))
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        load_model(path)
+        load_model(path, PROVIDER)
+
+
+def test_header_without_provider_id_is_a_missing_field(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, AnalysisModel.create(small_config()), PROVIDER)
+    path.write_bytes(_dropping("provider_id")(*path.read_bytes().split(b"\n", 1)))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad checkpoint: "
+                                                   "missing header field 'provider_id'")):
+        load_model(path, PROVIDER)
 
 
 @pytest.mark.parametrize("values", [dict(lr=math.nan), dict(lr=math.inf), dict(lr=-1e-3),

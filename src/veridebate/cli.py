@@ -72,7 +72,7 @@ def _workspace(config: PipelineConfig) -> Path:
 def _dataset(config: PipelineConfig):
     if not config.dataset:
         raise SystemExit("a dataset is required (--dataset or [paths] dataset)")
-    return load_dataset(config.dataset, strict=config.strict, language=config.language)
+    return load_dataset(config.dataset, strict=config.strict)
 
 
 def _setup(config: PipelineConfig):
@@ -124,19 +124,34 @@ def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_predictions(path: Path) -> list[dict]:
+    """The rows of a predictions file, each a JSON object with an id and a prediction."""
+    rows = []
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError:
+            row = None
+        if not isinstance(row, dict) or "id" not in row or "prediction" not in row:
+            raise ValueError(f"{path}: line {line_no} is not a JSON object with an id "
+                             "and a prediction; rerun `veridebate predict`")
+        rows.append(row)
+    return rows
+
+
 def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
     """Score predictions.jsonl, which must hold one row per test item of
-    the dataset, in order; otherwise exit 1 and leave metrics.json be."""
-    test_ids = [item.id for item in _dataset(config).split("test")]
+    the dataset, in order, against the dataset's own labels; otherwise
+    exit 1 and leave metrics.json be."""
+    test_items = _dataset(config).split("test")
+    test_ids = [item.id for item in test_items]
     workspace = _workspace(config)
     predictions_path = workspace / "predictions.jsonl"
     if not predictions_path.exists():
         raise SystemExit(f"no predictions at {predictions_path}; run `veridebate predict`")
-    rows = [
-        json.loads(line)
-        for line in predictions_path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    rows = _read_predictions(predictions_path)
     row_ids = [r["id"] for r in rows]
     if row_ids != test_ids:
         missing = sorted(set(test_ids) - set(row_ids))[:5]
@@ -146,7 +161,7 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
             f"{len(test_ids)} test ids (missing {missing}, unexpected {unexpected}); "
             "rerun `veridebate predict`"
         )
-    metrics = compute_metrics([r["prediction"] for r in rows], [r["label"] for r in rows])
+    metrics = compute_metrics([r["prediction"] for r in rows], [item.label for item in test_items])
     write_metrics_json(workspace / "metrics.json", metrics)
     print(metrics.format_table())
     return 0

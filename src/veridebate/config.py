@@ -15,6 +15,7 @@ from pathlib import Path
 from .domain import DebateConfig
 from .neural.model import ModelConfig
 from .neural.train import TrainConfig
+from .synthesis import SYNTHESIS_TEMPLATES
 
 
 def _in(section: str, default):
@@ -64,8 +65,8 @@ class PipelineConfig:
             raise ValueError(f"backend must be 'mock' or 'remote', got {self.backend!r}")
         if self.provider not in ("hash", "remote"):
             raise ValueError(f"provider must be 'hash' or 'remote', got {self.provider!r}")
-        if self.language not in ("en", "cn"):
-            raise ValueError("language must be 'en' or 'cn'")
+        if self.language not in SYNTHESIS_TEMPLATES:
+            raise ValueError(f"language must be one of {sorted(SYNTHESIS_TEMPLATES)}")
         if not self.lr > 0:
             # A run would save an untrained checkpoint.
             raise ValueError(f"lr must be positive, got {self.lr}")
@@ -96,7 +97,10 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}

@@ -1,9 +1,11 @@
-"""The debate state machine.
+"""The debate protocol and the engine that runs it.
 
-Plans the stage/role/stance speaking order, renders the per-stage
-prompts, sequences turns through the four stages against a generation
-gateway, and emits a validated DebateLog. Prompt wording lives in
-editable text assets under ``templates/``.
+``PROTOCOL`` states the protocol once: per stage, the speaking role, the
+prompt template, the earlier turns the speaker hears and the earlier
+turns the new turn links to. The speaking order, the stage prompts, the
+reply links and the synthetic corpora all read it. ``run_debate`` runs
+the turns against a generation gateway and emits a validated DebateLog.
+Prompt wording lives in editable text assets under ``templates/``.
 """
 
 from __future__ import annotations
@@ -41,15 +43,36 @@ class MissingStageError(EngineError):
     """The debate history lacks turns a stage prompt depends on."""
 
 
-# The one speaking role per stage in the default protocol.
-STAGE_ROLE = {
-    DebateStage.OPENING: DebateRole.OPENING_SPEAKER,
-    DebateStage.CROSS_EXAMINATION: DebateRole.QUESTIONER,
-    DebateStage.REBUTTAL: DebateRole.REBUTTER,
-    DebateStage.CLOSING: DebateRole.CLOSING_SPEAKER,
-}
+@dataclass(frozen=True)
+class StageRule:
+    """One stage of the protocol. ``hears`` selects the earlier turns
+    quoted into the prompt as ``{history}``, ``targets`` those the new
+    turn links to, each as (stage, side) pairs where side is "own",
+    "opponent" or "both", seen from the speaker. Every template may also
+    quote the news item as ``{news}``; only the opening's does."""
 
-TEMPLATE_IDS = ("opening", "cross_exam", "rebuttal", "closing")
+    role: DebateRole
+    template_id: str
+    hears: tuple[tuple[DebateStage, str], ...]
+    targets: tuple[tuple[DebateStage, str], ...]
+
+
+PROTOCOL = {
+    DebateStage.OPENING: StageRule(DebateRole.OPENING_SPEAKER, "opening", hears=(), targets=()),
+    # A question links back to its own team's opening, the position under
+    # examination; a rebuttal links to the question it answers.
+    DebateStage.CROSS_EXAMINATION: StageRule(
+        DebateRole.QUESTIONER, "cross_exam",
+        hears=((DebateStage.OPENING, "opponent"),), targets=((DebateStage.OPENING, "own"),)),
+    DebateStage.REBUTTAL: StageRule(
+        DebateRole.REBUTTER, "rebuttal",
+        hears=((DebateStage.CROSS_EXAMINATION, "opponent"),),
+        targets=((DebateStage.CROSS_EXAMINATION, "opponent"),)),
+    # Closings hear the whole debate before them, never each other.
+    DebateStage.CLOSING: StageRule(
+        DebateRole.CLOSING_SPEAKER, "closing",
+        hears=tuple((stage, "both") for stage in STAGES[:DebateStage.CLOSING]), targets=()),
+}
 
 
 @dataclass(frozen=True)
@@ -86,34 +109,27 @@ def load_template(template_id: str) -> PromptTemplate:
     return PromptTemplate(template_id, system_text.strip(), user_text.strip())
 
 
-@dataclass(frozen=True)
-class SpeakerSlot:
-    stance: Stance
-    role: DebateRole
-    agent_slot: int
-
-    @property
-    def agent_id(self) -> str:
-        return f"{self.stance.team}_{self.agent_slot}"
+def plan_debate(config: DebateConfig) -> list[tuple[DebateStage, Stance, str]]:
+    """The speaking order as (stage, stance, agent_id) slots: one slot
+    per team per stage, Proponent first. Stages are spread round-robin
+    over each team's roster."""
+    return [(stage, stance, f"{stance.team}_{stage.value % config.agents_per_team}")
+            for stage in STAGES for stance in (Stance.TRUE, Stance.FAKE)]
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    stage: DebateStage
-    slots: tuple[SpeakerSlot, ...]
+def _select(pairs: tuple[tuple[DebateStage, str], ...], stance: Stance,
+            turns: Sequence[DebateTurn]) -> list[DebateTurn]:
+    """The turns, in log order, that match one of the (stage, side)
+    pairs as seen from ``stance``."""
+    sides = {"own": (stance,), "opponent": (stance.opponent,), "both": tuple(Stance)}
+    wanted = {(stage, s) for stage, side in pairs for s in sides[side]}
+    return [t for t in turns if (t.stage, t.stance) in wanted]
 
 
-def plan_debate(config: DebateConfig) -> list[StagePlan]:
-    """Lay out the full speaking order: four stages, one slot per team
-    per stage, Proponent first. Roles are spread round-robin over each
-    team's roster."""
-    plans = []
-    for stage in STAGES:
-        role = STAGE_ROLE[stage]
-        agent_slot = stage.value % config.agents_per_team
-        plans.append(StagePlan(stage, (SpeakerSlot(Stance.TRUE, role, agent_slot),
-                                       SpeakerSlot(Stance.FAKE, role, agent_slot))))
-    return plans
+def stage_targets(stage: DebateStage, stance: Stance,
+                  turns: Sequence[DebateTurn]) -> tuple[int, ...]:
+    """The turn indices a new ``stage`` turn by ``stance`` links to."""
+    return tuple(t.turn_index for t in _select(PROTOCOL[stage].targets, stance, turns))
 
 
 def one_line_abstract(text: str, width: int = 100) -> str:
@@ -163,115 +179,27 @@ def build_request(template_id: str, config: DebateConfig, **values: str) -> Gene
     )
 
 
-def _as_turns(history: DebateLog | Sequence[DebateTurn]) -> tuple[DebateTurn, ...]:
-    if isinstance(history, DebateLog):
-        return history.turns
-    return tuple(history)
-
-
-def _require_stage(turns: Sequence[DebateTurn], stage: DebateStage) -> None:
-    for stance in Stance:
-        if not any(t.stage is stage and t.stance is stance for t in turns):
-            raise MissingStageError(
-                f"history lacks a {STAGE_LABELS[stage]} turn from the "
-                f"{stance.team} side"
-            )
-
-
-def build_opening_prompt(news: NewsItem, stance: Stance,
-                         config: DebateConfig = DebateConfig()) -> GenerationRequest:
-    if not news.content.strip():
-        raise ValueError(f"news {news.id!r}: content is empty")
+def stage_prompt(stage: DebateStage, stance: Stance, news: NewsItem,
+                 turns: Sequence[DebateTurn], config: DebateConfig) -> GenerationRequest:
+    """The prompt for ``stance``'s speaker in ``stage``, given the turns
+    spoken so far. Every earlier stage must hold a turn from each side."""
+    present = {(t.stage, t.stance) for t in turns}
+    for earlier in STAGES[:stage]:
+        for each in Stance:
+            if (earlier, each) not in present:
+                raise MissingStageError(
+                    f"history lacks a {STAGE_LABELS[earlier]} turn from the "
+                    f"{each.team} side"
+                )
+    rule = PROTOCOL[stage]
     return build_request(
-        "opening",
+        rule.template_id,
         config,
         news=news.content,
         stance=stance.value,
-        role=STAGE_ROLE[DebateStage.OPENING].display,
+        role=rule.role.display,
+        history=format_history(_select(rule.hears, stance, turns), config.history_char_budget),
     )
-
-
-def build_cross_exam_prompt(history: DebateLog | Sequence[DebateTurn], stance: Stance,
-                            config: DebateConfig = DebateConfig()) -> GenerationRequest:
-    """Prompt a questioner with the opposing team's opening statements."""
-    turns = _as_turns(history)
-    _require_stage(turns, DebateStage.OPENING)
-    opposing = [
-        t for t in turns
-        if t.stage is DebateStage.OPENING and t.stance is stance.opponent
-    ]
-    return build_request(
-        "cross_exam",
-        config,
-        stance=stance.value,
-        role=STAGE_ROLE[DebateStage.CROSS_EXAMINATION].display,
-        history=format_history(opposing, config.history_char_budget),
-    )
-
-
-def build_rebuttal_prompt(history: DebateLog | Sequence[DebateTurn], stance: Stance,
-                          config: DebateConfig = DebateConfig()) -> GenerationRequest:
-    """Prompt a rebutter with the opposing team's cross-examination."""
-    turns = _as_turns(history)
-    _require_stage(turns, DebateStage.OPENING)
-    _require_stage(turns, DebateStage.CROSS_EXAMINATION)
-    opposing = [
-        t for t in turns
-        if t.stage is DebateStage.CROSS_EXAMINATION and t.stance is stance.opponent
-    ]
-    return build_request(
-        "rebuttal",
-        config,
-        stance=stance.value,
-        role=STAGE_ROLE[DebateStage.REBUTTAL].display,
-        history=format_history(opposing, config.history_char_budget),
-    )
-
-
-def build_closing_prompt(history: DebateLog | Sequence[DebateTurn], stance: Stance,
-                         config: DebateConfig = DebateConfig()) -> GenerationRequest:
-    """Prompt a closing speaker with the accumulated transcript of the
-    three earlier stages (never same-stage closing turns)."""
-    turns = _as_turns(history)
-    for stage in (DebateStage.OPENING, DebateStage.CROSS_EXAMINATION, DebateStage.REBUTTAL):
-        _require_stage(turns, stage)
-    prior = [t for t in turns if t.stage < DebateStage.CLOSING]
-    return build_request(
-        "closing",
-        config,
-        stance=stance.value,
-        role=STAGE_ROLE[DebateStage.CLOSING].display,
-        history=format_history(prior, config.history_char_budget),
-    )
-
-
-def _targets_for(stage: DebateStage, stance: Stance,
-                 turns: Sequence[DebateTurn]) -> tuple[int, ...]:
-    # A question links back to its team's opening statement (the position
-    # under examination); a rebuttal links to the opposing question it
-    # answers; closings link to nothing.
-    if stage is DebateStage.CROSS_EXAMINATION:
-        return tuple(
-            t.turn_index for t in turns
-            if t.stage is DebateStage.OPENING and t.stance is stance
-        )
-    if stage is DebateStage.REBUTTAL:
-        return tuple(
-            t.turn_index for t in turns
-            if t.stage is DebateStage.CROSS_EXAMINATION and t.stance is stance.opponent
-        )
-    return ()
-
-
-def _prompt_for(stage: DebateStage, news: NewsItem, turns: Sequence[DebateTurn],
-                stance: Stance, config: DebateConfig) -> GenerationRequest:
-    if stage is DebateStage.OPENING:
-        return build_opening_prompt(news, stance, config)
-    if stage is DebateStage.CROSS_EXAMINATION:
-        return build_cross_exam_prompt(turns, stance, config)
-    if stage is DebateStage.REBUTTAL:
-        return build_rebuttal_prompt(turns, stance, config)
-    return build_closing_prompt(turns, stance, config)
 
 
 def run_debate(news: NewsItem, config: DebateConfig, gateway) -> DebateLog:
@@ -281,21 +209,19 @@ def run_debate(news: NewsItem, config: DebateConfig, gateway) -> DebateLog:
     stages. Gateway failures propagate; no partial log is ever returned.
     """
     turns: list[DebateTurn] = []
-    for plan in plan_debate(config):
-        for slot in plan.slots:
-            request = _prompt_for(plan.stage, news, turns, slot.stance, config)
-            response = gateway.generate(request)
-            turns.append(
-                DebateTurn(
-                    turn_index=len(turns),
-                    agent_id=slot.agent_id,
-                    stance=slot.stance,
-                    role=slot.role,
-                    stage=plan.stage,
-                    text=response.text,
-                    targets=_targets_for(plan.stage, slot.stance, turns),
-                )
+    for stage, stance, agent_id in plan_debate(config):
+        response = gateway.generate(stage_prompt(stage, stance, news, turns, config))
+        turns.append(
+            DebateTurn(
+                turn_index=len(turns),
+                agent_id=agent_id,
+                stance=stance,
+                role=PROTOCOL[stage].role,
+                stage=stage,
+                text=response.text,
+                targets=stage_targets(stage, stance, turns),
             )
+        )
     log = DebateLog(news_id=news.id, turns=tuple(turns))
     violations = validate_log(log)
     if violations:

@@ -30,12 +30,9 @@ class DatasetError(ValueError):
 @dataclass(frozen=True)
 class Dataset:
     items: tuple[NewsItem, ...]
-    language: str = "en"
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-        if self.language not in ("en", "cn"):
-            raise ValueError(f"language must be 'en' or 'cn', got {self.language!r}")
         seen: set[str] = set()
         for item in self.items:
             if item.id in seen:
@@ -60,7 +57,7 @@ class Dataset:
         return counts
 
 
-def load_dataset(path: str | Path, strict: bool = True, language: str = "en") -> Dataset:
+def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
     """Parse a JSONL dataset file.
 
     In strict mode any malformed line, duplicate id, or missing label
@@ -108,7 +105,7 @@ def load_dataset(path: str | Path, strict: bool = True, language: str = "en") ->
             logger.warning("%s: skipped %s", path, problem)
     if not items:
         raise DatasetError(f"{path}: no items")
-    return Dataset(items=tuple(items), language=language)
+    return Dataset(items=tuple(items))
 
 
 def write_dataset_jsonl(dataset: Dataset, path: str | Path) -> None:

@@ -25,7 +25,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -266,38 +266,27 @@ class RetryPolicy:
 
 
 class RateLimiter:
-    """Gateway-wide pacing: a minimum interval between request starts
-    (requests_per_minute) and a cap on in-flight requests."""
+    """Gateway-wide pacing: a minimum interval between request starts."""
 
-    def __init__(self, requests_per_minute: float | None = None,
-                 max_concurrency: int | None = None,
-                 clock=time.monotonic, sleep=time.sleep):
-        if requests_per_minute is not None and requests_per_minute <= 0:
+    def __init__(self, requests_per_minute: float, clock=time.monotonic, sleep=time.sleep):
+        if requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be positive")
-        if max_concurrency is not None and max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
-        self._interval = 60.0 / requests_per_minute if requests_per_minute else 0.0
-        self._semaphore = threading.Semaphore(max_concurrency) if max_concurrency else None
+        self._interval = 60.0 / requests_per_minute
         self._lock = threading.Lock()
         self._next_start = 0.0
         self._clock = clock
         self._sleep = sleep
 
     def __enter__(self):
-        if self._semaphore is not None:
-            self._semaphore.acquire()
-        if self._interval:
-            with self._lock:
-                now = self._clock()
-                wait = self._next_start - now
-                self._next_start = max(now, self._next_start) + self._interval
-            if wait > 0:
-                self._sleep(wait)
+        with self._lock:
+            now = self._clock()
+            wait = self._next_start - now
+            self._next_start = max(now, self._next_start) + self._interval
+        if wait > 0:
+            self._sleep(wait)
         return self
 
     def __exit__(self, *exc):
-        if self._semaphore is not None:
-            self._semaphore.release()
         return False
 
 
@@ -358,10 +347,8 @@ class Gateway:
         last: Exception | None = None
         for attempt in range(self.retry.max_attempts):
             try:
-                if self.limiter is not None:
-                    with self.limiter:
-                        return self.backend.complete(req)
-                return self.backend.complete(req)
+                with self.limiter or nullcontext():
+                    return self.backend.complete(req)
             except TransportError as exc:
                 last = exc
                 if attempt + 1 < self.retry.max_attempts:

@@ -55,12 +55,8 @@ def build_gateway(config: PipelineConfig, workspace: Path | None) -> Gateway:
     else:
         backend = RemoteBackend(config.endpoint, model=config.model_name)
     cache_dir = workspace / "cache" / "gen" if workspace is not None else None
-    limiter = None
-    if config.requests_per_minute or config.max_concurrency > 1:
-        limiter = RateLimiter(
-            requests_per_minute=config.requests_per_minute or None,
-            max_concurrency=config.max_concurrency,
-        )
+    # max_concurrency needs no limiter: each worker makes one request at a time.
+    limiter = RateLimiter(config.requests_per_minute) if config.requests_per_minute else None
     return Gateway(backend, cache_dir=cache_dir, retry=RetryPolicy(), limiter=limiter)
 
 

@@ -32,21 +32,15 @@ CHECKLIST_CN = (
     "新闻中的信息能否通过其他可靠渠道得到证实。",
 )
 
-_TEMPLATE_BY_LANGUAGE = {"en": "synthesis_en", "cn": "synthesis_cn"}
-
-
-def checklist_for(language: str) -> tuple[str, ...]:
-    if language == "en":
-        return CHECKLIST_EN
-    if language == "cn":
-        return CHECKLIST_CN
-    raise ValueError(f"unsupported language {language!r}")
+SYNTHESIS_TEMPLATES = {"en": "synthesis_en", "cn": "synthesis_cn"}
 
 
 def build_synthesis_prompt(log: DebateLog, language: str = "en",
                            config: DebateConfig = DebateConfig()) -> GenerationRequest:
-    checklist_for(language)
-    return build_request(_TEMPLATE_BY_LANGUAGE[language], config,
+    template_id = SYNTHESIS_TEMPLATES.get(language)
+    if template_id is None:
+        raise ValueError(f"unsupported language {language!r}")
+    return build_request(template_id, config,
                          history=format_history(log.turns, config.history_char_budget))
 
 

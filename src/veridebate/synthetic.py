@@ -21,30 +21,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import (
+    DebateConfig,
     DebateLog,
     DebateRole,
-    DebateStage,
     DebateTurn,
     LABEL_FAKE,
     LABEL_REAL,
     NewsItem,
     Stance,
 )
-from .engine import log_to_json
+from .engine import PROTOCOL, log_to_json, plan_debate, stage_targets
 from .evaluation import Dataset
 from .files import atomic_write
-
-# stance/role/stage/targets of the default eight-slot protocol.
-DEFAULT_TURN_SPECS = (
-    (Stance.TRUE, DebateRole.OPENING_SPEAKER, DebateStage.OPENING, ()),
-    (Stance.FAKE, DebateRole.OPENING_SPEAKER, DebateStage.OPENING, ()),
-    (Stance.TRUE, DebateRole.QUESTIONER, DebateStage.CROSS_EXAMINATION, (0,)),
-    (Stance.FAKE, DebateRole.QUESTIONER, DebateStage.CROSS_EXAMINATION, (1,)),
-    (Stance.TRUE, DebateRole.REBUTTER, DebateStage.REBUTTAL, (3,)),
-    (Stance.FAKE, DebateRole.REBUTTER, DebateStage.REBUTTAL, (2,)),
-    (Stance.TRUE, DebateRole.CLOSING_SPEAKER, DebateStage.CLOSING, ()),
-    (Stance.FAKE, DebateRole.CLOSING_SPEAKER, DebateStage.CLOSING, ()),
-)
 
 _ROLE_FILLER = {
     DebateRole.OPENING_SPEAKER: "we open the case with a careful reading of the claim and its context",
@@ -121,12 +109,13 @@ def _news_content(rng: random.Random, index: int, label: int, task: str) -> str:
 
 def _make_log(news_id: str, rng: random.Random, label: int, task: str) -> DebateLog:
     text_fn = _stance_turn_text if task == "stance" else _role_turn_text
-    turns = []
-    for i, (stance, role, stage, targets) in enumerate(DEFAULT_TURN_SPECS):
+    turns: list[DebateTurn] = []
+    for stage, stance, agent_id in plan_debate(DebateConfig()):
+        role = PROTOCOL[stage].role
         turns.append(
             DebateTurn(
-                turn_index=i,
-                agent_id=f"{stance.team}_{stage.value % 2}",
+                turn_index=len(turns),
+                agent_id=agent_id,
                 stance=stance,
                 role=role,
                 stage=stage,
@@ -134,7 +123,7 @@ def _make_log(news_id: str, rng: random.Random, label: int, task: str) -> Debate
                 # No reference edges in the role task: the bare chain is
                 # symmetric under reversal, which is what removes every
                 # structural route to the label.
-                targets=() if task == "role" else targets,
+                targets=() if task == "role" else stage_targets(stage, stance, turns),
             )
         )
     return DebateLog(news_id=news_id, turns=tuple(turns))

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from veridebate.domain import STAGES, DebateLog, DebateTurn, Stance
-from veridebate.engine import STAGE_ROLE
+from veridebate.engine import PROTOCOL
 from veridebate.neural import AnalysisModel, ModelConfig, Sample
 
 _WORDS = ("alpha", "bravo", "cedar", "delta", "ember", "frost", "gale", "harbor")
@@ -38,7 +38,7 @@ def random_valid_log(rng: random.Random, max_extra_turns: int = 2,
                         turn_index=index,
                         agent_id=f"{stance.team}_0",
                         stance=stance,
-                        role=STAGE_ROLE[stage],
+                        role=PROTOCOL[stage].role,
                         stage=stage,
                         text=_turn_text(rng),
                         targets=targets,

@@ -106,6 +106,19 @@ class TestConfig:
         assert code == 1
         assert not (tmp_path / "ws").exists()
 
+    @pytest.mark.parametrize("body", ["backend = mock\n",
+                                      "[gateway]\nbackend = mock\nbackend = mock\n"],
+                             ids=["no_section", "duplicate_key"])
+    def test_malformed_ini_stops_cli_before_any_stage(self, small_setup, body, caplog):
+        tmp_path, dataset_path, _ = small_setup
+        path = tmp_path / "bad.ini"
+        path.write_text(body)
+        code = run_cli("pipeline", "--config", path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws")
+        assert code == 1
+        assert str(path) in caplog.text
+        assert not (tmp_path / "ws").exists()
+
     def test_missing_dataset_exits_nonzero(self, tmp_path, caplog):
         code = run_cli("pipeline", "--dataset", tmp_path / "missing.jsonl",
                        "--out", tmp_path / "ws")
@@ -251,19 +264,51 @@ class TestPipelineCommand:
         assert run_cli("evaluate", *common) == 0
         assert (out / "metrics.json").exists()
 
-    def test_evaluate_rejects_truncated_predictions(self, small_setup, caplog):
+    @pytest.fixture
+    def evaluated(self, small_setup):
+        """A workspace after train, predict and evaluate: the CLI
+        arguments, the workspace and its metrics.json bytes."""
         tmp_path, dataset_path, config_path = small_setup
         out = tmp_path / "ws"
         common = ("--config", config_path, "--dataset", dataset_path, "--out", out,
                   "--seed", "5")
         for command in ("train", "predict", "evaluate"):
             assert run_cli(command, *common) == 0
-        metrics = (out / "metrics.json").read_bytes()
+        return common, out, (out / "metrics.json").read_bytes()
+
+    def test_evaluate_rejects_truncated_predictions(self, evaluated, caplog):
+        common, out, metrics = evaluated
         predictions = out / "predictions.jsonl"
         lines = predictions.read_text().splitlines(keepends=True)
         predictions.write_text("".join(lines[:-1]))
         assert run_cli("evaluate", *common) == 1
         assert "row ids do not match" in caplog.text
+        assert (out / "metrics.json").read_bytes() == metrics
+
+    @pytest.mark.parametrize("damage", [
+        lambda row: json.dumps({k: v for k, v in row.items() if k != "id"}),
+        lambda row: json.dumps({k: v for k, v in row.items() if k != "prediction"}),
+        lambda row: json.dumps(list(row.values())),
+        lambda row: "{not json",
+    ], ids=["no_id", "no_prediction", "not_an_object", "not_json"])
+    def test_evaluate_names_a_malformed_row(self, evaluated, damage, caplog):
+        common, out, metrics = evaluated
+        predictions = out / "predictions.jsonl"
+        lines = predictions.read_text().splitlines()
+        lines[1] = damage(json.loads(lines[1]))
+        predictions.write_text("\n".join(lines) + "\n")
+        assert run_cli("evaluate", *common) == 1
+        assert f"{predictions}: line 2" in caplog.text
+        assert (out / "metrics.json").read_bytes() == metrics
+
+    def test_evaluate_scores_against_dataset_labels(self, evaluated):
+        common, out, metrics = evaluated
+        predictions = out / "predictions.jsonl"
+        rows = [json.loads(line) for line in predictions.read_text().splitlines()]
+        for row in rows:
+            row["label"] = 1 - row["label"]
+        predictions.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert run_cli("evaluate", *common) == 0
         assert (out / "metrics.json").read_bytes() == metrics
 
     def test_escaping_id_writes_nothing_outside_the_workspace(self, small_setup):
@@ -490,3 +535,7 @@ class TestBuildGateway:
     def test_remote_requires_endpoint(self):
         with pytest.raises(ValueError):
             build_gateway(PipelineConfig(backend="remote"), None)
+
+    def test_limiter_only_for_a_request_rate(self):
+        assert build_gateway(PipelineConfig(max_concurrency=4), None).limiter is None
+        assert build_gateway(PipelineConfig(requests_per_minute=60), None).limiter is not None

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from veridebate import engine
@@ -10,13 +12,10 @@ from veridebate.domain import (
     validate_log,
 )
 from veridebate.engine import (
+    PROTOCOL,
     MissingStageError,
     PromptError,
     PromptTemplate,
-    build_closing_prompt,
-    build_cross_exam_prompt,
-    build_opening_prompt,
-    build_rebuttal_prompt,
     format_history,
     load_template,
     log_from_json,
@@ -24,8 +23,16 @@ from veridebate.engine import (
     one_line_abstract,
     plan_debate,
     run_debate,
+    stage_prompt,
 )
 from veridebate.gateway import Gateway, GatewayError, MockBackend, TransportError
+from veridebate.synthetic import make_synthetic_corpus
+
+OPENING, CROSS_EXAM, REBUTTAL, CLOSING = DebateStage
+
+
+def user_text(stage, stance, news, turns):
+    return stage_prompt(stage, stance, news, turns, DebateConfig()).messages[1][1]
 
 EXPECTED_SLOTS = [
     (Stance.TRUE, DebateRole.OPENING_SPEAKER),
@@ -43,16 +50,14 @@ EXPECTED_TARGETS = [(), (), (0,), (1,), (3,), (2,), (), ()]
 
 class TestPlanDebate:
     def test_default_plan_has_eight_slots_in_order(self):
-        plans = plan_debate(DebateConfig())
-        assert [p.stage for p in plans] == list(DebateStage)
-        slots = [(s.stance, s.role) for p in plans for s in p.slots]
-        assert slots == EXPECTED_SLOTS
+        slots = plan_debate(DebateConfig())
+        assert [stage for stage, _, _ in slots[::2]] == list(DebateStage)
+        assert [(stance, PROTOCOL[stage].role) for stage, stance, _ in slots] == EXPECTED_SLOTS
 
     def test_single_agent_team_reuses_agent(self):
-        plans = plan_debate(DebateConfig(agents_per_team=1))
-        slots = [s for p in plans for s in p.slots]
+        slots = plan_debate(DebateConfig(agents_per_team=1))
         assert len(slots) == 8
-        assert {s.agent_id for s in slots} == {"pro_0", "opp_0"}
+        assert {agent_id for _, _, agent_id in slots} == {"pro_0", "opp_0"}
 
     def test_zero_agents_rejected(self):
         with pytest.raises(ValueError):
@@ -61,10 +66,8 @@ class TestPlanDebate:
 
 class TestTemplates:
     def test_all_stage_templates_load(self):
-        from veridebate.engine import TEMPLATE_IDS
-
-        for template_id in TEMPLATE_IDS:
-            template = load_template(template_id)
+        for rule in PROTOCOL.values():
+            template = load_template(rule.template_id)
             assert template.system_text and template.user_text
 
     def test_loaded_once_per_id(self):
@@ -99,13 +102,12 @@ class TestTemplates:
 
 class TestOpeningPrompt:
     def test_contains_news_and_true_stance(self, news_item):
-        request = build_opening_prompt(news_item, Stance.TRUE)
-        user = request.messages[1][1]
+        user = user_text(OPENING, Stance.TRUE, news_item, [])
         assert news_item.content in user
         assert "true" in user
 
     def test_fake_stance_framing(self, news_item):
-        user = build_opening_prompt(news_item, Stance.FAKE).messages[1][1]
+        user = user_text(OPENING, Stance.FAKE, news_item, [])
         assert "fake" in user
 
     def test_empty_content_rejected_at_construction(self):
@@ -114,57 +116,56 @@ class TestOpeningPrompt:
 
 
 class TestCrossExamPrompt:
-    def test_quotes_only_proponent_openings_for_fake_side(self, default_log):
+    def test_quotes_only_proponent_openings_for_fake_side(self, default_log, news_item):
         openings = default_log.turns[:2]
-        request = build_cross_exam_prompt(openings, Stance.FAKE)
-        user = request.messages[1][1]
+        user = user_text(CROSS_EXAM, Stance.FAKE, news_item, openings)
         assert openings[0].text in user       # proponent opening quoted
         assert openings[1].text not in user   # own side's opening not quoted
 
-    def test_symmetric_for_true_side(self, default_log):
+    def test_symmetric_for_true_side(self, default_log, news_item):
         openings = default_log.turns[:2]
-        user = build_cross_exam_prompt(openings, Stance.TRUE).messages[1][1]
+        user = user_text(CROSS_EXAM, Stance.TRUE, news_item, openings)
         assert openings[1].text in user
         assert openings[0].text not in user
 
-    def test_missing_opponent_opening_raises(self, default_log):
+    def test_missing_opponent_opening_raises(self, default_log, news_item):
         only_pro = [default_log.turns[0]]
         with pytest.raises(MissingStageError):
-            build_cross_exam_prompt(only_pro, Stance.TRUE)
+            user_text(CROSS_EXAM, Stance.TRUE, news_item, only_pro)
 
 
 class TestRebuttalPrompt:
-    def test_embeds_opposing_question(self, default_log):
+    def test_embeds_opposing_question(self, default_log, news_item):
         history = default_log.turns[:4]
-        user = build_rebuttal_prompt(history, Stance.TRUE).messages[1][1]
+        user = user_text(REBUTTAL, Stance.TRUE, news_item, history)
         assert default_log.turns[3].text in user   # opponent questioner
         assert default_log.turns[2].text not in user
 
-    def test_symmetric_for_fake_side(self, default_log):
+    def test_symmetric_for_fake_side(self, default_log, news_item):
         history = default_log.turns[:4]
-        user = build_rebuttal_prompt(history, Stance.FAKE).messages[1][1]
+        user = user_text(REBUTTAL, Stance.FAKE, news_item, history)
         assert default_log.turns[2].text in user   # proponent questioner
 
-    def test_missing_cross_exam_raises(self, default_log):
+    def test_missing_cross_exam_raises(self, default_log, news_item):
         with pytest.raises(MissingStageError):
-            build_rebuttal_prompt(default_log.turns[:2], Stance.TRUE)
+            user_text(REBUTTAL, Stance.TRUE, news_item, default_log.turns[:2])
 
 
 class TestClosingPrompt:
-    def test_embeds_all_six_prior_turns(self, default_log):
+    def test_embeds_all_six_prior_turns(self, default_log, news_item):
         history = default_log.turns[:6]
-        user = build_closing_prompt(history, Stance.TRUE).messages[1][1]
+        user = user_text(CLOSING, Stance.TRUE, news_item, history)
         for turn in history:
             assert turn.text in user
 
-    def test_empty_history_raises(self):
+    def test_empty_history_raises(self, news_item):
         with pytest.raises(MissingStageError):
-            build_closing_prompt([], Stance.TRUE)
+            user_text(CLOSING, Stance.TRUE, news_item, [])
 
-    def test_two_stances_differ_only_in_framing(self, default_log):
+    def test_two_stances_differ_only_in_framing(self, default_log, news_item):
         history = default_log.turns[:6]
-        a = build_closing_prompt(history, Stance.TRUE).messages[1][1]
-        b = build_closing_prompt(history, Stance.FAKE).messages[1][1]
+        a = user_text(CLOSING, Stance.TRUE, news_item, history)
+        b = user_text(CLOSING, Stance.FAKE, news_item, history)
         assert a != b
         assert a.replace("true", "fake") == b
 
@@ -248,3 +249,33 @@ class TestHistoryFormatting:
         rendered = format_history(default_log.turns)
         for turn in default_log.turns:
             assert turn.text in rendered
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedTranscriptBytes:
+    """Golden digests of log_to_json: any change to prompt wording, turn
+    order, roles, agent ids or reply links shows up here."""
+
+    PIN_NEWS = NewsItem(
+        "pin-1", "Officials say the harbor ferry will resume service on Monday after repairs."
+    )
+
+    @pytest.mark.parametrize("config, digest", [
+        (DebateConfig(), "d74df676071c6ad9ed641ecbee7b5375ffa1db6475a45b619323a4a23dfa2d93"),
+        (DebateConfig(agents_per_team=1, history_char_budget=300),
+         "0bf29f18457f9241b2267b1bacecae6199ea38a44299471e18a0560bbf9fa107"),
+    ], ids=["default", "one_agent_short_history"])
+    def test_mock_debate(self, config, digest, mock_gateway):
+        log = run_debate(self.PIN_NEWS, config, mock_gateway)
+        assert _sha256(log_to_json(log)) == digest
+
+    @pytest.mark.parametrize("task, digest", [
+        ("stance", "22fdc16e7c535039606a46a6b71a1323c3b7a76a60696b87da03c63594045253"),
+        ("role", "e982d30a441da3555f4d59df0e2d85b9aeea9a4ccb468e89cb8d70f59f7afde7"),
+    ], ids=["stance", "role"])
+    def test_synthetic_corpus(self, task, digest):
+        logs = make_synthetic_corpus(n_train=4, n_test=2, seed=0, task=task).logs
+        assert _sha256("".join(log_to_json(logs[k]) for k in sorted(logs))) == digest

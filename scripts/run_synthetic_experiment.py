@@ -12,6 +12,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from veridebate.config import PipelineConfig
 from veridebate.encoding import HashEmbeddingProvider
 from veridebate.evaluation import format_ablation_table, run_ablation
@@ -31,8 +33,8 @@ def samples_for(corpus, provider, split):
     out = []
     for item in corpus.dataset.split(split):
         log = corpus.logs[item.id]
-        embs = [provider.embed_text(t.text) for t in log.turns]
-        out.append(make_sample(log, embs, provider.embed_text(item.content), item.label))
+        embs = np.stack([provider.embed_text(t.text).values for t in log.turns])
+        out.append(make_sample(log, embs, provider.embed_text(item.content).values, item.label))
     return out
 
 

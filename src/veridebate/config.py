@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,11 @@ class PipelineConfig:
             raise ValueError(f"backend must be 'mock' or 'remote', got {self.backend!r}")
         if self.provider not in ("hash", "remote"):
             raise ValueError(f"provider must be 'hash' or 'remote', got {self.provider!r}")
+        if not (math.isfinite(self.requests_per_minute) and self.requests_per_minute >= 0):
+            raise ValueError("requests_per_minute must be finite and >= 0, "
+                             f"got {self.requests_per_minute}")
+        if self.max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
         if self.language not in SYNTHESIS_TEMPLATES:
             raise ValueError(f"language must be one of {sorted(SYNTHESIS_TEMPLATES)}")
         if not self.lr > 0:

@@ -11,16 +11,22 @@ text embeddings to form the graph's node features.
 Embeddings are cached on disk under ``<root>/<provider_id>/``, in
 append-only, checksummed pack files (see ``packs.py``): each record is
 keyed by the sha256 of the text and holds the vector as little-endian
-float32. A damaged or torn record reads as a miss and is recomputed.
+float32. ``CachedEmbedder.embed_texts`` reads the texts of one item as
+the rows of one matrix: one index lookup, one decode and one finiteness
+check for all its cached rows. A record that is torn, fails its crc, has
+the wrong size or holds a non-finite value reads as a miss and is
+recomputed; the last two are logged with the provider directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +35,8 @@ import numpy as np
 from .domain import DebateRole, Stance
 from .gateway import API_KEY_ENV, MalformedResponseError, TransportError, _urllib_transport
 from .packs import PackStore
+
+logger = logging.getLogger(__name__)
 
 # Fixed ordering of the trainable role vectors.
 ROLE_STANCE_PAIRS = tuple((role, stance) for role in DebateRole for stance in Stance)
@@ -165,6 +173,29 @@ class EmbeddingCache:
             return None
         return np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
+    def get_rows(self, provider_id: str, texts: Sequence[str],
+                 dim: int) -> tuple[np.ndarray, list[int]]:
+        """The cached vectors of ``texts`` as the float64 rows of a
+        ``(k, dim)`` matrix, and the indices of the rows not found, which
+        are left unset. A record of the wrong size or holding a non-finite
+        value is not found, and is logged."""
+        store = self._store(provider_id)
+        payloads = store.get_many([_text_key(text) for text in texts])
+        sized = [i for i, p in enumerate(payloads) if p is not None and len(p) == 4 * dim]
+        decoded = np.frombuffer(b"".join(payloads[i] for i in sized), dtype="<f4")
+        decoded = decoded.reshape(len(sized), dim)
+        finite = np.isfinite(decoded).all(axis=1)
+        if len(sized) == len(texts) and finite.all():
+            return decoded.astype(np.float64), []
+        found = [i for i, ok in zip(sized, finite) if ok]
+        unusable = sum(p is not None for p in payloads) - len(found)
+        if unusable:
+            logger.warning("recomputing %d cached embedding(s) in %s of the wrong size "
+                           "or holding non-finite values", unusable, store.root)
+        rows = np.empty((len(texts), dim))
+        rows[found] = decoded[finite]
+        return rows, sorted(set(range(len(texts))).difference(found))
+
     def put(self, provider_id: str, text: str, values: np.ndarray) -> None:
         payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
         self._store(provider_id).put(_text_key(text), payload)
@@ -183,16 +214,27 @@ class CachedEmbedder:
         self.provider_id = provider.provider_id
         self.dim = provider.dim
 
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        """``texts`` embedded as the rows of one ``(k, dim)`` float64
+        matrix. Cached rows are read in one lookup; each distinct miss is
+        embedded once by the provider and cached."""
+        if self.cache is None:
+            rows, missing = np.empty((len(texts), self.dim)), range(len(texts))
+        else:
+            rows, missing = self.cache.get_rows(self.provider_id, texts, self.dim)
+        fresh: dict[str, np.ndarray] = {}
+        for i in missing:
+            text = texts[i]
+            if text not in fresh:
+                vec = self.provider.embed_text(text)
+                fresh[text] = np.asarray(vec.values, dtype="<f4").astype(np.float64)
+                if self.cache is not None:
+                    self.cache.put(self.provider_id, text, fresh[text])
+            rows[i] = fresh[text]
+        return rows
+
     def embed_text(self, text: str) -> EmbeddingVector:
-        if self.cache is not None:
-            hit = self.cache.get(self.provider_id, text)
-            if hit is not None:
-                return EmbeddingVector(hit, self.provider_id)
-        vec = self.provider.embed_text(text)
-        rounded = np.asarray(vec.values, dtype="<f4").astype(np.float64)
-        if self.cache is not None:
-            self.cache.put(self.provider_id, text, rounded)
-        return EmbeddingVector(rounded, self.provider_id)
+        return EmbeddingVector(self.embed_texts([text])[0], self.provider_id)
 
 
 # --------------------------------------------------------------------------

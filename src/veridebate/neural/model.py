@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domain import DebateLog
-from ..encoding import ROLE_PAIR_INDEX, EmbeddingVector, RoleTable
+from ..encoding import ROLE_PAIR_INDEX, RoleTable
 from ..graph import adjacency_mask, edges_for_log
 from .adam import all_finite
 from .attention import (
@@ -151,33 +151,39 @@ class Sample:
     label: int | None = None
 
 
-def make_sample(log: DebateLog, turn_embeddings: list[EmbeddingVector],
-                news_embedding: EmbeddingVector, label: int | None = None) -> Sample:
-    if len(turn_embeddings) != len(log.turns):
-        raise ValueError("one embedding per turn is required")
+def make_sample(log: DebateLog, turn_embeddings: np.ndarray, news_embedding: np.ndarray,
+                label: int | None = None) -> Sample:
+    """The sample of one debate, from its ``(n, d_h)`` turn embedding
+    matrix (one row per turn, in turn order) and its ``(d_h,)`` news
+    embedding."""
+    news_embedding = np.asarray(news_embedding, dtype=np.float64)
+    turn_embeddings = np.asarray(turn_embeddings, dtype=np.float64)
+    if news_embedding.ndim != 1 or turn_embeddings.shape != (len(log.turns), len(news_embedding)):
+        raise ValueError("need one embedding row per turn, as wide as the news embedding")
     role_ids = np.array(
         [ROLE_PAIR_INDEX[(t.role, t.stance)] for t in log.turns], dtype=np.intp
     )
     return Sample(
         news_id=log.news_id,
-        node_embeddings=np.stack([e.values for e in turn_embeddings]),
+        node_embeddings=turn_embeddings,
         role_ids=role_ids,
         adjacency=adjacency_mask(edges_for_log(log), len(log.turns)),
-        news_embedding=news_embedding.values,
+        news_embedding=news_embedding,
         label=label,
     )
 
 
-def make_news_only_sample(news_id: str, news_embedding: EmbeddingVector,
+def make_news_only_sample(news_id: str, news_embedding: np.ndarray,
                           label: int | None = None) -> Sample:
     """Degenerate one-node sample used when the debate is ablated away:
     the news embedding is the only node and carries no role."""
+    news_embedding = np.asarray(news_embedding, dtype=np.float64)
     return Sample(
         news_id=news_id,
-        node_embeddings=news_embedding.values[None, :],
+        node_embeddings=news_embedding[None, :],
         role_ids=np.array([-1], dtype=np.intp),
         adjacency=np.ones((1, 1), dtype=bool),
-        news_embedding=news_embedding.values,
+        news_embedding=news_embedding,
         label=label,
     )
 

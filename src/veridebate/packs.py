@@ -2,28 +2,40 @@
 generation and embedding caches.
 
 A ``PackStore`` appends only to its own pack, ``<root>/<pid>-<uuid4hex>.pack``,
-created on its first ``put``. A record is one JSON header line
-``{"key", "size", "crc"}`` followed by ``size`` payload bytes; ``crc`` is the
-``zlib.crc32`` of the payload. Each record goes out in one ``os.write`` on an
-``O_APPEND`` descriptor, so a crash can leave at most a torn tail.
+created on its first ``put``. A record is one header line
+``{"key": "<key>", "size": <n>, "crc": <c>}`` (the ``json.dumps`` layout,
+spaces included) followed by ``n`` payload bytes; ``c`` is the ``zlib.crc32``
+of the payload. A key is printable ASCII without ``"`` or ``\\``, so a
+header never needs escaping; ``put`` rejects any other key. Each record goes
+out in one ``os.write`` on an ``O_APPEND`` descriptor, so a crash can leave
+at most a torn tail.
 
 On first use the store scans every ``*.pack`` under its root, in sorted
-order, into an index of payload offsets (payloads stay on disk). A record
-that does not parse, is short or fails its crc ends the scan of its pack, so
-a torn tail is dropped and its keys read as misses. A ``get`` is one
-``os.pread``, checked against the crc again.
+order and each in one sequential pass, into an index of payload offsets
+(payloads stay on disk). A record whose header is not in that layout, whose
+payload is short or whose payload fails its crc ends the scan of its pack,
+so a torn tail is dropped and its keys read as misses. A lookup takes the
+lock once for any number of keys; each payload is then one ``os.pread``,
+checked against the crc again.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import re
 import threading
 import uuid
 import weakref
 import zlib
 from pathlib import Path
 
+# A key is printable ASCII without '"' or '\'; a header is the line ``put``
+# writes for one. The integers have no sign or leading zero.
+_KEY_CHARS = rb'[ !#-\[\]-~]*'
+_KEY = re.compile(_KEY_CHARS.decode("ascii"))
+_HEADER = re.compile(
+    rb'\{"key": "(' + _KEY_CHARS + rb')", "size": (0|[1-9][0-9]*), "crc": (0|[1-9][0-9]*)\}\n'
+)
 # A header holds a short key and two integers; a longer line is not one.
 _MAX_HEADER = 4096
 
@@ -31,6 +43,16 @@ _MAX_HEADER = 4096
 def _close_all(fds: list) -> None:
     while fds:
         os.close(fds.pop())
+
+
+def _read(entry: tuple[int, int, int, int]) -> bytes | None:
+    """The payload an index entry points at, or None if it is short or
+    fails its crc."""
+    fd, offset, size, crc = entry
+    payload = os.pread(fd, size, offset)
+    if len(payload) != size or zlib.crc32(payload) != crc:
+        return None
+    return payload
 
 
 class PackStore:
@@ -60,35 +82,33 @@ class PackStore:
         offset = 0
         with open(fd, "rb", closefd=False) as fh:
             while line := fh.readline(_MAX_HEADER):
-                try:
-                    header = json.loads(line)
-                    key, size, crc = header["key"], header["size"], header["crc"]
-                except (ValueError, KeyError, TypeError):
+                header = _HEADER.fullmatch(line)
+                if header is None:
                     return
-                if not (line.endswith(b"\n") and isinstance(key, str)
-                        and isinstance(size, int) and size >= 0):
-                    return
+                size, crc = int(header[2]), int(header[3])
                 payload = fh.read(size)
                 if len(payload) != size or zlib.crc32(payload) != crc:
                     return
                 offset += len(line)
-                self._index[key] = (fd, offset, size, crc)
+                self._index[header[1].decode("ascii")] = (fd, offset, size, crc)
                 offset += size
 
-    def get(self, key: str) -> bytes | None:
+    def get_many(self, keys) -> list[bytes | None]:
+        """The payload stored under each key, None where it is absent or
+        fails its crc; the index is looked up once for all keys."""
         with self._lock:
-            entry = self._load().get(key)
-        if entry is None:
-            return None
-        fd, offset, size, crc = entry
-        payload = os.pread(fd, size, offset)
-        if len(payload) != size or zlib.crc32(payload) != crc:
-            return None
-        return payload
+            index = self._load()
+            entries = [index.get(key) for key in keys]
+        return [None if entry is None else _read(entry) for entry in entries]
+
+    def get(self, key: str) -> bytes | None:
+        return self.get_many((key,))[0]
 
     def put(self, key: str, payload: bytes) -> None:
+        if not _KEY.fullmatch(key):
+            raise ValueError(f"pack key must be printable ASCII without '\"' or '\\': {key!r}")
         crc = zlib.crc32(payload)
-        header = json.dumps({"key": key, "size": len(payload), "crc": crc}).encode("ascii")
+        header = b'{"key": "%s", "size": %d, "crc": %d}' % (key.encode("ascii"), len(payload), crc)
         record = header + b"\n" + payload
         with self._lock:
             index = self._load()

@@ -104,10 +104,12 @@ class Pipeline:
         file is absent or unusable (it does not parse, fails ``check``, or
         belongs to another item); an unusable file is logged by name. An
         error reading the file is not a parse error and propagates."""
-        if not path.exists():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
             return None
         try:
-            record = parse(path.read_text(encoding="utf-8"))
+            record = parse(text)
             problems = check(record)
             if record.news_id != news_id:
                 problems.append(f"holds news_id {record.news_id!r}")
@@ -142,7 +144,7 @@ class Pipeline:
             path.write_text(dump(record), encoding="utf-8")
             return news_id, record, False, None
 
-        workers = max(1, self.config.max_concurrency)
+        workers = self.config.max_concurrency
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(one, jobs))
@@ -192,15 +194,15 @@ class Pipeline:
                       variant: str = "full") -> dict[str, Sample]:
         samples: dict[str, Sample] = {}
         for item in dataset.items:
-            news_emb = self.embedder.embed_text(item.content)
             if variant == "no_debate":
-                samples[item.id] = make_news_only_sample(item.id, news_emb, item.label)
+                news = self.embedder.embed_texts([item.content])[0]
+                samples[item.id] = make_news_only_sample(item.id, news, item.label)
                 continue
             log = logs.get(item.id)
             if log is None:
                 raise StageError("encode", f"no transcript for item {item.id}")
-            turn_embs = [self.embedder.embed_text(t.text) for t in log.turns]
-            samples[item.id] = make_sample(log, turn_embs, news_emb, item.label)
+            rows = self.embedder.embed_texts([item.content, *(t.text for t in log.turns)])
+            samples[item.id] = make_sample(log, rows[1:], rows[0], item.label)
         return samples
 
     def encode(self, dataset: Dataset,

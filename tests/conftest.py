@@ -47,3 +47,17 @@ class CountingBackend:
     def complete(self, req):
         self.calls += 1
         return self._inner.complete(req)
+
+
+class CountingProvider:
+    """Embedding provider wrapper that counts embed calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.provider_id = inner.provider_id
+        self.dim = inner.dim
+        self.calls = 0
+
+    def embed_text(self, text):
+        self.calls += 1
+        return self.inner.embed_text(text)

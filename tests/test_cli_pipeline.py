@@ -1,11 +1,14 @@
+import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from conftest import CountingBackend
+from conftest import CountingBackend, CountingProvider
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
+from veridebate.encoding import EmbeddingCache
 from veridebate.evaluation import load_dataset, write_dataset_jsonl
 from veridebate.gateway import Gateway, MockBackend
 from veridebate.pipeline import Pipeline, StageError, build_gateway
@@ -36,12 +39,17 @@ def small_setup(tmp_path):
     return tmp_path, dataset_path, config_path
 
 
-# Values only a stage config rejects: the engine's max_tokens, the
-# model's heads, which must divide d_p = 128, and the training settings.
-BAD_STAGE_CONFIGS = ("[debate]\nmax_tokens = 0\n", "[model]\nheads = 3\n",
+# Values only a check at load rejects: the gateway's pacing and pool
+# size, the engine's max_tokens, the model's heads, which must divide
+# d_p = 128, and the training settings.
+BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
+                     "[gateway]\nrequests_per_minute = inf\n",
+                     "[gateway]\nmax_concurrency = 0\n",
+                     "[debate]\nmax_tokens = 0\n", "[model]\nheads = 3\n",
                      "[model]\nlr = nan\n", "[model]\nlr = 0\n",
                      "[model]\nepochs = 0\n", "[model]\nbatch_size = 0\n")
-BAD_STAGE_IDS = ("max_tokens", "heads", "lr_nan", "lr_zero", "epochs", "batch_size")
+BAD_STAGE_IDS = ("rpm_negative", "rpm_inf", "max_concurrency", "max_tokens", "heads",
+                 "lr_nan", "lr_zero", "epochs", "batch_size")
 
 
 def run_cli(*args) -> int:
@@ -469,20 +477,6 @@ class TestReusedArtifacts:
         assert first.is_dir()
 
 
-class CountingProvider:
-    """Embedding provider wrapper that counts embed calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.provider_id = inner.provider_id
-        self.dim = inner.dim
-        self.calls = 0
-
-    def embed_text(self, text):
-        self.calls += 1
-        return self.inner.embed_text(text)
-
-
 class TestResume:
     def test_caches_alone_rebuild_the_run(self, small_setup):
         """With transcripts and reports gone, a fresh pipeline over the
@@ -508,6 +502,39 @@ class TestResume:
         assert (warm_calls, warm_embeds) == (0, 0)
         assert warm_metrics == cold_metrics
         assert len(list((workspace / "transcripts").glob("*.json"))) == 16
+
+
+# sha256 of every sample's node and news matrices (little-endian float64),
+# item by item, for the corpus and config of TestBuildSamples.
+SAMPLES_SHA256 = "5c9a9fba5f9ead3ad7ca255c0c69ea7a3fc9d3b3184cf22a0bcf76b693056c3d"
+
+
+def samples_digest(dataset, samples) -> str:
+    digest = hashlib.sha256()
+    for item in dataset.items:
+        sample = samples[item.id]
+        digest.update(np.ascontiguousarray(sample.node_embeddings, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(sample.news_embedding, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestBuildSamples:
+    def test_cold_and_warm_samples_pinned(self, tmp_path, monkeypatch):
+        """Cold samples match the pinned digest; a warm rebuild reads every
+        vector from the cache (no provider call, no write) to the same
+        bytes."""
+        corpus = make_synthetic_corpus(n_train=6, n_val=2, n_test=4, seed=4, task="stance")
+        config = PipelineConfig(d_h=32)
+        cold = Pipeline(config, tmp_path / "ws").build_samples(corpus.dataset, corpus.logs)
+        assert samples_digest(corpus.dataset, cold) == SAMPLES_SHA256
+
+        puts = []
+        monkeypatch.setattr(EmbeddingCache, "put", lambda self, *args: puts.append(args))
+        pipeline = Pipeline(config, tmp_path / "ws")
+        provider = pipeline.embedder.provider = CountingProvider(pipeline.embedder.provider)
+        warm = pipeline.build_samples(corpus.dataset, corpus.logs)
+        assert (provider.calls, len(puts)) == (0, 0)
+        assert samples_digest(corpus.dataset, warm) == SAMPLES_SHA256
 
 
 class ExplodingBackend:

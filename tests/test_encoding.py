@@ -1,7 +1,11 @@
 import json
+import logging
+import tempfile
 
 import numpy as np
 import pytest
+
+from conftest import CountingProvider
 
 from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, Stance
 from veridebate.encoding import (
@@ -106,6 +110,68 @@ class TestEmbeddingCache:
         assert np.array_equal(values, embedder.embed_text("pack check").values)
 
 
+# The last text repeats the first, so one call holds the same miss twice.
+BULK_TEXTS = ["alpha bravo", "charlie delta", "echo foxtrot", "golf hotel", "alpha bravo"]
+
+
+def per_text_rows(provider, texts) -> np.ndarray:
+    """The reference: each text through ``embed_text`` on a cold cache."""
+    with tempfile.TemporaryDirectory() as root:
+        embedder = CachedEmbedder(provider, EmbeddingCache(root))
+        return np.stack([embedder.embed_text(text).values for text in texts])
+
+
+class TestEmbedTexts:
+    @pytest.mark.parametrize("cached", [(), (0, 1, 2, 3), (1, 3)],
+                             ids=["all_miss", "all_hit", "mixed"])
+    def test_rows_equal_per_text_embeddings(self, tmp_path, cached):
+        provider = HashEmbeddingProvider(dim=16, seed=0)
+        earlier = CachedEmbedder(provider, EmbeddingCache(tmp_path))
+        for i in cached:
+            earlier.embed_text(BULK_TEXTS[i])
+        counting = CountingProvider(provider)
+        rows = CachedEmbedder(counting, EmbeddingCache(tmp_path)).embed_texts(BULK_TEXTS)
+        expected = per_text_rows(provider, BULK_TEXTS)
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == expected.tobytes()
+        assert counting.calls == 4 - len(cached)  # the repeated miss is embedded once
+        warm = CachedEmbedder(counting, EmbeddingCache(tmp_path)).embed_texts(BULK_TEXTS)
+        assert warm.tobytes() == expected.tobytes()
+        assert counting.calls == 4 - len(cached)
+
+    def test_without_cache_rows_equal_per_text_embeddings(self):
+        provider = HashEmbeddingProvider(dim=16, seed=0)
+        rows = CachedEmbedder(provider).embed_texts(BULK_TEXTS)
+        assert rows.tobytes() == per_text_rows(provider, BULK_TEXTS).tobytes()
+
+    def test_each_miss_cached_once(self, tmp_path):
+        embedder = CachedEmbedder(HashEmbeddingProvider(dim=8, seed=0), EmbeddingCache(tmp_path))
+        embedder.embed_texts(BULK_TEXTS)
+        (pack,) = (tmp_path / embedder.provider_id).glob("*.pack")
+        assert pack.read_bytes().count(b'{"key": ') == 4
+
+    @pytest.mark.parametrize("bad", [np.full(8, np.nan), np.r_[np.ones(7), np.inf], np.ones(4)],
+                             ids=["nan", "inf", "wrong_size"])
+    def test_unusable_record_is_recomputed(self, tmp_path, bad, caplog):
+        """A record whose crc holds but whose vector is unusable reads as a
+        miss: the item is re-embedded and the provider directory named."""
+        provider = HashEmbeddingProvider(dim=8, seed=0)
+        texts = ["first text", "poisoned text", "last text"]
+        cache = EmbeddingCache(tmp_path)
+        CachedEmbedder(provider, cache).embed_texts([texts[0], texts[2]])
+        cache.put(provider.provider_id, "poisoned text", bad)
+
+        counting = CountingProvider(provider)
+        embedder = CachedEmbedder(counting, EmbeddingCache(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="veridebate.encoding"):
+            rows = embedder.embed_texts(texts)
+        assert rows.tobytes() == per_text_rows(provider, texts).tobytes()
+        assert counting.calls == 1
+        assert str(tmp_path / provider.provider_id) in caplog.text
+        assert np.array_equal(embedder.embed_text("poisoned text").values, rows[1])
+        assert counting.calls == 1
+
+
 class TestRemoteProvider:
     def test_parses_embedding_payload(self):
         import json
@@ -159,7 +225,8 @@ def node_features(table: RoleTable, turns, emb: EmbeddingVector) -> np.ndarray:
     model.role_table.embeddings[...] = table.embeddings
     model.role_table.projection[...] = table.projection
     model.gat_layers[0].weight[...] = np.eye(2 * d_h)
-    sample = make_sample(DebateLog("n", tuple(turns)), [emb] * len(turns), emb)
+    sample = make_sample(DebateLog("n", tuple(turns)), np.tile(emb.values, (len(turns), 1)),
+                         emb.values)
     return model.forward([sample])[1]["gat"][0].projected[0]
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from oracles import brute_force_neighbors
 from strategies import random_valid_log, valid_logs
 from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, Stance
-from veridebate.encoding import EmbeddingVector
 from veridebate.graph import adjacency_mask, edges_for_log
 from veridebate.neural import make_sample
 
@@ -34,9 +33,8 @@ class TestBuildGraph:
         assert np.array_equal(mask_for(one_turn_log()), [[True]])
 
     def test_node_count_mismatch_rejected(self, default_log):
-        news = EmbeddingVector(np.ones(4), "p")
         with pytest.raises(ValueError):
-            make_sample(default_log, [news] * 5, news)
+            make_sample(default_log, np.ones((5, 4)), np.ones(4))
 
     def test_self_loops_present_for_every_node(self, default_log):
         assert mask_for(default_log).diagonal().all()

@@ -8,6 +8,7 @@ import threading
 import zlib
 
 import numpy as np
+import pytest
 
 from veridebate.encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider
 from veridebate.packs import PackStore
@@ -28,8 +29,25 @@ class TestPackStore:
         PackStore(tmp_path).put("k", b"payload")
         (pack,) = packs(tmp_path)
         header, payload = pack.read_bytes().split(b"\n", 1)
-        assert json.loads(header) == {"key": "k", "size": 7, "crc": zlib.crc32(b"payload")}
+        assert header == json.dumps({"key": "k", "size": 7, "crc": zlib.crc32(b"payload")}).encode()
         assert payload == b"payload"
+
+    def test_key_that_needs_escaping_rejected(self, tmp_path):
+        store = PackStore(tmp_path)
+        for key in ('a"b', "a\\b", "a\nb", "caf\u00e9"):
+            with pytest.raises(ValueError, match="pack key"):
+                store.put(key, b"x")
+        assert packs(tmp_path) == []
+
+    def test_header_in_another_layout_ends_the_scan(self, tmp_path):
+        PackStore(tmp_path).put("a", b"alpha")
+        (pack,) = packs(tmp_path)
+        reordered = json.dumps({"size": 4, "key": "b", "crc": zlib.crc32(b"beta")})
+        with open(pack, "ab") as fh:
+            fh.write(reordered.encode() + b"\nbeta")
+        reader = PackStore(tmp_path)
+        assert reader.get("a") == b"alpha"
+        assert reader.get("b") is None
 
     def test_reads_create_no_file(self, tmp_path):
         root = tmp_path / "cache"
@@ -42,6 +60,7 @@ class TestPackStore:
         first.put("a", b"alpha")
         assert first.get("a") == b"alpha"
         assert PackStore(tmp_path).get("a") == b"alpha"
+        assert PackStore(tmp_path).get_many(["a", "absent", "a"]) == [b"alpha", None, b"alpha"]
 
     def test_two_writers_write_two_packs(self, tmp_path):
         one, two = PackStore(tmp_path), PackStore(tmp_path)

@@ -108,8 +108,8 @@ class TestTrainLoop:
             out = []
             for item in corpus.dataset.split(split):
                 log = corpus.logs[item.id]
-                embs = [provider.embed_text(t.text) for t in log.turns]
-                out.append(make_sample(log, embs, provider.embed_text(item.content),
+                embs = np.stack([provider.embed_text(t.text).values for t in log.turns])
+                out.append(make_sample(log, embs, provider.embed_text(item.content).values,
                                        item.label))
             return out
 

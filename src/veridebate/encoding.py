@@ -40,7 +40,14 @@ logger = logging.getLogger(__name__)
 
 # Fixed ordering of the trainable role vectors.
 ROLE_STANCE_PAIRS = tuple((role, stance) for role in DebateRole for stance in Stance)
-ROLE_PAIR_INDEX = {pair: i for i, pair in enumerate(ROLE_STANCE_PAIRS)}
+_ROLES, _STANCES = tuple(DebateRole), tuple(Stance)
+
+
+def role_pair_ids(turns) -> list[int]:
+    """Each turn's index into ROLE_STANCE_PAIRS. The members are found by
+    position, which compares them by identity; looking the pair up in a
+    dict would hash both through the Python-level ``Enum.__hash__``."""
+    return [_ROLES.index(t.role) * len(_STANCES) + _STANCES.index(t.stance) for t in turns]
 
 
 @dataclass(frozen=True)

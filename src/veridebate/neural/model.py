@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domain import DebateLog
-from ..encoding import ROLE_PAIR_INDEX, RoleTable
+from ..encoding import RoleTable, role_pair_ids
 from ..graph import adjacency_mask, edges_for_log
 from .adam import all_finite
 from .attention import (
@@ -160,9 +160,7 @@ def make_sample(log: DebateLog, turn_embeddings: np.ndarray, news_embedding: np.
     turn_embeddings = np.asarray(turn_embeddings, dtype=np.float64)
     if news_embedding.ndim != 1 or turn_embeddings.shape != (len(log.turns), len(news_embedding)):
         raise ValueError("need one embedding row per turn, as wide as the news embedding")
-    role_ids = np.array(
-        [ROLE_PAIR_INDEX[(t.role, t.stance)] for t in log.turns], dtype=np.intp
-    )
+    role_ids = np.array(role_pair_ids(log.turns), dtype=np.intp)
     return Sample(
         news_id=log.news_id,
         node_embeddings=turn_embeddings,

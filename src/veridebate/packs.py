@@ -1,8 +1,10 @@
 """Append-only, checksummed pack files: the on-disk store behind the
 generation and embedding caches.
 
-A ``PackStore`` appends only to its own pack, ``<root>/<pid>-<uuid4hex>.pack``,
-created on its first ``put``. A record is one header line
+A ``PackStore`` appends only to its own pack,
+``<root>/<seq>-<pid>-<uuid4hex>.pack``, created on its first ``put``, where
+``seq`` is one more than the largest sequence among the packs then in the
+directory. A record is one header line
 ``{"key": "<key>", "size": <n>, "crc": <c>}`` (the ``json.dumps`` layout,
 spaces included) followed by ``n`` payload bytes; ``c`` is the ``zlib.crc32``
 of the payload. A key is printable ASCII without ``"`` or ``\\``, so a
@@ -10,13 +12,17 @@ header never needs escaping; ``put`` rejects any other key. Each record goes
 out in one ``os.write`` on an ``O_APPEND`` descriptor, so a crash can leave
 at most a torn tail.
 
-On first use the store scans every ``*.pack`` under its root, in sorted
-order and each in one sequential pass, into an index of payload offsets
-(payloads stay on disk). A record whose header is not in that layout, whose
-payload is short or whose payload fails its crc ends the scan of its pack,
-so a torn tail is dropped and its keys read as misses. A lookup takes the
-lock once for any number of keys; each payload is then one ``os.pread``,
-checked against the crc again.
+On first use the store scans every ``*.pack`` under its root, in creation
+order (by sequence, then name; a pack named without a sequence counts as
+0) and each in one sequential pass, into an index of payload offsets
+(payloads stay on disk). So a key held in several packs maps to its record
+in the newest: a value recomputed after a bad cached record, which goes to
+the recomputing store's new pack, replaces it for every later reader. A
+record whose header is not in that layout, whose payload is short or whose
+payload fails its crc ends the scan of its pack, so a torn tail is dropped
+and its keys read as misses. A lookup takes the lock once for any number
+of keys; each payload is then one ``os.pread``, checked against the crc
+again.
 """
 
 from __future__ import annotations
@@ -38,6 +44,13 @@ _HEADER = re.compile(
 )
 # A header holds a short key and two integers; a longer line is not one.
 _MAX_HEADER = 4096
+_SEQUENCED_NAME = re.compile(r"([0-9]+)-[0-9]+-[0-9a-f]{32}\.pack")
+
+
+def _sequence(path: Path) -> int:
+    """A pack's creation sequence; 0 for a pack named without one."""
+    match = _SEQUENCED_NAME.fullmatch(path.name)
+    return int(match[1]) if match else 0
 
 
 def _close_all(fds: list) -> None:
@@ -73,7 +86,7 @@ class PackStore:
         """The index, scanning the packs on the first call; hold the lock."""
         if self._index is None:
             self._index = {}
-            for path in sorted(self.root.glob("*.pack")):
+            for path in sorted(self.root.glob("*.pack"), key=lambda p: (_sequence(p), p.name)):
                 self._fds.append(os.open(path, os.O_RDONLY))
                 self._scan(self._fds[-1])
         return self._index
@@ -114,7 +127,8 @@ class PackStore:
             index = self._load()
             if self._writer is None:
                 self.root.mkdir(parents=True, exist_ok=True)
-                path = self.root / f"{os.getpid()}-{uuid.uuid4().hex}.pack"
+                seq = 1 + max(map(_sequence, self.root.glob("*.pack")), default=0)
+                path = self.root / f"{seq}-{os.getpid()}-{uuid.uuid4().hex}.pack"
                 flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND
                 self._fds.append(os.open(path, flags))
                 self._writer, self._end = self._fds[-1], 0

@@ -9,7 +9,6 @@ from conftest import CountingProvider
 
 from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, Stance
 from veridebate.encoding import (
-    ROLE_PAIR_INDEX,
     ROLE_STANCE_PAIRS,
     CachedEmbedder,
     EmbeddingCache,
@@ -17,6 +16,7 @@ from veridebate.encoding import (
     HashEmbeddingProvider,
     RemoteEmbeddingProvider,
     RoleTable,
+    role_pair_ids,
 )
 from veridebate.neural import AnalysisModel, ModelConfig, make_sample
 
@@ -201,8 +201,16 @@ class TestRoleTable:
     def test_covers_all_pairs(self):
         assert len(ROLE_STANCE_PAIRS) == 10
         table = RoleTable.create(d_h=4, d_r=2, rng=np.random.default_rng(0))
-        for pair in ROLE_STANCE_PAIRS:
-            assert (table.projection @ table.embeddings[ROLE_PAIR_INDEX[pair]]).shape == (4,)
+        for index in range(len(ROLE_STANCE_PAIRS)):
+            assert (table.projection @ table.embeddings[index]).shape == (4,)
+
+    def test_role_pair_ids_are_pair_table_indices(self):
+        turns = [turn(role, stance) for role, stance in ROLE_STANCE_PAIRS]
+        assert role_pair_ids(turns) == list(range(len(ROLE_STANCE_PAIRS)))
+        assert role_pair_ids(reversed(turns)) == list(range(len(ROLE_STANCE_PAIRS)))[::-1]
+        log = DebateLog("n", tuple(turns))
+        sample = make_sample(log, np.zeros((len(turns), 2)), np.zeros(2))
+        assert sample.role_ids.tolist() == list(range(len(ROLE_STANCE_PAIRS)))
 
     def test_init_range(self):
         table = RoleTable.create(d_h=8, d_r=4, rng=np.random.default_rng(1))

@@ -29,9 +29,11 @@ def test_gradient_matches_finite_differences(mode, layers):
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_gradient_matches_finite_differences_with_role_columns_in_place(layers):
-    # d_h = 8: layer 0's applied map is d_h + 8 = 16 wide, as wide as W_0,
-    # so its gradient is written into W_0's own block, as at default dims.
-    model, batch = make_gradcheck_case(seed=30 + layers, layers=layers, d_h=8)
+    # d_h = 10: layer 0's applied map is d_h + 10 roles = 20 wide, as wide
+    # as W_0, so its gradient is written into W_0's own block, as at
+    # default dims. (The other cases here, at d_h = 4, take the scratch
+    # path.)
+    model, batch = make_gradcheck_case(seed=30 + layers, layers=layers, d_h=10)
     analytic = backward(model, batch)
     numeric = finite_difference_gradient(model, batch, step=1e-4)
     errors = block_relative_errors(model, analytic, numeric)

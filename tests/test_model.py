@@ -127,7 +127,7 @@ def test_one_train_step_calls_adam_once(monkeypatch):
     assert len(calls["adam_step"]) == 1
 
 
-# d_h = 6 leaves layer 0's d_h + 8 role columns wider than W_0's 2 * d_h
+# d_h = 6 leaves layer 0's d_h + 10 role columns wider than W_0's 2 * d_h
 # columns; d_h = 16 fits them, the path default dims take.
 @pytest.mark.parametrize("d_h", [6, 16])
 @pytest.mark.parametrize("mode", ["nodes", "pooled"])

@@ -3,19 +3,34 @@ layout, and what a torn, damaged or foreign file does to a later reader."""
 
 import gc
 import json
+import logging
 import sys
 import threading
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import CountingProvider
+from veridebate import packs as packs_module
 from veridebate.encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider
 from veridebate.packs import PackStore
 
 
 def packs(root):
     return sorted(root.glob("*.pack"))
+
+
+# The random part of the pack names each new store draws, in order: the
+# later-created pack's name sorts after the earlier one's, or before it.
+NAME_ORDERS = pytest.mark.parametrize("hexes", [("0" * 32, "f" * 32), ("f" * 32, "0" * 32)],
+                                      ids=["later_sorts_last", "later_sorts_first"])
+
+
+def draw_pack_names(monkeypatch, hexes):
+    drawn = iter(hexes)
+    monkeypatch.setattr(packs_module.uuid, "uuid4", lambda: SimpleNamespace(hex=next(drawn)))
 
 
 class TestPackStore:
@@ -131,6 +146,21 @@ class TestPackStore:
             assert store.get(key) == key.encode() * 7
             assert reader.get(key) == key.encode() * 7
 
+    @NAME_ORDERS
+    def test_newer_pack_wins_in_either_name_order(self, tmp_path, monkeypatch, hexes):
+        draw_pack_names(monkeypatch, hexes)
+        PackStore(tmp_path).put("k", b"stale")
+        PackStore(tmp_path).put("k", b"fresh")
+        assert len(packs(tmp_path)) == 2
+        assert PackStore(tmp_path).get("k") == b"fresh"
+
+    def test_pack_named_without_sequence_is_oldest(self, tmp_path):
+        PackStore(tmp_path).put("k", b"stale")
+        (pack,) = packs(tmp_path)
+        pack.rename(tmp_path / f"99999-{'f' * 32}.pack")  # the earlier naming
+        PackStore(tmp_path).put("k", b"fresh")
+        assert PackStore(tmp_path).get("k") == b"fresh"
+
     def test_descriptors_close_with_the_store(self, tmp_path):
         store = PackStore(tmp_path)
         store.put("a", b"alpha")
@@ -139,3 +169,24 @@ class TestPackStore:
         del store
         gc.collect()
         assert descriptors == []
+
+
+@NAME_ORDERS
+def test_recomputed_embedding_is_read_back_by_later_runs(tmp_path, monkeypatch, caplog, hexes):
+    """A bad cached vector is recomputed once: the recomputed record, in
+    the recomputing run's new pack, is what every later run reads."""
+    draw_pack_names(monkeypatch, hexes)
+    provider = HashEmbeddingProvider(dim=8, seed=0)
+    EmbeddingCache(tmp_path).put(provider.provider_id, "poisoned", np.full(8, np.nan))
+    with caplog.at_level(logging.WARNING, logger="veridebate.encoding"):
+        expected = CachedEmbedder(provider, EmbeddingCache(tmp_path)).embed_texts(["poisoned"])
+    assert "recomputing 1 cached embedding" in caplog.text
+    caplog.clear()
+
+    counting = CountingProvider(provider)
+    with caplog.at_level(logging.WARNING, logger="veridebate.encoding"):
+        rows = CachedEmbedder(counting, EmbeddingCache(tmp_path)).embed_texts(["poisoned"])
+    assert rows.tobytes() == expected.tobytes()
+    assert counting.calls == 0
+    assert caplog.text == ""
+    assert len(packs(tmp_path / provider.provider_id)) == 2

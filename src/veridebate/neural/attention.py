@@ -1,27 +1,27 @@
 """Debate-news interactive attention over a padded batch.
 
-The pooled debate vectors ``(B, node_dim)`` and news embeddings
-``(B, news_dim)`` are projected to a shared width d_p; the projected
-news then queries the debate through multi-head scaled dot-product
-attention, with heads as an array axis. Two key/value sources exist:
+The pooled debate vectors ``(B, f)`` and news embeddings ``(B,
+news_dim)`` are projected to a shared width d_p, by ``graph_map`` and
+``news_proj``; the projected news then queries the debate through
+multi-head scaled dot-product attention, with heads as an array axis.
+Two key/value sources exist:
 
 * ``pooled`` - the single pooled debate vector. Softmax over one key is
   identically 1, so the context is constant in the query; the mode
   exists because that literal reading is worth keeping testable.
-* ``nodes`` (default) - the per-node features ``(B, n, node_dim)``,
-  which lets the news weight individual turns; a ``(B, n)`` real-node
-  mask keeps padding nodes out of the keys.
+* ``nodes`` (default) - the per-node features ``(B, n, f)``, which lets
+  the news weight individual turns; a ``(B, n)`` real-node mask keeps
+  padding nodes out of the keys.
 
 The fused output is [g_proj ; context], ``(B, 2 * d_p)``.
 
-The node features arrive with a linear map, ``node_map``, that has not
-been applied to them. The model passes the last GAT layer's
-pre-projection aggregate Z with node_map = W_last, instead of its
-node_dim-wide output Z W_lastᵀ; the single-graph ``interact`` passes
-its features with the identity. A source z_j therefore enters the
-keys and values only through M = graph_proj @ node_map, and the
-interaction forms ``key_map = key @ M`` and ``value_map = value @ M``
-once per batch, split by heads.
+In the model the sources are the last GAT layer's input-space
+aggregates Z, and ``graph_map`` is the paper's graph projection times
+that layer's projection, graph_proj @ W_last, multiplied out: the
+debate vectors Z W_lastᵀ enter only through it. A source z_j therefore
+enters the keys and values only through graph_map, and the
+interaction forms ``key_map = key @ graph_map`` and ``value_map = value
+@ graph_map`` once per batch, split by heads.
 
 Each sample has a single query per head, so the query is projected,
 not the keys: head h scores source j as ``(q_h @ key_map_h) · z_j``,
@@ -29,10 +29,8 @@ mixes the sources by the softmax weights, and projects only that
 mixture, ``value_map_h @ (Σ_j w_j z_j)``. No per-node key or value is
 built. Pooled mode runs the same code with the pool as its one source.
 
-The backward pass writes each projection's gradient, graph_proj's
-included, into the array it is handed, and returns the gradient of
-the small product M = graph_proj @ node_map; the caller forms
-node_map's from it.
+The backward pass writes each projection's gradient, graph_map's
+included, into the array it is handed.
 """
 
 from __future__ import annotations
@@ -46,12 +44,12 @@ from .gat import softmax, softmax_backward
 
 INTERACTION_MODES = ("pooled", "nodes")
 # The trainable projections, in parameter-buffer order.
-PROJECTIONS = ("graph_proj", "news_proj", "query", "key", "value", "out")
+PROJECTIONS = ("graph_map", "news_proj", "query", "key", "value", "out")
 
 
 @dataclass
 class InteractionHead:
-    graph_proj: np.ndarray  # W_g: (d_p, node_dim)
+    graph_map: np.ndarray   # (d_p, f), the debate vectors' projection
     news_proj: np.ndarray   # W_e: (d_p, news_dim)
     query: np.ndarray       # (d_p, d_p)
     key: np.ndarray         # (d_p, d_p)
@@ -62,7 +60,7 @@ class InteractionHead:
     def __post_init__(self):
         for name in PROJECTIONS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        d_p = self.graph_proj.shape[0]
+        d_p = self.graph_map.shape[0]
         for name in ("query", "key", "value", "out"):
             if getattr(self, name).shape != (d_p, d_p):
                 raise ValueError(f"{name} projection must be ({d_p}, {d_p})")
@@ -74,12 +72,14 @@ class InteractionHead:
     @classmethod
     def create(cls, node_dim: int, news_dim: int, d_p: int, heads: int,
                rng: np.random.Generator) -> "InteractionHead":
+        """A head over node_dim-wide debate vectors; the model multiplies
+        its graph_map by the last GAT layer's projection."""
         def uniform(rows: int, cols: int) -> np.ndarray:
             scale = 1.0 / math.sqrt(cols)
             return rng.uniform(-scale, scale, size=(rows, cols))
 
         return cls(
-            graph_proj=uniform(d_p, node_dim),
+            graph_map=uniform(d_p, node_dim),
             news_proj=uniform(d_p, news_dim),
             query=uniform(d_p, d_p),
             key=uniform(d_p, d_p),
@@ -90,7 +90,7 @@ class InteractionHead:
 
     @property
     def d_p(self) -> int:
-        return int(self.graph_proj.shape[0])
+        return int(self.graph_map.shape[0])
 
     @property
     def head_dim(self) -> int:
@@ -113,8 +113,7 @@ class InteractCache:
     news_emb: np.ndarray   # (B, news_dim)
     pooled: np.ndarray     # (B, f)
     sources: np.ndarray    # (B, m, f): the node features, or the pool (m = 1)
-    node_map: np.ndarray   # (node_dim, f)
-    graph_map: np.ndarray  # (d_p, f), graph_proj @ node_map
+    graph_map: np.ndarray  # (d_p, f), as applied
     key_map: np.ndarray    # (heads, head_dim, f), key @ graph_map by heads
     value_map: np.ndarray  # (heads, head_dim, f), value @ graph_map by heads
     e_proj: np.ndarray     # (B, d_p)
@@ -126,16 +125,18 @@ class InteractCache:
 
 
 def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.ndarray,
-                    node_map: np.ndarray, head: InteractionHead, mode: str = "nodes",
-                    mask: np.ndarray | None = None):
-    """Batched forward pass. The debate vectors are ``node_feats @
-    node_mapᵀ`` and ``pooled @ node_mapᵀ``, and neither is built, nor
-    are their keys and values: see the module docstring."""
+                    head: InteractionHead, mode: str = "nodes",
+                    mask: np.ndarray | None = None, graph_map: np.ndarray | None = None):
+    """Batched forward pass. ``graph_map`` is the map applied to the
+    sources: the head's own, or an equivalent one over other features
+    (the one-layer model folds the role table into it). No per-node key
+    or value is built: see the module docstring."""
     if mode not in INTERACTION_MODES:
         raise ValueError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     news_emb = np.asarray(news_emb, dtype=np.float64)
     pooled = np.asarray(pooled, dtype=np.float64)
-    graph_map = head.graph_proj @ node_map
+    if graph_map is None:
+        graph_map = head.graph_map
     if pooled.shape[-1] != graph_map.shape[1]:
         raise ValueError("pooled vector width does not match graph projection")
     if news_emb.shape[-1] != head.news_proj.shape[1]:
@@ -168,7 +169,6 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
         news_emb=news_emb,
         pooled=pooled,
         sources=sources,
-        node_map=node_map,
         graph_map=graph_map,
         key_map=key_map,
         value_map=value_map,
@@ -188,8 +188,7 @@ def interact(news_emb, node_feats, pooled, head: InteractionHead, mode: str = "n
     vector [g_proj ; context], plus the (heads, keys) attention weight
     matrix when asked."""
     fused, cache = interact_cached(np.asarray(news_emb)[None], np.asarray(node_feats)[None],
-                                   np.asarray(pooled)[None],
-                                   np.eye(head.graph_proj.shape[1]), head, mode)
+                                   np.asarray(pooled)[None], head, mode)
     if return_weights:
         return fused[0], cache.weights[0]
     return fused[0]
@@ -199,12 +198,11 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
                       grads: dict[str, np.ndarray]):
     """Backward pass of interact_cached, summed over the batch. The
     gradient of each projection in ``PROJECTIONS`` is written into
-    ``grads[name]``, each by one product.
+    ``grads[name]``; graph_map's is that of the map as applied.
 
-    Returns (d_node_feats, d_pooled, d_graph_map), w.r.t. the inputs as
-    passed and the product graph_proj @ node_map: d_node_feats is None
-    in pooled mode (node features are not consumed there). node_map's
-    gradient is graph_projᵀ d_graph_map, which the caller forms.
+    Returns (d_node_feats, d_pooled), w.r.t. the inputs as passed:
+    d_node_feats is None in pooled mode (node features are not consumed
+    there).
     """
     d_p, sources = head.d_p, cache.sources
     batch, width = cache.news_emb.shape[0], cache.graph_map.shape[1]
@@ -239,7 +237,8 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
     d_value_map = d_value_map.reshape(d_p, width)
     np.matmul(d_key_map, graph_map.T, out=grads["key"])
     np.matmul(d_value_map, graph_map.T, out=grads["value"])
-    d_graph_map = d_g_proj.T @ cache.pooled
+    d_graph_map = grads["graph_map"]
+    np.matmul(d_g_proj.T, cache.pooled, out=d_graph_map)
     d_graph_map += head.key.T @ d_key_map
     d_graph_map += head.value.T @ d_value_map
     d_pooled = d_g_proj @ graph_map
@@ -248,5 +247,4 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
         d_node_feats = None
     else:
         d_node_feats = d_sources
-    np.matmul(d_graph_map, cache.node_map.T, out=grads["graph_proj"])
-    return d_node_feats, d_pooled, d_graph_map
+    return d_node_feats, d_pooled

@@ -15,6 +15,9 @@ from .adam import all_finite
 from .model import AnalysisModel, ModelConfig
 
 FORMAT_NAME = "veridebate-checkpoint"
+# 2: gat<L>.score and interaction.graph_map replace version 1's
+# gat<L>.weight, gat<L>.attn and interaction.graph_proj.
+FORMAT_VERSION = 2
 
 
 def save_model(path: str | Path, model: AnalysisModel, provider_id: str) -> None:
@@ -23,7 +26,7 @@ def save_model(path: str | Path, model: AnalysisModel, provider_id: str) -> None
     on a little-endian machine)."""
     header = {
         "format": FORMAT_NAME,
-        "version": 1,
+        "version": FORMAT_VERSION,
         **dataclasses.asdict(model.config),
         "labels": {"real": 0, "fake": 1},
         "param_count": model.num_params,
@@ -35,8 +38,9 @@ def save_model(path: str | Path, model: AnalysisModel, provider_id: str) -> None
 
 def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
     """Read a checkpoint to score ``provider_id``'s embeddings, checking
-    its header, its embedder, payload size, parameter count and
-    finiteness; any defect is a ValueError that names the file."""
+    its header and format version, its embedder, payload size,
+    parameter count and finiteness; any defect is a ValueError that
+    names the file."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -44,6 +48,9 @@ def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
         header = json.loads(header_line.decode("utf-8"))
         if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise ValueError(f"not a {FORMAT_NAME} file")
+        if header["version"] != FORMAT_VERSION:
+            raise ValueError(f"format version {header['version']!r}, but this program "
+                             f"reads version {FORMAT_VERSION}")
         if header["provider_id"] != provider_id:
             raise ValueError(f"trained on embeddings from {header['provider_id']!r}, "
                              f"but the configured embedder is {provider_id!r}")

@@ -12,28 +12,26 @@ interactive attention, and a softmax head predicts (p_real, p_fake).
 every parameter block. All parameters live in one flat float64 buffer;
 each named block is a view into it.
 
-The forward pass computes that function without building any node_dim
-(= 2 * d_h) wide activation. Every such array only ever feeds a linear
-map, so the maps are multiplied together first:
+The paper's last GAT layer has no activation, so its projection W_last
+(node_dim x in_dim, node_dim = 2 * d_h) reaches the output only as the
+score vectors [u ; v] = [W_lastᵀ a_src ; W_lastᵀ a_dst] and as
+graph_map = graph_proj @ W_last. The model trains those products as
+its blocks; ``create`` draws W_last, a and graph_proj in the factored
+model's order and multiplies them out.
 
-* the first layer's W_0 = [W_e | W_r] meets [embedding ; onehot @ T],
-  with T the role table, as [W_e | W_r Tᵀ] applied to [embedding ;
-  onehot];
-* the last, identity, layer returns the gat_hidden-wide aggregate Z, and
-  the interaction applies M = graph_proj @ W_last to its mean, and
-  key @ M and value @ M to Z (see ``attention``).
-
-The backward pass takes the same route, and the gradients of W_0, the
-role table, W_last and graph_proj come from those of the products.
+No node_dim wide activation is built: a map [M_e | M_r] that meets the
+node features [embedding ; onehot @ T], with T the role table, is
+applied as [M_e | M_r Tᵀ] to [embedding ; onehot]. Those maps are W_0,
+or with one layer [u ; v] and graph_map; the backward pass takes the
+same route.
 
 The gradient is one flat vector aligned with the parameters, and the
 caller may pass it in (``out``): training fills one buffer at every
 step. Each block is written in place by the product that computes it
 (``np.matmul(..., out=view)``), so a step allocates, copies and frees
-no parameter-block-sized array. W_last's gradient, the attention score
-term plus graph_projᵀ dM (M = graph_proj @ W_last), is one product:
-W_last's attention vector and graph_proj are neighbouring parameter
-blocks, so their stack [a_src ; a_dst ; graph_proj] is a view.
+no parameter-block-sized array. ``loss_and_grad`` does not check the
+gradient's finiteness: ``adam_step`` refuses a non-finite one, and
+``train`` and ``backward`` name its blocks in a ``NumericalFault``.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .attention import (
     interact_backward,
     interact_cached,
 )
-from .gat import GatLayer, gat_backward, gat_forward_cached, softmax
+from .gat import GatLayer, LastGatLayer, gat_backward, gat_forward_cached, softmax
 
 LOG_CLAMP = 1e-12
 
@@ -229,7 +227,7 @@ class AnalysisModel:
     ``flat``; updating it in place updates every block."""
 
     def __init__(self, config: ModelConfig, role_table: RoleTable,
-                 gat_layers: list[GatLayer], interaction: InteractionHead,
+                 gat_layers: list[GatLayer | LastGatLayer], interaction: InteractionHead,
                  classifier: ClassifierHead):
         self.config = config
         self.role_table = role_table
@@ -240,41 +238,45 @@ class AnalysisModel:
         owners = [("role_embeddings", role_table, "embeddings"),
                   ("role_projection", role_table, "projection")]
         owners += [(f"gat{l}.{attr}", layer, attr)
-                   for l, layer in enumerate(gat_layers) for attr in ("weight", "attn")]
+                   for l, layer in enumerate(gat_layers) for attr in layer.params]
         owners += [(f"interaction.{attr}", interaction, attr) for attr in PROJECTIONS]
         owners += [(f"classifier.{attr}", classifier, attr) for attr in ("weight", "bias")]
 
         # Move every block into one buffer and leave a view in its place.
         self.flat = np.concatenate([getattr(owner, attr).ravel() for _, owner, attr in owners])
         self._blocks: list[tuple[str, slice, tuple[int, ...]]] = []
+        self._views: dict[str, np.ndarray] = {}
         offset = 0
         for name, owner, attr in owners:
             shape = getattr(owner, attr).shape
             sl = slice(offset, offset + math.prod(shape))
-            setattr(owner, attr, self.flat[sl].reshape(shape))
+            self._views[name] = self.flat[sl].reshape(shape)
+            setattr(owner, attr, self._views[name])
             self._blocks.append((name, sl, shape))
             offset = sl.stop
-        # The last GAT layer's attention vector and graph_proj are
-        # neighbouring blocks, so [a_src ; a_dst ; graph_proj] is one
-        # (2 + d_p, node_dim) view: the left factor of that layer's
-        # weight gradient (see gat_backward).
-        slices = dict(self.block_slices())
-        self._score_and_graph_proj = self.flat[
-            slices[f"gat{len(gat_layers) - 1}.attn"].start:slices["interaction.graph_proj"].stop
-        ].reshape(-1, interaction.graph_proj.shape[1])
+        # The map each layer applies, then the interaction's; the first
+        # of them, or with one layer both, meet the node features.
+        last = len(gat_layers) - 1
+        self._maps = (*(f"gat{l}.weight" for l in range(last)),
+                      f"gat{last}.score", "interaction.graph_map")
+        self._role_maps = self._maps[:1] if last else self._maps
 
     @classmethod
     def create(cls, config: ModelConfig) -> "AnalysisModel":
         rng = np.random.default_rng(config.seed)
         role_table = RoleTable.create(config.d_h, config.d_r, rng)
         node_dim = 2 * config.d_h
-        dims = [node_dim] + [config.gat_hidden] * (config.gat_layers - 1) + [node_dim]
-        layers = []
-        for l in range(config.gat_layers):
-            activation = "identity" if l == config.gat_layers - 1 else "elu"
-            layers.append(GatLayer.create(dims[l], dims[l + 1], rng, activation))
+        dims = [node_dim] + [config.gat_hidden] * (config.gat_layers - 1)
+        layers: list[GatLayer | LastGatLayer] = [
+            GatLayer.create(dims[l], dims[l + 1], rng) for l in range(config.gat_layers - 1)
+        ]
+        # The paper's last layer and graph projection, drawn in this
+        # order, enter the model only multiplied out.
+        factored = GatLayer.create(dims[-1], node_dim, rng)
         interaction = InteractionHead.create(node_dim, config.d_h, config.d_p,
                                              config.heads, rng)
+        layers.append(LastGatLayer(factored.attn.reshape(2, node_dim) @ factored.weight))
+        interaction.graph_map = interaction.graph_map @ factored.weight
         classifier = ClassifierHead.create(2 * config.d_p, rng)
         return cls(config, role_table, layers, interaction, classifier)
 
@@ -313,22 +315,25 @@ class AnalysisModel:
         # One-hot role rows; role-less and padding nodes get a zero row.
         table = self.role_table.embeddings @ self.role_table.projection.T
         roles = (batch.role_ids[..., None] == np.arange(table.shape[0])).astype(np.float64)
-        # Layer 0 reads [embedding ; roles @ table] through W_0 = [W_e | W_r],
-        # which equals [W_e | W_r tableᵀ] applied to [embedding ; roles].
-        first = self.gat_layers[0].weight
-        weights = [layer.weight for layer in self.gat_layers]
-        weights[0] = np.concatenate([first[:, :d_h], first[:, d_h:] @ table.T], axis=1)
+        # A map M = [M_e | M_r] over [embedding ; roles @ table] equals
+        # [M_e | M_r tableᵀ] applied to [embedding ; roles].
+        maps = []
+        for name in self._maps:
+            block = self._views[name]
+            if name in self._role_maps:
+                block = np.concatenate([block[:, :d_h], block[:, d_h:] @ table.T], axis=1)
+            maps.append(block)
         activations = np.concatenate([batch.nodes, roles], axis=2)
         gat_caches = []
-        for layer, weight in zip(self.gat_layers, weights):
-            activations, cache = gat_forward_cached(layer, activations, batch.adjacency, weight)
+        for layer, applied in zip(self.gat_layers, maps):
+            activations, cache = gat_forward_cached(layer, activations, batch.adjacency, applied)
             gat_caches.append(cache)
-        # The last layer is the identity: its output is activations @
-        # weights[-1]ᵀ, and interaction folds that map into graph_proj.
+        # The last layer returns its input-space aggregate, which only
+        # graph_map reads.
         pooled = global_mean_pool(activations, batch.mask)
         fused, att_cache = interact_cached(
-            batch.news, activations, pooled, weights[-1], self.interaction,
-            self.config.interaction_mode, batch.mask,
+            batch.news, activations, pooled, self.interaction,
+            self.config.interaction_mode, batch.mask, graph_map=maps[-1],
         )
         probs = classify(fused, self.classifier)
         return probs, {"batch": batch, "table": table, "gat": gat_caches,
@@ -355,9 +360,21 @@ class AnalysisModel:
         np.sum(d_logits, axis=0, out=grads["classifier.bias"])
         d_fused = d_logits @ self.classifier.weight
 
-        d_activations, d_pooled, d_graph_map = interact_backward(
+        # A map that read [embedding ; roles] as [M_e | M_r tableᵀ], width
+        # d_h + roles, gets that applied map's gradient: in the leading
+        # columns of its block when they fit, and the role columns are
+        # mapped back below.
+        d_h, table = self.config.d_h, cache["table"]
+        width = d_h + table.shape[0]
+        fits = width <= 2 * d_h
+        targets = dict(grads)
+        for name in self._role_maps:
+            block = grads[name]
+            targets[name] = block[:, :width] if fits else np.empty((len(block), width))
+
+        d_activations, d_pooled = interact_backward(
             self.interaction, cache["attention"], d_fused,
-            {name: grads[f"interaction.{name}"] for name in PROJECTIONS},
+            {name: targets[f"interaction.{name}"] for name in PROJECTIONS},
         )
         counts = batch.mask.sum(axis=1)
         d_mean = batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
@@ -366,33 +383,33 @@ class AnalysisModel:
         else:
             d_activations += d_mean
 
-        # Layer 0 applied [W_e | W_r tableᵀ], width d_h + roles; its
-        # gradient goes to the leading columns of W_0's block when they
-        # fit, and the role columns are then mapped back below.
-        d_h, table = self.config.d_h, cache["table"]
-        d_w0 = grads["gat0.weight"]
-        width = d_h + table.shape[0]
-        fits = width <= d_w0.shape[1]
-        d_applied = d_w0[:, :width] if fits else np.empty((len(d_w0), width))
-
-        last = len(self.gat_layers) - 1
-        for l in range(last, -1, -1):
+        for l in range(len(self.gat_layers) - 1, -1, -1):
+            layer = self.gat_layers[l]
             d_activations = gat_backward(
-                self.gat_layers[l], cache["gat"][l], d_activations,
-                d_applied if l == 0 else grads[f"gat{l}.weight"], grads[f"gat{l}.attn"],
-                input_grad=l > 0,
-                map_grad=(self._score_and_graph_proj, d_graph_map) if l == last else None,
+                layer, cache["gat"][l], d_activations,
+                *(targets[f"gat{l}.{attr}"] for attr in layer.params), input_grad=l > 0,
             )
 
-        # Back from [W_e | W_r tableᵀ] to W_0 and the role table.
-        d_roles = d_applied[:, d_h:].copy()
-        if not fits:
-            d_w0[:, :d_h] = d_applied[:, :d_h]
-        np.matmul(d_roles, table, out=d_w0[:, d_h:])
-        d_table = d_roles.T @ self.gat_layers[0].weight[:, d_h:]
+        # Back from each [M_e | M_r tableᵀ] to M and the role table.
+        d_table = 0.0
+        for name in self._role_maps:
+            d_applied, d_block = targets[name], grads[name]
+            d_roles = d_applied[:, d_h:].copy()
+            if not fits:
+                d_block[:, :d_h] = d_applied[:, :d_h]
+            np.matmul(d_roles, table, out=d_block[:, d_h:])
+            d_table = d_table + d_roles.T @ self._views[name][:, d_h:]
         np.matmul(d_table, self.role_table.projection, out=grads["role_embeddings"])
         np.matmul(d_table.T, self.role_table.embeddings, out=grads["role_projection"])
         return out
+
+
+def check_gradient(model: AnalysisModel, grad: np.ndarray) -> None:
+    """Raise NumericalFault naming the parameter blocks where ``grad``
+    is not finite."""
+    bad = [name for name, sl in model.block_slices() if not all_finite(grad[sl])]
+    if bad:
+        raise NumericalFault(f"non-finite gradient in parameter blocks: {bad}")
 
 
 def batch_loss(model: AnalysisModel, batch: list[Sample]) -> float:
@@ -404,18 +421,18 @@ def batch_loss(model: AnalysisModel, batch: list[Sample]) -> float:
 
 def backward(model: AnalysisModel, batch: list[Sample]) -> np.ndarray:
     """Gradient of the mean batch loss as one flat vector aligned with
-    ``parameter_vector``."""
-    return loss_and_grad(model, batch)[1]
+    ``parameter_vector``; a non-finite one raises NumericalFault."""
+    grad = loss_and_grad(model, batch)[1]
+    check_gradient(model, grad)
+    return grad
 
 
 def loss_and_grad(model: AnalysisModel, batch: list[Sample],
                   out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean batch loss and its gradient: a new vector, or ``out``
-    filled and returned."""
+    filled and returned. The gradient is not checked for finiteness
+    here (see the module docstring)."""
     labels = _labels(batch)
     probs, cache = model.forward(batch)
     grad = model.gradient(cache, labels, out)
-    if not all_finite(grad):
-        bad = [name for name, sl in model.block_slices() if not all_finite(grad[sl])]
-        raise NumericalFault(f"non-finite gradient in parameter blocks: {bad}")
     return cross_entropy(probs, labels), grad

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adam import AdamState, adam_step
-from .model import AnalysisModel, Sample, loss_and_grad
+from .model import AnalysisModel, Sample, check_gradient, loss_and_grad
 
 # Samples per forward pass when predicting; bounds peak memory on large
 # splits.
@@ -65,7 +65,8 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
     The per-epoch loss history records the sample-weighted mean loss
     seen during the epoch. With a validation set, the parameters with
     the best validation accuracy are restored at the end (ties keep the
-    earliest epoch).
+    earliest epoch). A non-finite gradient raises NumericalFault naming
+    its parameter blocks, before the step that would apply it.
     """
     if not train_samples:
         raise ValueError("no training items")
@@ -101,7 +102,13 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
             total += loss * len(batch)
             if frozen_mask is not None:
                 grad *= frozen_mask
-            adam_step(model.flat, grad, state)
+            try:
+                adam_step(model.flat, grad, state)
+            except ValueError:
+                # adam_step refuses a non-finite gradient before it
+                # updates anything; name the blocks it came from.
+                check_gradient(model, grad)
+                raise
         loss_history.append(total / n)
 
         if val_samples:

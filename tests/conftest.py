@@ -1,3 +1,7 @@
+import dataclasses
+import json
+
+import numpy as np
 import pytest
 
 from veridebate.domain import DebateConfig, NewsItem
@@ -61,3 +65,25 @@ class CountingProvider:
     def embed_text(self, text):
         self.calls += 1
         return self.inner.embed_text(text)
+
+
+def factored_param_count(config: ModelConfig) -> int:
+    """Parameters of the version-1 checkpoint layout, which held the last
+    GAT layer's projection and attention vector and the interaction's
+    graph_proj as factors: 418,210 at default dims."""
+    node_dim = 2 * config.d_h
+    dims = [node_dim] + [config.gat_hidden] * (config.gat_layers - 1) + [node_dim]
+    count = 10 * config.d_r + config.d_h * config.d_r
+    count += sum(dims[l + 1] * dims[l] + 2 * dims[l + 1] for l in range(config.gat_layers))
+    count += config.d_p * (node_dim + config.d_h + 4 * config.d_p)
+    return count + 2 * 2 * config.d_p + 2
+
+
+def write_factored_checkpoint(path, config: ModelConfig, provider_id: str) -> None:
+    """A checkpoint as version 1 wrote it, with the factored layout's
+    parameter count (all zeros)."""
+    header = {"format": "veridebate-checkpoint", "version": 1,
+              **dataclasses.asdict(config), "labels": {"real": 0, "fake": 1},
+              "param_count": factored_param_count(config), "provider_id": provider_id}
+    payload = np.zeros(header["param_count"], dtype="<f8").tobytes()
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)

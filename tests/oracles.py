@@ -4,7 +4,8 @@ Each function here recomputes a quantity from first principles by a
 route the production code never takes: central finite differences for
 gradients, raw confusion-count arithmetic for metrics, edge-scan
 neighbor recomputation for graphs, and a literal one-sample-at-a-time
-forward pass of the classifier.
+forward pass of the classifier, as it stands and in the paper's
+factored form.
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def reference_forward(model: AnalysisModel, samples: list[Sample]) -> np.ndarray:
-    """(len(samples), 2) class probabilities, computed from the model's
-    formulas one sample at a time, with every layer's full-width output
-    built: node features are [embedding ; role vector], each GAT layer
-    forms W h, scores every edge and aggregates, the debate vectors are
-    the last layer's outputs (or their mean) projected by graph_proj,
-    and the news queries them head by head."""
+def _literal_forward(model: AnalysisModel, samples: list[Sample], factors) -> np.ndarray:
+    """Probabilities one sample at a time. ``factors`` is None for the
+    model as it stands, or (W, a, graph_proj) for the last layer's
+    projection and attention vector and the graph projection."""
     roles, head, classifier = model.role_table, model.interaction, model.classifier
     role_vectors = roles.embeddings @ roles.projection.T  # one row per role
     probs = []
@@ -56,18 +54,25 @@ def reference_forward(model: AnalysisModel, samples: list[Sample]) -> np.ndarray
                 role_part[i] = role_vectors[role]
         h = np.concatenate([sample.node_embeddings, role_part], axis=1)
         for layer in model.gat_layers:
-            wh = h @ layer.weight.T
-            a_src, a_dst = layer.attn[: layer.out_dim], layer.attn[layer.out_dim :]
+            if hasattr(layer, "weight"):
+                weight, attn = layer.weight, layer.attn
+            elif factors is None:  # the last layer scores in its input space
+                weight, attn = np.eye(h.shape[1]), layer.score.ravel()
+            else:
+                weight, attn = factors[0], factors[1]
+            wh = h @ weight.T
+            a_src, a_dst = attn[: len(weight)], attn[len(weight) :]
             h = np.zeros_like(wh)
             for i in range(n):
                 neighbors = [j for j in range(n) if sample.adjacency[i, j]]
                 scores = np.array([a_src @ wh[i] + a_dst @ wh[j] for j in neighbors])
                 weights = _softmax(np.where(scores > 0, scores, 0.2 * scores))
                 h[i] = sum(w * wh[j] for w, j in zip(weights, neighbors))
-            if layer.activation == "elu":
+            if hasattr(layer, "weight"):
                 h = np.where(h > 0, h, np.expm1(h))
-        g = head.graph_proj @ h.mean(axis=0)
-        kv = h @ head.graph_proj.T if model.config.interaction_mode == "nodes" else g[None]
+        graph_proj = head.graph_map if factors is None else factors[2]
+        g = graph_proj @ h.mean(axis=0)
+        kv = h @ graph_proj.T if model.config.interaction_mode == "nodes" else g[None]
         query = head.query @ (head.news_proj @ sample.news_embedding)
         keys, values = kv @ head.key.T, kv @ head.value.T
         context = []
@@ -80,13 +85,33 @@ def reference_forward(model: AnalysisModel, samples: list[Sample]) -> np.ndarray
     return np.array(probs)
 
 
+def reference_forward(model: AnalysisModel, samples: list[Sample]) -> np.ndarray:
+    """(len(samples), 2) class probabilities, computed from the model's
+    formulas one sample at a time, with every layer's full-width output
+    built: node features are [embedding ; role vector], each hidden GAT
+    layer forms W h, scores every edge and aggregates, the last layer
+    scores edges by [u ; v] and aggregates its inputs, the debate
+    vectors are those aggregates (or their mean) projected by
+    graph_map, and the news queries them head by head."""
+    return _literal_forward(model, samples, None)
+
+
+def factored_forward(model: AnalysisModel, samples: list[Sample], weight: np.ndarray,
+                     attn: np.ndarray, graph_proj: np.ndarray) -> np.ndarray:
+    """The paper's form of the same classifier, one sample at a time:
+    the last GAT layer projects by ``weight`` (node_dim, in_dim), scores
+    every edge by ``attn`` = [a_src ; a_dst] over its node_dim-wide
+    projections and aggregates them, and ``graph_proj`` (d_p, node_dim)
+    projects the result; every other parameter is the model's."""
+    return _literal_forward(model, samples, (weight, attn, graph_proj))
+
+
 def literal_attention_weights(head, news_embedding: np.ndarray, sources: np.ndarray,
-                              node_map: np.ndarray) -> np.ndarray:
+                              graph_map: np.ndarray) -> np.ndarray:
     """(heads, n) interaction weights of one graph's n real sources z_j,
-    computed with every per-node key built: key_j = K M z_j with M =
-    graph_proj @ node_map, the query q = Q W_e news, and head h a
-    softmax over (key_j,h · q_h) / sqrt(head_dim)."""
-    graph_map = head.graph_proj @ node_map
+    computed with every per-node key built: key_j = K graph_map z_j,
+    the query q = Q W_e news, and head h a softmax over (key_j,h · q_h)
+    / sqrt(head_dim)."""
     query = head.query @ (head.news_proj @ news_embedding)
     keys = [head.key @ (graph_map @ z) for z in sources]
     weights = []

@@ -5,11 +5,12 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import CountingBackend, CountingProvider
+from conftest import CountingBackend, CountingProvider, write_factored_checkpoint
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
 from veridebate.encoding import EmbeddingCache
 from veridebate.evaluation import load_dataset, write_dataset_jsonl
+from veridebate.neural import ModelConfig
 from veridebate.gateway import Gateway, MockBackend
 from veridebate.pipeline import Pipeline, StageError, build_gateway
 from veridebate.synthetic import make_synthetic_corpus
@@ -368,6 +369,21 @@ class TestPipelineCommand:
         assert run_cli("predict", "--config", other, *common) == 1
         checkpoint = out / "checkpoints" / "model.bin"
         for part in (str(checkpoint), "'hash-d16-s0'", "'hash-d16-s1'"):
+            assert part in caplog.text
+        assert not (out / "predictions.jsonl").exists()
+
+    def test_predict_rejects_factored_layout_checkpoint(self, small_setup, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        out = tmp_path / "ws"
+        common = ("--config", config_path, "--dataset", dataset_path, "--out", out,
+                  "--seed", "5")
+        assert run_cli("train", *common) == 0
+        checkpoint = out / "checkpoints" / "model.bin"
+        header = json.loads(checkpoint.read_bytes().split(b"\n", 1)[0])
+        config = ModelConfig(**{name: header[name] for name in ModelConfig.__dataclass_fields__})
+        write_factored_checkpoint(checkpoint, config, header["provider_id"])
+        assert run_cli("predict", *common) == 1
+        for part in (str(checkpoint), "version 1", "version 2"):
             assert part in caplog.text
         assert not (out / "predictions.jsonl").exists()
 

@@ -9,15 +9,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import literal_attention_weights, reference_forward
+from oracles import factored_forward, literal_attention_weights, reference_forward
 from strategies import random_graph_sample
-from veridebate.neural import AnalysisModel, ModelConfig, TrainConfig, interact, train
+from veridebate.neural import (
+    AnalysisModel,
+    ModelConfig,
+    NumericalFault,
+    TrainConfig,
+    interact,
+    train,
+)
+from veridebate.encoding import RoleTable
+from veridebate.neural.attention import InteractionHead
+from veridebate.neural.gat import GatLayer
 from veridebate.neural.model import loss_and_grad
 
 # import_module: veridebate.neural re-exports a function named ``train``
 # over its submodule.
 model_module = importlib.import_module("veridebate.neural.model")
 train_module = importlib.import_module("veridebate.neural.train")
+adam_module = importlib.import_module("veridebate.neural.adam")
 
 D_H = 6  # node_dim = 12, a width no other dimension here shares
 
@@ -45,25 +56,77 @@ def test_forward_matches_literal_reference(mode, layers):
     assert np.abs(probs - reference_forward(model, samples)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("mode", ["nodes", "pooled"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_collapsed_blocks_match_the_factored_model(mode, layers):
+    # Random factors of the paper's form: the last layer's projection W
+    # (node_dim, in_dim) and attention vector a, and graph_proj (d_p,
+    # node_dim). The model loaded with them multiplied out computes the
+    # factored model's probabilities.
+    model = small_model(mode, layers)
+    node_dim, in_dim = 2 * D_H, model.gat_layers[-1].score.shape[1]
+    rng = np.random.default_rng(50 + layers)
+    weight = rng.uniform(-0.5, 0.5, (node_dim, in_dim))
+    attn = rng.uniform(-0.5, 0.5, 2 * node_dim)
+    graph_proj = rng.uniform(-0.5, 0.5, (model.config.d_p, node_dim))
+    model.gat_layers[-1].score[...] = attn.reshape(2, node_dim) @ weight
+    model.interaction.graph_map[...] = graph_proj @ weight
+    samples = mixed_samples(layers + 10)
+    probs, _ = model.forward(samples)
+    expected = factored_forward(model, samples, weight, attn, graph_proj)
+    assert np.abs(probs / expected - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_fresh_model_multiplies_out_the_factored_draws(layers):
+    # The factored layout drew the role table, the hidden layers, the
+    # last layer's W and a, and graph_proj, in that order, from the
+    # model seed; a fresh model is that factored model.
+    model = small_model("nodes", layers)
+    rng = np.random.default_rng(model.config.seed)
+    RoleTable.create(D_H, 3, rng)
+    in_dim = 2 * D_H
+    for _ in range(layers - 1):
+        in_dim = GatLayer.create(in_dim, 5, rng).out_dim
+    last = GatLayer.create(in_dim, 2 * D_H, rng)
+    graph_proj = InteractionHead.create(2 * D_H, D_H, 4, 2, rng).graph_map
+    samples = mixed_samples(layers + 20)
+    expected = factored_forward(model, samples, last.weight, last.attn, graph_proj)
+    assert np.abs(model.forward(samples)[0] / expected - 1.0).max() <= 1e-12
+
+
+def test_default_dims_parameter_layout():
+    model = AnalysisModel.create(ModelConfig())
+    assert model.num_params == 236_706
+    assert [(name, sl.stop - sl.start) for name, sl in model.block_slices()] == [
+        ("role_embeddings", 160), ("role_projection", 6_144),
+        ("gat0.weight", 98_304), ("gat0.attn", 256), ("gat1.score", 256),
+        ("interaction.graph_map", 16_384), ("interaction.news_proj", 49_152),
+        ("interaction.query", 16_384), ("interaction.key", 16_384),
+        ("interaction.value", 16_384), ("interaction.out", 16_384),
+        ("classifier.weight", 512), ("classifier.bias", 2),
+    ]
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_weights_match_literal_per_node_keys(heads):
     model = small_model("nodes", layers=2, heads=heads)
     samples = mixed_samples(heads)  # 1, 4, 9 and 2 nodes: three are padded
     _, cache = model.forward(samples)
     att = cache["attention"]
-    head, node_map = model.interaction, model.gat_layers[-1].weight
+    head = model.interaction
     for b, sample in enumerate(samples):
         k = len(sample.node_embeddings)
         expected = literal_attention_weights(head, sample.news_embedding,
-                                             att.sources[b, :k], node_map)
+                                             att.sources[b, :k], head.graph_map)
         assert np.abs(att.weights[b, :, :k] - expected).max() <= 1e-12
         assert np.all(att.weights[b, :, k:] == 0.0)
-    # The single-graph entry point: full-width features, identity map.
+    # The single-graph entry point, over features as wide as graph_map reads.
     rng = np.random.default_rng(heads)
-    nodes = rng.standard_normal((5, 2 * D_H))
+    nodes = rng.standard_normal((5, head.graph_map.shape[1]))
     news = rng.standard_normal(D_H)
     _, weights = interact(news, nodes, nodes.mean(axis=0), head, return_weights=True)
-    expected = literal_attention_weights(head, news, nodes, np.eye(2 * D_H))
+    expected = literal_attention_weights(head, news, nodes, head.graph_map)
     assert np.abs(weights - expected).max() <= 1e-12
 
 
@@ -74,7 +137,7 @@ def test_pooled_attention_weights_are_exactly_one(heads):
     assert cache["attention"].weights.shape == (4, heads, 1)
     assert np.all(cache["attention"].weights == 1.0)
     rng = np.random.default_rng(heads)
-    nodes = rng.standard_normal((5, 2 * D_H))
+    nodes = rng.standard_normal((5, model.interaction.graph_map.shape[1]))
     _, weights = interact(rng.standard_normal(D_H), nodes, nodes.mean(axis=0),
                           model.interaction, mode="pooled", return_weights=True)
     assert np.all(weights == 1.0)
@@ -125,6 +188,24 @@ def test_one_train_step_calls_adam_once(monkeypatch):
     samples = mixed_samples(2)
     train(model, samples, TrainConfig(epochs=1, batch_size=len(samples)))
     assert len(calls["adam_step"]) == 1
+
+
+def test_one_train_step_checks_finiteness_once(monkeypatch):
+    model = small_model("nodes", layers=2)
+    samples = mixed_samples(2)
+    calls = count_calls(monkeypatch, adam_module, ("all_finite",))
+    calls.update(count_calls(monkeypatch, model_module, ("all_finite",)))
+    train(model, samples, TrainConfig(epochs=1, batch_size=len(samples)))
+    assert sum(len(c) for c in calls.values()) == 1
+
+
+def test_non_finite_gradient_in_training_names_blocks():
+    model = small_model("nodes", layers=2)
+    model.gat_layers[-1].score[0, 0] = np.nan
+    before = model.parameter_vector()
+    with pytest.raises(NumericalFault, match="gat1.score"):
+        train(model, mixed_samples(2), TrainConfig(epochs=1, batch_size=4))
+    assert np.array_equal(model.parameter_vector(), before, equal_nan=True)
 
 
 # d_h = 6 leaves layer 0's d_h + 10 role columns wider than W_0's 2 * d_h

@@ -53,7 +53,7 @@ class TestGatForward:
         assert np.allclose(out[0], expected)
 
     def test_two_node_chain_uniform_attention_with_zero_a(self):
-        layer = GatLayer(weight=np.eye(2), attn=np.zeros(4), activation="elu")
+        layer = GatLayer(weight=np.eye(2), attn=np.zeros(4))
         feats = np.array([[1.0, -2.0], [3.0, 0.5]])
         out, alpha = gat_forward(layer, feats, chain_graph(2), return_attention=True)
         for row in alpha:
@@ -124,7 +124,7 @@ class TestGlobalMeanPool:
 
 def identity_head(d_p=2, news_dim=1, heads=1):
     return InteractionHead(
-        graph_proj=np.eye(d_p),
+        graph_map=np.eye(d_p),
         news_proj=np.array([[1.0], [0.0]]),
         query=np.eye(d_p),
         key=np.eye(d_p),
@@ -145,7 +145,7 @@ class TestInteract:
         b = interact(rng.standard_normal(3), nodes, pooled, head, mode="pooled")
         assert np.array_equal(a[d_p:], b[d_p:])
         # and the context equals out(value(g_proj)) exactly
-        g_proj = head.graph_proj @ pooled
+        g_proj = head.graph_map @ pooled
         assert np.allclose(a[d_p:], head.out @ (head.value @ g_proj))
 
     def test_identical_nodes_match_pooled_mode(self):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import factored_param_count, write_factored_checkpoint
 from strategies import random_graph_sample
 from veridebate.encoding import HashEmbeddingProvider
 from veridebate.neural import (
@@ -149,6 +150,29 @@ class TestCheckpoints:
         with pytest.raises(ValueError) as excinfo:
             load_model(path, "hash-d4-s1")
         assert all(part in str(excinfo.value) for part in (str(path), PROVIDER, "hash-d4-s1"))
+
+    def test_factored_layout_rejected_naming_both_versions(self, tmp_path):
+        config = ModelConfig()
+        assert factored_param_count(config) == 418_210
+        path = tmp_path / "factored.bin"
+        write_factored_checkpoint(path, config, PROVIDER)
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path, PROVIDER)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "version 1" in message and "version 2" in message
+
+    @pytest.mark.parametrize("version", [3, "2", None])
+    def test_other_version_rejected(self, tmp_path, version):
+        path = tmp_path / "model.bin"
+        save_model(path, AnalysisModel.create(small_config()), PROVIDER)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        assert fields["version"] == 2
+        fields["version"] = version
+        path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path, PROVIDER)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

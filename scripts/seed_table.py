@@ -18,7 +18,6 @@ Runs hermetically (synthetic debates, numpy only) and deterministically.
 from __future__ import annotations
 
 import argparse
-import json
 import time
 
 import numpy as np
@@ -29,10 +28,11 @@ from veridebate.neural import (
     ModelConfig,
     TrainConfig,
     accuracy,
-    make_sample,
     train,
 )
 from veridebate.synthetic import make_synthetic_corpus
+
+from run_synthetic_experiment import samples_for
 
 CORPUS_SEEDS = {"stance": 7, "role": 11}
 SMALL_DIMS = dict(d_h=32, d_r=8, gat_hidden=16, d_p=16, heads=4)
@@ -57,17 +57,7 @@ def cell_samples(task: str, d_h: int, n_train: int, n_test: int):
     corpus = make_synthetic_corpus(n_train=n_train, n_test=n_test,
                                    seed=CORPUS_SEEDS[task], task=task)
     provider = HashEmbeddingProvider(dim=d_h, seed=0)
-
-    def samples(split):
-        out = []
-        for item in corpus.dataset.split(split):
-            log = corpus.logs[item.id]
-            turns = np.stack([provider.embed_text(t.text).values for t in log.turns])
-            out.append(make_sample(log, turns, provider.embed_text(item.content).values,
-                                   item.label))
-        return out
-
-    return samples("train"), samples("test")
+    return samples_for(corpus, provider, "train"), samples_for(corpus, provider, "test")
 
 
 def run_cell(dims: dict, epochs: int, train_samples, test_samples, seed: int) -> float:
@@ -81,29 +71,19 @@ def main() -> None:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("16-25"),
                         help="inclusive seed range, e.g. 16-25 (default)")
-    parser.add_argument("--cells", nargs="+", choices=[c[0] for c in CELLS],
-                        default=[c[0] for c in CELLS])
-    parser.add_argument("--json", help="also write {cell: {seed: accuracy}} here")
     args = parser.parse_args()
 
-    table: dict[str, dict[int, float]] = {}
     for name, task, dims, n_train, n_test, epochs in CELLS:
-        if name not in args.cells:
-            continue
         started = time.perf_counter()
         train_samples, test_samples = cell_samples(task, dims.get("d_h", ModelConfig.d_h),
                                                    n_train, n_test)
-        row = table[name] = {}
+        values = []
         for seed in args.seeds:
-            row[seed] = run_cell(dims, epochs, train_samples, test_samples, seed)
-            print(f"{name:15s} seed {seed:3d}  acc {row[seed]:.3f}", flush=True)
-        values = list(row.values())
+            values.append(run_cell(dims, epochs, train_samples, test_samples, seed))
+            print(f"{name:15s} seed {seed:3d}  acc {values[-1]:.3f}", flush=True)
         print(f"{name:15s} mean {np.mean(values):.4f}  min {min(values):.3f}  "
               f"max {max(values):.3f}  spread {max(values) - min(values):.3f}  "
               f"({time.perf_counter() - started:.0f}s)", flush=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=1, sort_keys=True)
 
 
 if __name__ == "__main__":

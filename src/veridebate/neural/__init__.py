@@ -11,7 +11,7 @@ in the test suite meaningful.
 from .adam import AdamState, adam_step
 from .attention import InteractionHead, interact
 from .checkpoint import load_model, save_model
-from .gat import GatLayer, LastGatLayer, gat_forward
+from .gat import GatLayer, gat_forward
 from .model import (
     AnalysisModel,
     ClassifierHead,
@@ -34,7 +34,6 @@ __all__ = [
     "ClassifierHead",
     "GatLayer",
     "InteractionHead",
-    "LastGatLayer",
     "ModelConfig",
     "NumericalFault",
     "Sample",

@@ -125,8 +125,8 @@ class InteractCache:
 
 
 def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.ndarray,
-                    head: InteractionHead, mode: str = "nodes",
-                    mask: np.ndarray | None = None, graph_map: np.ndarray | None = None):
+                    graph_map: np.ndarray, head: InteractionHead, mode: str = "nodes",
+                    mask: np.ndarray | None = None):
     """Batched forward pass. ``graph_map`` is the map applied to the
     sources: the head's own, or an equivalent one over other features
     (the one-layer model folds the role table into it). No per-node key
@@ -135,8 +135,6 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
         raise ValueError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     news_emb = np.asarray(news_emb, dtype=np.float64)
     pooled = np.asarray(pooled, dtype=np.float64)
-    if graph_map is None:
-        graph_map = head.graph_map
     if pooled.shape[-1] != graph_map.shape[1]:
         raise ValueError("pooled vector width does not match graph projection")
     if news_emb.shape[-1] != head.news_proj.shape[1]:
@@ -188,7 +186,7 @@ def interact(news_emb, node_feats, pooled, head: InteractionHead, mode: str = "n
     vector [g_proj ; context], plus the (heads, keys) attention weight
     matrix when asked."""
     fused, cache = interact_cached(np.asarray(news_emb)[None], np.asarray(node_feats)[None],
-                                   np.asarray(pooled)[None], head, mode)
+                                   np.asarray(pooled)[None], head.graph_map, head, mode)
     if return_weights:
         return fused[0], cache.weights[0]
     return fused[0]

@@ -186,17 +186,16 @@ def gat_backward(layer: GatLayer | LastGatLayer, cache: GatCache, d_output: np.n
     return (d_proj @ applied).reshape(features.shape)
 
 
-def gat_forward(layer: GatLayer | LastGatLayer, features: np.ndarray, adjacency: np.ndarray,
+def gat_forward(layer: GatLayer, features: np.ndarray, adjacency: np.ndarray,
                 return_attention: bool = False):
-    """Apply one GAT layer over a single graph given as its ``(n, n)``
-    in-neighbor mask; the last layer returns its input-space aggregate.
+    """Apply one hidden GAT layer over a single graph given as its
+    ``(n, n)`` in-neighbor mask.
 
     With ``return_attention`` the dense ``(n, n)`` attention matrix comes
     back too: row i holds i's weights over its in-neighbors, 0 elsewhere.
     """
-    own = layer.weight if isinstance(layer, GatLayer) else layer.score
     output, cache = gat_forward_cached(layer, np.asarray(features)[None],
-                                       np.asarray(adjacency, dtype=bool)[None], own)
+                                       np.asarray(adjacency, dtype=bool)[None], layer.weight)
     if return_attention:
         return output[0], cache.alpha[0]
     return output[0]

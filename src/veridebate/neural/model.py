@@ -332,8 +332,8 @@ class AnalysisModel:
         # graph_map reads.
         pooled = global_mean_pool(activations, batch.mask)
         fused, att_cache = interact_cached(
-            batch.news, activations, pooled, self.interaction,
-            self.config.interaction_mode, batch.mask, graph_map=maps[-1],
+            batch.news, activations, pooled, maps[-1], self.interaction,
+            self.config.interaction_mode, batch.mask,
         )
         probs = classify(fused, self.classifier)
         return probs, {"batch": batch, "table": table, "gat": gat_caches,

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .config import PipelineConfig, load_config
 from .evaluation import (
+    ABLATION_TOGGLES,
     compute_metrics,
     format_ablation_table,
     load_dataset,
@@ -89,31 +90,34 @@ def cmd_debate(config: PipelineConfig, args: argparse.Namespace) -> int:
         f"debate: {report.processed} generated, {report.skipped} reused, "
         f"{len(report.failures)} failed -> {pipeline.workspace / 'transcripts'}"
     )
-    return 1 if (report.failures and config.strict) else 0
+    pipeline._check_stage(report)
+    return 0
 
 
 def cmd_synthesize(config: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline, dataset = _setup(config)
     logs, debate_report = pipeline.run_debates(dataset)
+    pipeline._check_stage(debate_report)
     _, report = pipeline.run_synthesis(logs)
     failures = len(debate_report.failures) + len(report.failures)
     print(
         f"synthesize: {report.processed} written, {report.skipped} reused, "
         f"{failures} failed -> {pipeline.workspace / 'reports'}"
     )
-    return 1 if (failures and config.strict) else 0
+    pipeline._check_stage(report)
+    return 0
 
 
 def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline, dataset = _setup(config)
     pipeline.train_model(dataset, pipeline.encode(dataset))
-    print(f"train: checkpoint -> {pipeline.workspace / 'checkpoints' / 'model.bin'}")
+    print(f"train: checkpoint -> {pipeline.checkpoint_path()}")
     return 0
 
 
 def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline, dataset = _setup(config)
-    checkpoint = pipeline.workspace / "checkpoints" / "model.bin"
+    checkpoint = pipeline.checkpoint_path()
     if not checkpoint.exists():
         raise SystemExit(f"no checkpoint at {checkpoint}; run `veridebate train` first")
     model = load_model(checkpoint, pipeline.embedder.provider_id)
@@ -205,10 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=hint)
         _add_common(command)
         if name == "ablate":
-            command.add_argument(
-                "--toggles", default="no_debate,no_analysis",
-                help="comma-separated subset of no_debate,no_analysis",
-            )
+            toggles = ",".join(ABLATION_TOGGLES)
+            command.add_argument("--toggles", default=toggles,
+                                 help=f"comma-separated subset of {toggles}")
     return parser
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import re
 from collections import Counter
 from collections.abc import Sequence
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import DebateRole, Stance
-from .gateway import API_KEY_ENV, MalformedResponseError, TransportError, _urllib_transport
+from .gateway import JsonClient, MalformedResponseError
 from .packs import PackStore
 
 logger = logging.getLogger(__name__)
@@ -115,34 +114,21 @@ class HashEmbeddingProvider:
         return EmbeddingVector(vec, self.provider_id)
 
 
-class RemoteEmbeddingProvider:
+class RemoteEmbeddingProvider(JsonClient):
     """Embedding endpoint client: POSTs to <endpoint>/embeddings and
     reads data[0].embedding, checking the configured dimension."""
 
     def __init__(self, endpoint: str, dim: int, model: str = "text-embedding-3-small",
                  api_key: str | None = None, timeout: float = 60.0, transport=None):
-        if not endpoint:
-            raise ValueError("remote provider needs an endpoint URL")
-        self.endpoint = endpoint.rstrip("/")
+        super().__init__(endpoint, api_key, timeout, transport)
         self.dim = dim
         self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self.timeout = timeout
-        self.transport = transport or _urllib_transport
         self.provider_id = f"remote:{model}-d{dim}"
 
     def embed_text(self, text: str) -> EmbeddingVector:
         if not text or not text.strip():
             raise ValueError("cannot embed empty text")
-        body = json.dumps({"model": self.model, "input": text}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        status, payload = self.transport(f"{self.endpoint}/embeddings", body, headers, self.timeout)
-        if status >= 500:
-            raise TransportError(f"embedding endpoint returned {status}")
-        if status != 200:
-            raise MalformedResponseError(f"embedding endpoint returned {status}")
+        payload = self.post("embeddings", {"model": self.model, "input": text})
         try:
             values = json.loads(payload.decode("utf-8"))["data"][0]["embedding"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

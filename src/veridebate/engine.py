@@ -234,8 +234,8 @@ def run_debate(news: NewsItem, config: DebateConfig, gateway) -> DebateLog:
 # --------------------------------------------------------------------------
 
 
-def log_to_dict(log: DebateLog) -> dict:
-    return {
+def log_to_json(log: DebateLog) -> str:
+    data = {
         "news_id": log.news_id,
         "turns": [
             {
@@ -250,9 +250,11 @@ def log_to_dict(log: DebateLog) -> dict:
             for t in log.turns
         ],
     }
+    return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
 
 
-def log_from_dict(data: dict) -> DebateLog:
+def log_from_json(text: str) -> DebateLog:
+    data = json.loads(text)
     turns = tuple(
         DebateTurn(
             turn_index=t["turn_index"],
@@ -266,11 +268,3 @@ def log_from_dict(data: dict) -> DebateLog:
         for t in data["turns"]
     )
     return DebateLog(news_id=data["news_id"], turns=turns)
-
-
-def log_to_json(log: DebateLog) -> str:
-    return json.dumps(log_to_dict(log), ensure_ascii=False, sort_keys=True, indent=2)
-
-
-def log_from_json(text: str) -> DebateLog:
-    return log_from_dict(json.loads(text))

@@ -45,17 +45,6 @@ class Dataset:
     def split(self, name: str) -> tuple[NewsItem, ...]:
         return tuple(item for item in self.items if item.split == name)
 
-    def split_counts(self) -> dict[str, dict[str, int]]:
-        counts: dict[str, dict[str, int]] = {}
-        for item in self.items:
-            split = item.split or "unsplit"
-            bucket = counts.setdefault(split, {"real": 0, "fake": 0, "unlabeled": 0})
-            if item.label is None:
-                bucket["unlabeled"] += 1
-            else:
-                bucket[LABEL_NAMES[item.label]] += 1
-        return counts
-
 
 def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
     """Parse a JSONL dataset file.

@@ -195,48 +195,57 @@ def _urllib_transport(url: str, body: bytes, headers: dict[str, str], timeout: f
         raise TransportError(f"request to {url} failed: {exc}") from exc
 
 
-class RemoteBackend:
-    """Chat-completion HTTP backend.
+class JsonClient:
+    """POSTs JSON to paths under one endpoint URL, with a bearer token
+    read from the VERIDEBATE_API_KEY environment variable (or passed
+    explicitly), and returns the body of a 200 reply. A 429 reply raises
+    RateLimitError, one of 500 or above TransportError, and any other
+    MalformedResponseError."""
 
-    POSTs {model, messages, temperature, max_tokens, seed} to
-    ``<endpoint>/chat/completions`` with a bearer token read from the
-    VERIDEBATE_API_KEY environment variable (or passed explicitly), and
-    returns choices[0].message.content.
-    """
-
-    def __init__(self, endpoint: str, model: str = "gpt-4o-mini", api_key: str | None = None,
-                 timeout: float = 60.0, transport=None):
+    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 60.0,
+                 transport=None):
         if not endpoint:
-            raise ValueError("remote backend needs an endpoint URL")
+            raise ValueError(f"{type(self).__name__} needs an endpoint URL")
         self.endpoint = endpoint.rstrip("/")
-        self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.timeout = timeout
         self.transport = transport or _urllib_transport
-        self.backend_id = f"remote:{model}"
 
-    def complete(self, req: GenerationRequest) -> str:
-        body = json.dumps(
-            {
-                "model": self.model,
-                "messages": [{"role": kind, "content": text} for kind, text in req.messages],
-                "temperature": req.settings.temperature,
-                "max_tokens": req.settings.max_tokens,
-                "seed": req.settings.seed,
-            }
-        ).encode("utf-8")
+    def post(self, path: str, payload: dict) -> bytes:
+        url = f"{self.endpoint}/{path}"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        status, payload = self.transport(
-            f"{self.endpoint}/chat/completions", body, headers, self.timeout
-        )
+        status, reply = self.transport(url, json.dumps(payload).encode("utf-8"), headers,
+                                       self.timeout)
         if status == 429:
-            raise RateLimitError("rate limited by remote endpoint")
+            raise RateLimitError(f"rate limited by {url}")
         if status >= 500:
-            raise TransportError(f"remote endpoint returned {status}")
+            raise TransportError(f"{url} returned {status}")
         if status != 200:
-            raise MalformedResponseError(f"remote endpoint returned {status}: {payload[:200]!r}")
+            raise MalformedResponseError(f"{url} returned {status}: {reply[:200]!r}")
+        return reply
+
+
+class RemoteBackend(JsonClient):
+    """Chat-completion HTTP backend: POSTs {model, messages, temperature,
+    max_tokens, seed} to ``<endpoint>/chat/completions`` and returns
+    choices[0].message.content."""
+
+    def __init__(self, endpoint: str, model: str = "gpt-4o-mini", api_key: str | None = None,
+                 timeout: float = 60.0, transport=None):
+        super().__init__(endpoint, api_key, timeout, transport)
+        self.model = model
+        self.backend_id = f"remote:{model}"
+
+    def complete(self, req: GenerationRequest) -> str:
+        payload = self.post("chat/completions", {
+            "model": self.model,
+            "messages": [{"role": kind, "content": text} for kind, text in req.messages],
+            "temperature": req.settings.temperature,
+            "max_tokens": req.settings.max_tokens,
+            "seed": req.settings.seed,
+        })
         try:
             parsed = json.loads(payload.decode("utf-8"))
             text = parsed["choices"][0]["message"]["content"]
@@ -359,21 +368,16 @@ class Gateway:
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if not isinstance(req, GenerationRequest):
             raise TypeError("generate expects a GenerationRequest")
-        if self._store is None:
-            text = self._call_with_retry(req)
-            if not text:
-                raise MalformedResponseError("backend returned empty text")
-            return GenerationResponse(text, self.backend.backend_id, cached=False)
-
         digest = cache_key(req)
         # A per-key lock keeps concurrent identical requests down to one
-        # backend call per digest.
+        # backend call per digest; without a store they are sent in turn.
         with self._key_lock(digest):
-            hit = self._cache_read(digest)
+            hit = self._cache_read(digest) if self._store is not None else None
             if hit is not None:
                 return hit
             text = self._call_with_retry(req)
             if not text:
                 raise MalformedResponseError("backend returned empty text")
-            self._cache_write(digest, text)
+            if self._store is not None:
+                self._cache_write(digest, text)
             return GenerationResponse(text, self.backend.backend_id, cached=False)

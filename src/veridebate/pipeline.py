@@ -42,6 +42,9 @@ from .synthesis import report_from_json, report_to_json, synthesize
 
 logger = logging.getLogger(__name__)
 
+# The full pipeline's checkpoint; an ablation run writes model-<variant>.bin.
+CHECKPOINT = "model.bin"
+
 
 class StageError(Exception):
     def __init__(self, stage: str, message: str):
@@ -49,26 +52,25 @@ class StageError(Exception):
         self.stage = stage
 
 
-def build_gateway(config: PipelineConfig, workspace: Path | None) -> Gateway:
+def build_gateway(config: PipelineConfig, workspace: Path) -> Gateway:
     if config.backend == "mock":
         backend = MockBackend()
     else:
         backend = RemoteBackend(config.endpoint, model=config.model_name)
-    cache_dir = workspace / "cache" / "gen" if workspace is not None else None
     # max_concurrency needs no limiter: each worker makes one request at a time.
     limiter = RateLimiter(config.requests_per_minute) if config.requests_per_minute else None
-    return Gateway(backend, cache_dir=cache_dir, retry=RetryPolicy(), limiter=limiter)
+    return Gateway(backend, cache_dir=workspace / "cache" / "gen", retry=RetryPolicy(),
+                   limiter=limiter)
 
 
-def build_embedder(config: PipelineConfig, workspace: Path | None) -> CachedEmbedder:
+def build_embedder(config: PipelineConfig, workspace: Path) -> CachedEmbedder:
     if config.provider == "hash":
         provider = HashEmbeddingProvider(dim=config.d_h, seed=config.embed_seed)
     else:
         provider = RemoteEmbeddingProvider(
             config.embedding_endpoint, dim=config.d_h, model=config.embedding_model
         )
-    cache = EmbeddingCache(workspace / "cache" / "emb") if workspace is not None else None
-    return CachedEmbedder(provider, cache)
+    return CachedEmbedder(provider, EmbeddingCache(workspace / "cache" / "emb"))
 
 
 @dataclass
@@ -80,23 +82,18 @@ class StageReport:
 
 
 class Pipeline:
-    def __init__(self, config: PipelineConfig, workspace: str | Path | None = None,
+    def __init__(self, config: PipelineConfig, workspace: str | Path,
                  gateway: Gateway | None = None, embedder: CachedEmbedder | None = None):
         self.config = config
-        self.workspace = Path(workspace) if workspace is not None else None
-        if self.workspace is not None:
-            self.workspace.mkdir(parents=True, exist_ok=True)
+        self.workspace = Path(workspace)
+        self.workspace.mkdir(parents=True, exist_ok=True)
         self.gateway = gateway or build_gateway(config, self.workspace)
         self.embedder = embedder or build_embedder(config, self.workspace)
 
     # ---- artifact paths ----------------------------------------------------
 
-    def _dir(self, name: str) -> Path:
-        if self.workspace is None:
-            raise StageError(name, "this operation needs a workspace directory (--out)")
-        path = self.workspace / name
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+    def checkpoint_path(self, name: str = CHECKPOINT) -> Path:
+        return self.workspace / "checkpoints" / name
 
     @staticmethod
     def _reuse(path: Path, parse, news_id: str, check=lambda record: []):
@@ -129,7 +126,8 @@ class Pipeline:
         otherwise ``produce(source)`` makes one and it is written. A
         failure to produce is counted per item; on ``max_concurrency > 1``
         the jobs run on a thread pool."""
-        directory = self._dir(dirname)
+        directory = self.workspace / dirname
+        directory.mkdir(parents=True, exist_ok=True)
 
         def one(job):
             news_id, source = job
@@ -192,38 +190,36 @@ class Pipeline:
 
     def build_samples(self, dataset: Dataset, logs: dict[str, DebateLog],
                       variant: str = "full") -> dict[str, Sample]:
+        """One sample per item: its news and turn embeddings, or for
+        ``no_debate`` its news alone. Any error surfaces as a
+        ``StageError`` of the encode stage."""
         samples: dict[str, Sample] = {}
-        for item in dataset.items:
-            if variant == "no_debate":
-                news = self.embedder.embed_texts([item.content])[0]
-                samples[item.id] = make_news_only_sample(item.id, news, item.label)
-                continue
-            log = logs.get(item.id)
-            if log is None:
-                raise StageError("encode", f"no transcript for item {item.id}")
-            rows = self.embedder.embed_texts([item.content, *(t.text for t in log.turns)])
-            samples[item.id] = make_sample(log, rows[1:], rows[0], item.label)
-        return samples
-
-    def encode(self, dataset: Dataset,
-               logs: dict[str, DebateLog] | None = None) -> dict[str, Sample]:
-        """Full-variant samples for every item. Without ``logs`` the
-        debates are run (or reused) first and their stage is checked.
-        Any encode error surfaces as a ``StageError``."""
-        if logs is None:
-            logs, debate_report = self.run_debates(dataset)
-            self._check_stage(debate_report)
         try:
-            return self.build_samples(dataset, logs, "full")
-        except StageError:
-            raise
+            for item in dataset.items:
+                if variant == "no_debate":
+                    news = self.embedder.embed_texts([item.content])[0]
+                    samples[item.id] = make_news_only_sample(item.id, news, item.label)
+                    continue
+                log = logs.get(item.id)
+                if log is None:
+                    raise ValueError(f"no transcript for item {item.id}")
+                rows = self.embedder.embed_texts([item.content, *(t.text for t in log.turns)])
+                samples[item.id] = make_sample(log, rows[1:], rows[0], item.label)
         except Exception as exc:
             raise StageError("encode", str(exc)) from exc
+        return samples
+
+    def encode(self, dataset: Dataset) -> dict[str, Sample]:
+        """Full-variant samples for every item, after the debates are run
+        (or reused) and their stage is checked."""
+        logs, debate_report = self.run_debates(dataset)
+        self._check_stage(debate_report)
+        return self.build_samples(dataset, logs)
 
     # ---- training / prediction ------------------------------------------------
 
     def train_model(self, dataset: Dataset, samples: dict[str, Sample],
-                    checkpoint_name: str = "model.bin") -> AnalysisModel:
+                    checkpoint_name: str = CHECKPOINT) -> AnalysisModel:
         train_items = dataset.split("train")
         if not train_items:
             raise StageError("train", "no training items")
@@ -232,9 +228,7 @@ class Pipeline:
         val_samples = [samples[i.id] for i in val_items] or None
         model = AnalysisModel.create(self.config.model_config())
         train(model, train_samples, self.config.train_config(), val_samples)
-        if self.workspace is not None:
-            save_model(self._dir("checkpoints") / checkpoint_name, model,
-                       self.embedder.provider_id)
+        save_model(self.checkpoint_path(checkpoint_name), model, self.embedder.provider_id)
         return model
 
     def predict_rows(self, model: AnalysisModel, dataset: Dataset,
@@ -280,53 +274,50 @@ class Pipeline:
             [r["prediction"] for r in rows], [r["label"] for r in rows]
         )
 
-    def evaluate_variant(self, dataset: Dataset, variant: str) -> MetricsReport:
-        """Metric row for one ablation variant (used by run_ablation)."""
-        if variant == "no_debate":
-            samples = self.build_samples(dataset, {}, variant)
-            model = self.train_model(dataset, samples, f"model-{variant}.bin")
-            return self._metrics_from_rows(self.predict_rows(model, dataset, samples))
-
-        logs, reports = self._debate_and_synthesize(dataset)
-        if variant == "no_analysis":
-            return self._metrics_from_rows(self.hint_rows(dataset, reports))
-        samples = self.encode(dataset, logs)
-        model = self.train_model(dataset, samples, f"model-{variant}.bin")
-        return self._metrics_from_rows(self.predict_rows(model, dataset, samples))
-
     def _check_stage(self, report: StageReport) -> None:
         if report.failures and self.config.strict:
             raise StageError(report.name, f"{len(report.failures)} item(s) failed")
 
-    def _debate_and_synthesize(self, dataset: Dataset) -> tuple[dict, dict]:
-        """Transcripts and reports for every item, each stage checked."""
-        logs, debate_report = self.run_debates(dataset)
-        self._check_stage(debate_report)
-        reports, synth_report = self.run_synthesis(logs)
-        self._check_stage(synth_report)
-        return logs, reports
+    def _run_variant(self, dataset: Dataset, variant: str, checkpoint_name: str) -> list[dict]:
+        """The one stage sequence, giving the test split's prediction rows:
+        debate, synthesize, encode, train and predict, with the debate and
+        synthesis stages checked. ``no_debate`` skips the debate and
+        encodes the news alone; ``no_analysis`` stops at the reports'
+        verdict hints."""
+        logs = {}
+        if variant != "no_debate":
+            logs, debate_report = self.run_debates(dataset)
+            self._check_stage(debate_report)
+            reports, synth_report = self.run_synthesis(logs)
+            self._check_stage(synth_report)
+            if variant == "no_analysis":
+                return self.hint_rows(dataset, reports)
+        samples = self.build_samples(dataset, logs, variant)
+        model = self.train_model(dataset, samples, checkpoint_name)
+        return self.predict_rows(model, dataset, samples)
+
+    def evaluate_variant(self, dataset: Dataset, variant: str) -> MetricsReport:
+        """Metric row for one ablation variant (used by run_ablation)."""
+        return self._metrics_from_rows(
+            self._run_variant(dataset, variant, f"model-{variant}.bin"))
 
     def run(self, dataset: Dataset) -> MetricsReport:
         """The full pipeline: debate, synthesize, encode, train, predict,
         evaluate. Persists predictions, metrics, and the explanation
         bundle (per item: the report and transcript file references)."""
-        logs, _ = self._debate_and_synthesize(dataset)
-        samples = self.encode(dataset, logs)
-        model = self.train_model(dataset, samples)
-        rows = self.predict_rows(model, dataset, samples)
+        rows = self._run_variant(dataset, "full", CHECKPOINT)
         metrics = self._metrics_from_rows(rows)
-        if self.workspace is not None:
-            write_predictions_jsonl(self.workspace / "predictions.jsonl", rows)
-            explanations = [
-                {
-                    "id": row["id"],
-                    "prediction": row["prediction"],
-                    "transcript": f"transcripts/{row['id']}.json",
-                    "report": f"reports/{row['id']}.json",
-                }
-                for row in rows
-            ]
-            atomic_write(self.workspace / "explanations.jsonl",
-                         [json.dumps(entry, sort_keys=True) + "\n" for entry in explanations])
-            write_metrics_json(self.workspace / "metrics.json", metrics)
+        write_predictions_jsonl(self.workspace / "predictions.jsonl", rows)
+        explanations = [
+            {
+                "id": row["id"],
+                "prediction": row["prediction"],
+                "transcript": f"transcripts/{row['id']}.json",
+                "report": f"reports/{row['id']}.json",
+            }
+            for row in rows
+        ]
+        atomic_write(self.workspace / "explanations.jsonl",
+                     [json.dumps(entry, sort_keys=True) + "\n" for entry in explanations])
+        write_metrics_json(self.workspace / "metrics.json", metrics)
         return metrics

@@ -98,26 +98,20 @@ def synthesize(log: DebateLog, gateway, language: str = "en",
     )
 
 
-def report_to_dict(report: SummaryReport) -> dict:
-    return {
+def report_to_json(report: SummaryReport) -> str:
+    data = {
         "news_id": report.news_id,
         "text": report.text,
         "verdict_hint": report.verdict_hint.value if report.verdict_hint else None,
     }
+    return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
 
 
-def report_from_dict(data: dict) -> SummaryReport:
+def report_from_json(text: str) -> SummaryReport:
+    data = json.loads(text)
     hint = data.get("verdict_hint")
     return SummaryReport(
         news_id=data["news_id"],
         text=data["text"],
         verdict_hint=VerdictHint(hint) if hint else None,
     )
-
-
-def report_to_json(report: SummaryReport) -> str:
-    return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True, indent=2)
-
-
-def report_from_json(text: str) -> SummaryReport:
-    return report_from_dict(json.loads(text))

@@ -8,10 +8,11 @@ import pytest
 from conftest import CountingBackend, CountingProvider, write_factored_checkpoint
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
-from veridebate.encoding import EmbeddingCache
+from veridebate import pipeline as pipeline_module
+from veridebate.encoding import CachedEmbedder, EmbeddingCache, RemoteEmbeddingProvider
 from veridebate.evaluation import load_dataset, write_dataset_jsonl
 from veridebate.neural import ModelConfig
-from veridebate.gateway import Gateway, MockBackend
+from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
 from veridebate.pipeline import Pipeline, StageError, build_gateway
 from veridebate.synthetic import make_synthetic_corpus
 
@@ -560,14 +561,76 @@ class ExplodingBackend:
         raise AssertionError("gateway must not be called")
 
 
+TINY_CONFIG = PipelineConfig(d_h=16, d_r=4, gat_hidden=8, gat_layers=1, d_p=8,
+                             heads=2, epochs=1, batch_size=1)
+
+
 class TestNoDebateVariant:
     def test_runs_without_touching_the_gateway(self, tmp_path):
         corpus = make_synthetic_corpus(n_train=1, n_test=1, seed=2, task="stance")
-        config = PipelineConfig(d_h=16, d_r=4, gat_hidden=8, gat_layers=1, d_p=8,
-                                heads=2, epochs=1, batch_size=1)
-        pipeline = Pipeline(config, tmp_path / "ws", gateway=Gateway(ExplodingBackend()))
+        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws", gateway=Gateway(ExplodingBackend()))
         report = pipeline.evaluate_variant(corpus.dataset, "no_debate")
         assert 0.0 <= report.macro_f1 <= 1.0
+
+    def test_embedding_endpoint_error_is_an_encode_stage_error(self, tmp_path):
+        corpus = make_synthetic_corpus(n_train=1, n_test=1, seed=2, task="stance")
+        provider = RemoteEmbeddingProvider("https://embed.example", dim=16, api_key="k",
+                                           transport=lambda *request: (503, b""))
+        embedder = CachedEmbedder(provider, EmbeddingCache(tmp_path / "emb"))
+        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws", gateway=Gateway(ExplodingBackend()),
+                            embedder=embedder)
+        with pytest.raises(StageError, match="stage encode failed: .*returned 503") as info:
+            pipeline.evaluate_variant(corpus.dataset, "no_debate")
+        assert info.value.stage == "encode"
+
+
+# The stage methods the benchmark wraps on a pipeline instance to time a
+# run, in the order a run calls them.
+STAGE_METHODS = ("run_debates", "run_synthesis", "build_samples", "train_model",
+                 "predict_rows", "_metrics_from_rows")
+
+
+class TestStageSequence:
+    @pytest.mark.parametrize("entry, checkpoint", [
+        (lambda pipeline, dataset: pipeline.run(dataset), "model.bin"),
+        (lambda pipeline, dataset: pipeline.evaluate_variant(dataset, "full"), "model-full.bin"),
+    ], ids=["run", "evaluate_full"])
+    def test_each_stage_method_called_once_in_order(self, tmp_path, entry, checkpoint):
+        corpus = make_synthetic_corpus(n_train=2, n_test=2, seed=2, task="stance")
+        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws")
+        calls = []
+        for name in STAGE_METHODS:
+            def recorded(*args, _name=name, _method=getattr(pipeline, name), **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+            setattr(pipeline, name, recorded)
+        entry(pipeline, corpus.dataset)
+        assert calls == list(STAGE_METHODS)
+        assert pipeline.checkpoint_path(checkpoint).exists()
+
+
+class UnreachableBackend:
+    backend_id = "unreachable"
+
+    def complete(self, request):
+        raise TransportError("unreachable")
+
+
+class TestStrictStageCommands:
+    @pytest.mark.parametrize("command", ["debate", "synthesize"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_failed_items_exit_1_only_under_strict(self, small_setup, monkeypatch,
+                                                   command, strict):
+        monkeypatch.setattr(pipeline_module, "MockBackend", UnreachableBackend)
+        monkeypatch.setattr(pipeline_module, "RetryPolicy", lambda: RetryPolicy(max_attempts=1))
+        tmp_path, dataset_path, config_path = small_setup
+        out = tmp_path / "ws"
+        code = run_cli(command, "--config", config_path, "--dataset", dataset_path,
+                       "--out", out, "--seed", "5", *(["--strict"] if strict else []))
+        assert code == (1 if strict else 0)
+        assert len(list((out / "transcripts").iterdir())) == 0
+        # Under --strict, synthesize stops at the failed debate stage.
+        assert (out / "reports").exists() == (command == "synthesize" and not strict)
 
 
 class TestBuildGateway:
@@ -575,10 +638,10 @@ class TestBuildGateway:
         gateway = build_gateway(PipelineConfig(), tmp_path)
         assert gateway.backend.backend_id == "mock"
 
-    def test_remote_requires_endpoint(self):
+    def test_remote_requires_endpoint(self, tmp_path):
         with pytest.raises(ValueError):
-            build_gateway(PipelineConfig(backend="remote"), None)
+            build_gateway(PipelineConfig(backend="remote"), tmp_path)
 
-    def test_limiter_only_for_a_request_rate(self):
-        assert build_gateway(PipelineConfig(max_concurrency=4), None).limiter is None
-        assert build_gateway(PipelineConfig(requests_per_minute=60), None).limiter is not None
+    def test_limiter_only_for_a_request_rate(self, tmp_path):
+        assert build_gateway(PipelineConfig(max_concurrency=4), tmp_path).limiter is None
+        assert build_gateway(PipelineConfig(requests_per_minute=60), tmp_path).limiter is not None

@@ -18,6 +18,7 @@ from veridebate.encoding import (
     RoleTable,
     role_pair_ids,
 )
+from veridebate.gateway import RateLimitError, TransportError
 from veridebate.neural import AnalysisModel, ModelConfig, make_sample
 
 # A small fixed corpus used to pin down provider distinctness. All
@@ -194,6 +195,19 @@ class TestRemoteProvider:
         provider = RemoteEmbeddingProvider("https://api.example", dim=3, api_key="k",
                                            transport=transport)
         with pytest.raises(Exception):
+            provider.embed_text("hi")
+
+    @pytest.mark.parametrize("status, error, message", [
+        (503, TransportError, "embeddings returned 503"),
+        (429, RateLimitError, "rate limited by https://api.example/embeddings"),
+    ])
+    def test_error_status_raises_transport_error(self, status, error, message):
+        def transport(url, body, headers, timeout):
+            return status, b"{}"
+
+        provider = RemoteEmbeddingProvider("https://api.example/", dim=3, api_key="k",
+                                           transport=transport)
+        with pytest.raises(error, match=message):
             provider.embed_text("hi")
 
 

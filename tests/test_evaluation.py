@@ -15,7 +15,7 @@ from veridebate.evaluation import (
     write_dataset_jsonl,
     write_predictions_jsonl,
 )
-from veridebate.domain import NewsItem
+from veridebate.domain import LABEL_FAKE, LABEL_REAL, NewsItem
 
 
 def write_jsonl(path, rows):
@@ -38,9 +38,9 @@ class TestLoadDataset:
         write_jsonl(path, rows)
         dataset = load_dataset(path)
         assert len(dataset) == 1258
-        counts = dataset.split_counts()["test"]
-        assert counts["real"] == 1024
-        assert counts["fake"] == 234
+        labels = [item.label for item in dataset.split("test")]
+        assert labels.count(LABEL_REAL) == 1024
+        assert labels.count(LABEL_FAKE) == 234
 
     def test_integer_labels_accepted(self, tmp_path):
         path = tmp_path / "d.jsonl"

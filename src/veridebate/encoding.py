@@ -8,14 +8,17 @@ and the projection that lifts them to the embedding dimension;
 ``AnalysisModel.forward`` joins the projected role vectors to the frozen
 text embeddings to form the graph's node features.
 
-Embeddings are cached on disk under ``<root>/<provider_id>/``, in
+Each ``CachedEmbedder`` owns one cache, under ``<root>/<provider_id>/``, in
 append-only, checksummed pack files (see ``packs.py``): each record is
-keyed by the sha256 of the text and holds the vector as little-endian
-float32. ``CachedEmbedder.embed_texts`` reads the texts of one item as
-the rows of one matrix: one index lookup, one decode and one finiteness
-check for all its cached rows. A record that is torn, fails its crc, has
-the wrong size or holds a non-finite value reads as a miss and is
-recomputed; the last two are logged with the provider directory.
+keyed by the sha256 of the text (``text_key``) and holds the vector as
+little-endian float32. ``CachedEmbedder.embed_texts`` reads the texts of
+one item as the rows of one matrix: one index lookup, one decode and one
+finiteness check for all its cached rows. A record that is torn, fails
+its crc, has the wrong size or holds a non-finite value reads as a miss
+and is recomputed; the last two are logged with the provider directory.
+Each distinct miss goes to the provider under the embedder's
+``RetryPolicy``, so a 429 or 5xx reply from a remote endpoint is retried
+as a chat request is.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import DebateRole, Stance
-from .gateway import JsonClient, MalformedResponseError
+from .gateway import JsonClient, MalformedResponseError, RetryPolicy
 from .packs import PackStore
 
 logger = logging.getLogger(__name__)
@@ -141,88 +144,55 @@ class RemoteEmbeddingProvider(JsonClient):
         return EmbeddingVector(vec, self.provider_id)
 
 
-def _text_key(text: str) -> str:
+def text_key(text: str) -> str:
+    """The cache key of ``text``: the sha256 hex digest of its UTF-8."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class EmbeddingCache:
-    """Disk cache keyed by (provider_id, text digest): one pack store per
-    provider directory, holding each vector as little-endian float32."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self._stores: dict[str, PackStore] = {}
-
-    def _store(self, provider_id: str) -> PackStore:
-        store = self._stores.get(provider_id)
-        if store is None:
-            safe = re.sub(r"[^\w.-]", "_", provider_id)
-            store = self._stores[provider_id] = PackStore(self.root / safe)
-        return store
-
-    def get(self, provider_id: str, text: str) -> np.ndarray | None:
-        payload = self._store(provider_id).get(_text_key(text))
-        if payload is None:
-            return None
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
-
-    def get_rows(self, provider_id: str, texts: Sequence[str],
-                 dim: int) -> tuple[np.ndarray, list[int]]:
-        """The cached vectors of ``texts`` as the float64 rows of a
-        ``(k, dim)`` matrix, and the indices of the rows not found, which
-        are left unset. A record of the wrong size or holding a non-finite
-        value is not found, and is logged."""
-        store = self._store(provider_id)
-        payloads = store.get_many([_text_key(text) for text in texts])
-        sized = [i for i, p in enumerate(payloads) if p is not None and len(p) == 4 * dim]
-        decoded = np.frombuffer(b"".join(payloads[i] for i in sized), dtype="<f4")
-        decoded = decoded.reshape(len(sized), dim)
-        finite = np.isfinite(decoded).all(axis=1)
-        if len(sized) == len(texts) and finite.all():
-            return decoded.astype(np.float64), []
-        found = [i for i, ok in zip(sized, finite) if ok]
-        unusable = sum(p is not None for p in payloads) - len(found)
-        if unusable:
-            logger.warning("recomputing %d cached embedding(s) in %s of the wrong size "
-                           "or holding non-finite values", unusable, store.root)
-        rows = np.empty((len(texts), dim))
-        rows[found] = decoded[finite]
-        return rows, sorted(set(range(len(texts))).difference(found))
-
-    def put(self, provider_id: str, text: str, values: np.ndarray) -> None:
-        payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
-        self._store(provider_id).put(_text_key(text), payload)
-
-
 class CachedEmbedder:
-    """Wrap a provider with the disk cache.
+    """Wrap a provider with its disk cache, ``cache``: the pack store at
+    ``<root>/<provider_id>``, the id made safe as a directory name.
 
     Vectors are round-tripped through float32 even on a cache miss so
     cached and freshly computed embeddings are bit-identical.
     """
 
-    def __init__(self, provider, cache: EmbeddingCache | None = None):
+    def __init__(self, provider, root: str | Path, retry: RetryPolicy = RetryPolicy()):
         self.provider = provider
-        self.cache = cache
         self.provider_id = provider.provider_id
         self.dim = provider.dim
+        self.retry = retry
+        self.cache = PackStore(Path(root) / re.sub(r"[^\w.-]", "_", self.provider_id))
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         """``texts`` embedded as the rows of one ``(k, dim)`` float64
-        matrix. Cached rows are read in one lookup; each distinct miss is
-        embedded once by the provider and cached."""
-        if self.cache is None:
-            rows, missing = np.empty((len(texts), self.dim)), range(len(texts))
-        else:
-            rows, missing = self.cache.get_rows(self.provider_id, texts, self.dim)
+        matrix. Cached rows are read in one lookup; a record of the wrong
+        size or holding a non-finite value is logged and recomputed like a
+        miss. Each distinct miss is embedded once by the provider and
+        cached."""
+        dim = self.dim
+        payloads = self.cache.get_many([text_key(text) for text in texts])
+        sized = [i for i, p in enumerate(payloads) if p is not None and len(p) == 4 * dim]
+        decoded = np.frombuffer(b"".join(payloads[i] for i in sized), dtype="<f4")
+        decoded = decoded.reshape(len(sized), dim)
+        finite = np.isfinite(decoded).all(axis=1)
+        if len(sized) == len(texts) and finite.all():
+            return decoded.astype(np.float64)
+        found = [i for i, ok in zip(sized, finite) if ok]
+        unusable = sum(p is not None for p in payloads) - len(found)
+        if unusable:
+            logger.warning("recomputing %d cached embedding(s) in %s of the wrong size "
+                           "or holding non-finite values", unusable, self.cache.root)
+        rows = np.empty((len(texts), dim))
+        rows[found] = decoded[finite]
         fresh: dict[str, np.ndarray] = {}
-        for i in missing:
+        for i in sorted(set(range(len(texts))).difference(found)):
             text = texts[i]
             if text not in fresh:
-                vec = self.provider.embed_text(text)
-                fresh[text] = np.asarray(vec.values, dtype="<f4").astype(np.float64)
-                if self.cache is not None:
-                    self.cache.put(self.provider_id, text, fresh[text])
+                vec = self.retry.call(self.provider.embed_text, text)
+                values = np.asarray(vec.values, dtype="<f4")
+                self.cache.put(text_key(text), values.tobytes())
+                fresh[text] = values.astype(np.float64)
             rows[i] = fresh[text]
         return rows
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .domain import LABEL_FAKE, LABEL_NAMES, LABEL_REAL, NewsItem, label_to_int
@@ -131,14 +131,7 @@ class MetricsReport:
     macro_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "confusion": self.confusion,
-            "accuracy": self.accuracy,
-            "f1_real": self.f1_real,
-            "f1_fake": self.f1_fake,
-            "macro_f1": self.macro_f1,
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         rows = [

@@ -2,15 +2,19 @@
 
 Two backends share one request/response shape: a remote chat-completion
 endpoint and a deterministic mock used for hermetic tests. The gateway
-wraps either with an on-disk response cache, bounded retry with
-nondecreasing backoff, and gateway-wide rate limiting, and is safe to
-share across threads.
+wraps either with its on-disk response cache, bounded retry with
+nondecreasing backoff (``RetryPolicy``, which the embedding endpoint
+shares), and gateway-wide rate limiting, and is safe to share across
+threads.
 
 The response cache is content-addressed by the request digest
 (``cache_key``) and lives in append-only, checksummed pack files under the
-cache directory (see ``packs.py``), one pack per gateway that writes. Each
-record holds the JSON entry ``{digest, text, backend_id, timestamp}``; a
-damaged or torn record reads as a miss and the request is sent again.
+gateway's cache directory (see ``packs.py``), one pack per gateway that
+writes. Each record holds the JSON entry ``{digest, text, backend_id,
+timestamp}``; a damaged or torn record reads as a miss and the request is
+sent again. A request holds one of ``LOCK_STRIPES`` locks, picked by its
+digest, while it reads the cache and calls the backend, so identical
+concurrent requests make one backend call.
 """
 
 from __future__ import annotations
@@ -25,13 +29,17 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from contextlib import contextmanager, nullcontext
+from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .packs import PackStore
 
 API_KEY_ENV = "VERIDEBATE_API_KEY"
+# Locks a gateway holds requests on; distinct digests share one with
+# probability 1/LOCK_STRIPES.
+LOCK_STRIPES = 64
 
 
 class GatewayError(Exception):
@@ -263,6 +271,7 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_base: float = 0.5
     backoff_factor: float = 2.0
+    sleep: Callable[[float], object] = time.sleep
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -272,6 +281,17 @@ class RetryPolicy:
 
     def delay(self, attempt: int) -> float:
         return self.backoff_base * self.backoff_factor**attempt
+
+    def call(self, fn, *args):
+        """``fn(*args)``, tried again after ``delay(attempt)`` while it
+        raises TransportError, up to ``max_attempts`` tries; the last
+        try's error propagates."""
+        for attempt in range(self.max_attempts - 1):
+            try:
+                return fn(*args)
+            except TransportError:
+                self.sleep(self.delay(attempt))
+        return fn(*args)
 
 
 class RateLimiter:
@@ -304,34 +324,13 @@ class Gateway:
     around a backend. Shareable across threads; generate() may be called
     concurrently."""
 
-    def __init__(self, backend, cache_dir: str | Path | None = None,
-                 retry: RetryPolicy = RetryPolicy(), limiter: RateLimiter | None = None,
-                 sleep=time.sleep):
+    def __init__(self, backend, cache_dir: str | Path, retry: RetryPolicy = RetryPolicy(),
+                 limiter: RateLimiter | None = None):
         self.backend = backend
         self.retry = retry
         self.limiter = limiter
-        self._sleep = sleep
-        self._store = PackStore(cache_dir) if cache_dir else None
-        self._key_locks: dict[str, list] = {}  # digest -> [lock, threads holding or waiting]
-        self._master_lock = threading.Lock()
-
-    @contextmanager
-    def _key_lock(self, digest: str):
-        """Hold the lock for one digest; its entry is dropped once no
-        thread holds or waits on it."""
-        with self._master_lock:
-            entry = self._key_locks.get(digest)
-            if entry is None:
-                entry = self._key_locks[digest] = [threading.Lock(), 0]
-            entry[1] += 1
-        try:
-            with entry[0]:
-                yield
-        finally:
-            with self._master_lock:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._key_locks[digest]
+        self._store = PackStore(cache_dir)
+        self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
 
     def _cache_read(self, digest: str) -> GenerationResponse | None:
         payload = self._store.get(digest)
@@ -352,32 +351,21 @@ class Gateway:
         }
         self._store.put(digest, json.dumps(entry, ensure_ascii=False).encode("utf-8"))
 
-    def _call_with_retry(self, req: GenerationRequest) -> str:
-        last: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
-            try:
-                with self.limiter or nullcontext():
-                    return self.backend.complete(req)
-            except TransportError as exc:
-                last = exc
-                if attempt + 1 < self.retry.max_attempts:
-                    self._sleep(self.retry.delay(attempt))
-        assert last is not None
-        raise last
+    def _complete(self, req: GenerationRequest) -> str:
+        with self.limiter or nullcontext():
+            return self.backend.complete(req)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if not isinstance(req, GenerationRequest):
             raise TypeError("generate expects a GenerationRequest")
         digest = cache_key(req)
-        # A per-key lock keeps concurrent identical requests down to one
-        # backend call per digest; without a store they are sent in turn.
-        with self._key_lock(digest):
-            hit = self._cache_read(digest) if self._store is not None else None
+        # Identical requests share a stripe: concurrent ones make one backend call.
+        with self._locks[int(digest[:8], 16) % LOCK_STRIPES]:
+            hit = self._cache_read(digest)
             if hit is not None:
                 return hit
-            text = self._call_with_retry(req)
+            text = self.retry.call(self._complete, req)
             if not text:
                 raise MalformedResponseError("backend returned empty text")
-            if self._store is not None:
-                self._cache_write(digest, text)
+            self._cache_write(digest, text)
             return GenerationResponse(text, self.backend.backend_id, cached=False)

@@ -126,8 +126,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gat_layers < 1:
-            raise ValueError("need at least one GAT layer")
+        for name in ("d_h", "d_r", "gat_hidden", "gat_layers", "d_p", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_p % self.heads != 0:
             raise ValueError("d_p must be divisible by heads")
         if self.interaction_mode not in INTERACTION_MODES:

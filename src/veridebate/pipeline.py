@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import PipelineConfig
 from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, VerdictHint, validate_log
-from .encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider, RemoteEmbeddingProvider
+from .encoding import CachedEmbedder, HashEmbeddingProvider, RemoteEmbeddingProvider
 from .engine import log_from_json, log_to_json, run_debate
 from .evaluation import (
     Dataset,
@@ -70,7 +70,7 @@ def build_embedder(config: PipelineConfig, workspace: Path) -> CachedEmbedder:
         provider = RemoteEmbeddingProvider(
             config.embedding_endpoint, dim=config.d_h, model=config.embedding_model
         )
-    return CachedEmbedder(provider, EmbeddingCache(workspace / "cache" / "emb"))
+    return CachedEmbedder(provider, workspace / "cache" / "emb", retry=RetryPolicy())
 
 
 @dataclass

@@ -21,8 +21,14 @@ def news_item():
 
 
 @pytest.fixture
-def mock_gateway():
-    return Gateway(MockBackend())
+def fresh_cache(tmp_path_factory):
+    """Makes a new, empty cache directory on each call."""
+    return lambda: tmp_path_factory.mktemp("gen")
+
+
+@pytest.fixture
+def mock_gateway(fresh_cache):
+    return Gateway(MockBackend(), fresh_cache())
 
 
 @pytest.fixture

@@ -118,9 +118,9 @@ def test_criterion_3_normalization_suite():
     report("criterion 3: normalization suite", f"3x1000 inputs, {elapsed:.1f}s")
 
 
-def test_criterion_4_protocol_suite(news_item):
+def test_criterion_4_protocol_suite(news_item, tmp_path):
     start = time.perf_counter()
-    gateway = Gateway(MockBackend())
+    gateway = Gateway(MockBackend(), tmp_path)
     log = run_debate(news_item, DebateConfig(), gateway)
 
     expected = [

@@ -9,7 +9,7 @@ from conftest import CountingBackend, CountingProvider, write_factored_checkpoin
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
 from veridebate import pipeline as pipeline_module
-from veridebate.encoding import CachedEmbedder, EmbeddingCache, RemoteEmbeddingProvider
+from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider
 from veridebate.evaluation import load_dataset, write_dataset_jsonl
 from veridebate.neural import ModelConfig
 from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
@@ -116,6 +116,20 @@ class TestConfig:
         assert code == 1
         assert not (tmp_path / "ws").exists()
 
+    @pytest.mark.parametrize("section, key", [("embedding", "d_h"), ("model", "d_r"),
+                                              ("model", "gat_hidden"), ("model", "d_p"),
+                                              ("model", "heads")])
+    def test_zero_model_dimension_stops_cli_before_any_stage(self, small_setup, section, key,
+                                                             caplog):
+        tmp_path, dataset_path, _ = small_setup
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = 0\n")
+        code = run_cli("pipeline", "--config", path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws")
+        assert code == 1
+        assert f"{key} must be >= 1, got 0" in caplog.text
+        assert not (tmp_path / "ws").exists()
+
     @pytest.mark.parametrize("body", ["backend = mock\n",
                                       "[gateway]\nbackend = mock\nbackend = mock\n"],
                              ids=["no_section", "duplicate_key"])
@@ -158,17 +172,17 @@ class TestDebateCommand:
         assert code == 0
         assert "0 generated, 16 reused" in capsys.readouterr().out
 
-    def test_resume_issues_no_gateway_calls(self, small_setup):
+    def test_resume_issues_no_gateway_calls(self, small_setup, fresh_cache):
         tmp_path, dataset_path, config_path = small_setup
         dataset = load_dataset(dataset_path)
         config = load_config(config_path)
         backend = CountingBackend()
         workspace = tmp_path / "ws"
-        pipeline = Pipeline(config, workspace, gateway=Gateway(backend))
+        pipeline = Pipeline(config, workspace, gateway=Gateway(backend, fresh_cache()))
         pipeline.run_debates(dataset)
         first = backend.calls
         assert first == 16 * 8
-        pipeline2 = Pipeline(config, workspace, gateway=Gateway(backend))
+        pipeline2 = Pipeline(config, workspace, gateway=Gateway(backend, fresh_cache()))
         _, report = pipeline2.run_debates(dataset)
         assert backend.calls == first
         assert report.skipped == 16
@@ -221,7 +235,7 @@ class TestDebateCommand:
 
         dataset = load_dataset(dataset_path)
         config = load_config(config_path)
-        gateway = Gateway(FailingBackend(), retry=RetryPolicy(max_attempts=1))
+        gateway = Gateway(FailingBackend(), tmp_path / "gen", retry=RetryPolicy(max_attempts=1))
 
         lenient = Pipeline(config, tmp_path / "lenient", gateway=gateway)
         _, report = lenient.run_debates(dataset)
@@ -442,20 +456,21 @@ class TestReusedArtifacts:
         dataset = load_dataset(dataset_path)
         config = load_config(config_path)
         workspace = tmp_path / "ws"
-        pipeline = Pipeline(config, workspace, gateway=Gateway(CountingBackend()))
+        pipeline = Pipeline(config, workspace,
+                            gateway=Gateway(CountingBackend(), tmp_path / "gen"))
         logs, _ = pipeline.run_debates(dataset)
         pipeline.run_synthesis(logs)
         return dataset, config, workspace
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_bad_transcript_is_regenerated(self, small_setup, fault, caplog):
+    def test_bad_transcript_is_regenerated(self, small_setup, fresh_cache, fault, caplog):
         dataset, config, workspace = self._setup(small_setup)
         first, second = sorted((workspace / "transcripts").glob("*.json"))[:2]
         original = first.read_bytes()
         corrupt(first, fault, second)
 
         backend = CountingBackend()
-        pipeline = Pipeline(config, workspace, gateway=Gateway(backend))
+        pipeline = Pipeline(config, workspace, gateway=Gateway(backend, fresh_cache()))
         logs, report = pipeline.run_debates(dataset)
         assert report.failures == []
         assert (report.processed, report.skipped) == (1, 15)
@@ -465,14 +480,14 @@ class TestReusedArtifacts:
         assert str(first) in caplog.text
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_bad_report_is_regenerated(self, small_setup, fault, caplog):
+    def test_bad_report_is_regenerated(self, small_setup, fresh_cache, fault, caplog):
         dataset, config, workspace = self._setup(small_setup)
         first, second = sorted((workspace / "reports").glob("*.json"))[:2]
         original = first.read_bytes()
         corrupt(first, fault, second)
 
         backend = CountingBackend()
-        pipeline = Pipeline(config, workspace, gateway=Gateway(backend))
+        pipeline = Pipeline(config, workspace, gateway=Gateway(backend, fresh_cache()))
         logs, _ = pipeline.run_debates(dataset)
         reports, report = pipeline.run_synthesis(logs)
         assert report.failures == []
@@ -482,13 +497,13 @@ class TestReusedArtifacts:
         assert reports[first.stem].news_id == first.stem
         assert str(first) in caplog.text
 
-    def test_unreadable_transcript_is_reported_not_regenerated(self, small_setup):
+    def test_unreadable_transcript_is_reported_not_regenerated(self, small_setup, fresh_cache):
         dataset, config, workspace = self._setup(small_setup)
         first = sorted((workspace / "transcripts").glob("*.json"))[0]
         first.unlink()
         first.mkdir()  # reading it raises an OSError, not a parse error
 
-        pipeline = Pipeline(config, workspace, gateway=Gateway(CountingBackend()))
+        pipeline = Pipeline(config, workspace, gateway=Gateway(CountingBackend(), fresh_cache()))
         with pytest.raises(IsADirectoryError):
             pipeline.run_debates(dataset)
         assert first.is_dir()
@@ -546,8 +561,8 @@ class TestBuildSamples:
         assert samples_digest(corpus.dataset, cold) == SAMPLES_SHA256
 
         puts = []
-        monkeypatch.setattr(EmbeddingCache, "put", lambda self, *args: puts.append(args))
         pipeline = Pipeline(config, tmp_path / "ws")
+        monkeypatch.setattr(pipeline.embedder.cache, "put", lambda *args: puts.append(args))
         provider = pipeline.embedder.provider = CountingProvider(pipeline.embedder.provider)
         warm = pipeline.build_samples(corpus.dataset, corpus.logs)
         assert (provider.calls, len(puts)) == (0, 0)
@@ -568,7 +583,8 @@ TINY_CONFIG = PipelineConfig(d_h=16, d_r=4, gat_hidden=8, gat_layers=1, d_p=8,
 class TestNoDebateVariant:
     def test_runs_without_touching_the_gateway(self, tmp_path):
         corpus = make_synthetic_corpus(n_train=1, n_test=1, seed=2, task="stance")
-        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws", gateway=Gateway(ExplodingBackend()))
+        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws",
+                            gateway=Gateway(ExplodingBackend(), tmp_path / "gen"))
         report = pipeline.evaluate_variant(corpus.dataset, "no_debate")
         assert 0.0 <= report.macro_f1 <= 1.0
 
@@ -576,8 +592,10 @@ class TestNoDebateVariant:
         corpus = make_synthetic_corpus(n_train=1, n_test=1, seed=2, task="stance")
         provider = RemoteEmbeddingProvider("https://embed.example", dim=16, api_key="k",
                                            transport=lambda *request: (503, b""))
-        embedder = CachedEmbedder(provider, EmbeddingCache(tmp_path / "emb"))
-        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws", gateway=Gateway(ExplodingBackend()),
+        embedder = CachedEmbedder(provider, tmp_path / "emb",
+                                  retry=RetryPolicy(sleep=lambda s: None))
+        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws",
+                            gateway=Gateway(ExplodingBackend(), tmp_path / "gen"),
                             embedder=embedder)
         with pytest.raises(StageError, match="stage encode failed: .*returned 503") as info:
             pipeline.evaluate_variant(corpus.dataset, "no_debate")

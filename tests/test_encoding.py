@@ -11,14 +11,14 @@ from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, St
 from veridebate.encoding import (
     ROLE_STANCE_PAIRS,
     CachedEmbedder,
-    EmbeddingCache,
     EmbeddingVector,
     HashEmbeddingProvider,
     RemoteEmbeddingProvider,
     RoleTable,
     role_pair_ids,
+    text_key,
 )
-from veridebate.gateway import RateLimitError, TransportError
+from veridebate.gateway import RateLimitError, RetryPolicy, TransportError
 from veridebate.neural import AnalysisModel, ModelConfig, make_sample
 
 # A small fixed corpus used to pin down provider distinctness. All
@@ -92,14 +92,13 @@ class TestEmbeddingVector:
 class TestEmbeddingCache:
     def test_roundtrip_bit_identical(self, tmp_path):
         provider = HashEmbeddingProvider(dim=16, seed=0)
-        embedder = CachedEmbedder(provider, EmbeddingCache(tmp_path))
+        embedder = CachedEmbedder(provider, tmp_path)
         cold = embedder.embed_text("cache me")
         warm = embedder.embed_text("cache me")
         assert np.array_equal(cold.values, warm.values)
 
     def test_one_pack_per_provider(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
-        embedder = CachedEmbedder(HashEmbeddingProvider(dim=8, seed=0), cache)
+        embedder = CachedEmbedder(HashEmbeddingProvider(dim=8, seed=0), tmp_path)
         embedder.embed_text("pack check")
         paths = list(tmp_path.rglob("*.pack"))
         assert len(paths) == 1
@@ -118,7 +117,7 @@ BULK_TEXTS = ["alpha bravo", "charlie delta", "echo foxtrot", "golf hotel", "alp
 def per_text_rows(provider, texts) -> np.ndarray:
     """The reference: each text through ``embed_text`` on a cold cache."""
     with tempfile.TemporaryDirectory() as root:
-        embedder = CachedEmbedder(provider, EmbeddingCache(root))
+        embedder = CachedEmbedder(provider, root)
         return np.stack([embedder.embed_text(text).values for text in texts])
 
 
@@ -127,26 +126,21 @@ class TestEmbedTexts:
                              ids=["all_miss", "all_hit", "mixed"])
     def test_rows_equal_per_text_embeddings(self, tmp_path, cached):
         provider = HashEmbeddingProvider(dim=16, seed=0)
-        earlier = CachedEmbedder(provider, EmbeddingCache(tmp_path))
+        earlier = CachedEmbedder(provider, tmp_path)
         for i in cached:
             earlier.embed_text(BULK_TEXTS[i])
         counting = CountingProvider(provider)
-        rows = CachedEmbedder(counting, EmbeddingCache(tmp_path)).embed_texts(BULK_TEXTS)
+        rows = CachedEmbedder(counting, tmp_path).embed_texts(BULK_TEXTS)
         expected = per_text_rows(provider, BULK_TEXTS)
         assert rows.dtype == np.float64
         assert rows.tobytes() == expected.tobytes()
         assert counting.calls == 4 - len(cached)  # the repeated miss is embedded once
-        warm = CachedEmbedder(counting, EmbeddingCache(tmp_path)).embed_texts(BULK_TEXTS)
+        warm = CachedEmbedder(counting, tmp_path).embed_texts(BULK_TEXTS)
         assert warm.tobytes() == expected.tobytes()
         assert counting.calls == 4 - len(cached)
 
-    def test_without_cache_rows_equal_per_text_embeddings(self):
-        provider = HashEmbeddingProvider(dim=16, seed=0)
-        rows = CachedEmbedder(provider).embed_texts(BULK_TEXTS)
-        assert rows.tobytes() == per_text_rows(provider, BULK_TEXTS).tobytes()
-
     def test_each_miss_cached_once(self, tmp_path):
-        embedder = CachedEmbedder(HashEmbeddingProvider(dim=8, seed=0), EmbeddingCache(tmp_path))
+        embedder = CachedEmbedder(HashEmbeddingProvider(dim=8, seed=0), tmp_path)
         embedder.embed_texts(BULK_TEXTS)
         (pack,) = (tmp_path / embedder.provider_id).glob("*.pack")
         assert pack.read_bytes().count(b'{"key": ') == 4
@@ -158,12 +152,12 @@ class TestEmbedTexts:
         miss: the item is re-embedded and the provider directory named."""
         provider = HashEmbeddingProvider(dim=8, seed=0)
         texts = ["first text", "poisoned text", "last text"]
-        cache = EmbeddingCache(tmp_path)
-        CachedEmbedder(provider, cache).embed_texts([texts[0], texts[2]])
-        cache.put(provider.provider_id, "poisoned text", bad)
+        earlier = CachedEmbedder(provider, tmp_path)
+        earlier.embed_texts([texts[0], texts[2]])
+        earlier.cache.put(text_key("poisoned text"), bad.astype("<f4").tobytes())
 
         counting = CountingProvider(provider)
-        embedder = CachedEmbedder(counting, EmbeddingCache(tmp_path))
+        embedder = CachedEmbedder(counting, tmp_path)
         with caplog.at_level(logging.WARNING, logger="veridebate.encoding"):
             rows = embedder.embed_texts(texts)
         assert rows.tobytes() == per_text_rows(provider, texts).tobytes()
@@ -209,6 +203,22 @@ class TestRemoteProvider:
                                            transport=transport)
         with pytest.raises(error, match=message):
             provider.embed_text("hi")
+
+    def test_embedder_retries_503_and_429(self, tmp_path):
+        replies = [(503, b""), (429, b""),
+                   (200, json.dumps({"data": [{"embedding": [0.5, 0.25, 0.125]}]}).encode())]
+        calls, sleeps = [], []
+
+        def transport(url, body, headers, timeout):
+            calls.append(url)
+            return replies[len(calls) - 1]
+
+        provider = RemoteEmbeddingProvider("https://api.example", dim=3, api_key="k",
+                                           transport=transport)
+        embedder = CachedEmbedder(provider, tmp_path, retry=RetryPolicy(sleep=sleeps.append))
+        assert embedder.embed_text("hi").values.tolist() == [0.5, 0.25, 0.125]
+        assert len(calls) == 3
+        assert len(sleeps) == 2 and sleeps == sorted(sleeps)
 
 
 class TestRoleTable:

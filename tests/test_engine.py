@@ -188,7 +188,7 @@ class TestRunDebate:
         b = run_debate(news_item, DebateConfig(), mock_gateway)
         assert log_to_json(a) == log_to_json(b)
 
-    def test_failing_gateway_propagates(self, news_item):
+    def test_failing_gateway_propagates(self, news_item, tmp_path):
         class DeadBackend:
             backend_id = "dead"
 
@@ -197,11 +197,11 @@ class TestRunDebate:
 
         from veridebate.gateway import RetryPolicy
 
-        gateway = Gateway(DeadBackend(), retry=RetryPolicy(max_attempts=1))
+        gateway = Gateway(DeadBackend(), tmp_path, retry=RetryPolicy(max_attempts=1))
         with pytest.raises(GatewayError):
             run_debate(news_item, DebateConfig(), gateway)
 
-    def test_history_containment(self, news_item):
+    def test_history_containment(self, news_item, tmp_path):
         """A turn's prompt may embed text only from strictly earlier
         stages."""
         seen_prompts = []
@@ -211,7 +211,7 @@ class TestRunDebate:
                 seen_prompts.append(request.messages[1][1])
                 return super().complete(request)
 
-        gateway = Gateway(RecordingBackend())
+        gateway = Gateway(RecordingBackend(), tmp_path)
         log = run_debate(news_item, DebateConfig(), gateway)
         for i, turn in enumerate(log.turns):
             prompt = seen_prompts[i]

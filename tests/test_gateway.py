@@ -75,8 +75,8 @@ class TestMockBackend:
         backend = MockBackend()
         assert backend.complete(req(seed=1)) != backend.complete(req(seed=2))
 
-    def test_gateway_mock_identical_responses(self):
-        gateway = Gateway(MockBackend())
+    def test_gateway_mock_identical_responses(self, tmp_path):
+        gateway = Gateway(MockBackend(), tmp_path)
         first = gateway.generate(req())
         second = gateway.generate(req())
         assert first.text == second.text
@@ -136,7 +136,7 @@ class TestCache:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(gateway.generate, requests))
         assert backend.calls == 50
-        assert gateway._key_locks == {}
+        assert not any(lock.locked() for lock in gateway._locks)
 
 
 class FlakyBackend:
@@ -155,24 +155,26 @@ class FlakyBackend:
 
 
 class TestRetry:
-    def test_recovers_within_budget(self):
+    def test_recovers_within_budget(self, tmp_path):
         sleeps = []
-        gateway = Gateway(FlakyBackend(2), retry=RetryPolicy(max_attempts=3),
-                          sleep=sleeps.append)
+        gateway = Gateway(FlakyBackend(2), tmp_path,
+                          retry=RetryPolicy(max_attempts=3, sleep=sleeps.append))
         assert gateway.generate(req()).text == "recovered"
         assert len(sleeps) == 2
         assert sleeps == sorted(sleeps)
 
-    def test_attempts_bounded(self):
+    def test_attempts_bounded(self, tmp_path):
         backend = FlakyBackend(99)
-        gateway = Gateway(backend, retry=RetryPolicy(max_attempts=3), sleep=lambda s: None)
+        gateway = Gateway(backend, tmp_path,
+                          retry=RetryPolicy(max_attempts=3, sleep=lambda s: None))
         with pytest.raises(TransportError):
             gateway.generate(req())
         assert backend.calls == 3
 
-    def test_rate_limit_surfaced_after_budget(self):
+    def test_rate_limit_surfaced_after_budget(self, tmp_path):
         backend = FlakyBackend(99, exc=RateLimitError)
-        gateway = Gateway(backend, retry=RetryPolicy(max_attempts=2), sleep=lambda s: None)
+        gateway = Gateway(backend, tmp_path,
+                          retry=RetryPolicy(max_attempts=2, sleep=lambda s: None))
         with pytest.raises(RateLimitError):
             gateway.generate(req())
         assert backend.calls == 2

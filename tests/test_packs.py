@@ -14,7 +14,7 @@ import pytest
 
 from conftest import CountingProvider
 from veridebate import packs as packs_module
-from veridebate.encoding import CachedEmbedder, EmbeddingCache, HashEmbeddingProvider
+from veridebate.encoding import CachedEmbedder, HashEmbeddingProvider, text_key
 from veridebate.packs import PackStore
 
 
@@ -99,15 +99,15 @@ class TestPackStore:
 
     def test_flipped_payload_byte_reads_as_miss(self, tmp_path):
         provider = HashEmbeddingProvider(dim=8, seed=0)
-        expected = CachedEmbedder(provider, EmbeddingCache(tmp_path)).embed_text("flip me").values
+        expected = CachedEmbedder(provider, tmp_path).embed_text("flip me").values
         (pack,) = packs(tmp_path / provider.provider_id)
         data = bytearray(pack.read_bytes())
         data[-3] ^= 0x40  # one bit in the float32 payload
         pack.write_bytes(bytes(data))
 
-        cache = EmbeddingCache(tmp_path)
-        assert cache.get(provider.provider_id, "flip me") is None
-        recomputed = CachedEmbedder(provider, cache).embed_text("flip me").values
+        embedder = CachedEmbedder(provider, tmp_path)
+        assert embedder.cache.get(text_key("flip me")) is None
+        recomputed = embedder.embed_text("flip me").values
         assert np.array_equal(recomputed, expected)
 
     def test_old_layout_files_ignored(self, tmp_path):
@@ -177,15 +177,16 @@ def test_recomputed_embedding_is_read_back_by_later_runs(tmp_path, monkeypatch, 
     the recomputing run's new pack, is what every later run reads."""
     draw_pack_names(monkeypatch, hexes)
     provider = HashEmbeddingProvider(dim=8, seed=0)
-    EmbeddingCache(tmp_path).put(provider.provider_id, "poisoned", np.full(8, np.nan))
+    CachedEmbedder(provider, tmp_path).cache.put(text_key("poisoned"),
+                                                 np.full(8, np.nan, dtype="<f4").tobytes())
     with caplog.at_level(logging.WARNING, logger="veridebate.encoding"):
-        expected = CachedEmbedder(provider, EmbeddingCache(tmp_path)).embed_texts(["poisoned"])
+        expected = CachedEmbedder(provider, tmp_path).embed_texts(["poisoned"])
     assert "recomputing 1 cached embedding" in caplog.text
     caplog.clear()
 
     counting = CountingProvider(provider)
     with caplog.at_level(logging.WARNING, logger="veridebate.encoding"):
-        rows = CachedEmbedder(counting, EmbeddingCache(tmp_path)).embed_texts(["poisoned"])
+        rows = CachedEmbedder(counting, tmp_path).embed_texts(["poisoned"])
     assert rows.tobytes() == expected.tobytes()
     assert counting.calls == 0
     assert caplog.text == ""

@@ -27,10 +27,9 @@ from .evaluation import (
     format_ablation_table,
     load_dataset,
     run_ablation,
-    write_metrics_json,
     write_predictions_jsonl,
 )
-from .files import atomic_write
+from .files import write_json
 from .neural import load_model
 from .neural.attention import INTERACTION_MODES
 from .pipeline import Pipeline, StageError
@@ -166,7 +165,7 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
             "rerun `veridebate predict`"
         )
     metrics = compute_metrics([r["prediction"] for r in rows], [item.label for item in test_items])
-    write_metrics_json(workspace / "metrics.json", metrics)
+    write_json(workspace / "metrics.json", metrics.to_dict())
     print(metrics.format_table())
     return 0
 
@@ -184,8 +183,7 @@ def cmd_ablate(config: PipelineConfig, args: argparse.Namespace) -> int:
     names = tuple(t.strip() for t in args.toggles.split(",") if t.strip())
     table = run_ablation(names, pipeline, dataset)
     out = pipeline.workspace / "ablation.json"
-    atomic_write(out, json.dumps({k: v.to_dict() for k, v in table.items()},
-                                 sort_keys=True, indent=2) + "\n")
+    write_json(out, {variant: report.to_dict() for variant, report in table.items()})
     print(format_ablation_table(table))
     print(f"ablate: table -> {out}")
     return 0

@@ -17,8 +17,8 @@ finiteness check for all its cached rows. A record that is torn, fails
 its crc, has the wrong size or holds a non-finite value reads as a miss
 and is recomputed; the last two are logged with the provider directory.
 Each distinct miss goes to the provider under the embedder's
-``RetryPolicy``, so a 429 or 5xx reply from a remote endpoint is retried
-as a chat request is.
+``RetryPolicy`` and, when it has one, its ``RateLimiter``, so a remote
+endpoint is retried and paced as the chat endpoint is.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import DebateRole, Stance
-from .gateway import JsonClient, MalformedResponseError, RetryPolicy
+from .gateway import JsonClient, MalformedResponseError, RateLimiter, RetryPolicy, paced
 from .packs import PackStore
 
 logger = logging.getLogger(__name__)
@@ -157,11 +157,13 @@ class CachedEmbedder:
     cached and freshly computed embeddings are bit-identical.
     """
 
-    def __init__(self, provider, root: str | Path, retry: RetryPolicy = RetryPolicy()):
+    def __init__(self, provider, root: str | Path, retry: RetryPolicy = RetryPolicy(),
+                 limiter: RateLimiter | None = None):
         self.provider = provider
         self.provider_id = provider.provider_id
         self.dim = provider.dim
         self.retry = retry
+        self.limiter = limiter
         self.cache = PackStore(Path(root) / re.sub(r"[^\w.-]", "_", self.provider_id))
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
@@ -189,7 +191,7 @@ class CachedEmbedder:
         for i in sorted(set(range(len(texts))).difference(found)):
             text = texts[i]
             if text not in fresh:
-                vec = self.retry.call(self.provider.embed_text, text)
+                vec = self.retry.call(paced, self.limiter, self.provider.embed_text, text)
                 values = np.asarray(vec.values, dtype="<f4")
                 self.cache.put(text_key(text), values.tobytes())
                 fresh[text] = values.astype(np.float64)

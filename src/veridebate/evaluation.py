@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .domain import LABEL_FAKE, LABEL_NAMES, LABEL_REAL, NewsItem, label_to_int
-from .files import atomic_write
+from .files import write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -98,22 +98,10 @@ def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
 
 
 def write_dataset_jsonl(dataset: Dataset, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in dataset.items:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": item.id,
-                        "content": item.content,
-                        "label": None if item.label is None else LABEL_NAMES[item.label],
-                        "split": item.split,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    """Persist a dataset in the form ``load_dataset`` reads, labels as names."""
+    write_jsonl(path, [{"id": item.id, "content": item.content, "split": item.split,
+                        "label": None if item.label is None else LABEL_NAMES[item.label]}
+                       for item in dataset.items])
 
 
 # --------------------------------------------------------------------------
@@ -190,13 +178,7 @@ def compute_metrics(predictions, labels) -> MetricsReport:
 
 def write_predictions_jsonl(path: str | Path, rows: list[dict]) -> None:
     """Persist per-item predictions as {id, label, prediction, p_fake}."""
-    atomic_write(path, [json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
-                        for row in rows])
-
-
-def write_metrics_json(path: str | Path, metrics: MetricsReport) -> None:
-    """Persist a metrics report as key-sorted, indented JSON."""
-    atomic_write(path, json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_jsonl(path, rows)
 
 
 # --------------------------------------------------------------------------

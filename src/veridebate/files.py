@@ -1,7 +1,9 @@
-"""Whole-file writes that a crash cannot leave half done."""
+"""Whole-file writes that a crash cannot leave half done, and the one
+form of the run's JSON outputs."""
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
 from pathlib import Path
@@ -26,3 +28,19 @@ def atomic_write(path: str | Path, data) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _dumps(value, indent: int | None = None) -> str:
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=indent) + "\n"
+
+
+def write_json(path: str | Path, value) -> None:
+    """Atomically write ``value`` as one JSON document: sorted keys,
+    unescaped UTF-8, indented by two spaces, ending in a newline."""
+    atomic_write(path, _dumps(value, indent=2))
+
+
+def write_jsonl(path: str | Path, rows) -> None:
+    """Atomically write ``rows`` as JSON lines: one value per line, with
+    sorted keys and unescaped UTF-8."""
+    atomic_write(path, [_dumps(row) for row in rows])

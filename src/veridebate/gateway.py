@@ -10,11 +10,11 @@ threads.
 The response cache is content-addressed by the request digest
 (``cache_key``) and lives in append-only, checksummed pack files under the
 gateway's cache directory (see ``packs.py``), one pack per gateway that
-writes. Each record holds the JSON entry ``{digest, text, backend_id,
-timestamp}``; a damaged or torn record reads as a miss and the request is
-sent again. A request holds one of ``LOCK_STRIPES`` locks, picked by its
-digest, while it reads the cache and calls the backend, so identical
-concurrent requests make one backend call.
+writes. Each record holds the JSON entry ``{text, backend_id}``, so equal
+requests write equal records; a damaged or torn record reads as a miss
+and the request is sent again. A request holds one of ``LOCK_STRIPES``
+locks, picked by its digest, while it reads the cache and calls the
+backend, so identical concurrent requests make one backend call.
 """
 
 from __future__ import annotations
@@ -319,6 +319,12 @@ class RateLimiter:
         return False
 
 
+def paced(limiter: RateLimiter | None, fn, *args):
+    """``fn(*args)``, started once ``limiter``, if there is one, lets it."""
+    with limiter or nullcontext():
+        return fn(*args)
+
+
 class Gateway:
     """Front door for text generation: cache, retry, and rate limiting
     around a backend. Shareable across threads; generate() may be called
@@ -343,17 +349,8 @@ class Gateway:
             return None
 
     def _cache_write(self, digest: str, text: str) -> None:
-        entry = {
-            "digest": digest,
-            "text": text,
-            "backend_id": self.backend.backend_id,
-            "timestamp": time.time(),
-        }
+        entry = {"text": text, "backend_id": self.backend.backend_id}
         self._store.put(digest, json.dumps(entry, ensure_ascii=False).encode("utf-8"))
-
-    def _complete(self, req: GenerationRequest) -> str:
-        with self.limiter or nullcontext():
-            return self.backend.complete(req)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if not isinstance(req, GenerationRequest):
@@ -364,7 +361,7 @@ class Gateway:
             hit = self._cache_read(digest)
             if hit is not None:
                 return hit
-            text = self.retry.call(self._complete, req)
+            text = self.retry.call(paced, self.limiter, self.backend.complete, req)
             if not text:
                 raise MalformedResponseError("backend returned empty text")
             self._cache_write(digest, text)

@@ -10,7 +10,6 @@ feature path without touching the persisted artifacts.
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,17 +19,12 @@ from .config import PipelineConfig
 from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, VerdictHint, validate_log
 from .encoding import CachedEmbedder, HashEmbeddingProvider, RemoteEmbeddingProvider
 from .engine import log_from_json, log_to_json, run_debate
-from .evaluation import (
-    Dataset,
-    MetricsReport,
-    compute_metrics,
-    write_metrics_json,
-    write_predictions_jsonl,
-)
-from .files import atomic_write
+from .evaluation import Dataset, MetricsReport, compute_metrics, write_predictions_jsonl
+from .files import write_json, write_jsonl
 from .gateway import Gateway, MockBackend, RateLimiter, RemoteBackend, RetryPolicy
 from .neural import (
     AnalysisModel,
+    NumericalFault,
     Sample,
     make_news_only_sample,
     make_sample,
@@ -64,13 +58,18 @@ def build_gateway(config: PipelineConfig, workspace: Path) -> Gateway:
 
 
 def build_embedder(config: PipelineConfig, workspace: Path) -> CachedEmbedder:
+    limiter = None
     if config.provider == "hash":
         provider = HashEmbeddingProvider(dim=config.d_h, seed=config.embed_seed)
     else:
         provider = RemoteEmbeddingProvider(
             config.embedding_endpoint, dim=config.d_h, model=config.embedding_model
         )
-    return CachedEmbedder(provider, workspace / "cache" / "emb", retry=RetryPolicy())
+        # The embedding endpoint is paced apart from the chat endpoint.
+        if config.requests_per_minute:
+            limiter = RateLimiter(config.requests_per_minute)
+    return CachedEmbedder(provider, workspace / "cache" / "emb", retry=RetryPolicy(),
+                          limiter=limiter)
 
 
 @dataclass
@@ -98,15 +97,15 @@ class Pipeline:
     @staticmethod
     def _reuse(path: Path, parse, news_id: str, check=lambda record: []):
         """The record stored at ``path`` for ``news_id``, or None when the
-        file is absent or unusable (it does not parse, fails ``check``, or
-        belongs to another item); an unusable file is logged by name. An
+        file is absent or unusable (not UTF-8, does not parse, fails ``check``
+        or belongs to another item); an unusable file is logged by name. An
         error reading the file is not a parse error and propagates."""
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
         try:
-            record = parse(text)
+            record = parse(data.decode("utf-8"))
             problems = check(record)
             if record.news_id != news_id:
                 problems.append(f"holds news_id {record.news_id!r}")
@@ -227,7 +226,10 @@ class Pipeline:
         train_samples = [samples[i.id] for i in train_items]
         val_samples = [samples[i.id] for i in val_items] or None
         model = AnalysisModel.create(self.config.model_config())
-        train(model, train_samples, self.config.train_config(), val_samples)
+        try:
+            train(model, train_samples, self.config.train_config(), val_samples)
+        except NumericalFault as exc:
+            raise StageError("train", str(exc)) from exc
         save_model(self.checkpoint_path(checkpoint_name), model, self.embedder.provider_id)
         return model
 
@@ -308,7 +310,7 @@ class Pipeline:
         rows = self._run_variant(dataset, "full", CHECKPOINT)
         metrics = self._metrics_from_rows(rows)
         write_predictions_jsonl(self.workspace / "predictions.jsonl", rows)
-        explanations = [
+        write_jsonl(self.workspace / "explanations.jsonl", [
             {
                 "id": row["id"],
                 "prediction": row["prediction"],
@@ -316,8 +318,6 @@ class Pipeline:
                 "report": f"reports/{row['id']}.json",
             }
             for row in rows
-        ]
-        atomic_write(self.workspace / "explanations.jsonl",
-                     [json.dumps(entry, sort_keys=True) + "\n" for entry in explanations])
-        write_metrics_json(self.workspace / "metrics.json", metrics)
+        ])
+        write_json(self.workspace / "metrics.json", metrics.to_dict())
         return metrics

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import shutil
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,12 @@ import pytest
 from conftest import CountingBackend, CountingProvider, write_factored_checkpoint
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
-from veridebate import pipeline as pipeline_module
+from veridebate import gateway as gateway_module, pipeline as pipeline_module
 from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider
 from veridebate.evaluation import load_dataset, write_dataset_jsonl
 from veridebate.neural import ModelConfig
 from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
-from veridebate.pipeline import Pipeline, StageError, build_gateway
+from veridebate.pipeline import Pipeline, StageError, build_embedder, build_gateway
 from veridebate.synthetic import make_synthetic_corpus
 
 SMALL_CONFIG = """
@@ -141,6 +143,22 @@ class TestConfig:
                        "--out", tmp_path / "ws")
         assert code == 1
         assert str(path) in caplog.text
+        assert not (tmp_path / "ws").exists()
+
+    def test_boolean_and_string_keys_read_from_file(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[debate]\nlanguage = cn\n[paths]\nstrict = yes\n")
+        config = load_config(path)
+        assert (config.strict, config.language) == (True, "cn")
+
+    def test_unreadable_boolean_stops_cli_before_any_stage(self, small_setup, caplog):
+        tmp_path, dataset_path, _ = small_setup
+        path = tmp_path / "bad.ini"
+        path.write_text("[paths]\nstrict = maybe\n")
+        code = run_cli("pipeline", "--config", path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws")
+        assert code == 1
+        assert "not a boolean: 'maybe'" in caplog.text
         assert not (tmp_path / "ws").exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path, caplog):
@@ -275,6 +293,45 @@ class TestPipelineCommand:
         code = run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
                        "--out", tmp_path / "ws", "--seed", "5")
         assert code == 1
+
+    def test_seeded_runs_write_the_same_bytes(self, small_setup):
+        """Two seeded runs into fresh workspaces write the same files, byte
+        for byte; packs, named uniquely per writer, are compared one to one
+        within each cache directory."""
+        tmp_path, dataset_path, config_path = small_setup
+        config_path.write_text("[gateway]\nmax_concurrency = 1\n" + SMALL_CONFIG)
+
+        def contents(workspace):
+            files, packs = {}, {}
+            for path in sorted(workspace.rglob("*")):
+                if path.suffix == ".pack":
+                    packs.setdefault(path.parent.relative_to(workspace), []).append(
+                        path.read_bytes())
+                elif path.is_file():
+                    files[path.relative_to(workspace)] = path.read_bytes()
+            return files, {folder: sorted(blobs) for folder, blobs in packs.items()}
+
+        runs = []
+        for name in ("first", "second"):
+            assert run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
+                           "--out", tmp_path / name, "--seed", "5") == 0
+            runs.append(contents(tmp_path / name))
+        (files, packs), (other_files, other_packs) = runs
+        assert set(packs) == {Path("cache/gen"), Path("cache/emb/hash-d16-s0")}
+        assert len(files) == 2 * 16 + 4
+        assert files == other_files
+        assert packs == other_packs
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_exits_1_naming_blocks(self, small_setup, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        config_path.write_text(SMALL_CONFIG + "lr = 1e300\n")
+        code = run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws", "--seed", "5")
+        assert code == 1
+        assert "stage train failed: non-finite gradient in parameter blocks" in caplog.text
+        assert "classifier.weight" in caplog.text
+        assert not (tmp_path / "ws" / "checkpoints").exists()
 
     def test_train_predict_evaluate_flow(self, small_setup, capsys):
         tmp_path, dataset_path, config_path = small_setup
@@ -497,6 +554,25 @@ class TestReusedArtifacts:
         assert reports[first.stem].news_id == first.stem
         assert str(first) in caplog.text
 
+    def test_records_torn_inside_a_character_are_regenerated(self, small_setup, fresh_cache,
+                                                               caplog):
+        dataset, config, workspace = self._setup(small_setup)
+        transcript = sorted((workspace / "transcripts").glob("*.json"))[0]
+        report = sorted((workspace / "reports").glob("*.json"))[1]
+        originals = {path: path.read_bytes() for path in (transcript, report)}
+        for path in originals:
+            # Cut inside the 3-byte UTF-8 form of a CJK character.
+            path.write_bytes(b'{"news_id": "\xe4\xb8')
+
+        pipeline = Pipeline(config, workspace, gateway=Gateway(CountingBackend(), fresh_cache()))
+        logs, debate_report = pipeline.run_debates(dataset)
+        _, synth_report = pipeline.run_synthesis(logs)
+        for stage in (debate_report, synth_report):
+            assert (stage.processed, stage.skipped, stage.failures) == (1, 15, [])
+        assert {path: path.read_bytes() for path in originals} == originals
+        for path in originals:
+            assert f"regenerating unusable artifact {path}" in caplog.text
+
     def test_unreadable_transcript_is_reported_not_regenerated(self, small_setup, fresh_cache):
         dataset, config, workspace = self._setup(small_setup)
         first = sorted((workspace / "transcripts").glob("*.json"))[0]
@@ -663,3 +739,31 @@ class TestBuildGateway:
     def test_limiter_only_for_a_request_rate(self, tmp_path):
         assert build_gateway(PipelineConfig(max_concurrency=4), tmp_path).limiter is None
         assert build_gateway(PipelineConfig(requests_per_minute=60), tmp_path).limiter is not None
+
+
+class TestBuildEmbedder:
+    def test_limiter_only_for_a_remote_provider_with_a_rate(self, tmp_path):
+        remote = dict(provider="remote", embedding_endpoint="https://embed.example")
+        assert build_embedder(PipelineConfig(requests_per_minute=60), tmp_path).limiter is None
+        assert build_embedder(PipelineConfig(**remote), tmp_path).limiter is None
+        assert build_embedder(PipelineConfig(requests_per_minute=60, **remote),
+                              tmp_path).limiter is not None
+
+    def test_remote_misses_paced_at_the_request_rate(self, tmp_path, monkeypatch):
+        sent = []
+
+        def transport(url, body, headers, timeout):
+            sent.append(time.monotonic())
+            return 200, json.dumps({"data": [{"embedding": [0.25] * 16}]}).encode("utf-8")
+
+        monkeypatch.setattr(gateway_module, "_urllib_transport", transport)
+        config = PipelineConfig(provider="remote", embedding_endpoint="https://embed.example",
+                                d_h=16, requests_per_minute=1200)
+        embedder = build_embedder(config, tmp_path)
+        start = time.monotonic()
+        embedder.embed_texts(["one", "two", "three", "four"])
+        # Request k starts no earlier than k intervals after the first one
+        # was let through, which was after ``start``.
+        interval = 60 / 1200
+        assert len(sent) == 4
+        assert [t - start >= k * interval for k, t in enumerate(sent)] == [True] * 4

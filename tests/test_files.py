@@ -10,12 +10,8 @@ import pytest
 from conftest import tiny_model
 from veridebate.cli import main
 from veridebate.config import PipelineConfig
-from veridebate.evaluation import (
-    compute_metrics,
-    write_dataset_jsonl,
-    write_metrics_json,
-    write_predictions_jsonl,
-)
+from veridebate.evaluation import compute_metrics, write_dataset_jsonl, write_predictions_jsonl
+from veridebate.files import write_json
 from veridebate.neural import save_model
 from veridebate.pipeline import Pipeline
 from veridebate.synthetic import make_synthetic_corpus, write_transcripts
@@ -78,7 +74,7 @@ def write_explanations(tmp_path):
 
 
 def write_metrics(tmp_path):
-    write_metrics_json(tmp_path / "metrics.json", compute_metrics([0, 1], [0, 0]))
+    write_json(tmp_path / "metrics.json", compute_metrics([0, 1], [0, 0]).to_dict())
 
 
 def write_ablation(tmp_path):

@@ -17,7 +17,8 @@ TOLERANCE = 1e-4
 
 
 @pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2])
+# Three layers run a hidden layer's input gradient, which layer 0 never needs.
+@pytest.mark.parametrize("layers", [1, 2, 3])
 def test_gradient_matches_finite_differences(mode, layers):
     model, batch = make_gradcheck_case(seed=layers * 100 + (mode == "pooled"),
                                        mode=mode, layers=layers)

@@ -48,7 +48,7 @@ def mixed_samples(seed: int, counts=(1, 4, 9, 2), d_h: int = D_H):
 
 
 @pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("layers", [1, 2, 3])
 def test_forward_matches_literal_reference(mode, layers):
     model = small_model(mode, layers)
     samples = mixed_samples(layers)

@@ -92,6 +92,8 @@ ROLE_STAGE = {
     DebateRole.REBUTTER: DebateStage.REBUTTAL,
     DebateRole.CLOSING_SPEAKER: DebateStage.CLOSING,
 }
+# ROLE_STAGE by position, so a role is found by identity, not hashed.
+_ROLES, _ROLE_STAGES = tuple(ROLE_STAGE), tuple(ROLE_STAGE.values())
 
 
 class VerdictHint(enum.Enum):
@@ -117,7 +119,10 @@ class NewsItem:
         # The id names the item's files (transcripts/<id>.json, ...).
         if self.id in ("", ".", "..") or any(c in self.id for c in "/\\\0"):
             raise ValueError(f"news id {self.id!r} cannot be used as a file name")
-        if not self.content or not self.content.strip():
+        if not isinstance(self.content, str):
+            raise ValueError(f"news {self.id!r}: content must be a string, "
+                             f"got {type(self.content).__name__}")
+        if not self.content.strip():
             raise ValueError(f"news {self.id!r}: content is empty")
         if self.label is not None and self.label not in (LABEL_REAL, LABEL_FAKE):
             raise ValueError(f"news {self.id!r}: label must be 0 or 1, got {self.label!r}")
@@ -205,17 +210,14 @@ def validate_log(log: DebateLog) -> list[str]:
     """Check every debate-log invariant; return the violations found.
 
     An empty list means the log is valid. Violations are data, not
-    faults: each message names the offending turn index and rule.
+    faults: each message names the offending turn index and rule. It
+    takes one pass over the turns and hashes no plain ``Enum`` member.
     """
     violations: list[str] = []
-    turns = log.turns
-
-    present_stages = {t.stage for t in turns}
-    for stage in STAGES:
-        if stage not in present_stages:
-            violations.append(f"missing stage {STAGE_LABELS[stage]}")
-
-    for i, turn in enumerate(turns):
+    sides = [0] * len(STAGES)  # per stage: 1 if the true side spoke, | 2 if the fake side
+    for i, turn in enumerate(log.turns):
+        stage = turn.stage
+        sides[stage] |= 1 if turn.stance is Stance.TRUE else 2
         if turn.turn_index != i:
             violations.append(
                 f"turn_index {turn.turn_index} at position {i} breaks contiguous ordering"
@@ -227,22 +229,16 @@ def validate_log(log: DebateLog) -> list[str]:
                 violations.append(f"target out of range at turn {i}")
             elif target >= turn.turn_index:
                 violations.append(f"forward reference at turn {i}")
-        if ROLE_STAGE[turn.role] is not turn.stage:
+        if _ROLE_STAGES[_ROLES.index(turn.role)] is not stage:
             violations.append(
-                f"role {turn.role.value} illegal in stage "
-                f"{STAGE_LABELS[turn.stage]} at turn {i}"
+                f"role {turn.role.value} illegal in stage {STAGE_LABELS[stage]} at turn {i}"
             )
-        if i > 0 and turn.stage < turns[i - 1].stage:
+        if i > 0 and stage < log.turns[i - 1].stage:
             violations.append(f"stage regression at turn {i}")
 
-    for stage in STAGES:
-        if stage not in present_stages:
-            continue
-        stances = {t.stance for t in turns if t.stage is stage}
-        for stance in Stance:
-            if stance not in stances:
-                violations.append(
-                    f"stage {STAGE_LABELS[stage]} missing stance {stance.value}"
-                )
-
-    return violations
+    missing = [f"missing stage {STAGE_LABELS[stage]}" for stage in STAGES if not sides[stage]]
+    for stage, present in zip(STAGES, sides):
+        for stance, bit in ((Stance.TRUE, 1), (Stance.FAKE, 2)):
+            if present and not present & bit:
+                violations.append(f"stage {STAGE_LABELS[stage]} missing stance {stance.value}")
+    return missing + violations

@@ -233,6 +233,10 @@ def run_debate(news: NewsItem, config: DebateConfig, gateway) -> DebateLog:
 # Log serialization (the on-disk transcript format)
 # --------------------------------------------------------------------------
 
+# Members by value: no Enum.__call__, and an unknown value is a KeyError.
+_STANCE_OF = {stance.value: stance for stance in Stance}
+_ROLE_OF = {role.value: role for role in DebateRole}
+
 
 def log_to_json(log: DebateLog) -> str:
     data = {
@@ -259,8 +263,8 @@ def log_from_json(text: str) -> DebateLog:
         DebateTurn(
             turn_index=t["turn_index"],
             agent_id=t["agent_id"],
-            stance=Stance(t["stance"]),
-            role=DebateRole(t["role"]),
+            stance=_STANCE_OF[t["stance"]],
+            role=_ROLE_OF[t["role"]],
             stage=DebateStage[t["stage"].upper()],
             text=t["text"],
             targets=tuple(t["targets"]),

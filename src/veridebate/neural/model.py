@@ -43,7 +43,7 @@ import numpy as np
 
 from ..domain import DebateLog
 from ..encoding import RoleTable, role_pair_ids
-from ..graph import adjacency_mask, edges_for_log
+from ..graph import log_mask
 from .adam import all_finite
 from .attention import (
     INTERACTION_MODES,
@@ -164,7 +164,7 @@ def make_sample(log: DebateLog, turn_embeddings: np.ndarray, news_embedding: np.
         news_id=log.news_id,
         node_embeddings=turn_embeddings,
         role_ids=role_ids,
-        adjacency=adjacency_mask(edges_for_log(log), len(log.turns)),
+        adjacency=log_mask(log),
         news_embedding=news_embedding,
         label=label,
     )

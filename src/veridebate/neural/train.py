@@ -93,31 +93,33 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
     best_acc = -1.0
 
     n = len(train_samples)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = [train_samples[i] for i in order[start : start + config.batch_size]]
-            loss, _ = loss_and_grad(model, batch, out=grad)
-            total += loss * len(batch)
-            if frozen_mask is not None:
-                grad *= frozen_mask
-            try:
-                adam_step(model.flat, grad, state)
-            except ValueError:
-                # adam_step refuses a non-finite gradient before it
-                # updates anything; name the blocks it came from.
-                check_gradient(model, grad)
-                raise
-        loss_history.append(total / n)
+    # A diverging run is reported once, by the NumericalFault below, not by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = [train_samples[i] for i in order[start : start + config.batch_size]]
+                loss, _ = loss_and_grad(model, batch, out=grad)
+                total += loss * len(batch)
+                if frozen_mask is not None:
+                    grad *= frozen_mask
+                try:
+                    adam_step(model.flat, grad, state)
+                except ValueError:
+                    # adam_step refuses a non-finite gradient before it
+                    # updates anything; name the blocks it came from.
+                    check_gradient(model, grad)
+                    raise
+            loss_history.append(total / n)
 
-        if val_samples:
-            acc = accuracy(model, val_samples)
-            val_history.append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                best_epoch = epoch
-                model.parameter_vector(out=best_params)
+            if val_samples:
+                acc = accuracy(model, val_samples)
+                val_history.append(acc)
+                if acc > best_acc:
+                    best_acc = acc
+                    best_epoch = epoch
+                    model.parameter_vector(out=best_params)
 
     if best_epoch is not None:
         model.set_parameter_vector(best_params)

@@ -14,15 +14,16 @@ at most a torn tail.
 
 On first use the store scans every ``*.pack`` under its root, in creation
 order (by sequence, then name; a pack named without a sequence counts as
-0) and each in one sequential pass, into an index of payload offsets
-(payloads stay on disk). So a key held in several packs maps to its record
-in the newest: a value recomputed after a bad cached record, which goes to
-the recomputing store's new pack, replaces it for every later reader. A
-record whose header is not in that layout, whose payload is short or whose
-payload fails its crc ends the scan of its pack, so a torn tail is dropped
-and its keys read as misses. A lookup takes the lock once for any number
-of keys; each payload is then one ``os.pread``, checked against the crc
-again.
+0), into an index of payload offsets (payloads stay on disk). So a key
+held in several packs maps to its record in the newest: a value
+recomputed after a bad cached record, which goes to the recomputing
+store's new pack, replaces it for every later reader. A pack is read in
+one ``os.pread`` of its size, a buffer dropped after the scan (a pack
+holds only what one store wrote). A record whose header is not in that
+layout, whose payload is short or whose payload fails its crc ends the
+scan of its pack, so a torn tail is dropped, and it and the pack's later
+records read as misses. A lookup takes the lock once for any number of
+keys; each payload is then one ``os.pread``, checked against the crc again.
 """
 
 from __future__ import annotations
@@ -92,19 +93,16 @@ class PackStore:
         return self._index
 
     def _scan(self, fd: int) -> None:
+        data = os.pread(fd, os.fstat(fd).st_size, 0)
+        view = memoryview(data)
         offset = 0
-        with open(fd, "rb", closefd=False) as fh:
-            while line := fh.readline(_MAX_HEADER):
-                header = _HEADER.fullmatch(line)
-                if header is None:
-                    return
-                size, crc = int(header[2]), int(header[3])
-                payload = fh.read(size)
-                if len(payload) != size or zlib.crc32(payload) != crc:
-                    return
-                offset += len(line)
-                self._index[header[1].decode("ascii")] = (fd, offset, size, crc)
-                offset += size
+        while header := _HEADER.match(data, offset, offset + _MAX_HEADER):
+            size, crc = int(header[2]), int(header[3])
+            offset = header.end()
+            if offset + size > len(data) or zlib.crc32(view[offset:offset + size]) != crc:
+                return
+            self._index[header[1].decode("ascii")] = (fd, offset, size, crc)
+            offset += size
 
     def get_many(self, keys) -> list[bytes | None]:
         """The payload stored under each key, None where it is absent or

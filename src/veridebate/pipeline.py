@@ -190,23 +190,25 @@ class Pipeline:
     def build_samples(self, dataset: Dataset, logs: dict[str, DebateLog],
                       variant: str = "full") -> dict[str, Sample]:
         """One sample per item: its news and turn embeddings, or for
-        ``no_debate`` its news alone. Any error surfaces as a
-        ``StageError`` of the encode stage."""
-        samples: dict[str, Sample] = {}
+        ``no_debate`` its news alone, sliced from one ``embed_texts`` of
+        all items' texts. Any error is a ``StageError`` of the encode stage."""
         try:
+            if variant == "no_debate":
+                news = self.embedder.embed_texts([item.content for item in dataset.items])
+                return {item.id: make_news_only_sample(item.id, row, item.label)
+                        for item, row in zip(dataset.items, news)}
+            texts, spans = [], []
             for item in dataset.items:
-                if variant == "no_debate":
-                    news = self.embedder.embed_texts([item.content])[0]
-                    samples[item.id] = make_news_only_sample(item.id, news, item.label)
-                    continue
                 log = logs.get(item.id)
                 if log is None:
                     raise ValueError(f"no transcript for item {item.id}")
-                rows = self.embedder.embed_texts([item.content, *(t.text for t in log.turns)])
-                samples[item.id] = make_sample(log, rows[1:], rows[0], item.label)
+                spans.append((item, log, len(texts)))
+                texts += [item.content, *(t.text for t in log.turns)]
+            rows = self.embedder.embed_texts(texts)
+            return {item.id: make_sample(log, rows[at + 1:at + 1 + len(log)], rows[at], item.label)
+                    for item, log, at in spans}
         except Exception as exc:
             raise StageError("encode", str(exc)) from exc
-        return samples
 
     def encode(self, dataset: Dataset) -> dict[str, Sample]:
         """Full-variant samples for every item, after the debates are run

@@ -67,6 +67,8 @@ _FAKE_PATTERNS = (
     r"捏造",
 )
 
+_HINT_OF = {hint.value: hint for hint in VerdictHint}
+
 
 def parse_verdict_hint(report_text: str) -> VerdictHint:
     """Keyword heuristic over the report body; conflicting or absent
@@ -113,5 +115,5 @@ def report_from_json(text: str) -> SummaryReport:
     return SummaryReport(
         news_id=data["news_id"],
         text=data["text"],
-        verdict_hint=VerdictHint(hint) if hint else None,
+        verdict_hint=_HINT_OF[hint] if hint else None,
     )

@@ -3,15 +3,16 @@
 Each function here recomputes a quantity from first principles by a
 route the production code never takes: central finite differences for
 gradients, raw confusion-count arithmetic for metrics, edge-scan
-neighbor recomputation for graphs, and a literal one-sample-at-a-time
-forward pass of the classifier, as it stands and in the paper's
-factored form.
+neighbor recomputation for graphs, set-based debate-log validation, and
+a literal one-sample-at-a-time forward pass of the classifier, as it
+stands and in the paper's factored form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from veridebate.domain import ROLE_STAGE, STAGE_LABELS, STAGES, DebateLog, Stance
 from veridebate.neural import AnalysisModel, Sample, batch_loss
 
 
@@ -163,3 +164,47 @@ def brute_force_neighbors(edges, num_nodes: int) -> list[set[int]]:
     for src, dst in edges:
         result[dst].add(src)
     return result
+
+
+def reference_validate_log(log: DebateLog) -> list[str]:
+    """validate_log's violations, found with sets of the stages and of each
+    stage's stances present and one scan of the turns per rule group."""
+    violations: list[str] = []
+    turns = log.turns
+
+    present_stages = {t.stage for t in turns}
+    for stage in STAGES:
+        if stage not in present_stages:
+            violations.append(f"missing stage {STAGE_LABELS[stage]}")
+
+    for i, turn in enumerate(turns):
+        if turn.turn_index != i:
+            violations.append(
+                f"turn_index {turn.turn_index} at position {i} breaks contiguous ordering"
+            )
+        if not turn.text or not turn.text.strip():
+            violations.append(f"empty text at turn {i}")
+        for target in turn.targets:
+            if target < 0:
+                violations.append(f"target out of range at turn {i}")
+            elif target >= turn.turn_index:
+                violations.append(f"forward reference at turn {i}")
+        if ROLE_STAGE[turn.role] is not turn.stage:
+            violations.append(
+                f"role {turn.role.value} illegal in stage "
+                f"{STAGE_LABELS[turn.stage]} at turn {i}"
+            )
+        if i > 0 and turn.stage < turns[i - 1].stage:
+            violations.append(f"stage regression at turn {i}")
+
+    for stage in STAGES:
+        if stage not in present_stages:
+            continue
+        stances = {t.stance for t in turns if t.stage is stage}
+        for stance in Stance:
+            if stance not in stances:
+                violations.append(
+                    f"stage {STAGE_LABELS[stage]} missing stance {stance.value}"
+                )
+
+    return violations

@@ -3,12 +3,13 @@ valid debate logs and model inputs."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
 from hypothesis import strategies as st
 
-from veridebate.domain import STAGES, DebateLog, DebateTurn, Stance
+from veridebate.domain import STAGES, DebateLog, DebateRole, DebateTurn, Stance
 from veridebate.engine import PROTOCOL
 from veridebate.neural import AnalysisModel, ModelConfig, Sample
 
@@ -51,6 +52,40 @@ def random_valid_log(rng: random.Random, max_extra_turns: int = 2,
 def valid_logs(draw) -> DebateLog:
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_valid_log(random.Random(seed))
+
+
+@st.composite
+def mutated_logs(draw) -> DebateLog:
+    """A valid log after up to five random edits (a turn's stage, role,
+    stance, text, index or targets replaced, a turn dropped, two turns
+    swapped), so that every validate_log rule can fire, alone or
+    together."""
+    log = draw(valid_logs())
+    turns = list(log.turns)
+    for _ in range(draw(st.integers(0, 5))):
+        if not turns:
+            break
+        i = draw(st.integers(0, len(turns) - 1))
+        n = len(turns)
+        edit = draw(st.sampled_from(
+            ("stage", "role", "stance", "text", "index", "targets", "drop", "swap")))
+        if edit == "drop":
+            del turns[i]
+        elif edit == "swap":
+            j = draw(st.integers(0, n - 1))
+            turns[i], turns[j] = turns[j], turns[i]
+        else:
+            value = {
+                "stage": st.sampled_from(STAGES),
+                "role": st.sampled_from(tuple(DebateRole)),
+                "stance": st.sampled_from(tuple(Stance)),
+                "text": st.sampled_from(("", "  \n ", "fresh words")),
+                "index": st.integers(-2, n + 2),
+                "targets": st.lists(st.integers(-3, n + 3), max_size=3).map(tuple),
+            }[edit]
+            field = "turn_index" if edit == "index" else edit
+            turns[i] = dataclasses.replace(turns[i], **{field: draw(value)})
+    return DebateLog(log.news_id, tuple(turns))
 
 
 def random_graph_sample(rng: np.random.Generator, n_nodes: int, d_h: int,

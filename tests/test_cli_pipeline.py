@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import json
+import logging
 import shutil
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +14,8 @@ from conftest import CountingBackend, CountingProvider, write_factored_checkpoin
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
 from veridebate import gateway as gateway_module, pipeline as pipeline_module
-from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider
-from veridebate.evaluation import load_dataset, write_dataset_jsonl
+from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider, text_key
+from veridebate.evaluation import Dataset, load_dataset, write_dataset_jsonl
 from veridebate.neural import ModelConfig
 from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
 from veridebate.pipeline import Pipeline, StageError, build_embedder, build_gateway
@@ -333,6 +336,18 @@ class TestPipelineCommand:
         assert "classifier.weight" in caplog.text
         assert not (tmp_path / "ws" / "checkpoints").exists()
 
+    def test_diverging_training_warns_nothing(self, small_setup):
+        """The NumericalFault naming the blocks is a diverging run's one
+        report: numpy's overflow warnings before it are not shown."""
+        tmp_path, dataset_path, config_path = small_setup
+        config_path.write_text(SMALL_CONFIG + "lr = 1e300\n")
+        pipeline = Pipeline(load_config(config_path), tmp_path / "ws")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StageError, match="non-finite gradient in parameter blocks"):
+                pipeline.run(load_dataset(dataset_path))
+        assert [str(w.message) for w in caught] == []
+
     def test_train_predict_evaluate_flow(self, small_setup, capsys):
         tmp_path, dataset_path, config_path = small_setup
         out = tmp_path / "ws"
@@ -483,9 +498,21 @@ class TestAblateCommand:
         assert code == 1
 
 
+# A transcript's first turn with one field set to a value no decoder
+# accepts.
+TURN_FAULTS = {
+    "unknown_stance": ("stance", "maybe"),
+    "unknown_role": ("role", "moderator"),
+    "unknown_stage": ("stage", "intermission"),
+    "non_string_stage": ("stage", 2),
+}
+
+
 def corrupt(path, fault: str, other) -> None:
     """Overwrite an artifact: cut it short, replace it with one that
-    parses but is invalid, or copy another item's file over it."""
+    parses but is invalid, copy another item's file over it, or give a
+    report's verdict hint or a transcript's first turn a value no
+    decoder accepts."""
     text = path.read_text(encoding="utf-8")
     if fault == "truncated":
         path.write_text(text[: len(text) // 2], encoding="utf-8")
@@ -495,6 +522,15 @@ def corrupt(path, fault: str, other) -> None:
             record["turns"] = []
         else:
             record["text"] = ""
+        path.write_text(json.dumps(record), encoding="utf-8")
+    elif fault == "unknown_hint":
+        record = json.loads(text)
+        record["verdict_hint"] = "leans_sideways"
+        path.write_text(json.dumps(record), encoding="utf-8")
+    elif fault in TURN_FAULTS:
+        record = json.loads(text)
+        key, value = TURN_FAULTS[fault]
+        record["turns"][0][key] = value
         path.write_text(json.dumps(record), encoding="utf-8")
     else:
         path.write_text(other.read_text(encoding="utf-8"), encoding="utf-8")
@@ -519,7 +555,7 @@ class TestReusedArtifacts:
         pipeline.run_synthesis(logs)
         return dataset, config, workspace
 
-    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("fault", FAULTS + tuple(TURN_FAULTS))
     def test_bad_transcript_is_regenerated(self, small_setup, fresh_cache, fault, caplog):
         dataset, config, workspace = self._setup(small_setup)
         first, second = sorted((workspace / "transcripts").glob("*.json"))[:2]
@@ -536,7 +572,7 @@ class TestReusedArtifacts:
         assert logs[first.stem].news_id == first.stem
         assert str(first) in caplog.text
 
-    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("fault", FAULTS + ("unknown_hint",))
     def test_bad_report_is_regenerated(self, small_setup, fresh_cache, fault, caplog):
         dataset, config, workspace = self._setup(small_setup)
         first, second = sorted((workspace / "reports").glob("*.json"))[:2]
@@ -553,6 +589,22 @@ class TestReusedArtifacts:
         assert first.read_bytes() == original
         assert reports[first.stem].news_id == first.stem
         assert str(first) in caplog.text
+
+    def test_upper_case_stage_names_still_load(self, small_setup, fresh_cache, caplog):
+        dataset, config, workspace = self._setup(small_setup)
+        first = sorted((workspace / "transcripts").glob("*.json"))[0]
+        record = json.loads(first.read_text(encoding="utf-8"))
+        for turn in record["turns"]:
+            turn["stage"] = turn["stage"].upper()
+        assert record["turns"][0]["stage"] == "OPENING"
+        first.write_text(json.dumps(record), encoding="utf-8")
+
+        backend = CountingBackend()
+        pipeline = Pipeline(config, workspace, gateway=Gateway(backend, fresh_cache()))
+        logs, report = pipeline.run_debates(dataset)
+        assert (report.processed, report.skipped, backend.calls) == (0, 16, 0)
+        assert [t.stage.key for t in logs[first.stem].turns][:2] == ["opening", "opening"]
+        assert caplog.text == ""
 
     def test_records_torn_inside_a_character_are_regenerated(self, small_setup, fresh_cache,
                                                                caplog):
@@ -643,6 +695,46 @@ class TestBuildSamples:
         warm = pipeline.build_samples(corpus.dataset, corpus.logs)
         assert (provider.calls, len(puts)) == (0, 0)
         assert samples_digest(corpus.dataset, warm) == SAMPLES_SHA256
+
+    @pytest.mark.parametrize("variant", ["full", "no_debate"])
+    def test_one_lookup_gives_each_item_its_own_rows(self, tmp_path, variant):
+        """A warm stage embeds every item's texts in one call, and each
+        sample holds the bytes that embedding its item's texts alone
+        gives."""
+        corpus = make_synthetic_corpus(n_train=6, n_val=2, n_test=4, seed=4, task="stance")
+        config = PipelineConfig(d_h=32)
+        Pipeline(config, tmp_path / "ws").build_samples(corpus.dataset, corpus.logs, variant)
+        pipeline = Pipeline(config, tmp_path / "ws")
+        calls, embed = [], pipeline.embedder.embed_texts
+        pipeline.embedder.embed_texts = lambda texts: calls.append(len(texts)) or embed(texts)
+        warm = pipeline.build_samples(corpus.dataset, corpus.logs, variant)
+        per_item, texts = build_embedder(config, tmp_path / "ws"), 0
+        for item in corpus.dataset.items:
+            turns = [t.text for t in corpus.logs[item.id].turns] if variant == "full" else []
+            rows = per_item.embed_texts([item.content, *turns])
+            nodes = rows[1:] if turns else rows[:1]
+            assert warm[item.id].news_embedding.tobytes() == rows[0].tobytes()
+            assert warm[item.id].node_embeddings.tobytes() == nodes.tobytes()
+            texts += len(rows)
+        assert calls == [texts]
+
+    def test_non_finite_vector_shared_by_two_items_costs_one_call(self, tmp_path, caplog):
+        corpus = make_synthetic_corpus(n_train=6, n_val=2, n_test=4, seed=4, task="stance")
+        first, second, *rest = corpus.dataset.items
+        dataset = Dataset((first, dataclasses.replace(second, content=first.content), *rest))
+        config = PipelineConfig(d_h=32)
+        Pipeline(config, tmp_path / "ws").build_samples(dataset, corpus.logs)
+        pipeline = Pipeline(config, tmp_path / "ws")
+        pipeline.embedder.cache.put(text_key(first.content),
+                                    np.full(32, np.nan, dtype="<f4").tobytes())
+        provider = pipeline.embedder.provider = CountingProvider(pipeline.embedder.provider)
+        with caplog.at_level(logging.WARNING, logger="veridebate.encoding"):
+            samples = pipeline.build_samples(dataset, corpus.logs)
+        assert provider.calls == 1
+        assert "recomputing" in caplog.text
+        expected = np.asarray(provider.inner.embed_text(first.content).values, dtype="<f4")
+        for item in (first, second):
+            assert samples[item.id].news_embedding.tobytes() == expected.astype(float).tobytes()
 
 
 class ExplodingBackend:

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from strategies import valid_logs
+from oracles import reference_validate_log
+from strategies import mutated_logs, valid_logs
 from veridebate.domain import (
     DebateConfig,
     DebateLog,
@@ -99,10 +100,37 @@ def test_valid_log_builds_a_graph(log):
     assert mask.shape == (n, n) and mask.diagonal().all()
 
 
+@settings(max_examples=300)
+@given(mutated_logs())
+def test_validate_log_matches_the_set_based_reference(log):
+    assert validate_log(log) == reference_validate_log(log)
+
+
+def test_mutated_logs_reach_every_rule():
+    """The property above is only as strong as its logs: across a fixed
+    run of the strategy, every kind of violation occurs."""
+    kinds = ("missing stage", "contiguous", "empty text", "target out of range",
+             "forward reference", "illegal in stage", "stage regression", "missing stance")
+    seen = set()
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(mutated_logs())
+    def collect(log):
+        seen.update(kind for kind in kinds for v in validate_log(log) if kind in v)
+
+    collect()
+    assert seen == set(kinds)
+
+
 class TestDomainTypes:
     def test_news_item_rejects_blank_content(self):
         with pytest.raises(ValueError):
             NewsItem(id="x", content="   \n ")
+
+    @pytest.mark.parametrize("content", [5, None, ["text"], b"bytes"])
+    def test_news_item_rejects_non_string_content(self, content):
+        with pytest.raises(ValueError, match="content must be a string"):
+            NewsItem(id="x", content=content)
 
     def test_news_item_rejects_bad_label(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,20 @@ class TestLoadDataset:
         assert [item.id for item in dataset.items] == ["a"]
         assert "line 2" in caplog.text
 
+    @pytest.mark.parametrize("content", [5, ["a", "list"], {"text": "x"}, True],
+                             ids=["int", "list", "object", "bool"])
+    def test_non_string_content_rejected(self, tmp_path, caplog, content):
+        path = tmp_path / "content.jsonl"
+        write_jsonl(path, [
+            {"id": "a", "content": "x", "label": 0},
+            {"id": "b", "content": content, "label": 1},
+        ])
+        with pytest.raises(DatasetError, match="line 2: news 'b': content must be a string"):
+            load_dataset(path)
+        dataset = load_dataset(path, strict=False)
+        assert [item.id for item in dataset.items] == ["a"]
+        assert "line 2" in caplog.text
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(tmp_path / "nope.jsonl")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from oracles import brute_force_neighbors
 from strategies import random_valid_log, valid_logs
 from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, Stance
-from veridebate.graph import adjacency_mask, edges_for_log
+from veridebate.graph import adjacency_mask, edges_for_log, log_mask
 from veridebate.neural import make_sample
 
 
@@ -71,6 +71,25 @@ def closed_form_count(log: DebateLog) -> int:
     n = len(log.turns)
     total_targets = sum(len(t.targets) for t in log.turns)
     return n + 2 * (n - 1) + 2 * total_targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_logs())
+def test_log_mask_equals_the_edge_list_mask(log):
+    mask = log_mask(log)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, mask_for(log))
+
+
+@pytest.mark.parametrize("log", [DebateLog("empty", ()), one_turn_log()], ids=["empty", "one_turn"])
+def test_log_mask_of_the_smallest_logs(log):
+    assert np.array_equal(log_mask(log), mask_for(log))
+    assert log_mask(log).shape == (len(log.turns),) * 2
+
+
+def test_sample_adjacency_is_the_edge_list_mask(default_log):
+    sample = make_sample(default_log, np.ones((8, 4)), np.ones(4))
+    assert np.array_equal(sample.adjacency, mask_for(default_log))
 
 
 @settings(max_examples=60, deadline=None)

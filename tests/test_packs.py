@@ -22,6 +22,12 @@ def packs(root):
     return sorted(root.glob("*.pack"))
 
 
+def record(key: str, payload: bytes) -> bytes:
+    """One record in the layout ``put`` writes, built by hand."""
+    header = json.dumps({"key": key, "size": len(payload), "crc": zlib.crc32(payload)})
+    return header.encode() + b"\n" + payload
+
+
 # The random part of the pack names each new store draws, in order: the
 # later-created pack's name sorts after the earlier one's, or before it.
 NAME_ORDERS = pytest.mark.parametrize("hexes", [("0" * 32, "f" * 32), ("f" * 32, "0" * 32)],
@@ -96,6 +102,41 @@ class TestPackStore:
         assert reader.get("a") == b"a" * 100
         assert reader.get("b") == b"b" * 100
         assert reader.get("c") is None
+
+    def test_empty_pack_holds_nothing(self, tmp_path):
+        (tmp_path / f"1-1-{'0' * 32}.pack").write_bytes(b"")
+        store = PackStore(tmp_path)
+        assert store.get_many(["a", ""]) == [None, None]
+        store.put("a", b"alpha")
+        assert PackStore(tmp_path).get("a") == b"alpha"
+
+    @pytest.mark.parametrize("overlong", [0, 1], ids=["header_at_the_limit", "one_byte_over"])
+    def test_first_line_longer_than_a_header_ends_the_scan(self, tmp_path, overlong):
+        """A first line with no newline within ``_MAX_HEADER`` bytes is no
+        header: its record and every later one in the pack read as
+        misses. A header of exactly ``_MAX_HEADER`` bytes still reads."""
+        def header_of(key):
+            return len(record(key, b"long")) - len(b"long")
+
+        key = "k" * (packs_module._MAX_HEADER - header_of("k") + 1 + overlong)
+        assert header_of(key) == packs_module._MAX_HEADER + overlong
+        (tmp_path / f"1-1-{'0' * 32}.pack").write_bytes(
+            record(key, b"long") + record("z", b"zulu"))
+        expected = [None, None] if overlong else [b"long", b"zulu"]
+        assert PackStore(tmp_path).get_many([key, "z"]) == expected
+
+    def test_crc_failure_mid_pack_ends_the_scan_there(self, tmp_path):
+        """Records before a payload that fails its crc still read; it and
+        the pack's later records read as misses."""
+        store = PackStore(tmp_path)
+        for key in "abcde":
+            store.put(key, key.encode() * 50)
+        (pack,) = packs(tmp_path)
+        data = bytearray(pack.read_bytes())
+        data[data.index(b"c" * 50) + 10] ^= 0x01
+        pack.write_bytes(bytes(data))
+        reader = PackStore(tmp_path)
+        assert reader.get_many(list("abcde")) == [b"a" * 50, b"b" * 50, None, None, None]
 
     def test_flipped_payload_byte_reads_as_miss(self, tmp_path):
         provider = HashEmbeddingProvider(dim=8, seed=0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from veridebate.config import PipelineConfig
 from veridebate.encoding import HashEmbeddingProvider
-from veridebate.evaluation import format_ablation_table, run_ablation
+from veridebate.evaluation import format_ablation_table
 from veridebate.neural import (
     AnalysisModel,
     ModelConfig,
@@ -60,7 +60,7 @@ def main() -> None:
         workspace = Path(args.workspace) if args.workspace else Path(tmp) / "ws"
         write_transcripts(corpus, workspace / "transcripts")
         pipeline = Pipeline(config, workspace)
-        table = run_ablation(("no_debate", "no_analysis"), pipeline, corpus.dataset)
+        table = pipeline.ablate(corpus.dataset, ("no_debate", "no_analysis"))
         print(format_ablation_table(table))
 
     print("\n== role-dependent task: role-embedding ablation ==")

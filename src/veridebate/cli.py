@@ -21,18 +21,12 @@ import time
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .evaluation import (
-    ABLATION_TOGGLES,
-    compute_metrics,
-    format_ablation_table,
-    load_dataset,
-    run_ablation,
-    write_predictions_jsonl,
-)
+from .evaluation import (compute_metrics, format_ablation_table, load_dataset,
+                         write_predictions_jsonl)
 from .files import write_json
 from .neural import load_model
 from .neural.attention import INTERACTION_MODES
-from .pipeline import Pipeline, StageError
+from .pipeline import ABLATION_TOGGLES, Pipeline, StageError
 
 logger = logging.getLogger("veridebate")
 
@@ -67,6 +61,15 @@ def _workspace(config: PipelineConfig) -> Path:
     # experiments never clobber each other.
     stamp = time.strftime("%Y%m%d-%H%M%S")
     return Path("runs") / f"{stamp}-seed{config.seed}"
+
+
+def _existing_workspace(config: PipelineConfig, command: str) -> Path:
+    """The workspace a command that reads one works in: --out, which must
+    name an existing directory; nothing is created."""
+    if not config.out or not Path(config.out).is_dir():
+        raise SystemExit(f"{command} reads an existing workspace: --out (or [paths] out) "
+                         f"must name one, got {config.out or 'none'}")
+    return Path(config.out)
 
 
 def _dataset(config: PipelineConfig):
@@ -115,6 +118,7 @@ def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
+    _existing_workspace(config, "predict")
     pipeline, dataset = _setup(config)
     checkpoint = pipeline.checkpoint_path()
     if not checkpoint.exists():
@@ -148,9 +152,9 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
     """Score predictions.jsonl, which must hold one row per test item of
     the dataset, in order, against the dataset's own labels; otherwise
     exit 1 and leave metrics.json be."""
+    workspace = _existing_workspace(config, "evaluate")
     test_items = _dataset(config).split("test")
     test_ids = [item.id for item in test_items]
-    workspace = _workspace(config)
     predictions_path = workspace / "predictions.jsonl"
     if not predictions_path.exists():
         raise SystemExit(f"no predictions at {predictions_path}; run `veridebate predict`")
@@ -181,7 +185,7 @@ def cmd_pipeline(config: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_ablate(config: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline, dataset = _setup(config)
     names = tuple(t.strip() for t in args.toggles.split(",") if t.strip())
-    table = run_ablation(names, pipeline, dataset)
+    table = pipeline.ablate(dataset, names)
     out = pipeline.workspace / "ablation.json"
     write_json(out, {variant: report.to_dict() for variant, report in table.items()})
     print(format_ablation_table(table))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .domain import DebateRole, Stance
 from .gateway import JsonClient, MalformedResponseError, RateLimiter, RetryPolicy, paced
-from .packs import PackStore
+from .packs import PackStore, store_root
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +164,7 @@ class CachedEmbedder:
         self.dim = provider.dim
         self.retry = retry
         self.limiter = limiter
-        self.cache = PackStore(Path(root) / re.sub(r"[^\w.-]", "_", self.provider_id))
+        self.cache = PackStore(store_root(root, self.provider_id))
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         """``texts`` embedded as the rows of one ``(k, dim)`` float64

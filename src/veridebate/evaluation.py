@@ -3,9 +3,8 @@
 Datasets are JSONL files with one {id, content, label, split} object
 per line; labels may be "real"/"fake" strings or 0/1 integers. Metrics
 are per-class F1 (zero when a class has no predicted and no actual
-positives), their unweighted mean (macro F1), and accuracy. The
-ablation harness re-runs a pipeline with components switched off and
-tabulates the resulting metrics.
+positives), their unweighted mean (macro F1), and accuracy, tabulated
+one report or one row per ablation variant.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from .domain import LABEL_FAKE, LABEL_NAMES, LABEL_REAL, NewsItem, label_to_int
 from .files import write_jsonl
 
 logger = logging.getLogger(__name__)
-
-ABLATION_TOGGLES = ("no_debate", "no_analysis")
-
 
 class DatasetError(ValueError):
     pass
@@ -179,30 +175,6 @@ def compute_metrics(predictions, labels) -> MetricsReport:
 def write_predictions_jsonl(path: str | Path, rows: list[dict]) -> None:
     """Persist per-item predictions as {id, label, prediction, p_fake}."""
     write_jsonl(path, rows)
-
-
-# --------------------------------------------------------------------------
-# Ablations
-# --------------------------------------------------------------------------
-
-
-def run_ablation(toggles, pipeline, dataset: Dataset) -> dict[str, MetricsReport]:
-    """Evaluate the full pipeline and each requested ablation variant.
-
-    ``pipeline`` must expose ``evaluate_variant(dataset, variant)``
-    returning a MetricsReport; variants are "full" plus the requested
-    toggles.
-    """
-    toggles = tuple(toggles)
-    unknown = [t for t in toggles if t not in ABLATION_TOGGLES]
-    if unknown:
-        raise ValueError(
-            f"unknown ablation toggles {unknown}; valid: {list(ABLATION_TOGGLES)}"
-        )
-    table: dict[str, MetricsReport] = {}
-    for variant in ("full",) + toggles:
-        table[variant] = pipeline.evaluate_variant(dataset, variant)
-    return table
 
 
 def format_ablation_table(table: dict[str, MetricsReport]) -> str:

@@ -8,13 +8,15 @@ shares), and gateway-wide rate limiting, and is safe to share across
 threads.
 
 The response cache is content-addressed by the request digest
-(``cache_key``) and lives in append-only, checksummed pack files under the
-gateway's cache directory (see ``packs.py``), one pack per gateway that
-writes. Each record holds the JSON entry ``{text, backend_id}``, so equal
-requests write equal records; a damaged or torn record reads as a miss
-and the request is sent again. A request holds one of ``LOCK_STRIPES``
-locks, picked by its digest, while it reads the cache and calls the
-backend, so identical concurrent requests make one backend call.
+(``cache_key``) and lives in append-only, checksummed pack files (see
+``packs.py``) under ``<cache_dir>/<backend_id>``, the id made safe as a
+directory name, so a gateway reads back only its own backend's responses;
+there is one pack per gateway that writes. Each record is the response text
+as UTF-8, so equal requests write equal records; a damaged, torn, empty or
+non-UTF-8 record reads as a miss and the request is sent again. A request
+holds one of ``LOCK_STRIPES`` locks, picked by its digest, while it reads
+the cache and calls the backend, so identical concurrent requests make one
+backend call.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .packs import PackStore
+from .packs import PackStore, store_root
 
 API_KEY_ENV = "VERIDEBATE_API_KEY"
 # Locks a gateway holds requests on; distinct digests share one with
@@ -335,22 +337,16 @@ class Gateway:
         self.backend = backend
         self.retry = retry
         self.limiter = limiter
-        self._store = PackStore(cache_dir)
+        self._store = PackStore(store_root(cache_dir, backend.backend_id))
         self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
 
-    def _cache_read(self, digest: str) -> GenerationResponse | None:
-        payload = self._store.get(digest)
-        if payload is None:
-            return None
+    def _cached_text(self, digest: str) -> str | None:
+        """The response text cached for ``digest``; None when it is absent,
+        empty or not UTF-8."""
         try:
-            entry = json.loads(payload)
-            return GenerationResponse(entry["text"], entry["backend_id"], cached=True)
-        except (ValueError, KeyError, TypeError):
+            return (self._store.get(digest) or b"").decode("utf-8") or None
+        except UnicodeDecodeError:
             return None
-
-    def _cache_write(self, digest: str, text: str) -> None:
-        entry = {"text": text, "backend_id": self.backend.backend_id}
-        self._store.put(digest, json.dumps(entry, ensure_ascii=False).encode("utf-8"))
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if not isinstance(req, GenerationRequest):
@@ -358,11 +354,11 @@ class Gateway:
         digest = cache_key(req)
         # Identical requests share a stripe: concurrent ones make one backend call.
         with self._locks[int(digest[:8], 16) % LOCK_STRIPES]:
-            hit = self._cache_read(digest)
-            if hit is not None:
-                return hit
+            text = self._cached_text(digest)
+            if text is not None:
+                return GenerationResponse(text, self.backend.backend_id, cached=True)
             text = self.retry.call(paced, self.limiter, self.backend.complete, req)
             if not text:
                 raise MalformedResponseError("backend returned empty text")
-            self._cache_write(digest, text)
+            self._store.put(digest, text.encode("utf-8"))
             return GenerationResponse(text, self.backend.backend_id, cached=False)

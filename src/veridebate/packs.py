@@ -8,9 +8,10 @@ directory. A record is one header line
 ``{"key": "<key>", "size": <n>, "crc": <c>}`` (the ``json.dumps`` layout,
 spaces included) followed by ``n`` payload bytes; ``c`` is the ``zlib.crc32``
 of the payload. A key is printable ASCII without ``"`` or ``\\``, so a
-header never needs escaping; ``put`` rejects any other key. Each record goes
-out in one ``os.write`` on an ``O_APPEND`` descriptor, so a crash can leave
-at most a torn tail.
+header never needs escaping, and short enough that its header line fits in
+``_MAX_HEADER`` bytes, so a scan finds it; ``put`` rejects any other key.
+Each record goes out in one ``os.write`` on an ``O_APPEND`` descriptor, so
+a crash can leave at most a torn tail.
 
 On first use the store scans every ``*.pack`` under its root, in creation
 order (by sequence, then name; a pack named without a sequence counts as
@@ -46,6 +47,12 @@ _HEADER = re.compile(
 # A header holds a short key and two integers; a longer line is not one.
 _MAX_HEADER = 4096
 _SEQUENCED_NAME = re.compile(r"([0-9]+)-[0-9]+-[0-9a-f]{32}\.pack")
+
+
+def store_root(root: str | Path, owner_id: str) -> Path:
+    """The directory of the store ``owner_id`` (a backend or an embedding
+    provider) keeps under ``root``: the id made safe as a directory name."""
+    return Path(root) / re.sub(r"[^\w.-]", "_", owner_id)
 
 
 def _sequence(path: Path) -> int:
@@ -120,6 +127,9 @@ class PackStore:
             raise ValueError(f"pack key must be printable ASCII without '\"' or '\\': {key!r}")
         crc = zlib.crc32(payload)
         header = b'{"key": "%s", "size": %d, "crc": %d}' % (key.encode("ascii"), len(payload), crc)
+        if len(header) >= _MAX_HEADER:
+            raise ValueError(f"pack key of {len(key)} characters makes a header line "
+                             f"longer than {_MAX_HEADER} bytes")
         record = header + b"\n" + payload
         with self._lock:
             index = self._load()

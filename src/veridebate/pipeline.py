@@ -4,8 +4,9 @@ A workspace directory accumulates per-item artifacts (transcripts,
 reports, embedding and generation caches, checkpoints, predictions,
 metrics) so every stage is resumable: existing valid transcript and
 report files are picked up (an unusable one is regenerated), and
-embeddings come from the on-disk cache. Ablation variants re-wire the
-feature path without touching the persisted artifacts.
+embeddings come from the on-disk cache. The ablation variants re-wire
+the stage sequence without touching the persisted artifacts; a name
+outside ``VARIANTS`` is refused before any stage runs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ logger = logging.getLogger(__name__)
 
 # The full pipeline's checkpoint; an ablation run writes model-<variant>.bin.
 CHECKPOINT = "model.bin"
+# The components an ablation can switch off; _run_variant implements each.
+ABLATION_TOGGLES = ("no_debate", "no_analysis")
+VARIANTS = ("full", *ABLATION_TOGGLES)
 
 
 class StageError(Exception):
@@ -287,7 +291,9 @@ class Pipeline:
         debate, synthesize, encode, train and predict, with the debate and
         synthesis stages checked. ``no_debate`` skips the debate and
         encodes the news alone; ``no_analysis`` stops at the reports'
-        verdict hints."""
+        verdict hints. Any name outside ``VARIANTS`` is a ValueError."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown ablation variant {variant!r}; valid: {list(VARIANTS)}")
         logs = {}
         if variant != "no_debate":
             logs, debate_report = self.run_debates(dataset)
@@ -301,9 +307,19 @@ class Pipeline:
         return self.predict_rows(model, dataset, samples)
 
     def evaluate_variant(self, dataset: Dataset, variant: str) -> MetricsReport:
-        """Metric row for one ablation variant (used by run_ablation)."""
+        """Metric row for one ablation variant."""
         return self._metrics_from_rows(
             self._run_variant(dataset, variant, f"model-{variant}.bin"))
+
+    def ablate(self, dataset: Dataset, toggles) -> dict[str, MetricsReport]:
+        """Each variant's metrics: ``full``, then each toggle in the order
+        given. Every toggle is checked before the first variant runs."""
+        variants = ("full", *toggles)
+        unknown = [t for t in variants[1:] if t not in ABLATION_TOGGLES]
+        if unknown:
+            raise ValueError(
+                f"unknown ablation toggles {unknown}; valid: {list(ABLATION_TOGGLES)}")
+        return {variant: self.evaluate_variant(dataset, variant) for variant in variants}
 
     def run(self, dataset: Dataset) -> MetricsReport:
         """The full pipeline: debate, synthesize, encode, train, predict,

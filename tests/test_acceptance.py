@@ -24,7 +24,7 @@ from veridebate.config import PipelineConfig
 from veridebate.domain import DebateConfig, DebateRole, DebateStage, Stance, validate_log
 from veridebate.encoding import HashEmbeddingProvider
 from veridebate.engine import log_to_json, run_debate
-from veridebate.evaluation import compute_metrics, run_ablation, write_dataset_jsonl
+from veridebate.evaluation import compute_metrics, write_dataset_jsonl
 from veridebate.gateway import Gateway, MockBackend
 from veridebate.graph import adjacency_mask, edges_for_log
 from veridebate.neural import (
@@ -206,7 +206,7 @@ def test_criterion_7_synthetic_separability(tmp_path):
         lr=5e-3, epochs=20, batch_size=32, seed=1,
     )
     pipeline = Pipeline(config, workspace)
-    table = run_ablation(("no_analysis",), pipeline, corpus.dataset)
+    table = pipeline.ablate(corpus.dataset, ("no_analysis",))
 
     full = table["full"]
     hint_based = table["no_analysis"]

@@ -15,10 +15,11 @@ from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
 from veridebate import gateway as gateway_module, pipeline as pipeline_module
 from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider, text_key
-from veridebate.evaluation import Dataset, load_dataset, write_dataset_jsonl
+from veridebate.evaluation import Dataset, compute_metrics, load_dataset, write_dataset_jsonl
 from veridebate.neural import ModelConfig
 from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
-from veridebate.pipeline import Pipeline, StageError, build_embedder, build_gateway
+from veridebate.pipeline import (ABLATION_TOGGLES, Pipeline, StageError, build_embedder,
+                                 build_gateway)
 from veridebate.synthetic import make_synthetic_corpus
 
 SMALL_CONFIG = """
@@ -59,6 +60,9 @@ BAD_STAGE_IDS = ("rpm_negative", "rpm_inf", "max_concurrency", "max_tokens", "he
                  "lr_nan", "lr_zero", "epochs", "batch_size")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
@@ -97,6 +101,17 @@ class TestConfig:
         assert config.seed == 42
         assert config.interaction_mode == "pooled"
         assert config.d_h == 16  # file value survives where no flag given
+
+    def test_readme_ini_example_is_the_defaults(self, tmp_path):
+        """The INI block of README's CLI section names real keys with the
+        values PipelineConfig defaults to."""
+        cli = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        (block,) = [b for b in cli.split("```")[1::2] if b.lstrip().startswith("[")]
+        sections = [line for line in block.splitlines() if line.startswith("[")]
+        assert sections == ["[gateway]", "[debate]", "[embedding]", "[model]"]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert load_config(path) == PipelineConfig()
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -320,7 +335,7 @@ class TestPipelineCommand:
                            "--out", tmp_path / name, "--seed", "5") == 0
             runs.append(contents(tmp_path / name))
         (files, packs), (other_files, other_packs) = runs
-        assert set(packs) == {Path("cache/gen"), Path("cache/emb/hash-d16-s0")}
+        assert set(packs) == {Path("cache/gen/mock"), Path("cache/emb/hash-d16-s0")}
         assert len(files) == 2 * 16 + 4
         assert files == other_files
         assert packs == other_packs
@@ -479,6 +494,18 @@ class TestPipelineCommand:
         with pytest.raises(SystemExit):
             run_cli("predict", "--config", config_path, "--dataset", dataset_path,
                     "--out", tmp_path / "fresh", "--seed", "5")
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_reading_command_without_out_creates_nothing(self, small_setup, monkeypatch,
+                                                          command):
+        """Without --out, predict and evaluate exit 1 naming the missing
+        workspace and leave no timestamped workspace under runs/."""
+        tmp_path, dataset_path, config_path = small_setup
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"{command} reads an existing workspace"):
+            run_cli(command, "--config", config_path, "--dataset", dataset_path, "--seed", "5")
+        assert not (tmp_path / "runs").exists()
 
 
 class TestAblateCommand:
@@ -496,6 +523,7 @@ class TestAblateCommand:
         code = run_cli("ablate", "--config", config_path, "--dataset", dataset_path,
                        "--out", tmp_path / "ws", "--seed", "5", "--toggles", "no_magic")
         assert code == 1
+        assert not (tmp_path / "ws" / "checkpoints").exists()
 
 
 # A transcript's first turn with one field set to a value no decoder
@@ -663,6 +691,36 @@ class TestResume:
         assert warm_metrics == cold_metrics
         assert len(list((workspace / "transcripts").glob("*.json"))) == 16
 
+    def test_generation_cache_answers_only_its_backend(self, small_setup):
+        """With the transcripts gone, debates rerun in the same workspace
+        through a gateway over another backend reach that backend for
+        every turn; the mock's cached responses are not read back."""
+        tmp_path, dataset_path, config_path = small_setup
+        dataset = load_dataset(dataset_path)
+        config = load_config(config_path)
+        workspace = tmp_path / "ws"
+        Pipeline(config, workspace).run_debates(dataset)
+        shutil.rmtree(workspace / "transcripts")
+        backend = OtherModelBackend()
+        gateway = Gateway(backend, workspace / "cache" / "gen")
+        logs, report = Pipeline(config, workspace, gateway=gateway).run_debates(dataset)
+        assert report.processed == len(dataset)
+        assert backend.calls == 8 * len(dataset)
+        assert all(turn.text.startswith(OtherModelBackend.PREFIX)
+                   for log in logs.values() for turn in log.turns)
+        assert sorted(p.name for p in (workspace / "cache" / "gen").iterdir()) == [
+            "mock", "remote_other-model"]
+
+
+class OtherModelBackend(CountingBackend):
+    """A counting backend with another model's id and its own text."""
+
+    backend_id = "remote:other-model"
+    PREFIX = "Another model answers:"
+
+    def complete(self, req):
+        return f"{self.PREFIX} {super().complete(req)}"
+
 
 # sha256 of every sample's node and news matrices (little-endian float64),
 # item by item, for the corpus and config of TestBuildSamples.
@@ -793,6 +851,48 @@ class TestStageSequence:
         entry(pipeline, corpus.dataset)
         assert calls == list(STAGE_METHODS)
         assert pipeline.checkpoint_path(checkpoint).exists()
+
+    def test_unknown_variant_refused_before_any_stage(self, tmp_path):
+        corpus = make_synthetic_corpus(n_train=1, n_test=1, seed=2, task="stance")
+        workspace = tmp_path / "ws"
+        pipeline = Pipeline(TINY_CONFIG, workspace,
+                            gateway=Gateway(ExplodingBackend(), tmp_path / "gen"))
+        with pytest.raises(ValueError, match="unknown ablation variant 'no_graph'") as info:
+            pipeline.evaluate_variant(corpus.dataset, "no_graph")
+        for name in ("full", "no_debate", "no_analysis"):
+            assert repr(name) in str(info.value)
+        assert not (workspace / "checkpoints").exists()
+        assert not (workspace / "transcripts").exists()
+
+
+def recording_pipeline(tmp_path) -> tuple[Pipeline, list[str]]:
+    """A pipeline whose ``evaluate_variant`` only records the variant it
+    is asked for, and that list."""
+    pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws",
+                        gateway=Gateway(ExplodingBackend(), tmp_path / "gen"))
+    variants = []
+    pipeline.evaluate_variant = lambda dataset, variant: (
+        variants.append(variant) or compute_metrics([0], [0]))
+    return pipeline, variants
+
+
+class TestAblate:
+    def test_invalid_toggle_rejected(self, tmp_path):
+        pipeline, variants = recording_pipeline(tmp_path)
+        with pytest.raises(ValueError, match="unknown ablation toggles"):
+            pipeline.ablate(None, ["no_debate", "no_magic"])
+        assert variants == []
+
+    def test_runs_full_plus_requested(self, tmp_path):
+        pipeline, variants = recording_pipeline(tmp_path)
+        table = pipeline.ablate(None, ["no_analysis", "no_debate"])
+        assert variants == ["full", "no_analysis", "no_debate"]
+        assert list(table) == variants
+
+    def test_all_toggles_are_valid(self, tmp_path):
+        pipeline, variants = recording_pipeline(tmp_path)
+        pipeline.ablate(None, ABLATION_TOGGLES)
+        assert variants == ["full", *ABLATION_TOGGLES]
 
 
 class UnreachableBackend:

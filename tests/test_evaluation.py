@@ -5,13 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_metrics
 from veridebate.evaluation import (
-    ABLATION_TOGGLES,
     Dataset,
     DatasetError,
     compute_metrics,
     format_ablation_table,
     load_dataset,
-    run_ablation,
     write_dataset_jsonl,
     write_predictions_jsonl,
 )
@@ -198,30 +196,7 @@ class TestComputeMetrics:
             assert 0.0 <= value <= 1.0
 
 
-class RecordingPipeline:
-    def __init__(self):
-        self.variants = []
-
-    def evaluate_variant(self, dataset, variant):
-        self.variants.append(variant)
-        return compute_metrics([0], [0])
-
-
 class TestRunAblation:
-    def test_invalid_toggle_rejected(self):
-        with pytest.raises(ValueError, match="unknown ablation toggles"):
-            run_ablation(["no_magic"], RecordingPipeline(), None)
-
-    def test_runs_full_plus_requested(self):
-        pipeline = RecordingPipeline()
-        table = run_ablation(["no_debate", "no_analysis"], pipeline, None)
-        assert pipeline.variants == ["full", "no_debate", "no_analysis"]
-        assert set(table) == {"full", "no_debate", "no_analysis"}
-
-    def test_all_toggles_are_valid(self):
-        pipeline = RecordingPipeline()
-        run_ablation(ABLATION_TOGGLES, pipeline, None)
-
     def test_table_formatting(self):
         table = {"full": compute_metrics([0, 1], [0, 1])}
         text = format_ablation_table(table)

@@ -102,12 +102,26 @@ class TestCache:
 
     def test_cache_layout_one_pack(self, tmp_path):
         gateway = Gateway(MockBackend(), cache_dir=tmp_path)
-        gateway.generate(req())
-        digest = cache_key(req())
-        assert [path.suffix for path in tmp_path.iterdir()] == [".pack"]
-        entry = json.loads(PackStore(tmp_path).get(digest))
-        assert set(entry) == {"text", "backend_id"}
-        assert entry["text"]
+        response = gateway.generate(req())
+        assert list(tmp_path.iterdir()) == [tmp_path / "mock"]
+        assert [path.suffix for path in (tmp_path / "mock").iterdir()] == [".pack"]
+        payload = PackStore(tmp_path / "mock").get(cache_key(req()))
+        assert payload == response.text.encode("utf-8") and response.text
+
+    @pytest.mark.parametrize("store, payload", [
+        ("counting-mock", b""),
+        ("counting-mock", b"\xff\xfe"),
+        (".", json.dumps({"text": "old", "backend_id": "counting-mock"}).encode()),
+    ], ids=["empty", "not_utf8", "old_layout"])
+    def test_unusable_or_old_record_is_a_miss(self, tmp_path, store, payload):
+        """An empty or non-UTF-8 record, or one in the older
+        ``<cache_dir>/*.pack`` layout, sends the request again."""
+        PackStore(tmp_path / store).put(cache_key(req()), payload)
+        backend = CountingBackend()
+        response = Gateway(backend, cache_dir=tmp_path).generate(req())
+        assert backend.calls == 1 and not response.cached
+        again = Gateway(backend, cache_dir=tmp_path).generate(req())
+        assert (again.text, again.cached, backend.calls) == (response.text, True, 1)
 
     def test_concurrent_identical_requests_single_call(self, tmp_path):
         backend = CountingBackend()

@@ -55,10 +55,12 @@ class TestPackStore:
 
     def test_key_that_needs_escaping_rejected(self, tmp_path):
         store = PackStore(tmp_path)
-        for key in ('a"b', "a\\b", "a\nb", "caf\u00e9"):
+        for key in ('a"b', "a\\b", "a\nb", "caf\u00e9", "k" * 5000):
             with pytest.raises(ValueError, match="pack key"):
                 store.put(key, b"x")
         assert packs(tmp_path) == []
+        store.put("after", b"y")
+        assert PackStore(tmp_path).get("after") == b"y"
 
     def test_header_in_another_layout_ends_the_scan(self, tmp_path):
         PackStore(tmp_path).put("a", b"alpha")

@@ -1,12 +1,8 @@
-"""Text embeddings and the role vocabulary.
+"""Text embeddings: one checked path from a text to a float64 row.
 
-Turn texts are embedded by a pluggable provider (a deterministic
+Texts are embedded by a pluggable provider (a deterministic
 hash-projection provider for hermetic runs, or a remote embedding
-endpoint). ``RoleTable`` holds the trainable role embeddings, one per
-(role, stance) pair so the two teams' rebutters stay distinguishable,
-and the projection that lifts them to the embedding dimension;
-``AnalysisModel.forward`` joins the projected role vectors to the frozen
-text embeddings to form the graph's node features.
+endpoint), which returns a float64 ``(dim,)`` array.
 
 Each ``CachedEmbedder`` owns one cache, under ``<root>/<provider_id>/``, in
 append-only, checksummed pack files (see ``packs.py``): each record is
@@ -18,7 +14,9 @@ fails its crc, has the wrong size or holds a non-finite value reads as a
 miss and is recomputed; the last two are logged with the provider directory.
 Each distinct miss goes to the provider under the embedder's
 ``RetryPolicy`` and, when it has one, its ``RateLimiter``, so a remote
-endpoint is retried and paced as the chat endpoint is.
+endpoint is retried and paced as the chat endpoint is. A fresh vector is
+cast to float32 and checked as a cached record is; one that fails is a
+``MalformedResponseError`` naming the provider, and nothing is cached.
 """
 
 from __future__ import annotations
@@ -29,47 +27,14 @@ import logging
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .domain import DebateRole, Stance
 from .gateway import JsonClient, MalformedResponseError, RateLimiter, RetryPolicy, paced
 from .packs import PackStore, store_root
 
 logger = logging.getLogger(__name__)
-
-# Fixed ordering of the trainable role vectors.
-ROLE_STANCE_PAIRS = tuple((role, stance) for role in DebateRole for stance in Stance)
-_ROLES, _STANCES = tuple(DebateRole), tuple(Stance)
-
-
-def role_pair_ids(turns) -> list[int]:
-    """Each turn's index into ROLE_STANCE_PAIRS. The members are found by
-    position, which compares them by identity; looking the pair up in a
-    dict would hash both through the Python-level ``Enum.__hash__``."""
-    return [_ROLES.index(t.role) * len(_STANCES) + _STANCES.index(t.stance) for t in turns]
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: np.ndarray
-    provider_id: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("embedding must be a 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("embedding contains non-finite entries")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
 
 _TOKEN_RE = re.compile(r"[\w']+")
 
@@ -100,7 +65,7 @@ class HashEmbeddingProvider:
             self._basis[token] = basis
         return basis
 
-    def embed_text(self, text: str) -> EmbeddingVector:
+    def embed_text(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise ValueError("cannot embed empty text")
         tokens = _TOKEN_RE.findall(text.lower())
@@ -114,12 +79,12 @@ class HashEmbeddingProvider:
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec = vec / norm
-        return EmbeddingVector(vec, self.provider_id)
+        return vec
 
 
 class RemoteEmbeddingProvider(JsonClient):
     """Embedding endpoint client: POSTs to <endpoint>/embeddings and
-    reads data[0].embedding, checking the configured dimension."""
+    reads data[0].embedding; ``CachedEmbedder`` checks its size."""
 
     def __init__(self, endpoint: str, dim: int, model: str = "text-embedding-3-small",
                  api_key: str | None = None, timeout: float = 60.0, transport=None):
@@ -128,20 +93,24 @@ class RemoteEmbeddingProvider(JsonClient):
         self.model = model
         self.provider_id = f"remote:{model}-d{dim}"
 
-    def embed_text(self, text: str) -> EmbeddingVector:
+    def embed_text(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise ValueError("cannot embed empty text")
         payload = self.post("embeddings", {"model": self.model, "input": text})
         try:
             values = json.loads(payload.decode("utf-8"))["data"][0]["embedding"]
+            return np.asarray(values, dtype=np.float64)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"could not parse embedding payload: {exc}") from exc
-        vec = np.asarray(values, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise MalformedResponseError(
-                f"embedding dimension {vec.shape} does not match configured {self.dim}"
-            )
-        return EmbeddingVector(vec, self.provider_id)
+
+
+def _usable_rows(payloads: Sequence[bytes | None], dim: int) -> tuple[list[int], np.ndarray]:
+    """The positions of the payloads that hold ``dim`` finite ``<f4``
+    values, and those values as rows: the check of every row handed out."""
+    sized = [i for i, p in enumerate(payloads) if p is not None and len(p) == 4 * dim]
+    decoded = np.frombuffer(b"".join([payloads[i] for i in sized]), "<f4").reshape(-1, dim)
+    finite = np.isfinite(decoded).all(axis=1)
+    return [i for i, f in zip(sized, finite) if f], decoded[finite]
 
 
 def text_key(text: str) -> str:
@@ -171,7 +140,9 @@ class CachedEmbedder:
         matrix. Cached rows are read in lookups of 256; a record of the
         wrong size or holding a non-finite value is logged and recomputed
         like a miss. Each distinct miss is embedded once by the provider and
-        cached, in the order of its first occurrence in ``texts``."""
+        cached, in the order of its first occurrence in ``texts``; a fresh
+        vector that fails the same check raises ``MalformedResponseError``
+        before it is cached."""
         dim = self.dim
         keys = [text_key(text) for text in texts]
         rows = np.empty((len(texts), dim))
@@ -179,11 +150,9 @@ class CachedEmbedder:
         # In blocks: one stage's payloads held at once raised peak RSS by up to 13%.
         for start in range(0, len(keys), 256):
             payloads = self.cache.get_many(keys[start:start + 256])
-            sized = [i for i, p in enumerate(payloads) if p is not None and len(p) == 4 * dim]
-            decoded = np.frombuffer(b"".join([payloads[i] for i in sized]), "<f4").reshape(-1, dim)
-            finite = np.isfinite(decoded).all(axis=1)
-            ok = [start + i for i, f in zip(sized, finite) if f]
-            rows[ok] = decoded[finite]
+            ok, decoded = _usable_rows(payloads, dim)
+            ok = [start + i for i in ok]
+            rows[ok] = decoded
             found += ok
             stored += len(payloads) - payloads.count(None)
         if len(found) == len(texts):
@@ -196,43 +165,17 @@ class CachedEmbedder:
         for i in sorted(set(range(len(texts))).difference(found)):
             text = texts[i]
             if text not in first:
-                vec = self.retry.call(paced, self.limiter, self.provider.embed_text, text)
-                values = np.asarray(vec.values, dtype="<f4")
-                self.cache.put(text_key(text), values.tobytes())
-                first[text], rows[i] = i, values
+                values = self.retry.call(paced, self.limiter, self.provider.embed_text, text)
+                with np.errstate(over="ignore"):  # an overflow is refused just below
+                    payload = np.asarray(values, dtype="<f4").tobytes()
+                ok, decoded = _usable_rows([payload], dim)
+                if not ok:
+                    raise MalformedResponseError(f"provider {self.provider_id} returned an "
+                                                 f"embedding that is not {dim} finite float32s")
+                self.cache.put(text_key(text), payload)
+                first[text], rows[i] = i, decoded[0]
             rows[i] = rows[first[text]]
         return rows
 
-    def embed_text(self, text: str) -> EmbeddingVector:
-        return EmbeddingVector(self.embed_texts([text])[0], self.provider_id)
-
-
-# --------------------------------------------------------------------------
-# Role vocabulary
-# --------------------------------------------------------------------------
-
-
-class RoleTable:
-    """Trainable role vocabulary: one vector per (role, stance) pair plus
-    the projection that lifts role vectors to the embedding dimension."""
-
-    def __init__(self, embeddings: np.ndarray, projection: np.ndarray):
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        projection = np.asarray(projection, dtype=np.float64)
-        if embeddings.shape[0] != len(ROLE_STANCE_PAIRS):
-            raise ValueError(
-                f"role table must cover all {len(ROLE_STANCE_PAIRS)} (role, stance) pairs"
-            )
-        if projection.shape[1] != embeddings.shape[1]:
-            raise ValueError("projection columns must match role vector dimension")
-        if not (np.all(np.isfinite(embeddings)) and np.all(np.isfinite(projection))):
-            raise ValueError("role table parameters must be finite")
-        self.embeddings = embeddings  # (num_pairs, d_r)
-        self.projection = projection  # (d_h, d_r)
-
-    @classmethod
-    def create(cls, d_h: int, d_r: int, rng: np.random.Generator) -> "RoleTable":
-        scale = 0.1
-        embeddings = rng.uniform(-scale, scale, size=(len(ROLE_STANCE_PAIRS), d_r))
-        projection = rng.uniform(-scale, scale, size=(d_h, d_r))
-        return cls(embeddings, projection)
+    def embed_text(self, text: str) -> np.ndarray:
+        return self.embed_texts([text])[0]

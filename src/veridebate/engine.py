@@ -257,17 +257,25 @@ def log_to_json(log: DebateLog) -> str:
     return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
 
 
+def _turn_index(value) -> int:
+    """``value`` if it is a JSON integer; a float or a boolean would pass
+    ``validate_log`` and then fail as an array index in the encode stage."""
+    if type(value) is not int:
+        raise ValueError(f"turn index {value!r} is not an integer")
+    return value
+
+
 def log_from_json(text: str) -> DebateLog:
     data = json.loads(text)
     turns = tuple(
         DebateTurn(
-            turn_index=t["turn_index"],
+            turn_index=_turn_index(t["turn_index"]),
             agent_id=t["agent_id"],
             stance=_STANCE_OF[t["stance"]],
             role=_ROLE_OF[t["role"]],
             stage=DebateStage[t["stage"].upper()],
             text=t["text"],
-            targets=tuple(t["targets"]),
+            targets=tuple(map(_turn_index, t["targets"])),
         )
         for t in data["turns"]
     )

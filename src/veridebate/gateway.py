@@ -334,11 +334,21 @@ class Gateway:
 
     def __init__(self, backend, cache_dir: str | Path, retry: RetryPolicy = RetryPolicy(),
                  limiter: RateLimiter | None = None):
+        self._cache_dir = Path(cache_dir)
         self.backend = backend
         self.retry = retry
         self.limiter = limiter
-        self._store = PackStore(store_root(cache_dir, backend.backend_id))
         self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
+
+    @property
+    def backend(self):
+        return self._backend
+
+    @backend.setter
+    def backend(self, backend) -> None:
+        """Use ``backend`` from now on, with the store of its own id."""
+        self._backend = backend
+        self._store = PackStore(store_root(self._cache_dir, backend.backend_id))
 
     def _cached_text(self, digest: str) -> str | None:
         """The response text cached for ``digest``; None when it is absent,

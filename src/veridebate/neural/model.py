@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..domain import DebateLog
-from ..encoding import RoleTable, role_pair_ids
+from ..domain import DebateLog, DebateRole, Stance
 from ..graph import log_mask
 from .adam import all_finite
 from .attention import (
@@ -56,10 +55,48 @@ from .gat import GatLayer, LastGatLayer, gat_backward, gat_forward_cached, softm
 
 LOG_CLAMP = 1e-12
 
+# Fixed ordering of the trainable role vectors.
+ROLE_STANCE_PAIRS = tuple((role, stance) for role in DebateRole for stance in Stance)
+_ROLES, _STANCES = tuple(DebateRole), tuple(Stance)
+
+
+def role_pair_ids(turns) -> list[int]:
+    """Each turn's index into ROLE_STANCE_PAIRS. The members are found by
+    position, which compares them by identity; looking the pair up in a
+    dict would hash both through the Python-level ``Enum.__hash__``."""
+    return [_ROLES.index(t.role) * len(_STANCES) + _STANCES.index(t.stance) for t in turns]
+
 
 class NumericalFault(RuntimeError):
     """A non-finite value surfaced during training; names the parameter
     blocks involved."""
+
+
+class RoleTable:
+    """Trainable role vocabulary: one vector per (role, stance) pair, so
+    the two teams' rebutters stay distinguishable, plus the projection
+    that lifts role vectors to the embedding dimension."""
+
+    def __init__(self, embeddings: np.ndarray, projection: np.ndarray):
+        embeddings = np.asarray(embeddings, dtype=np.float64)
+        projection = np.asarray(projection, dtype=np.float64)
+        if embeddings.shape[0] != len(ROLE_STANCE_PAIRS):
+            raise ValueError(
+                f"role table must cover all {len(ROLE_STANCE_PAIRS)} (role, stance) pairs"
+            )
+        if projection.shape[1] != embeddings.shape[1]:
+            raise ValueError("projection columns must match role vector dimension")
+        if not (np.all(np.isfinite(embeddings)) and np.all(np.isfinite(projection))):
+            raise ValueError("role table parameters must be finite")
+        self.embeddings = embeddings  # (num_pairs, d_r)
+        self.projection = projection  # (d_h, d_r)
+
+    @classmethod
+    def create(cls, d_h: int, d_r: int, rng: np.random.Generator) -> "RoleTable":
+        scale = 0.1
+        embeddings = rng.uniform(-scale, scale, size=(len(ROLE_STANCE_PAIRS), d_r))
+        projection = rng.uniform(-scale, scale, size=(d_h, d_r))
+        return cls(embeddings, projection)
 
 
 @dataclass

@@ -73,6 +73,18 @@ class CountingProvider:
         return self.inner.embed_text(text)
 
 
+class PoisonedProvider(CountingProvider):
+    """Counting provider that returns ``vector`` for ``text`` and the
+    inner provider's embedding for every other text."""
+
+    def __init__(self, inner, text, vector):
+        super().__init__(inner)
+        self.text, self.vector = text, vector
+
+    def embed_text(self, text):
+        return self.vector if text == self.text else super().embed_text(text)
+
+
 def factored_param_count(config: ModelConfig) -> int:
     """Parameters of the version-1 checkpoint layout, which held the last
     GAT layer's projection and attention vector and the interaction's

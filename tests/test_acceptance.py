@@ -188,8 +188,8 @@ def _samples_for(corpus, provider, split):
     samples = []
     for item in corpus.dataset.split(split):
         log = corpus.logs[item.id]
-        embs = np.stack([provider.embed_text(t.text).values for t in log.turns])
-        samples.append(make_sample(log, embs, provider.embed_text(item.content).values,
+        embs = np.stack([provider.embed_text(t.text) for t in log.turns])
+        samples.append(make_sample(log, embs, provider.embed_text(item.content),
                                    item.label))
     return samples
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountingBackend, CountingProvider, write_factored_checkpoint
+from conftest import CountingBackend, CountingProvider, PoisonedProvider, write_factored_checkpoint
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
 from veridebate import gateway as gateway_module, pipeline as pipeline_module
@@ -533,6 +533,7 @@ TURN_FAULTS = {
     "unknown_role": ("role", "moderator"),
     "unknown_stage": ("stage", "intermission"),
     "non_string_stage": ("stage", 2),
+    "float_turn_index": ("turn_index", 0.0),
 }
 
 
@@ -540,7 +541,7 @@ def corrupt(path, fault: str, other) -> None:
     """Overwrite an artifact: cut it short, replace it with one that
     parses but is invalid, copy another item's file over it, or give a
     report's verdict hint or a transcript's first turn a value no
-    decoder accepts."""
+    decoder accepts, or write the first turn targets as floats."""
     text = path.read_text(encoding="utf-8")
     if fault == "truncated":
         path.write_text(text[: len(text) // 2], encoding="utf-8")
@@ -559,6 +560,11 @@ def corrupt(path, fault: str, other) -> None:
         record = json.loads(text)
         key, value = TURN_FAULTS[fault]
         record["turns"][0][key] = value
+        path.write_text(json.dumps(record), encoding="utf-8")
+    elif fault == "float_target":
+        record = json.loads(text)
+        turn = next(t for t in record["turns"] if t["targets"])
+        turn["targets"] = [float(target) for target in turn["targets"]]
         path.write_text(json.dumps(record), encoding="utf-8")
     else:
         path.write_text(other.read_text(encoding="utf-8"), encoding="utf-8")
@@ -583,7 +589,7 @@ class TestReusedArtifacts:
         pipeline.run_synthesis(logs)
         return dataset, config, workspace
 
-    @pytest.mark.parametrize("fault", FAULTS + tuple(TURN_FAULTS))
+    @pytest.mark.parametrize("fault", FAULTS + tuple(TURN_FAULTS) + ("float_target",))
     def test_bad_transcript_is_regenerated(self, small_setup, fresh_cache, fault, caplog):
         dataset, config, workspace = self._setup(small_setup)
         first, second = sorted((workspace / "transcripts").glob("*.json"))[:2]
@@ -790,9 +796,24 @@ class TestBuildSamples:
             samples = pipeline.build_samples(dataset, corpus.logs)
         assert provider.calls == 1
         assert "recomputing" in caplog.text
-        expected = np.asarray(provider.inner.embed_text(first.content).values, dtype="<f4")
+        expected = np.asarray(provider.inner.embed_text(first.content), dtype="<f4")
         for item in (first, second):
             assert samples[item.id].news_embedding.tobytes() == expected.astype(float).tobytes()
+
+    def test_overflowing_fresh_vector_stops_the_encode_stage(self, tmp_path):
+        """A provider vector that overflows float32 is refused by the
+        encode stage, naming the provider, rather than cached as inf to
+        fail training."""
+        corpus = make_synthetic_corpus(n_train=2, n_test=2, seed=2, task="stance")
+        pipeline = Pipeline(TINY_CONFIG, tmp_path / "ws")
+        first = corpus.dataset.items[0]
+        provider = pipeline.embedder.provider = PoisonedProvider(
+            pipeline.embedder.provider, first.content, np.r_[np.ones(15), 1e39])
+        message = f"stage encode failed: provider {provider.provider_id}"
+        with pytest.raises(StageError, match=message) as info:
+            pipeline.run(corpus.dataset)
+        assert info.value.stage == "encode"
+        assert not pipeline.checkpoint_path().exists()
 
 
 class ExplodingBackend:

@@ -5,21 +5,18 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import CountingProvider
+from conftest import CountingProvider, PoisonedProvider
 
 from veridebate.domain import DebateLog, DebateRole, DebateStage, DebateTurn, Stance
 from veridebate.encoding import (
-    ROLE_STANCE_PAIRS,
     CachedEmbedder,
-    EmbeddingVector,
     HashEmbeddingProvider,
     RemoteEmbeddingProvider,
-    RoleTable,
-    role_pair_ids,
     text_key,
 )
-from veridebate.gateway import RateLimitError, RetryPolicy, TransportError
+from veridebate.gateway import MalformedResponseError, RateLimitError, RetryPolicy, TransportError
 from veridebate.neural import AnalysisModel, ModelConfig, make_sample
+from veridebate.neural.model import ROLE_STANCE_PAIRS, RoleTable, role_pair_ids
 
 # A small fixed corpus used to pin down provider distinctness. All
 # entries have distinct token multisets; the provider is a bag-of-tokens
@@ -47,11 +44,11 @@ class TestHashProvider:
         provider = HashEmbeddingProvider(dim=16, seed=0)
         a = provider.embed_text("hello world")
         b = provider.embed_text("hello world")
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_distinct_across_fixed_corpus(self):
         provider = HashEmbeddingProvider(dim=32, seed=0)
-        vectors = [provider.embed_text(text).values for text in CORPUS]
+        vectors = [provider.embed_text(text) for text in CORPUS]
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
                 assert not np.allclose(vectors[i], vectors[j]), (i, j)
@@ -62,31 +59,20 @@ class TestHashProvider:
 
     def test_dimension_and_finiteness(self):
         vec = HashEmbeddingProvider(dim=24, seed=3).embed_text("anything at all")
-        assert vec.dim == 24
-        assert np.all(np.isfinite(vec.values))
+        assert vec.shape == (24,) and vec.dtype == np.float64
+        assert np.all(np.isfinite(vec))
 
     def test_seed_changes_vectors(self):
         a = HashEmbeddingProvider(dim=8, seed=0).embed_text("hello")
         b = HashEmbeddingProvider(dim=8, seed=1).embed_text("hello")
-        assert not np.allclose(a.values, b.values)
+        assert not np.allclose(a, b)
 
     def test_token_permutations_collide(self):
         # Known provider property: order is not encoded.
         provider = HashEmbeddingProvider(dim=16, seed=0)
         a = provider.embed_text("alpha bravo cedar")
         b = provider.embed_text("cedar alpha bravo")
-        assert np.array_equal(a.values, b.values)
-
-
-class TestEmbeddingVector:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector(np.array([1.0, np.nan]), "p")
-
-    def test_values_read_only(self):
-        vec = EmbeddingVector(np.ones(3), "p")
-        with pytest.raises(ValueError):
-            vec.values[0] = 2.0
+        assert np.array_equal(a, b)
 
 
 class TestEmbeddingCache:
@@ -95,7 +81,7 @@ class TestEmbeddingCache:
         embedder = CachedEmbedder(provider, tmp_path)
         cold = embedder.embed_text("cache me")
         warm = embedder.embed_text("cache me")
-        assert np.array_equal(cold.values, warm.values)
+        assert np.array_equal(cold, warm)
 
     def test_one_pack_per_provider(self, tmp_path):
         embedder = CachedEmbedder(HashEmbeddingProvider(dim=8, seed=0), tmp_path)
@@ -107,7 +93,7 @@ class TestEmbeddingCache:
         assert json.loads(header)["size"] == len(payload)  # exactly one record
         values = np.frombuffer(payload, dtype="<f4")
         assert values.shape == (8,)
-        assert np.array_equal(values, embedder.embed_text("pack check").values)
+        assert np.array_equal(values, embedder.embed_text("pack check"))
 
 
 # The last text repeats the first, so one call holds the same miss twice.
@@ -118,7 +104,7 @@ def per_text_rows(provider, texts) -> np.ndarray:
     """The reference: each text through ``embed_text`` on a cold cache."""
     with tempfile.TemporaryDirectory() as root:
         embedder = CachedEmbedder(provider, root)
-        return np.stack([embedder.embed_text(text).values for text in texts])
+        return np.stack([embedder.embed_text(text) for text in texts])
 
 
 class TestEmbedTexts:
@@ -163,8 +149,21 @@ class TestEmbedTexts:
         assert rows.tobytes() == per_text_rows(provider, texts).tobytes()
         assert counting.calls == 1
         assert str(tmp_path / provider.provider_id) in caplog.text
-        assert np.array_equal(embedder.embed_text("poisoned text").values, rows[1])
+        assert np.array_equal(embedder.embed_text("poisoned text"), rows[1])
         assert counting.calls == 1
+
+    @pytest.mark.parametrize("bad", [np.r_[np.ones(7), np.nan], np.r_[np.ones(7), 1e39],
+                                     np.ones(4)],
+                             ids=["nan", "float32_overflow", "wrong_size"])
+    def test_unusable_fresh_vector_is_refused(self, tmp_path, bad):
+        """A fresh vector is checked as a cached record is, after the
+        float32 cast: one that fails raises, naming the provider, before
+        anything is cached."""
+        provider = PoisonedProvider(HashEmbeddingProvider(dim=8, seed=0), "poisoned text", bad)
+        embedder = CachedEmbedder(provider, tmp_path)
+        with pytest.raises(MalformedResponseError, match=provider.provider_id):
+            embedder.embed_texts(["poisoned text"])
+        assert list(tmp_path.rglob("*.pack")) == []
 
 
 class TestRemoteProvider:
@@ -178,18 +177,16 @@ class TestRemoteProvider:
         provider = RemoteEmbeddingProvider("https://api.example", dim=3, api_key="k",
                                            transport=transport)
         vec = provider.embed_text("hi there")
-        assert vec.dim == 3
+        assert vec.tolist() == [0.1, 0.2, 0.3]
 
-    def test_dimension_mismatch_rejected(self):
-        import json
-
+    def test_dimension_mismatch_rejected(self, tmp_path):
         def transport(url, body, headers, timeout):
             return 200, json.dumps({"data": [{"embedding": [0.1, 0.2]}]}).encode()
 
         provider = RemoteEmbeddingProvider("https://api.example", dim=3, api_key="k",
                                            transport=transport)
-        with pytest.raises(Exception):
-            provider.embed_text("hi")
+        with pytest.raises(MalformedResponseError, match="remote:text-embedding-3-small-d3"):
+            CachedEmbedder(provider, tmp_path).embed_text("hi")
 
     @pytest.mark.parametrize("status, error, message", [
         (503, TransportError, "embeddings returned 503"),
@@ -216,7 +213,7 @@ class TestRemoteProvider:
         provider = RemoteEmbeddingProvider("https://api.example", dim=3, api_key="k",
                                            transport=transport)
         embedder = CachedEmbedder(provider, tmp_path, retry=RetryPolicy(sleep=sleeps.append))
-        assert embedder.embed_text("hi").values.tolist() == [0.5, 0.25, 0.125]
+        assert embedder.embed_text("hi").tolist() == [0.5, 0.25, 0.125]
         assert len(calls) == 3
         assert len(sleeps) == 2 and sleeps == sorted(sleeps)
 
@@ -246,7 +243,7 @@ class TestRoleTable:
             RoleTable(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
-def node_features(table: RoleTable, turns, emb: EmbeddingVector) -> np.ndarray:
+def node_features(table: RoleTable, turns, emb: np.ndarray) -> np.ndarray:
     """The node features the model feeds its first GAT layer, for one
     sample whose turns all carry the text embedding ``emb``, under a
     model holding ``table``'s role parameters. The first layer's weight
@@ -257,8 +254,7 @@ def node_features(table: RoleTable, turns, emb: EmbeddingVector) -> np.ndarray:
     model.role_table.embeddings[...] = table.embeddings
     model.role_table.projection[...] = table.projection
     model.gat_layers[0].weight[...] = np.eye(2 * d_h)
-    sample = make_sample(DebateLog("n", tuple(turns)), np.tile(emb.values, (len(turns), 1)),
-                         emb.values)
+    sample = make_sample(DebateLog("n", tuple(turns)), np.tile(emb, (len(turns), 1)), emb)
     return model.forward([sample])[1]["gat"][0].projected[0]
 
 
@@ -266,27 +262,27 @@ class TestBuildNode:
     def test_hand_computed_case(self):
         # d_h=2, d_r=1, W_role=[[1],[2]], e=[3], emb=[5,7] -> [5,7,3,6]
         table = RoleTable(np.full((10, 1), 3.0), np.array([[1.0], [2.0]]))
-        emb = EmbeddingVector(np.array([5.0, 7.0]), "p")
+        emb = np.array([5.0, 7.0])
         node = node_features(table, [turn()], emb)[0]
         assert np.array_equal(node, [5.0, 7.0, 3.0, 6.0])
 
     def test_zero_projection_gives_zero_tail(self):
         table = RoleTable(np.random.default_rng(0).uniform(-1, 1, (10, 3)),
                           np.zeros((4, 3)))
-        emb = EmbeddingVector(np.arange(4.0), "p")
+        emb = np.arange(4.0)
         node = node_features(table, [turn()], emb)[0]
-        assert np.array_equal(node[:4], emb.values)
+        assert np.array_equal(node[:4], emb)
         assert np.array_equal(node[4:], np.zeros(4))
 
     def test_dimension_mismatch_rejected(self):
         table = RoleTable.create(d_h=4, d_r=2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            node_features(table, [turn()], EmbeddingVector(np.ones(3), "p"))
+            node_features(table, [turn()], np.ones(3))
 
     def test_linear_in_role_vector(self):
         rng = np.random.default_rng(2)
         table = RoleTable.create(d_h=4, d_r=2, rng=rng)
-        emb = EmbeddingVector(rng.standard_normal(4), "p")
+        emb = rng.standard_normal(4)
         base = node_features(table, [turn()], emb)[0]
         scaled_table = RoleTable(table.embeddings * 2.5, table.projection)
         scaled = node_features(scaled_table, [turn()], emb)[0]
@@ -296,7 +292,7 @@ class TestBuildNode:
     def test_same_text_different_roles_differ_only_in_tail(self):
         rng = np.random.default_rng(3)
         table = RoleTable.create(d_h=4, d_r=2, rng=rng)
-        emb = EmbeddingVector(rng.standard_normal(4), "p")
+        emb = rng.standard_normal(4)
         a, b = node_features(table, [
             turn(role=DebateRole.QUESTIONER),
             DebateTurn(4, "pro_0", Stance.TRUE, DebateRole.REBUTTER,

@@ -123,6 +123,19 @@ class TestCache:
         again = Gateway(backend, cache_dir=tmp_path).generate(req())
         assert (again.text, again.cached, backend.calls) == (response.text, True, 1)
 
+    def test_replaced_backend_reads_its_own_store(self, tmp_path):
+        """A backend set on a live gateway is asked, and caches into the
+        store of its own id, not the old backend's."""
+        gateway = Gateway(MockBackend(), cache_dir=tmp_path)
+        gateway.generate(req())
+        backend = CountingBackend()
+        backend.backend_id = "remote:other-model"
+        gateway.backend = backend
+        response = gateway.generate(req())
+        assert (response.cached, response.backend_id, backend.calls) == (
+            False, "remote:other-model", 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mock", "remote_other-model"]
+
     def test_concurrent_identical_requests_single_call(self, tmp_path):
         backend = CountingBackend()
         gateway = Gateway(backend, cache_dir=tmp_path)

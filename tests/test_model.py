@@ -4,13 +4,18 @@ buffer a training step writes in place."""
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import factored_forward, literal_attention_weights, reference_forward
 from strategies import random_graph_sample
+import veridebate
 from veridebate.neural import (
     AnalysisModel,
     ModelConfig,
@@ -19,10 +24,9 @@ from veridebate.neural import (
     interact,
     train,
 )
-from veridebate.encoding import RoleTable
 from veridebate.neural.attention import InteractionHead
 from veridebate.neural.gat import GatLayer
-from veridebate.neural.model import loss_and_grad
+from veridebate.neural.model import RoleTable, loss_and_grad
 
 # import_module: veridebate.neural re-exports a function named ``train``
 # over its submodule.
@@ -270,3 +274,19 @@ def test_steady_state_step_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < STEP_PEAK_BOUND, peak
+
+
+def test_neural_loads_no_endpoint_code():
+    """The classifier depends on the domain and the graph only: a fresh
+    interpreter that imports it loads no embedding client, cache or HTTP
+    module."""
+    endpoint = ("veridebate.gateway", "veridebate.encoding", "veridebate.packs",
+                "urllib.request")
+    code = f"import sys, veridebate.neural; print([m for m in {endpoint!r} if m in sys.modules])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(veridebate.__file__).parents[1]), env.get("PYTHONPATH", "")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

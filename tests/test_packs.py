@@ -142,7 +142,7 @@ class TestPackStore:
 
     def test_flipped_payload_byte_reads_as_miss(self, tmp_path):
         provider = HashEmbeddingProvider(dim=8, seed=0)
-        expected = CachedEmbedder(provider, tmp_path).embed_text("flip me").values
+        expected = CachedEmbedder(provider, tmp_path).embed_text("flip me")
         (pack,) = packs(tmp_path / provider.provider_id)
         data = bytearray(pack.read_bytes())
         data[-3] ^= 0x40  # one bit in the float32 payload
@@ -150,7 +150,7 @@ class TestPackStore:
 
         embedder = CachedEmbedder(provider, tmp_path)
         assert embedder.cache.get(text_key("flip me")) is None
-        recomputed = embedder.embed_text("flip me").values
+        recomputed = embedder.embed_text("flip me")
         assert np.array_equal(recomputed, expected)
 
     def test_old_layout_files_ignored(self, tmp_path):

@@ -109,8 +109,8 @@ class TestTrainLoop:
             out = []
             for item in corpus.dataset.split(split):
                 log = corpus.logs[item.id]
-                embs = np.stack([provider.embed_text(t.text).values for t in log.turns])
-                out.append(make_sample(log, embs, provider.embed_text(item.content).values,
+                embs = np.stack([provider.embed_text(t.text) for t in log.turns])
+                out.append(make_sample(log, embs, provider.embed_text(item.content),
                                        item.label))
             return out
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print per-seed test accuracy on the planted-signal corpora, for four
-(task, dims) cells over a range of model and training seeds.
+(task, dims) cells over a range of model and training seeds, each run
+once in float64 and once in float32 from the same seed.
 
 Cells: the stance task (corpus seed 7) and the role task (corpus seed
 11), each at criterion 7's dims (d_h 32, d_r 8, gat_hidden 16, d_p 16,
@@ -8,7 +9,7 @@ heads 4; 500 train / 200 test items; 20 epochs on stance, 30 on role)
 and at the default dims (200 / 200 items, 5 epochs). Every run uses lr
 5e-3, batch 32, hash embeddings of width d_h (salt 0), no validation
 split, and the same seed for the model and for training. Each cell
-ends with its mean and its min-to-max spread.
+ends with the mean and the min-to-max spread of each dtype.
 
     PYTHONPATH=src python3 scripts/seed_table.py --seeds 16-25
 
@@ -35,6 +36,7 @@ from veridebate.synthetic import make_synthetic_corpus
 from run_synthetic_experiment import samples_for
 
 CORPUS_SEEDS = {"stance": 7, "role": 11}
+DTYPES = ("float64", "float32")
 SMALL_DIMS = dict(d_h=32, d_r=8, gat_hidden=16, d_p=16, heads=4)
 # (name, task, model dims, train items, test items, epochs)
 CELLS = (
@@ -60,8 +62,9 @@ def cell_samples(task: str, d_h: int, n_train: int, n_test: int):
     return samples_for(corpus, provider, "train"), samples_for(corpus, provider, "test")
 
 
-def run_cell(dims: dict, epochs: int, train_samples, test_samples, seed: int) -> float:
-    model = AnalysisModel.create(ModelConfig(**dims, seed=seed))
+def run_cell(dims: dict, epochs: int, train_samples, test_samples, seed: int,
+             dtype: str) -> float:
+    model = AnalysisModel.create(ModelConfig(**dims, seed=seed, dtype=dtype))
     train(model, train_samples, TrainConfig(lr=5e-3, epochs=epochs, batch_size=32, seed=seed))
     return accuracy(model, test_samples)
 
@@ -77,13 +80,18 @@ def main() -> None:
         started = time.perf_counter()
         train_samples, test_samples = cell_samples(task, dims.get("d_h", ModelConfig.d_h),
                                                    n_train, n_test)
-        values = []
+        values = {dtype: [] for dtype in DTYPES}
         for seed in args.seeds:
-            values.append(run_cell(dims, epochs, train_samples, test_samples, seed))
-            print(f"{name:15s} seed {seed:3d}  acc {values[-1]:.3f}", flush=True)
-        print(f"{name:15s} mean {np.mean(values):.4f}  min {min(values):.3f}  "
-              f"max {max(values):.3f}  spread {max(values) - min(values):.3f}  "
-              f"({time.perf_counter() - started:.0f}s)", flush=True)
+            for dtype in DTYPES:
+                values[dtype].append(run_cell(dims, epochs, train_samples, test_samples,
+                                              seed, dtype))
+            print(f"{name:15s} seed {seed:3d}  acc "
+                  + "  ".join(f"{dtype} {values[dtype][-1]:.3f}" for dtype in DTYPES),
+                  flush=True)
+        for dtype, accs in values.items():
+            print(f"{name:15s} {dtype}  mean {np.mean(accs):.4f}  min {min(accs):.3f}  "
+                  f"max {max(accs):.3f}  spread {max(accs) - min(accs):.3f}", flush=True)
+        print(f"{name:15s} ({time.perf_counter() - started:.0f}s)", flush=True)
 
 
 if __name__ == "__main__":

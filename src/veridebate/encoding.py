@@ -1,8 +1,9 @@
-"""Text embeddings: one checked path from a text to a float64 row.
+"""Text embeddings: one checked path from a text to a float32 row.
 
 Texts are embedded by a pluggable provider (a deterministic
 hash-projection provider for hermetic runs, or a remote embedding
-endpoint), which returns a float64 ``(dim,)`` array.
+endpoint), which returns a float64 ``(dim,)`` array; the embedder hands
+it out as the float32 row it caches.
 
 Each ``CachedEmbedder`` owns one cache, under ``<root>/<provider_id>/``, in
 append-only, checksummed pack files (see ``packs.py``): each record is
@@ -136,16 +137,16 @@ class CachedEmbedder:
         self.cache = PackStore(store_root(root, self.provider_id))
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        """``texts`` embedded as the rows of one ``(k, dim)`` float64
-        matrix. Cached rows are read in lookups of 256; a record of the
-        wrong size or holding a non-finite value is logged and recomputed
-        like a miss. Each distinct miss is embedded once by the provider and
-        cached, in the order of its first occurrence in ``texts``; a fresh
-        vector that fails the same check raises ``MalformedResponseError``
-        before it is cached."""
+        """``texts`` embedded as the rows of one ``(k, dim)`` float32
+        matrix, the values as they are stored. Cached rows are read in
+        lookups of 256; a record of the wrong size or holding a non-finite
+        value is logged and recomputed like a miss. Each distinct miss is
+        embedded once by the provider and cached, in the order of its first
+        occurrence in ``texts``; a fresh vector that fails the same check
+        raises ``MalformedResponseError`` before it is cached."""
         dim = self.dim
         keys = [text_key(text) for text in texts]
-        rows = np.empty((len(texts), dim))
+        rows = np.empty((len(texts), dim), dtype=np.float32)
         found, stored = [], 0
         # In blocks: one stage's payloads held at once raised peak RSS by up to 13%.
         for start in range(0, len(keys), 256):

@@ -2,10 +2,12 @@
 
 Graph attention layers, the debate-news interactive attention block,
 the softmax classifier, exact reverse-mode gradients for all of it, an
-Adam optimizer, and the training loop. Everything runs in float64 on
-numpy over one padded dense batch (see ``model.collate``); no autograd
-framework is involved, which is what makes the finite-difference oracle
-in the test suite meaningful.
+Adam optimizer, and the training loop. Everything runs on numpy over
+one padded dense batch (see ``model.collate``), in the model's dtype:
+float32 by default, matching the float32 embedding rows, or float64.
+No autograd framework is involved, which is what makes the
+finite-difference oracle in the test suite, run on float64 models,
+meaningful.
 """
 
 from .adam import AdamState, adam_step

@@ -59,7 +59,7 @@ class InteractionHead:
 
     def __post_init__(self):
         for name in PROJECTIONS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            setattr(self, name, np.asarray(getattr(self, name)))
         d_p = self.graph_map.shape[0]
         for name in ("query", "key", "value", "out"):
             if getattr(self, name).shape != (d_p, d_p):
@@ -130,11 +130,13 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
     """Batched forward pass. ``graph_map`` is the map applied to the
     sources: the head's own, or an equivalent one over other features
     (the one-layer model folds the role table into it). No per-node key
-    or value is built: see the module docstring."""
+    or value is built: see the module docstring. The inputs are read in
+    ``graph_map``'s dtype."""
     if mode not in INTERACTION_MODES:
         raise ValueError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
-    news_emb = np.asarray(news_emb, dtype=np.float64)
-    pooled = np.asarray(pooled, dtype=np.float64)
+    dtype = graph_map.dtype
+    news_emb = np.asarray(news_emb, dtype=dtype)
+    pooled = np.asarray(pooled, dtype=dtype)
     if pooled.shape[-1] != graph_map.shape[1]:
         raise ValueError("pooled vector width does not match graph projection")
     if news_emb.shape[-1] != head.news_proj.shape[1]:
@@ -142,7 +144,7 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
     if mode == "pooled":
         sources, mask = pooled[:, None, :], None
     else:
-        sources = np.asarray(node_feats, dtype=np.float64)
+        sources = np.asarray(node_feats, dtype=dtype)
         if sources.shape[-1] != graph_map.shape[1]:
             raise ValueError("node feature width does not match graph projection")
 

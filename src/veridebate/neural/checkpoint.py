@@ -1,6 +1,7 @@
-"""Model checkpoints: one JSON header line (dims, seed, label convention,
-the embedder's provider id) followed by the flat parameter vector as
-little-endian float64."""
+"""Model checkpoints: one JSON header line (dims, seed, dtype, label
+convention, the embedder's provider id) followed by the flat parameter
+vector as little-endian values of the header's dtype (``<f4`` or
+``<f8``)."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from .model import AnalysisModel, ModelConfig
 FORMAT_NAME = "veridebate-checkpoint"
 # 2: gat<L>.score and interaction.graph_map replace version 1's
 # gat<L>.weight, gat<L>.attn and interaction.graph_proj.
-FORMAT_VERSION = 2
+# 3: the header records the dtype, and the payload is in it.
+FORMAT_VERSION = 3
 
 
 def save_model(path: str | Path, model: AnalysisModel, provider_id: str) -> None:
@@ -33,7 +35,7 @@ def save_model(path: str | Path, model: AnalysisModel, provider_id: str) -> None
         "provider_id": provider_id,
     }
     atomic_write(path, [json.dumps(header, sort_keys=True) + "\n",
-                        model.flat.astype("<f8", copy=False)])
+                        model.flat.astype(model.flat.dtype.newbyteorder("<"), copy=False)])
 
 
 def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
@@ -57,10 +59,11 @@ def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
         config = ModelConfig(**{f.name: header[f.name]
                                 for f in dataclasses.fields(ModelConfig)})
         model = AnalysisModel.create(config)
-        if len(payload) % 8:
+        dtype = model.flat.dtype.newbyteorder("<")
+        if len(payload) % dtype.itemsize:
             raise ValueError(f"payload of {len(payload)} bytes is not a whole number "
-                             "of float64 values")
-        vector = np.frombuffer(payload, dtype="<f8")
+                             f"of {config.dtype} values")
+        vector = np.frombuffer(payload, dtype=dtype)
         if vector.size != header["param_count"] or vector.size != model.num_params:
             raise ValueError(f"holds {vector.size} parameters, header says "
                              f"{header['param_count']}, model has {model.num_params}")

@@ -71,8 +71,7 @@ class GatLayer:
     params: ClassVar[tuple[str, ...]] = ("weight", "attn")
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.attn = np.asarray(self.attn, dtype=np.float64)
+        self.weight, self.attn = np.asarray(self.weight), np.asarray(self.attn)
         if self.attn.shape != (2 * self.weight.shape[0],):
             raise ValueError("attention vector must have length 2 * out_dim")
 
@@ -99,7 +98,7 @@ class LastGatLayer:
     params: ClassVar[tuple[str, ...]] = ("score",)
 
     def __post_init__(self):
-        self.score = np.asarray(self.score, dtype=np.float64)
+        self.score = np.asarray(self.score)
         if self.score.ndim != 2 or self.score.shape[0] != 2:
             raise ValueError("score pair must have shape (2, in_dim)")
 
@@ -120,8 +119,8 @@ def gat_forward_cached(layer: GatLayer | LastGatLayer, features: np.ndarray,
     hidden layer) or as its [u ; v] (the last layer). A hidden layer
     returns ``elu(alpha @ features Wᵀ)`` with scores ``features @ (Wᵀ
     a)``; the last layer returns ``alpha @ features`` with scores
-    ``features @ [u ; v]ᵀ``."""
-    features = np.asarray(features, dtype=np.float64)
+    ``features @ [u ; v]ᵀ``. The features are read in the map's dtype."""
+    features = np.asarray(features, dtype=applied.dtype)
     if features.shape[-1] != applied.shape[1]:
         raise ValueError(
             f"feature dim {features.shape[-1]} does not match the layer's in_dim {applied.shape[1]}"
@@ -163,7 +162,8 @@ def gat_backward(layer: GatLayer | LastGatLayer, cache: GatCache, d_output: np.n
     else:
         d_agg = d_output * np.exp(np.minimum(cache.aggregated, 0.0))  # 1 where positive
         d_alpha = d_agg @ cache.projected.transpose(0, 2, 1)
-    d_pre = softmax_backward(alpha, d_alpha) * np.where(cache.logits_pre > 0, 1.0, LEAKY_SLOPE)
+    d_pre = softmax_backward(alpha, d_alpha)
+    d_pre = np.where(cache.logits_pre > 0, d_pre, d_pre * LEAKY_SLOPE)
     # (2, B * n): how the loss moves with each node's source and neighbor score.
     d_scores = np.stack([d_pre.sum(axis=2), d_pre.sum(axis=1)]).reshape(2, -1)
 

@@ -9,8 +9,12 @@ role vectors onto the frozen turn embeddings, runs the GAT stack,
 mean-pools the real nodes, fuses the result with the news embedding by
 interactive attention, and a softmax head predicts (p_real, p_fake).
 ``loss_and_grad`` differentiates the mean batch cross-entropy w.r.t.
-every parameter block. All parameters live in one flat float64 buffer;
-each named block is a view into it.
+every parameter block. All parameters live in one flat buffer of the
+model's dtype (``ModelConfig.dtype``, float32 by default); each named
+block is a view into it, and every array of a forward and backward pass
+has that dtype. The embedding rows are float32, so float32 arithmetic
+loses nothing the inputs hold; the test oracles build float64 models
+through the same code.
 
 The paper's last GAT layer has no activation, so its projection W_last
 (node_dim x in_dim, node_dim = 2 * d_h) reaches the output only as the
@@ -78,8 +82,7 @@ class RoleTable:
     that lifts role vectors to the embedding dimension."""
 
     def __init__(self, embeddings: np.ndarray, projection: np.ndarray):
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        projection = np.asarray(projection, dtype=np.float64)
+        embeddings, projection = np.asarray(embeddings), np.asarray(projection)
         if embeddings.shape[0] != len(ROLE_STANCE_PAIRS):
             raise ValueError(
                 f"role table must cover all {len(ROLE_STANCE_PAIRS)} (role, stance) pairs"
@@ -105,8 +108,7 @@ class ClassifierHead:
     bias: np.ndarray    # (2,)
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weight, self.bias = np.asarray(self.weight), np.asarray(self.bias)
         if self.weight.shape[0] != 2 or self.bias.shape != (2,):
             raise ValueError("classifier head must map to exactly two classes")
 
@@ -120,7 +122,7 @@ def classify(fused: np.ndarray, head: ClassifierHead) -> np.ndarray:
     """Softmax over the two class logits of one fused vector or of a
     ``(B, width)`` batch; entries are positive and each row sums to 1
     (up to float rounding)."""
-    fused = np.asarray(fused, dtype=np.float64)
+    fused = np.asarray(fused, dtype=head.weight.dtype)
     if fused.shape[-1] != head.weight.shape[1]:
         raise ValueError(
             f"fused vector width {fused.shape[-1]} does not match head ({head.weight.shape[1]})"
@@ -143,12 +145,13 @@ def global_mean_pool(features: np.ndarray, mask: np.ndarray | None = None) -> np
     """Mean over the nodes of one ``(n, d)`` graph, or over the real
     nodes of each graph in a ``(B, n, d)`` batch given its ``(B, n)``
     node mask."""
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if mask is None:
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError("global_mean_pool needs at least one node")
         return global_mean_pool(features[None], np.ones((1, len(features)), dtype=bool))[0]
-    return (features * mask[..., None]).sum(axis=1) / mask.sum(axis=1, keepdims=True)
+    counts = mask.sum(axis=1, keepdims=True, dtype=features.dtype)
+    return (features * mask[..., None]).sum(axis=1) / counts
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,8 @@ class ModelConfig:
     heads: int = 4
     interaction_mode: str = "nodes"
     seed: int = 0
+    # The dtype of the parameters and of every array a pass computes.
+    dtype: str = "float32"
 
     def __post_init__(self):
         for name in ("d_h", "d_r", "gat_hidden", "gat_layers", "d_p", "heads"):
@@ -170,6 +175,8 @@ class ModelConfig:
             raise ValueError("d_p must be divisible by heads")
         if self.interaction_mode not in INTERACTION_MODES:
             raise ValueError(f"unknown interaction mode {self.interaction_mode!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
 
 @dataclass(frozen=True)
@@ -191,9 +198,10 @@ def make_sample(log: DebateLog, turn_embeddings: np.ndarray, news_embedding: np.
                 label: int | None = None) -> Sample:
     """The sample of one debate, from its ``(n, d_h)`` turn embedding
     matrix (one row per turn, in turn order) and its ``(d_h,)`` news
-    embedding."""
-    news_embedding = np.asarray(news_embedding, dtype=np.float64)
-    turn_embeddings = np.asarray(turn_embeddings, dtype=np.float64)
+    embedding, kept in the dtype they come in: ``collate`` writes them
+    into the model's."""
+    news_embedding = np.asarray(news_embedding)
+    turn_embeddings = np.asarray(turn_embeddings)
     if news_embedding.ndim != 1 or turn_embeddings.shape != (len(log.turns), len(news_embedding)):
         raise ValueError("need one embedding row per turn, as wide as the news embedding")
     role_ids = np.array(role_pair_ids(log.turns), dtype=np.intp)
@@ -211,7 +219,7 @@ def make_news_only_sample(news_id: str, news_embedding: np.ndarray,
                           label: int | None = None) -> Sample:
     """Degenerate one-node sample used when the debate is ablated away:
     the news embedding is the only node and carries no role."""
-    news_embedding = np.asarray(news_embedding, dtype=np.float64)
+    news_embedding = np.asarray(news_embedding)
     return Sample(
         news_id=news_id,
         node_embeddings=news_embedding[None, :],
@@ -231,15 +239,17 @@ class Batch:
     news: np.ndarray       # (B, d_h)
 
 
-def collate(samples: list[Sample]) -> Batch:
-    """Pad samples to the batch's largest node count. The adjacency
-    starts as the identity, so each padding node keeps a lone self-loop
-    and its softmax row stays finite."""
+def collate(samples: list[Sample], dtype: np.dtype | str) -> Batch:
+    """Pad samples to the batch's largest node count, writing their
+    embeddings into ``dtype``. The adjacency starts as the identity, so
+    each padding node keeps a lone self-loop and its softmax row stays
+    finite."""
     if not samples:
         raise ValueError("batch must be non-empty")
     n = max(s.node_embeddings.shape[0] for s in samples)
     d_h = samples[0].node_embeddings.shape[1]
-    nodes = np.zeros((len(samples), n, d_h))
+    nodes = np.zeros((len(samples), n, d_h), dtype=dtype)
+    news = np.empty((len(samples), d_h), dtype=dtype)
     role_ids = np.full((len(samples), n), -1, dtype=np.intp)
     adjacency = np.tile(np.eye(n, dtype=bool), (len(samples), 1, 1))
     mask = np.zeros((len(samples), n), dtype=bool)
@@ -249,7 +259,7 @@ def collate(samples: list[Sample]) -> Batch:
         role_ids[b, :k] = s.role_ids
         adjacency[b, :k, :k] = s.adjacency
         mask[b, :k] = True
-    news = np.stack([s.news_embedding for s in samples]).astype(np.float64)
+        news[b] = s.news_embedding
     return Batch(nodes, role_ids, adjacency, mask, news)
 
 
@@ -281,7 +291,8 @@ class AnalysisModel:
         owners += [(f"classifier.{attr}", classifier, attr) for attr in ("weight", "bias")]
 
         # Move every block into one buffer and leave a view in its place.
-        self.flat = np.concatenate([getattr(owner, attr).ravel() for _, owner, attr in owners])
+        self.flat = np.concatenate([getattr(owner, attr).ravel() for _, owner, attr in owners],
+                                   dtype=config.dtype)
         self._blocks: list[tuple[str, slice, tuple[int, ...]]] = []
         self._views: dict[str, np.ndarray] = {}
         offset = 0
@@ -335,7 +346,7 @@ class AnalysisModel:
         return out
 
     def set_parameter_vector(self, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
+        vector = np.asarray(vector)
         if vector.shape != self.flat.shape:
             raise ValueError(f"expected {self.num_params} parameters, got {vector.shape}")
         self.flat[...] = vector
@@ -345,14 +356,14 @@ class AnalysisModel:
     def forward(self, samples: list[Sample]):
         """Run the full forward pass over a batch; returns (probs, cache)
         with probs of shape (B, 2)."""
-        batch = collate(samples)
+        batch = collate(samples, self.flat.dtype)
         d_h = self.config.d_h
         if batch.nodes.shape[2] != d_h:
             raise ValueError(f"sample embeddings have dim {batch.nodes.shape[2]}, "
                              f"model expects {d_h}")
         # One-hot role rows; role-less and padding nodes get a zero row.
         table = self.role_table.embeddings @ self.role_table.projection.T
-        roles = (batch.role_ids[..., None] == np.arange(table.shape[0])).astype(np.float64)
+        roles = (batch.role_ids[..., None] == np.arange(table.shape[0])).astype(table.dtype)
         # A map M = [M_e | M_r] over [embedding ; roles @ table] equals
         # [M_e | M_r tableᵀ] applied to [embedding ; roles].
         maps = []
@@ -382,16 +393,22 @@ class AnalysisModel:
         """Gradient of the mean cross-entropy of a forward batch, as one
         flat vector aligned with ``parameter_vector``: a new one, or
         ``out`` filled. Each block is written in place by the product
-        that computes it."""
+        that computes it.
+
+        An entry of p - y below the dtype's epsilon is taken as 0: it is
+        below what p - y resolves for a probability near 1, and in float32
+        it is a subnormal that would slow every product downstream."""
         if out is None:
-            out = np.empty(self.num_params)
-        elif out.shape != self.flat.shape or out.dtype != np.float64 \
+            out = np.empty_like(self.flat)
+        elif out.shape != self.flat.shape or out.dtype != self.flat.dtype \
                 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a contiguous float64 vector of {self.num_params}")
+            raise ValueError(f"out must be a contiguous {self.flat.dtype} vector "
+                             f"of {self.num_params}")
         grads = {name: out[sl].reshape(shape) for name, sl, shape in self._blocks}
         batch: Batch = cache["batch"]
         d_logits = cache["probs"].copy()
         d_logits[np.arange(len(labels)), labels] -= 1.0
+        d_logits[np.abs(d_logits) < np.finfo(d_logits.dtype).eps] = 0.0
         d_logits /= len(labels)
 
         np.matmul(d_logits.T, cache["fused"], out=grads["classifier.weight"])
@@ -408,13 +425,13 @@ class AnalysisModel:
         targets = dict(grads)
         for name in self._role_maps:
             block = grads[name]
-            targets[name] = block[:, :width] if fits else np.empty((len(block), width))
+            targets[name] = block[:, :width] if fits else np.empty((len(block), width), out.dtype)
 
         d_activations, d_pooled = interact_backward(
             self.interaction, cache["attention"], d_fused,
             {name: targets[f"interaction.{name}"] for name in PROJECTIONS},
         )
-        counts = batch.mask.sum(axis=1)
+        counts = batch.mask.sum(axis=1, dtype=out.dtype)
         d_mean = batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
         if d_activations is None:
             d_activations = d_mean

@@ -71,7 +71,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
     if not train_samples:
         raise ValueError("no training items")
     rng = np.random.default_rng(config.seed)
-    state = AdamState.create(model.num_params, config.lr)
+    state = AdamState.create(model.num_params, config.lr, model.flat.dtype)
 
     frozen_mask = None
     if config.freeze_blocks:
@@ -79,14 +79,14 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
         unknown = set(config.freeze_blocks) - set(slices)
         if unknown:
             raise ValueError(f"unknown parameter blocks to freeze: {sorted(unknown)}")
-        frozen_mask = np.ones(model.num_params)
+        frozen_mask = np.ones_like(model.flat)
         for name in config.freeze_blocks:
             frozen_mask[slices[name]] = 0.0
 
     # One gradient buffer serves every step, and one snapshot buffer
     # holds the best epoch's parameters.
-    grad = np.empty(model.num_params)
-    best_params = np.empty(model.num_params) if val_samples else None
+    grad = np.empty_like(model.flat)
+    best_params = np.empty_like(model.flat) if val_samples else None
     loss_history: list[float] = []
     val_history: list[float] = []
     best_epoch: int | None = None

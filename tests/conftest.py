@@ -38,9 +38,10 @@ def default_log(news_item, mock_gateway):
 
 def tiny_model(mode: str = "nodes", layers: int = 2, seed: int = 0,
                heads: int = 1) -> AnalysisModel:
+    """A float64 model, for comparisons at float64 tolerances."""
     config = ModelConfig(
         d_h=4, d_r=2, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
-        interaction_mode=mode, seed=seed,
+        interaction_mode=mode, seed=seed, dtype="float64",
     )
     return AnalysisModel.create(config)
 
@@ -97,11 +98,19 @@ def factored_param_count(config: ModelConfig) -> int:
     return count + 2 * 2 * config.d_p + 2
 
 
+def write_float64_checkpoint(path, config: ModelConfig, provider_id: str, version: int,
+                             param_count: int) -> None:
+    """A checkpoint as versions 1 and 2 wrote it: no dtype in the header,
+    and ``param_count`` zeros as little-endian float64."""
+    fields = {k: v for k, v in dataclasses.asdict(config).items() if k != "dtype"}
+    header = {"format": "veridebate-checkpoint", "version": version, **fields,
+              "labels": {"real": 0, "fake": 1}, "param_count": param_count,
+              "provider_id": provider_id}
+    payload = np.zeros(param_count, dtype="<f8").tobytes()
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
 def write_factored_checkpoint(path, config: ModelConfig, provider_id: str) -> None:
     """A checkpoint as version 1 wrote it, with the factored layout's
     parameter count (all zeros)."""
-    header = {"format": "veridebate-checkpoint", "version": 1,
-              **dataclasses.asdict(config), "labels": {"real": 0, "fake": 1},
-              "param_count": factored_param_count(config), "provider_id": provider_id}
-    payload = np.zeros(header["param_count"], dtype="<f8").tobytes()
-    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    write_float64_checkpoint(path, config, provider_id, 1, factored_param_count(config))

@@ -126,6 +126,8 @@ def make_gradcheck_case(seed: int, mode: str = "nodes", layers: int = 2,
     checking at step 1e-4. The batch holds ``batch_size`` graphs of 3 to
     8 nodes, or one graph per entry of ``node_counts``.
 
+    The model is float64, as the oracle's step and bounds assume.
+
     The attention logits pass through a leaky ReLU, which has no
     derivative at 0; configurations whose pre-activations sit inside the
     guard band around the kink are resampled so the central difference
@@ -135,7 +137,7 @@ def make_gradcheck_case(seed: int, mode: str = "nodes", layers: int = 2,
     while True:
         config = ModelConfig(
             d_h=d_h, d_r=2, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
-            interaction_mode=mode, seed=int(rng.integers(0, 2**31)),
+            interaction_mode=mode, seed=int(rng.integers(0, 2**31)), dtype="float64",
         )
         model = AnalysisModel.create(config)
         counts = node_counts or [int(rng.integers(3, 9)) for _ in range(batch_size)]

@@ -24,7 +24,7 @@ def mixed_samples(seed: int):
 
 def test_collate_pads_to_largest_graph():
     samples = mixed_samples(0)
-    batch = collate(samples)
+    batch = collate(samples, "float64")
     n = max(NODE_COUNTS)
     assert batch.nodes.shape == (len(samples), n, 4)
     assert batch.news.shape == (len(samples), 4)

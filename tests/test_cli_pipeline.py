@@ -485,7 +485,7 @@ class TestPipelineCommand:
         config = ModelConfig(**{name: header[name] for name in ModelConfig.__dataclass_fields__})
         write_factored_checkpoint(checkpoint, config, header["provider_id"])
         assert run_cli("predict", *common) == 1
-        for part in (str(checkpoint), "version 1", "version 2"):
+        for part in (str(checkpoint), "version 1", "version 3"):
             assert part in caplog.text
         assert not (out / "predictions.jsonl").exists()
 
@@ -798,7 +798,7 @@ class TestBuildSamples:
         assert "recomputing" in caplog.text
         expected = np.asarray(provider.inner.embed_text(first.content), dtype="<f4")
         for item in (first, second):
-            assert samples[item.id].news_embedding.tobytes() == expected.astype(float).tobytes()
+            assert samples[item.id].news_embedding.tobytes() == expected.tobytes()
 
     def test_overflowing_fresh_vector_stops_the_encode_stage(self, tmp_path):
         """A provider vector that overflows float32 is refused by the

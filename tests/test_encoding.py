@@ -118,7 +118,7 @@ class TestEmbedTexts:
         counting = CountingProvider(provider)
         rows = CachedEmbedder(counting, tmp_path).embed_texts(BULK_TEXTS)
         expected = per_text_rows(provider, BULK_TEXTS)
-        assert rows.dtype == np.float64
+        assert rows.dtype == np.float32
         assert rows.tobytes() == expected.tobytes()
         assert counting.calls == 4 - len(cached)  # the repeated miss is embedded once
         warm = CachedEmbedder(counting, tmp_path).embed_texts(BULK_TEXTS)

@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import factored_forward, literal_attention_weights, reference_forward
+from oracles import (
+    block_relative_errors,
+    factored_forward,
+    literal_attention_weights,
+    reference_forward,
+)
 from strategies import random_graph_sample
 import veridebate
 from veridebate.neural import (
@@ -33,13 +38,17 @@ from veridebate.neural.model import RoleTable, loss_and_grad
 model_module = importlib.import_module("veridebate.neural.model")
 train_module = importlib.import_module("veridebate.neural.train")
 adam_module = importlib.import_module("veridebate.neural.adam")
+gat_module = importlib.import_module("veridebate.neural.gat")
+attention_module = importlib.import_module("veridebate.neural.attention")
 
 D_H = 6  # node_dim = 12, a width no other dimension here shares
 
 
-def small_model(mode: str, layers: int, d_h: int = D_H, heads: int = 2) -> AnalysisModel:
+def small_model(mode: str, layers: int, d_h: int = D_H, heads: int = 2,
+                dtype: str = "float64") -> AnalysisModel:
+    """Float64 unless asked: the reference comparisons hold to 1e-12."""
     config = ModelConfig(d_h=d_h, d_r=3, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
-                         interaction_mode=mode, seed=layers)
+                         interaction_mode=mode, seed=layers, dtype=dtype)
     return AnalysisModel.create(config)
 
 
@@ -234,6 +243,146 @@ def test_out_buffer_of_wrong_layout_rejected():
         loss_and_grad(model, mixed_samples(3), out=np.empty(2 * model.num_params)[::2])
 
 
+def test_out_buffer_of_another_dtype_rejected():
+    model = small_model("nodes", layers=2, dtype="float32")
+    with pytest.raises(ValueError, match="contiguous float32"):
+        loss_and_grad(model, mixed_samples(3), out=np.empty(model.num_params))
+
+
+def floating_arrays(value, path: str):
+    """(path, array) for every floating array reachable from ``value``
+    through dicts, sequences and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from floating_arrays(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from floating_arrays(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        yield from floating_arrays(vars(value), f"{path}:{type(value).__name__}")
+
+
+def recording_arrays(monkeypatch, module, names) -> list:
+    """Wrap each named module global so that every floating array it is
+    passed or returns is appended, with its path, to the list returned."""
+    seen = []
+    for name in names:
+        original = getattr(module, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            seen.extend(floating_arrays((args, kwargs, result), _name))
+            return result
+
+        monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+class RecordingNumpy:
+    """numpy, with every floating array a function call returns appended
+    to ``seen``; classes and constants pass through."""
+
+    def __init__(self, seen: list):
+        self._seen = seen
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            result = attr(*args, **kwargs)
+            self._seen.extend(floating_arrays(result, f"np.{name}"))
+            return result
+
+        return call
+
+
+def recording_numpy(monkeypatch, modules, seen: list) -> None:
+    for module in modules:
+        monkeypatch.setattr(module, "np", RecordingNumpy(seen))
+
+
+# d_h = 6 maps the role columns back from a separate buffer; d_h = 16 in place.
+@pytest.mark.parametrize("d_h", [6, 16])
+@pytest.mark.parametrize("mode", ["nodes", "pooled"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_every_array_of_a_pass_has_the_model_dtype(monkeypatch, dtype, layers, mode, d_h):
+    """numpy promotes to float64 without a word (a bool sum as a divisor,
+    np.where over Python floats, a float64 literal), and a product
+    written into the gradient buffer, or added in place, casts back
+    without one; so each layer's inputs and outputs and every numpy
+    call's result are checked, not only the results."""
+    model = small_model(mode, layers, d_h, dtype=dtype)
+    seen = recording_arrays(monkeypatch, model_module, (
+        "gat_forward_cached", "gat_backward", "interact_cached", "interact_backward",
+        "classify", "global_mean_pool"))
+    recording_numpy(monkeypatch, (model_module, gat_module, attention_module), seen)
+    samples = mixed_samples(5, d_h=d_h)  # float64 rows, of the other width for float32
+    _, cache = model.forward(samples)
+    grad = model.gradient(cache, np.array([s.label for s in samples]))
+    seen += [*floating_arrays(cache, "cache"), ("grad", grad)]
+    assert len(seen) > 20
+    assert [path for path, array in seen if array.dtype != model.flat.dtype] == []
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_step_runs_in_the_model_dtype(monkeypatch, dtype):
+    model = small_model("nodes", layers=2, dtype=dtype)
+    seen = recording_arrays(monkeypatch, train_module, ("adam_step",))
+    recording_numpy(monkeypatch, (train_module, adam_module), seen)
+    train(model, mixed_samples(2), TrainConfig(epochs=1, freeze_blocks=("role_embeddings",)),
+          val_samples=mixed_samples(3))
+    paths = [path for path, _ in seen]
+    assert "adam_step[0][2]:AdamState.scratch" in paths and "np.ones_like" in paths
+    assert paths.count("np.empty_like") == 2  # the gradient and the best parameters
+    assert [path for path, array in seen if array.dtype != model.flat.dtype] == []
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_saturated_batch_has_an_exactly_zero_gradient(dtype):
+    """Each true-class probability rounds to 1, and the wrong class's,
+    e^-100, is a subnormal in float32: p - y resolves to 0."""
+    model = small_model("nodes", layers=2, dtype=dtype)
+    model.classifier.weight[...] = 0.0
+    model.classifier.bias[...] = [-50.0, 50.0]
+    samples = [dataclasses.replace(s, label=1) for s in mixed_samples(6)]
+    probs, cache = model.forward(samples)
+    assert np.all(probs[:, 1] == 1.0) and np.all(probs[:, 0] > 0.0)
+    assert not model.gradient(cache, np.ones(len(samples), dtype=np.intp)).any()
+
+
+# Fixed before the first run. float32 carries 24 bits (eps 1.2e-7), and
+# these passes chain a few dozen roundings of values near 1; the
+# gradient is held to criterion 2's bound, per block relative to its
+# largest entry.
+FLOAT32_PROBS_BOUND = 1e-5
+FLOAT32_GRAD_BLOCK_BOUND = 1e-4
+
+
+@pytest.mark.parametrize("mode", ["nodes", "pooled"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_float32_path_tracks_the_float64_path(mode, layers):
+    """One set of parameters and inputs, exact in both dtypes, through
+    both paths."""
+    wide = small_model(mode, layers)
+    narrow = small_model(mode, layers, dtype="float32")
+    narrow.set_parameter_vector(wide.flat)
+    wide.set_parameter_vector(narrow.flat)
+    samples = [dataclasses.replace(s, node_embeddings=s.node_embeddings.astype(np.float32),
+                                   news_embedding=s.news_embedding.astype(np.float32))
+               for s in mixed_samples(layers + 30)]
+    labels = np.array([s.label for s in samples])
+    (p64, c64), (p32, c32) = wide.forward(samples), narrow.forward(samples)
+    assert np.abs(p32 - p64).max() <= FLOAT32_PROBS_BOUND
+    errors = block_relative_errors(wide, narrow.gradient(c32, labels), wide.gradient(c64, labels))
+    assert max(errors.values()) < FLOAT32_GRAD_BLOCK_BOUND, errors
+
+
 def test_train_passes_one_buffer_to_every_step(monkeypatch):
     model = small_model("nodes", layers=2)
     filled, stepped = [], []
@@ -265,7 +414,7 @@ def test_steady_state_step_peak_is_bounded():
     model = AnalysisModel.create(ModelConfig())
     rng = np.random.default_rng(0)
     batch = [random_graph_sample(rng, 8, model.config.d_h) for _ in range(32)]
-    out = np.empty(model.num_params)
+    out = np.empty_like(model.flat)
     loss_and_grad(model, batch, out=out)
     tracemalloc.start()
     try:

@@ -330,7 +330,8 @@ class TestNormalizationSweep:
     def test_model_probs_normalized(self):
         rng = np.random.default_rng(12)
         model = AnalysisModel.create(
-            ModelConfig(d_h=4, d_r=2, gat_hidden=5, gat_layers=2, d_p=4, heads=2, seed=1)
+            ModelConfig(d_h=4, d_r=2, gat_hidden=5, gat_layers=2, d_p=4, heads=2, seed=1,
+                        dtype="float64")
         )
         for _ in range(50):
             sample = random_graph_sample(rng, int(rng.integers(2, 8)), 4)

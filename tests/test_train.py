@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import factored_param_count, write_factored_checkpoint
+from conftest import factored_param_count, write_factored_checkpoint, write_float64_checkpoint
 from strategies import random_graph_sample
 from veridebate.encoding import HashEmbeddingProvider
 from veridebate.neural import (
@@ -22,9 +22,9 @@ from veridebate.neural import (
 from veridebate.synthetic import make_synthetic_corpus
 
 
-def small_config(seed=0):
+def small_config(seed=0, dtype=ModelConfig.dtype):
     return ModelConfig(d_h=4, d_r=2, gat_hidden=5, gat_layers=2, d_p=4, heads=2,
-                       seed=seed)
+                       seed=seed, dtype=dtype)
 
 
 # The embedder every checkpoint here is written for.
@@ -135,6 +135,19 @@ class TestCheckpoints:
         assert np.array_equal(predict_proba(model, samples),
                               predict_proba(loaded, samples))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_roundtrip_is_bit_exact_in_the_model_dtype(self, tmp_path, dtype):
+        model = AnalysisModel.create(small_config(seed=15, dtype=dtype))
+        train(model, random_samples(6, seed=16), TrainConfig(lr=1e-3, epochs=2, seed=17))
+        path = tmp_path / "model.bin"
+        save_model(path, model, PROVIDER)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["dtype"] == dtype
+        assert payload == model.flat.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+        loaded = load_model(path, PROVIDER)
+        assert loaded.config == model.config and loaded.flat.dtype == np.dtype(dtype)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+
     def test_header_records_label_convention(self, tmp_path):
         model = AnalysisModel.create(small_config())
         path = tmp_path / "model.bin"
@@ -160,15 +173,47 @@ class TestCheckpoints:
             load_model(path, PROVIDER)
         message = str(excinfo.value)
         assert str(path) in message
-        assert "version 1" in message and "version 2" in message
+        assert "version 1" in message and "version 3" in message
 
-    @pytest.mark.parametrize("version", [3, "2", None])
+    def test_version_2_file_rejected_naming_both_versions(self, tmp_path):
+        config = small_config()
+        path = tmp_path / "v2.bin"
+        write_float64_checkpoint(path, config, PROVIDER, 2,
+                                 AnalysisModel.create(config).num_params)
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path, PROVIDER)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "version 2" in message and "version 3" in message
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_payload_not_whole_values_of_header_dtype_rejected(self, tmp_path, dtype):
+        path = tmp_path / "model.bin"
+        save_model(path, AnalysisModel.create(small_config(dtype=dtype)), PROVIDER)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        # Whole values of the other dtype's width when that is narrower.
+        path.write_bytes(header + b"\n" + payload[:-np.dtype(dtype).itemsize // 2])
+        with pytest.raises(ValueError, match=f"not a whole number of {dtype} values") as excinfo:
+            load_model(path, PROVIDER)
+        assert str(path) in str(excinfo.value)
+
+    def test_unknown_dtype_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, AnalysisModel.create(small_config()), PROVIDER)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        fields["dtype"] = "float16"
+        path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path, PROVIDER)
+
+    @pytest.mark.parametrize("version", [2, "3", None])
     def test_other_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.bin"
         save_model(path, AnalysisModel.create(small_config()), PROVIDER)
         header, payload = path.read_bytes().split(b"\n", 1)
         fields = json.loads(header)
-        assert fields["version"] == 2
+        assert fields["version"] == 3
         fields["version"] = version
         path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match=re.escape(str(path))):

@@ -27,9 +27,9 @@ class AdamState:
         self.scratch = np.empty(min(CHUNK, self.m.size), dtype=self.m.dtype)
 
     @classmethod
-    def create(cls, num_params: int, lr: float, dtype=None) -> "AdamState":
-        """Zero moments of ``dtype``, numpy's default float if None."""
-        return cls(lr=lr, m=np.zeros(num_params, dtype), v=np.zeros(num_params, dtype))
+    def create(cls, params: np.ndarray, lr: float) -> "AdamState":
+        """Zero moments of the shape and dtype of ``params``."""
+        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def all_finite(values: np.ndarray) -> bool:

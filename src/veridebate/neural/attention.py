@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gat import softmax, softmax_backward
+from .gat import float_params, softmax, softmax_backward
 
 INTERACTION_MODES = ("pooled", "nodes")
 # The trainable projections, in parameter-buffer order.
@@ -58,8 +58,9 @@ class InteractionHead:
     heads: int
 
     def __post_init__(self):
-        for name in PROJECTIONS:
-            setattr(self, name, np.asarray(getattr(self, name)))
+        arrays = float_params(*(getattr(self, name) for name in PROJECTIONS))
+        for name, array in zip(PROJECTIONS, arrays):
+            setattr(self, name, array)
         d_p = self.graph_map.shape[0]
         for name in ("query", "key", "value", "out"):
             if getattr(self, name).shape != (d_p, d_p):

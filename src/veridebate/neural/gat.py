@@ -39,6 +39,20 @@ from typing import ClassVar
 import numpy as np
 
 LEAKY_SLOPE = 0.2
+# The dtypes a model computes in; every parameter array has one of them.
+FLOAT_DTYPES = ("float32", "float64")
+
+
+def float_params(*arrays) -> tuple[np.ndarray, ...]:
+    """The arrays as numpy arrays, refusing any that is not of a
+    ``FLOAT_DTYPES`` dtype: each pass reads its inputs in the dtype of
+    the parameters it applies, so an integer parameter would cut them
+    to integers."""
+    arrays = tuple(np.asarray(a) for a in arrays)
+    for a in arrays:
+        if a.dtype.name not in FLOAT_DTYPES:
+            raise ValueError(f"parameters must be float32 or float64, got {a.dtype}")
+    return arrays
 
 
 def elu(x: np.ndarray) -> np.ndarray:
@@ -71,7 +85,7 @@ class GatLayer:
     params: ClassVar[tuple[str, ...]] = ("weight", "attn")
 
     def __post_init__(self):
-        self.weight, self.attn = np.asarray(self.weight), np.asarray(self.attn)
+        self.weight, self.attn = float_params(self.weight, self.attn)
         if self.attn.shape != (2 * self.weight.shape[0],):
             raise ValueError("attention vector must have length 2 * out_dim")
 
@@ -98,7 +112,7 @@ class LastGatLayer:
     params: ClassVar[tuple[str, ...]] = ("score",)
 
     def __post_init__(self):
-        self.score = np.asarray(self.score)
+        (self.score,) = float_params(self.score)
         if self.score.ndim != 2 or self.score.shape[0] != 2:
             raise ValueError("score pair must have shape (2, in_dim)")
 

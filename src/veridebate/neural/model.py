@@ -55,7 +55,15 @@ from .attention import (
     interact_backward,
     interact_cached,
 )
-from .gat import GatLayer, LastGatLayer, gat_backward, gat_forward_cached, softmax
+from .gat import (
+    FLOAT_DTYPES,
+    GatLayer,
+    LastGatLayer,
+    float_params,
+    gat_backward,
+    gat_forward_cached,
+    softmax,
+)
 
 LOG_CLAMP = 1e-12
 
@@ -82,7 +90,7 @@ class RoleTable:
     that lifts role vectors to the embedding dimension."""
 
     def __init__(self, embeddings: np.ndarray, projection: np.ndarray):
-        embeddings, projection = np.asarray(embeddings), np.asarray(projection)
+        embeddings, projection = float_params(embeddings, projection)
         if embeddings.shape[0] != len(ROLE_STANCE_PAIRS):
             raise ValueError(
                 f"role table must cover all {len(ROLE_STANCE_PAIRS)} (role, stance) pairs"
@@ -108,7 +116,7 @@ class ClassifierHead:
     bias: np.ndarray    # (2,)
 
     def __post_init__(self):
-        self.weight, self.bias = np.asarray(self.weight), np.asarray(self.bias)
+        self.weight, self.bias = float_params(self.weight, self.bias)
         if self.weight.shape[0] != 2 or self.bias.shape != (2,):
             raise ValueError("classifier head must map to exactly two classes")
 
@@ -175,7 +183,7 @@ class ModelConfig:
             raise ValueError("d_p must be divisible by heads")
         if self.interaction_mode not in INTERACTION_MODES:
             raise ValueError(f"unknown interaction mode {self.interaction_mode!r}")
-        if self.dtype not in ("float32", "float64"):
+        if self.dtype not in FLOAT_DTYPES:
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
 

@@ -71,7 +71,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
     if not train_samples:
         raise ValueError("no training items")
     rng = np.random.default_rng(config.seed)
-    state = AdamState.create(model.num_params, config.lr, model.flat.dtype)
+    state = AdamState.create(model.flat, config.lr)
 
     frozen_mask = None
     if config.freeze_blocks:

@@ -20,7 +20,8 @@ from veridebate.neural import (
     predict_proba,
 )
 from veridebate.neural.adam import BETA1, BETA2, CHUNK, EPS
-from veridebate.neural.gat import GatLayer, elu, gat_forward, leaky_relu
+from veridebate.neural.gat import GatLayer, LastGatLayer, elu, gat_forward, leaky_relu
+from veridebate.neural.model import RoleTable
 
 
 def chain_graph(n):
@@ -214,6 +215,25 @@ class TestClassify:
             classify(np.ones(4), head)
 
 
+INTEGER_PARAMETERS = {
+    "classifier": lambda: ClassifierHead(weight=np.array([[1, 0], [0, 1]]), bias=np.zeros(2)),
+    "gat": lambda: GatLayer(weight=np.eye(2, dtype=int), attn=np.zeros(4)),
+    "last_gat": lambda: LastGatLayer(np.ones((2, 3), dtype=np.int32)),
+    "interaction": lambda: InteractionHead(
+        graph_map=np.eye(2), news_proj=np.ones((2, 1), dtype=int), query=np.eye(2),
+        key=np.eye(2), value=np.eye(2), out=np.eye(2), heads=1),
+    "role_table": lambda: RoleTable(np.zeros((10, 2), dtype=int), np.zeros((4, 2))),
+}
+
+
+@pytest.mark.parametrize("build", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS.keys())
+def test_integer_parameters_rejected(build):
+    """Each pass reads its inputs in its parameters' dtype, so an integer
+    parameter would cut them to integers."""
+    with pytest.raises(ValueError, match="float32 or float64"):
+        build()
+
+
 class TestLoss:
     def test_perfect_prediction(self):
         assert cross_entropy(np.array([1.0, 0.0]), 0) == 0.0
@@ -239,22 +259,22 @@ class TestLoss:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        state = AdamState.create(3, lr=0.1)
         params = np.array([1.0, -2.0, 0.5])
+        state = AdamState.create(params, lr=0.1)
         adam_step(params, np.zeros(3), state)
         assert np.array_equal(params, [1.0, -2.0, 0.5])
         assert state.step == 1
 
     def test_single_step_hand_case(self):
-        state = AdamState.create(1, lr=0.1)
         params = np.array([1.0])
+        state = AdamState.create(params, lr=0.1)
         adam_step(params, np.array([0.5]), state)
         # bias-corrected m=0.5, v=0.25 -> delta = -lr * 0.5/(0.5 + eps)
         assert params[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_constant_gradient_approaches_lr_magnitude(self):
-        state = AdamState.create(2, lr=0.01)
         params = np.zeros(2)
+        state = AdamState.create(params, lr=0.01)
         grad = np.array([0.3, -4.0])
         for _ in range(200):
             previous = params.copy()
@@ -266,8 +286,8 @@ class TestAdam:
     def test_chunked_step_is_bit_identical_to_whole_vector_formula(self):
         rng = np.random.default_rng(13)
         size = 2 * CHUNK + 17  # two full chunks and a short tail
-        state = AdamState.create(size, lr=0.01)
         params = rng.standard_normal(size)
+        state = AdamState.create(params, lr=0.01)
         m, v, expected = np.zeros(size), np.zeros(size), params.copy()
         for step in range(1, 6):
             grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
@@ -286,8 +306,8 @@ class TestAdam:
     def test_efficient_order_matches_textbook_update(self):
         rng = np.random.default_rng(14)
         size = 4096
-        state = AdamState.create(size, lr=0.01)
         params = rng.standard_normal(size)
+        state = AdamState.create(params, lr=0.01)
         m, v, expected = np.zeros(size), np.zeros(size), params.copy()
         for step in range(1, 6):
             # Magnitudes from 1e-6 to 1e2, so eps matters for some entries.
@@ -302,12 +322,13 @@ class TestAdam:
             np.testing.assert_allclose(actual, textbook, rtol=1e-12, atol=0)
 
     def test_non_finite_rejected(self):
-        state = AdamState.create(1, lr=0.1)
+        params = np.array([1.0])
+        state = AdamState.create(params, lr=0.1)
         with pytest.raises(ValueError):
-            adam_step(np.array([1.0]), np.array([np.nan]), state)
+            adam_step(params, np.array([np.nan]), state)
 
     def test_length_mismatch_rejected(self):
-        state = AdamState.create(2, lr=0.1)
+        state = AdamState.create(np.zeros(2), lr=0.1)
         with pytest.raises(ValueError):
             adam_step(np.zeros(3), np.zeros(3), state)
 

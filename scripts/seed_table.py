@@ -8,8 +8,10 @@ Cells: the stance task (corpus seed 7) and the role task (corpus seed
 heads 4; 500 train / 200 test items; 20 epochs on stance, 30 on role)
 and at the default dims (200 / 200 items, 5 epochs). Every run uses lr
 5e-3, batch 32, hash embeddings of width d_h (salt 0), no validation
-split, and the same seed for the model and for training. Each cell
-ends with the mean and the min-to-max spread of each dtype.
+split, and the same seed for the model and for training. The samples
+come from ``Pipeline.build_samples``, so both dtypes read the float32
+rows a pipeline run feeds. Each cell ends with the mean and the
+min-to-max spread of each dtype.
 
     PYTHONPATH=src python3 scripts/seed_table.py --seeds 16-25
 
@@ -19,21 +21,15 @@ Runs hermetically (synthetic debates, numpy only) and deterministically.
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
 
 import numpy as np
 
-from veridebate.encoding import HashEmbeddingProvider
-from veridebate.neural import (
-    AnalysisModel,
-    ModelConfig,
-    TrainConfig,
-    accuracy,
-    train,
-)
+from veridebate.config import PipelineConfig
+from veridebate.neural import AnalysisModel, ModelConfig, TrainConfig, accuracy, train
+from veridebate.pipeline import Pipeline
 from veridebate.synthetic import make_synthetic_corpus
-
-from run_synthetic_experiment import samples_for
 
 CORPUS_SEEDS = {"stance": 7, "role": 11}
 DTYPES = ("float64", "float32")
@@ -58,8 +54,11 @@ def seed_range(text: str) -> list[int]:
 def cell_samples(task: str, d_h: int, n_train: int, n_test: int):
     corpus = make_synthetic_corpus(n_train=n_train, n_test=n_test,
                                    seed=CORPUS_SEEDS[task], task=task)
-    provider = HashEmbeddingProvider(dim=d_h, seed=0)
-    return samples_for(corpus, provider, "train"), samples_for(corpus, provider, "test")
+    with tempfile.TemporaryDirectory() as workspace:
+        samples = Pipeline(PipelineConfig(d_h=d_h), workspace).build_samples(corpus.dataset,
+                                                                             corpus.logs)
+    return [[samples[item.id] for item in corpus.dataset.split(split)]
+            for split in ("train", "test")]
 
 
 def run_cell(dims: dict, epochs: int, train_samples, test_samples, seed: int,

@@ -56,7 +56,11 @@ def float_params(*arrays) -> tuple[np.ndarray, ...]:
 
 
 def elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, np.expm1(x))
+    # np.where(x > 0, x, np.expm1(x)) up to the sign of 0, minus its slow select.
+    out = np.minimum(x, 0)
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0)
+    return out
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adam import AdamState, adam_step
-from .model import AnalysisModel, Sample, check_gradient, loss_and_grad
+from .model import AnalysisModel, Sample, _labels, check_gradient, loss_and_grad
 
 # Samples per forward pass when predicting; bounds peak memory on large
 # splits.
@@ -22,9 +22,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    # Parameter blocks whose gradients are zeroed before each update
-    # (e.g. to freeze a zeroed role table for an ablation).
-    freeze_blocks: tuple[str, ...] = ()
 
     def __post_init__(self):
         # lr = 0 is a well-defined no-op update; PipelineConfig refuses it.
@@ -54,7 +51,8 @@ def predict(model: AnalysisModel, samples: list[Sample]) -> np.ndarray:
 
 
 def accuracy(model: AnalysisModel, samples: list[Sample]) -> float:
-    labels = np.array([s.label for s in samples])
+    """The share predicted right; an unlabeled sample is a ValueError."""
+    labels = _labels(samples)
     return float((predict(model, samples) == labels).mean())
 
 
@@ -72,16 +70,6 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
         raise ValueError("no training items")
     rng = np.random.default_rng(config.seed)
     state = AdamState.create(model.flat, config.lr)
-
-    frozen_mask = None
-    if config.freeze_blocks:
-        slices = dict(model.block_slices())
-        unknown = set(config.freeze_blocks) - set(slices)
-        if unknown:
-            raise ValueError(f"unknown parameter blocks to freeze: {sorted(unknown)}")
-        frozen_mask = np.ones_like(model.flat)
-        for name in config.freeze_blocks:
-            frozen_mask[slices[name]] = 0.0
 
     # One gradient buffer serves every step, and one snapshot buffer
     # holds the best epoch's parameters.
@@ -102,8 +90,6 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
                 batch = [train_samples[i] for i in order[start : start + config.batch_size]]
                 loss, _ = loss_and_grad(model, batch, out=grad)
                 total += loss * len(batch)
-                if frozen_mask is not None:
-                    grad *= frozen_mask
                 try:
                     adam_step(model.flat, grad, state)
                 except ValueError:

@@ -5,16 +5,18 @@ reports, embedding and generation caches, checkpoints, predictions,
 metrics) so every stage is resumable: existing valid transcript and
 report files are picked up (an unusable one is regenerated), and
 embeddings come from the on-disk cache. The ablation variants re-wire
-the stage sequence without touching the persisted artifacts; a name
-outside ``VARIANTS`` is refused before any stage runs.
+the stage sequence or the samples without touching the persisted
+artifacts; a name outside ``VARIANTS`` is refused before any stage runs.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .config import PipelineConfig
 from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, VerdictHint, validate_log
@@ -40,7 +42,7 @@ logger = logging.getLogger(__name__)
 # The full pipeline's checkpoint; an ablation run writes model-<variant>.bin.
 CHECKPOINT = "model.bin"
 # The components an ablation can switch off; _run_variant implements each.
-ABLATION_TOGGLES = ("no_debate", "no_analysis")
+ABLATION_TOGGLES = ("no_debate", "no_analysis", "no_roles")
 VARIANTS = ("full", *ABLATION_TOGGLES)
 
 
@@ -195,7 +197,9 @@ class Pipeline:
                       variant: str = "full") -> dict[str, Sample]:
         """One sample per item: its news and turn embeddings, or for
         ``no_debate`` its news alone, sliced from one ``embed_texts`` of
-        all items' texts. Any error is a ``StageError`` of the encode stage."""
+        all items' texts; ``no_roles`` gives no node a role (id -1), so the
+        role path adds exactly 0 and gets a gradient of exactly 0. Any
+        error is a ``StageError`` of the encode stage."""
         try:
             if variant == "no_debate":
                 news = self.embedder.embed_texts([item.content for item in dataset.items])
@@ -209,8 +213,12 @@ class Pipeline:
                 spans.append((item, log, len(texts)))
                 texts += [item.content, *(t.text for t in log.turns)]
             rows = self.embedder.embed_texts(texts)
-            return {item.id: make_sample(log, rows[at + 1:at + 1 + len(log)], rows[at], item.label)
-                    for item, log, at in spans}
+            samples = {item.id: make_sample(log, rows[at + 1:at + 1 + len(log)], rows[at],
+                                            item.label) for item, log, at in spans}
+            if variant == "no_roles":
+                samples = {news_id: replace(s, role_ids=np.full_like(s.role_ids, -1))
+                           for news_id, s in samples.items()}
+            return samples
         except Exception as exc:
             raise StageError("encode", str(exc)) from exc
 
@@ -234,7 +242,7 @@ class Pipeline:
         model = AnalysisModel.create(self.config.model_config())
         try:
             train(model, train_samples, self.config.train_config(), val_samples)
-        except NumericalFault as exc:
+        except (NumericalFault, ValueError) as exc:
             raise StageError("train", str(exc)) from exc
         save_model(self.checkpoint_path(checkpoint_name), model, self.embedder.provider_id)
         return model
@@ -291,7 +299,8 @@ class Pipeline:
         debate, synthesize, encode, train and predict, with the debate and
         synthesis stages checked. ``no_debate`` skips the debate and
         encodes the news alone; ``no_analysis`` stops at the reports'
-        verdict hints. Any name outside ``VARIANTS`` is a ValueError."""
+        verdict hints; ``no_roles`` trains on role-less samples (see
+        ``build_samples``). Any name outside ``VARIANTS`` is a ValueError."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown ablation variant {variant!r}; valid: {list(VARIANTS)}")
         logs = {}

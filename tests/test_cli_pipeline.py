@@ -16,7 +16,8 @@ from veridebate.config import PipelineConfig, load_config
 from veridebate import gateway as gateway_module, pipeline as pipeline_module
 from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider, text_key
 from veridebate.evaluation import Dataset, compute_metrics, load_dataset, write_dataset_jsonl
-from veridebate.neural import ModelConfig
+from veridebate.neural import AnalysisModel, ModelConfig, load_model
+from veridebate.neural.model import loss_and_grad
 from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
 from veridebate.pipeline import (ABLATION_TOGGLES, Pipeline, StageError, build_embedder,
                                  build_gateway)
@@ -349,6 +350,21 @@ class TestPipelineCommand:
         assert code == 1
         assert "stage train failed: non-finite gradient in parameter blocks" in caplog.text
         assert "classifier.weight" in caplog.text
+        assert not (tmp_path / "ws" / "checkpoints").exists()
+
+    def test_unlabeled_val_item_exits_1_naming_it(self, small_setup, caplog):
+        """A lenient load keeps an item whose label is null. As a val item
+        it stops the train stage; it must not read as a wrong prediction
+        at every epoch and so pin the parameters to epoch 0's."""
+        tmp_path, dataset_path, config_path = small_setup
+        records = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        unlabeled = next(r for r in records if r["split"] == "val")
+        unlabeled["label"] = None
+        dataset_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws", "--seed", "5")
+        assert code == 1
+        assert f"stage train failed: sample {unlabeled['id']!r} has no label" in caplog.text
         assert not (tmp_path / "ws" / "checkpoints").exists()
 
     def test_diverging_training_warns_nothing(self, small_setup):
@@ -760,7 +776,7 @@ class TestBuildSamples:
         assert (provider.calls, len(puts)) == (0, 0)
         assert samples_digest(corpus.dataset, warm) == SAMPLES_SHA256
 
-    @pytest.mark.parametrize("variant", ["full", "no_debate"])
+    @pytest.mark.parametrize("variant", ["full", "no_debate", "no_roles"])
     def test_one_lookup_gives_each_item_its_own_rows(self, tmp_path, variant):
         """A warm stage embeds every item's texts in one call, and each
         sample holds the bytes that embedding its item's texts alone
@@ -774,7 +790,7 @@ class TestBuildSamples:
         warm = pipeline.build_samples(corpus.dataset, corpus.logs, variant)
         per_item, texts = build_embedder(config, tmp_path / "ws"), 0
         for item in corpus.dataset.items:
-            turns = [t.text for t in corpus.logs[item.id].turns] if variant == "full" else []
+            turns = [t.text for t in corpus.logs[item.id].turns] if variant != "no_debate" else []
             rows = per_item.embed_texts([item.content, *turns])
             nodes = rows[1:] if turns else rows[:1]
             assert warm[item.id].news_embedding.tobytes() == rows[0].tobytes()
@@ -849,6 +865,74 @@ class TestNoDebateVariant:
         assert info.value.stage == "encode"
 
 
+def role_corpus_samples(tmp_path, config: PipelineConfig):
+    """A role corpus's items as full and as ``no_roles`` samples."""
+    corpus = make_synthetic_corpus(n_train=6, n_test=2, seed=2, task="role")
+    pipeline = Pipeline(config, tmp_path / "ws")
+    return [list(pipeline.build_samples(corpus.dataset, corpus.logs, variant).values())
+            for variant in ("full", "no_roles")]
+
+
+# d_h 8 maps the role columns back from a separate buffer; d_h 16 in place.
+@pytest.mark.parametrize("d_h", [8, 16])
+@pytest.mark.parametrize("layers", [1, 2])
+class TestNoRolesVariant:
+    """Role-less samples through a random role table act as role samples
+    through a zeroed one, and the role path gets no gradient, so no_roles
+    is the ablation a zeroed, frozen role table gives."""
+
+    def model(self, d_h, layers, dtype, zeroed=False) -> AnalysisModel:
+        config = dataclasses.replace(TINY_CONFIG, d_h=d_h, gat_layers=layers).model_config()
+        model = AnalysisModel.create(dataclasses.replace(config, dtype=dtype))
+        if zeroed:
+            model.role_table.embeddings[...] = 0.0
+        return model
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_forward_equals_a_zeroed_role_table(self, tmp_path, d_h, layers, dtype):
+        full, role_less = role_corpus_samples(
+            tmp_path, dataclasses.replace(TINY_CONFIG, d_h=d_h))
+        assert all((s.role_ids == -1).all() for s in role_less)
+        assert all((s.role_ids >= 0).all() for s in full)
+        probs = self.model(d_h, layers, dtype).forward(role_less)[0]
+        zeroed = self.model(d_h, layers, dtype, zeroed=True).forward(full)[0]
+        assert probs.tobytes() == zeroed.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_role_path_gradient_is_exactly_0(self, tmp_path, d_h, layers, dtype):
+        _, role_less = role_corpus_samples(tmp_path, dataclasses.replace(TINY_CONFIG, d_h=d_h))
+        model = self.model(d_h, layers, dtype)
+        _, grad = loss_and_grad(model, role_less)
+        blocks = dict(model.block_slices())
+        assert not grad[blocks["role_embeddings"]].any()
+        assert not grad[blocks["role_projection"]].any()
+        # The first map meets the role features; with one layer the last
+        # layer's scores and the interaction's graph map both do.
+        first = ["gat0.weight"] if layers > 1 else ["gat0.score", "interaction.graph_map"]
+        for name in first:
+            block = grad[blocks[name]].reshape(model._views[name].shape)
+            assert not block[:, d_h:].any() and block[:, :d_h].any()
+
+    def test_checkpoint_keeps_the_initial_role_blocks(self, tmp_path, d_h, layers):
+        config = dataclasses.replace(TINY_CONFIG, d_h=d_h, gat_layers=layers)
+        corpus = make_synthetic_corpus(n_train=6, n_test=2, seed=2, task="role")
+        pipeline = Pipeline(config, tmp_path / "ws")
+        fresh = AnalysisModel.create(config.model_config())
+        first = "gat0.weight" if layers > 1 else "gat0.score"
+
+        def role_blocks(model):
+            return (model.role_table.embeddings.tobytes(), model.role_table.projection.tobytes(),
+                    model._views[first][:, d_h:].tobytes())
+
+        for variant in ("full", "no_roles"):
+            pipeline.evaluate_variant(corpus.dataset, variant)
+            trained = load_model(pipeline.checkpoint_path(f"model-{variant}.bin"),
+                                 pipeline.embedder.provider_id)
+            # Only the role-less samples leave the role path as created.
+            kept = [a == b for a, b in zip(role_blocks(trained), role_blocks(fresh))]
+            assert kept == [variant == "no_roles"] * 3
+
+
 # The stage methods the benchmark wraps on a pipeline instance to time a
 # run, in the order a run calls them.
 STAGE_METHODS = ("run_debates", "run_synthesis", "build_samples", "train_model",
@@ -880,7 +964,7 @@ class TestStageSequence:
                             gateway=Gateway(ExplodingBackend(), tmp_path / "gen"))
         with pytest.raises(ValueError, match="unknown ablation variant 'no_graph'") as info:
             pipeline.evaluate_variant(corpus.dataset, "no_graph")
-        for name in ("full", "no_debate", "no_analysis"):
+        for name in ("full", "no_debate", "no_analysis", "no_roles"):
             assert repr(name) in str(info.value)
         assert not (workspace / "checkpoints").exists()
         assert not (workspace / "transcripts").exists()

@@ -335,10 +335,9 @@ def test_training_step_runs_in_the_model_dtype(monkeypatch, dtype):
     model = small_model("nodes", layers=2, dtype=dtype)
     seen = recording_arrays(monkeypatch, train_module, ("adam_step",))
     recording_numpy(monkeypatch, (train_module, adam_module), seen)
-    train(model, mixed_samples(2), TrainConfig(epochs=1, freeze_blocks=("role_embeddings",)),
-          val_samples=mixed_samples(3))
+    train(model, mixed_samples(2), TrainConfig(epochs=1), val_samples=mixed_samples(3))
     paths = [path for path, _ in seen]
-    assert "adam_step[0][2]:AdamState.scratch" in paths and "np.ones_like" in paths
+    assert "adam_step[0][2]:AdamState.scratch" in paths
     assert paths.count("np.empty_like") == 2  # the gradient and the best parameters
     assert [path for path, array in seen if array.dtype != model.flat.dtype] == []
 

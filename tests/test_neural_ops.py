@@ -37,6 +37,21 @@ class TestActivations:
         expected = x if x > 0 else math.exp(x) - 1.0
         assert elu(np.array([x]))[0] == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_equals_the_select_form(self, dtype):
+        """elu avoids np.where for speed; the values must equal the
+        select form's, in the input dtype (== takes -0.0 as 0.0)."""
+        info = np.finfo(dtype)
+        x = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                      info.tiny / 2, -info.tiny / 2, info.tiny, -info.tiny, 1e-9, -1e-9,
+                      0.5, -0.5, 30.0, -30.0, -1e4, -info.max, info.max], dtype=dtype)
+        x = np.concatenate([x, np.random.default_rng(0).standard_normal(200).astype(dtype)])
+        with np.errstate(over="ignore"):  # the select form also takes expm1 of info.max
+            want = np.where(x > 0, x, np.expm1(x))
+        got = elu(x)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("x", [-3.0, -0.7, 0.0, 0.4, 2.5])
     def test_leaky_relu_closed_form(self, x):
         expected = x if x > 0 else 0.2 * x

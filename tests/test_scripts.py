@@ -1,6 +1,6 @@
 """Smoke tests for the command-line scripts under ``scripts/``: each
-prints its help, and ``make_dataset.py`` writes a dataset the loader
-reads."""
+prints its help, ``make_dataset.py`` writes a dataset the loader reads,
+and ``run_synthetic_experiment.py`` runs at a small size."""
 
 import os
 import subprocess
@@ -41,3 +41,11 @@ def test_make_dataset_writes_a_loadable_dataset(tmp_path):
     for item in dataset.items:
         log = log_from_json((transcripts / f"{item.id}.json").read_text(encoding="utf-8"))
         assert log.news_id == item.id
+
+
+def test_synthetic_experiment_prints_each_variant_of_both_tasks():
+    result = run_script("run_synthetic_experiment.py", "--train-size", 16, "--test-size", 8,
+                        "--epochs", 1)
+    assert result.returncode == 0, result.stderr
+    rows = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("no_")]
+    assert rows == ["no_debate", "no_analysis", "no_roles"] * 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,18 +8,18 @@ import pytest
 
 from conftest import factored_param_count, write_factored_checkpoint, write_float64_checkpoint
 from strategies import random_graph_sample
-from veridebate.encoding import HashEmbeddingProvider
+from veridebate.config import PipelineConfig
 from veridebate.neural import (
     AnalysisModel,
     ModelConfig,
     TrainConfig,
     accuracy,
     load_model,
-    make_sample,
     predict_proba,
     save_model,
     train,
 )
+from veridebate.pipeline import Pipeline
 from veridebate.synthetic import make_synthetic_corpus
 
 
@@ -84,35 +85,20 @@ class TestTrainLoop:
         assert restored == max(result.val_accuracy_history)
         assert result.val_accuracy_history[result.best_epoch] == restored
 
-    def test_freeze_blocks_keep_parameters_fixed(self):
-        model = AnalysisModel.create(small_config(seed=9))
-        frozen_before = model.role_table.embeddings.copy()
-        other_before = model.classifier.weight.copy()
-        train(
-            model, random_samples(12, seed=10),
-            TrainConfig(lr=1e-2, epochs=2, seed=11,
-                        freeze_blocks=("role_embeddings", "role_projection")),
-        )
-        assert np.array_equal(model.role_table.embeddings, frozen_before)
-        assert not np.array_equal(model.classifier.weight, other_before)
-
-    def test_unknown_freeze_block_rejected(self):
+    def test_unlabeled_val_sample_rejected_naming_it(self):
+        val_samples = random_samples(3, seed=9)
+        val_samples[1] = dataclasses.replace(val_samples[1], label=None)
         model = AnalysisModel.create(small_config())
-        with pytest.raises(ValueError, match="unknown parameter blocks"):
-            train(model, random_samples(4), TrainConfig(freeze_blocks=("nope",)))
+        with pytest.raises(ValueError, match=f"sample {val_samples[1].news_id!r} has no label"):
+            train(model, random_samples(4), TrainConfig(epochs=2), val_samples=val_samples)
 
-    def test_loss_decreases_on_separable_mini_task(self):
+    def test_loss_decreases_on_separable_mini_task(self, tmp_path):
         corpus = make_synthetic_corpus(n_train=60, n_test=20, seed=3, task="stance")
-        provider = HashEmbeddingProvider(dim=16, seed=0)
+        built = Pipeline(PipelineConfig(d_h=16), tmp_path).build_samples(corpus.dataset,
+                                                                         corpus.logs)
 
         def samples(split):
-            out = []
-            for item in corpus.dataset.split(split):
-                log = corpus.logs[item.id]
-                embs = np.stack([provider.embed_text(t.text) for t in log.turns])
-                out.append(make_sample(log, embs, provider.embed_text(item.content),
-                                       item.label))
-            return out
+            return [built[item.id] for item in corpus.dataset.split(split)]
 
         model = AnalysisModel.create(
             ModelConfig(d_h=16, d_r=4, gat_hidden=8, gat_layers=2, d_p=8, heads=2, seed=1)

@@ -68,6 +68,8 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
     """
     if not train_samples:
         raise ValueError("no training items")
+    # An unlabeled val sample is refused before the first step.
+    val_labels = _labels(val_samples) if val_samples else None
     rng = np.random.default_rng(config.seed)
     state = AdamState.create(model.flat, config.lr)
 
@@ -100,7 +102,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
             loss_history.append(total / n)
 
             if val_samples:
-                acc = accuracy(model, val_samples)
+                acc = float((predict(model, val_samples) == val_labels).mean())
                 val_history.append(acc)
                 if acc > best_acc:
                     best_acc = acc

@@ -300,9 +300,13 @@ class Pipeline:
         synthesis stages checked. ``no_debate`` skips the debate and
         encodes the news alone; ``no_analysis`` stops at the reports'
         verdict hints; ``no_roles`` trains on role-less samples (see
-        ``build_samples``). Any name outside ``VARIANTS`` is a ValueError."""
+        ``build_samples``). Any name outside ``VARIANTS``, and any test item
+        with no label, is a ValueError before the first stage."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown ablation variant {variant!r}; valid: {list(VARIANTS)}")
+        for item in dataset.split("test"):
+            if item.label is None:
+                raise ValueError(f"test item {item.id!r} has no label")
         logs = {}
         if variant != "no_debate":
             logs, debate_report = self.run_debates(dataset)

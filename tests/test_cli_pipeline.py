@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import logging
 import shutil
@@ -66,6 +67,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+def unlabel_one(dataset_path: Path, split: str) -> str:
+    """Set the label of the first ``split`` item of a dataset file to
+    null, which the CLI's lenient load keeps; returns its id."""
+    records = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+    record = next(r for r in records if r["split"] == split)
+    record["label"] = None
+    dataset_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return record["id"]
 
 
 class TestConfig:
@@ -352,20 +363,48 @@ class TestPipelineCommand:
         assert "classifier.weight" in caplog.text
         assert not (tmp_path / "ws" / "checkpoints").exists()
 
-    def test_unlabeled_val_item_exits_1_naming_it(self, small_setup, caplog):
+    def test_unlabeled_val_item_exits_1_naming_it(self, small_setup, caplog, monkeypatch):
         """A lenient load keeps an item whose label is null. As a val item
-        it stops the train stage; it must not read as a wrong prediction
-        at every epoch and so pin the parameters to epoch 0's."""
+        it stops the train stage before the first training step; it must
+        not read as a wrong prediction at every epoch and so pin the
+        parameters to epoch 0's."""
         tmp_path, dataset_path, config_path = small_setup
-        records = [json.loads(line) for line in dataset_path.read_text().splitlines()]
-        unlabeled = next(r for r in records if r["split"] == "val")
-        unlabeled["label"] = None
-        dataset_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        unlabeled = unlabel_one(dataset_path, "val")
+        steps = []
+        train_module = importlib.import_module("veridebate.neural.train")
+        step = train_module.loss_and_grad
+        monkeypatch.setattr(train_module, "loss_and_grad",
+                            lambda *args, **kw: steps.append(1) or step(*args, **kw))
         code = run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
                        "--out", tmp_path / "ws", "--seed", "5")
         assert code == 1
-        assert f"stage train failed: sample {unlabeled['id']!r} has no label" in caplog.text
+        assert f"stage train failed: sample {unlabeled!r} has no label" in caplog.text
+        assert steps == []
         assert not (tmp_path / "ws" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "ablate"])
+    def test_unlabeled_test_item_exits_1_before_any_stage(self, small_setup, caplog, command):
+        """A run that scores the test split refuses an unlabeled test item
+        by name before its first stage: it debates, trains and writes
+        nothing, rather than failing at the metrics with no item named."""
+        tmp_path, dataset_path, config_path = small_setup
+        unlabeled = unlabel_one(dataset_path, "test")
+        code = run_cli(command, "--config", config_path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws", "--seed", "5")
+        assert code == 1
+        assert f"test item {unlabeled!r} has no label" in caplog.text
+        assert list((tmp_path / "ws").iterdir()) == []
+
+    def test_predict_accepts_an_unlabeled_test_item(self, small_setup):
+        tmp_path, dataset_path, config_path = small_setup
+        unlabeled = unlabel_one(dataset_path, "test")
+        common = ("--config", config_path, "--dataset", dataset_path, "--out", tmp_path / "ws",
+                  "--seed", "5")
+        assert run_cli("train", *common) == 0
+        assert run_cli("predict", *common) == 0
+        rows = [json.loads(line)
+                for line in (tmp_path / "ws" / "predictions.jsonl").read_text().splitlines()]
+        assert [row["label"] for row in rows if row["id"] == unlabeled] == [None]
 
     def test_diverging_training_warns_nothing(self, small_setup):
         """The NumericalFault naming the blocks is a diverging run's one

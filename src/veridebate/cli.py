@@ -6,8 +6,11 @@
 
 Every command operates on a run workspace (--out): transcripts, reports,
 caches, checkpoints, and result files accumulate there, which makes
-reruns cheap and ablation runs side-by-side comparable. Exit code is 0
-iff the command completed with zero strict-mode failures.
+reruns cheap and ablation runs side-by-side comparable. The staged
+debate, synthesize, train, predict, evaluate sequence writes the bytes
+``pipeline`` writes, explanation bundle included. Exit code is 0 iff
+the command completed; under --strict, a failed item in the debate or
+synthesis stage stops any command there with exit code 1.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import time
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .evaluation import (compute_metrics, format_ablation_table, load_dataset,
-                         write_predictions_jsonl)
+from .evaluation import compute_metrics, format_ablation_table, load_dataset
 from .files import write_json
 from .neural import load_model
 from .neural.attention import INTERACTION_MODES
@@ -92,27 +94,25 @@ def cmd_debate(config: PipelineConfig, args: argparse.Namespace) -> int:
         f"debate: {report.processed} generated, {report.skipped} reused, "
         f"{len(report.failures)} failed -> {pipeline.workspace / 'transcripts'}"
     )
-    pipeline._check_stage(report)
     return 0
 
 
 def cmd_synthesize(config: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline, dataset = _setup(config)
     logs, debate_report = pipeline.run_debates(dataset)
-    pipeline._check_stage(debate_report)
     _, report = pipeline.run_synthesis(logs)
     failures = len(debate_report.failures) + len(report.failures)
     print(
         f"synthesize: {report.processed} written, {report.skipped} reused, "
         f"{failures} failed -> {pipeline.workspace / 'reports'}"
     )
-    pipeline._check_stage(report)
     return 0
 
 
 def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline, dataset = _setup(config)
-    pipeline.train_model(dataset, pipeline.encode(dataset))
+    samples = pipeline.build_samples(dataset, pipeline.run_debates(dataset)[0])
+    pipeline.train_model(dataset, samples)
     print(f"train: checkpoint -> {pipeline.checkpoint_path()}")
     return 0
 
@@ -124,10 +124,10 @@ def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
     if not checkpoint.exists():
         raise SystemExit(f"no checkpoint at {checkpoint}; run `veridebate train` first")
     model = load_model(checkpoint, pipeline.embedder.provider_id)
-    rows = pipeline.predict_rows(model, dataset, pipeline.encode(dataset))
-    out = pipeline.workspace / "predictions.jsonl"
-    write_predictions_jsonl(out, rows)
-    print(f"predict: {len(rows)} rows -> {out}")
+    samples = pipeline.build_samples(dataset, pipeline.run_debates(dataset)[0])
+    rows = pipeline.predict_rows(model, dataset, samples)
+    pipeline.write_predictions(rows)
+    print(f"predict: {len(rows)} rows -> {pipeline.workspace / 'predictions.jsonl'}")
     return 0
 
 
@@ -150,10 +150,10 @@ def _read_predictions(path: Path) -> list[dict]:
 
 def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
     """Score predictions.jsonl, which must hold one row per test item of
-    the dataset, in order, against the dataset's own labels; otherwise
-    exit 1 and leave metrics.json be."""
+    the dataset, in order, against the dataset's own labels, which every
+    test item must have; otherwise exit 1 and leave metrics.json be."""
     workspace = _existing_workspace(config, "evaluate")
-    test_items = _dataset(config).split("test")
+    test_items = _dataset(config).labeled_test_split()
     test_ids = [item.id for item in test_items]
     predictions_path = workspace / "predictions.jsonl"
     if not predictions_path.exists():

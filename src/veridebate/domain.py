@@ -8,6 +8,7 @@ with the validity rules that every other module relies on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 # Label convention used everywhere: loaders, metrics, classifier outputs.
@@ -198,8 +199,8 @@ class DebateConfig:
     def __post_init__(self):
         if self.agents_per_team < 1:
             raise ValueError("agents_per_team must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.history_char_budget < 1:

@@ -41,6 +41,15 @@ class Dataset:
     def split(self, name: str) -> tuple[NewsItem, ...]:
         return tuple(item for item in self.items if item.split == name)
 
+    def labeled_test_split(self) -> tuple[NewsItem, ...]:
+        """The test split, which a scored run needs labeled: the first item
+        with no label is a ValueError naming it."""
+        items = self.split("test")
+        for item in items:
+            if item.label is None:
+                raise ValueError(f"test item {item.id!r} has no label")
+        return items
+
 
 def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
     """Parse a JSONL dataset file.

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -67,8 +68,8 @@ class GenerationSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
 

@@ -179,6 +179,8 @@ class ModelConfig:
         for name in ("d_h", "d_r", "gat_hidden", "gat_layers", "d_p", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d_p % self.heads != 0:
             raise ValueError("d_p must be divisible by heads")
         if self.interaction_mode not in INTERACTION_MODES:

@@ -2,11 +2,13 @@
 
 A workspace directory accumulates per-item artifacts (transcripts,
 reports, embedding and generation caches, checkpoints, predictions,
-metrics) so every stage is resumable: existing valid transcript and
-report files are picked up (an unusable one is regenerated), and
-embeddings come from the on-disk cache. The ablation variants re-wire
-the stage sequence or the samples without touching the persisted
-artifacts; a name outside ``VARIANTS`` is refused before any stage runs.
+metrics, the explanation bundle) so every stage is resumable: existing
+valid transcript and report files are picked up (an unusable one is
+regenerated), and embeddings come from the on-disk cache. Strict mode is
+enforced where items fail: under ``strict`` the debate or synthesis
+stage itself stops its caller. The ablation variants re-wire the stage
+sequence or the samples without touching the persisted artifacts; a
+name outside ``VARIANTS`` is refused before any stage runs.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ def build_embedder(config: PipelineConfig, workspace: Path) -> CachedEmbedder:
 
 @dataclass
 class StageReport:
-    name: str
     processed: int = 0
     skipped: int = 0
     failures: list[str] = field(default_factory=list)
@@ -130,7 +131,8 @@ class Pipeline:
         ``<dirname>/<news_id>.json``: a valid stored record is reused,
         otherwise ``produce(source)`` makes one and it is written. A
         failure to produce is counted per item; on ``max_concurrency > 1``
-        the jobs run on a thread pool."""
+        the jobs run on a thread pool. Under ``strict``, a stage with a
+        failed item is a ``StageError`` once every job has run."""
         directory = self.workspace / dirname
         directory.mkdir(parents=True, exist_ok=True)
 
@@ -154,7 +156,7 @@ class Pipeline:
         else:
             results = [one(job) for job in jobs]
 
-        report = StageReport(stage)
+        report = StageReport()
         records = {}
         for news_id, record, reused, failure in results:
             if failure is not None:
@@ -166,6 +168,8 @@ class Pipeline:
                 report.skipped += 1
             else:
                 report.processed += 1
+        if report.failures and self.config.strict:
+            raise StageError(stage, f"{len(report.failures)} item(s) failed")
         return records, report
 
     # The stage functions and parsers below are looked up as module globals
@@ -222,13 +226,6 @@ class Pipeline:
         except Exception as exc:
             raise StageError("encode", str(exc)) from exc
 
-    def encode(self, dataset: Dataset) -> dict[str, Sample]:
-        """Full-variant samples for every item, after the debates are run
-        (or reused) and their stage is checked."""
-        logs, debate_report = self.run_debates(dataset)
-        self._check_stage(debate_report)
-        return self.build_samples(dataset, logs)
-
     # ---- training / prediction ------------------------------------------------
 
     def train_model(self, dataset: Dataset, samples: dict[str, Sample],
@@ -254,15 +251,8 @@ class Pipeline:
         if not items:
             raise StageError("predict", "no items in split 'test'")
         probs = predict_proba(model, [samples[item.id] for item in items])
-        return [
-            {
-                "id": item.id,
-                "label": item.label,
-                "prediction": int(p.argmax()),
-                "p_fake": float(p[LABEL_FAKE]),
-            }
-            for item, p in zip(items, probs)
-        ]
+        return [{"id": item.id, "label": item.label, "prediction": int(p.argmax()),
+                 "p_fake": float(p[LABEL_FAKE])} for item, p in zip(items, probs)]
 
     @staticmethod
     def hint_rows(dataset: Dataset, reports: dict) -> list[dict]:
@@ -271,48 +261,31 @@ class Pipeline:
         rows = []
         for item in dataset.split("test"):
             report = reports.get(item.id)
-            hint = report.verdict_hint if report is not None else None
-            prediction = LABEL_FAKE if hint is VerdictHint.LEANS_FAKE else LABEL_REAL
-            rows.append(
-                {
-                    "id": item.id,
-                    "label": item.label,
-                    "prediction": prediction,
-                    "p_fake": 1.0 if prediction == LABEL_FAKE else 0.0,
-                }
-            )
+            fake = report is not None and report.verdict_hint is VerdictHint.LEANS_FAKE
+            rows.append({"id": item.id, "label": item.label,
+                         "prediction": LABEL_FAKE if fake else LABEL_REAL,
+                         "p_fake": 1.0 if fake else 0.0})
         return rows
 
     # ---- full runs -------------------------------------------------------------
 
     def _metrics_from_rows(self, rows: list[dict]) -> MetricsReport:
-        return compute_metrics(
-            [r["prediction"] for r in rows], [r["label"] for r in rows]
-        )
-
-    def _check_stage(self, report: StageReport) -> None:
-        if report.failures and self.config.strict:
-            raise StageError(report.name, f"{len(report.failures)} item(s) failed")
+        return compute_metrics([r["prediction"] for r in rows], [r["label"] for r in rows])
 
     def _run_variant(self, dataset: Dataset, variant: str, checkpoint_name: str) -> list[dict]:
         """The one stage sequence, giving the test split's prediction rows:
-        debate, synthesize, encode, train and predict, with the debate and
-        synthesis stages checked. ``no_debate`` skips the debate and
-        encodes the news alone; ``no_analysis`` stops at the reports'
-        verdict hints; ``no_roles`` trains on role-less samples (see
-        ``build_samples``). Any name outside ``VARIANTS``, and any test item
-        with no label, is a ValueError before the first stage."""
+        debate, synthesize, encode, train and predict. ``no_debate`` skips
+        the debate and encodes the news alone; ``no_analysis`` stops at the
+        reports' verdict hints; ``no_roles`` trains on role-less samples
+        (see ``build_samples``). Any name outside ``VARIANTS``, and any test
+        item with no label, is a ValueError before the first stage."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown ablation variant {variant!r}; valid: {list(VARIANTS)}")
-        for item in dataset.split("test"):
-            if item.label is None:
-                raise ValueError(f"test item {item.id!r} has no label")
+        dataset.labeled_test_split()
         logs = {}
         if variant != "no_debate":
-            logs, debate_report = self.run_debates(dataset)
-            self._check_stage(debate_report)
-            reports, synth_report = self.run_synthesis(logs)
-            self._check_stage(synth_report)
+            logs, _ = self.run_debates(dataset)
+            reports, _ = self.run_synthesis(logs)
             if variant == "no_analysis":
                 return self.hint_rows(dataset, reports)
         samples = self.build_samples(dataset, logs, variant)
@@ -334,21 +307,26 @@ class Pipeline:
                 f"unknown ablation toggles {unknown}; valid: {list(ABLATION_TOGGLES)}")
         return {variant: self.evaluate_variant(dataset, variant) for variant in variants}
 
+    def write_predictions(self, rows: list[dict]) -> None:
+        """The per-item outputs: ``predictions.jsonl``, and the explanation
+        bundle ``explanations.jsonl``, which gives each item's prediction
+        and its transcript and report files, the report as null where
+        the item has no report file."""
+        write_predictions_jsonl(self.workspace / "predictions.jsonl", rows)
+        bundle = []
+        for row in rows:
+            report = f"reports/{row['id']}.json"
+            bundle.append({"id": row["id"], "prediction": row["prediction"],
+                           "transcript": f"transcripts/{row['id']}.json",
+                           "report": report if (self.workspace / report).is_file() else None})
+        write_jsonl(self.workspace / "explanations.jsonl", bundle)
+
     def run(self, dataset: Dataset) -> MetricsReport:
         """The full pipeline: debate, synthesize, encode, train, predict,
-        evaluate. Persists predictions, metrics, and the explanation
-        bundle (per item: the report and transcript file references)."""
+        evaluate. Persists the per-item outputs (``write_predictions``)
+        and the metrics."""
         rows = self._run_variant(dataset, "full", CHECKPOINT)
         metrics = self._metrics_from_rows(rows)
-        write_predictions_jsonl(self.workspace / "predictions.jsonl", rows)
-        write_jsonl(self.workspace / "explanations.jsonl", [
-            {
-                "id": row["id"],
-                "prediction": row["prediction"],
-                "transcript": f"transcripts/{row['id']}.json",
-                "report": f"reports/{row['id']}.json",
-            }
-            for row in rows
-        ])
+        self.write_predictions(rows)
         write_json(self.workspace / "metrics.json", metrics.to_dict())
         return metrics

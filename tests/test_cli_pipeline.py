@@ -50,16 +50,20 @@ def small_setup(tmp_path):
 
 
 # Values only a check at load rejects: the gateway's pacing and pool
-# size, the engine's max_tokens, the model's heads, which must divide
-# d_p = 128, and the training settings.
+# size, the engine's max_tokens and temperature, the model's heads, which
+# must divide d_p = 128, the training settings, and the seed of the
+# model's and the trainer's generators.
 BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
                      "[gateway]\nrequests_per_minute = inf\n",
                      "[gateway]\nmax_concurrency = 0\n",
-                     "[debate]\nmax_tokens = 0\n", "[model]\nheads = 3\n",
+                     "[debate]\nmax_tokens = 0\n", "[debate]\ntemperature = nan\n",
+                     "[debate]\ntemperature = inf\n", "[model]\nheads = 3\n",
                      "[model]\nlr = nan\n", "[model]\nlr = 0\n",
-                     "[model]\nepochs = 0\n", "[model]\nbatch_size = 0\n")
-BAD_STAGE_IDS = ("rpm_negative", "rpm_inf", "max_concurrency", "max_tokens", "heads",
-                 "lr_nan", "lr_zero", "epochs", "batch_size")
+                     "[model]\nepochs = 0\n", "[model]\nbatch_size = 0\n",
+                     "[paths]\nseed = -1\n")
+BAD_STAGE_IDS = ("rpm_negative", "rpm_inf", "max_concurrency", "max_tokens", "temperature_nan",
+                 "temperature_inf", "heads", "lr_nan", "lr_zero", "epochs", "batch_size",
+                 "seed_negative")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -77,6 +81,21 @@ def unlabel_one(dataset_path: Path, split: str) -> str:
     record["label"] = None
     dataset_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return record["id"]
+
+
+def fail_one_synthesis(monkeypatch, dataset_path: Path) -> str:
+    """Make the synthesis of the dataset's first test item fail; returns
+    its id."""
+    failed = load_dataset(dataset_path).split("test")[0].id
+    synthesize = pipeline_module.synthesize
+
+    def failing(log, *args):
+        if log.news_id == failed:
+            raise TransportError("unreachable")
+        return synthesize(log, *args)
+
+    monkeypatch.setattr(pipeline_module, "synthesize", failing)
+    return failed
 
 
 class TestConfig:
@@ -146,6 +165,14 @@ class TestConfig:
         code = run_cli("pipeline", "--config", path, "--dataset", dataset_path,
                        "--out", tmp_path / "ws")
         assert code == 1
+        assert not (tmp_path / "ws").exists()
+
+    def test_negative_seed_flag_stops_cli_before_any_stage(self, small_setup, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        code = run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws", "--seed", "-1")
+        assert code == 1
+        assert "seed must be >= 0, got -1" in caplog.text
         assert not (tmp_path / "ws").exists()
 
     @pytest.mark.parametrize("section, key", [("embedding", "d_h"), ("model", "d_r"),
@@ -287,14 +314,12 @@ class TestDebateCommand:
 
         lenient = Pipeline(config, tmp_path / "lenient", gateway=gateway)
         _, report = lenient.run_debates(dataset)
-        assert len(report.failures) == 16
-        lenient._check_stage(report)  # lenient mode tolerates failures
+        assert len(report.failures) == 16  # lenient mode counts the failures and goes on
 
         config.strict = True
         strict = Pipeline(config, tmp_path / "strict", gateway=gateway)
-        _, report = strict.run_debates(dataset)
-        with pytest.raises(StageError, match="debate"):
-            strict._check_stage(report)
+        with pytest.raises(StageError, match=r"stage debate failed: 16 item\(s\) failed"):
+            strict.run_debates(dataset)
 
 
 class TestPipelineCommand:
@@ -313,6 +338,22 @@ class TestPipelineCommand:
                         (out / "explanations.jsonl").read_text().splitlines()]
         assert all(e["transcript"].startswith("transcripts/") for e in explanations)
         assert all(e["report"].startswith("reports/") for e in explanations)
+
+    def test_bundle_names_no_missing_report(self, small_setup, monkeypatch):
+        """A lenient run whose synthesis fails for one item writes a null
+        report for it in the explanation bundle, not a file that does not
+        exist; every other entry names its report file."""
+        tmp_path, dataset_path, config_path = small_setup
+        failed = fail_one_synthesis(monkeypatch, dataset_path)
+        out = tmp_path / "ws"
+        assert run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
+                       "--out", out, "--seed", "5") == 0
+        reports = {e["id"]: e["report"] for e in
+                   map(json.loads, (out / "explanations.jsonl").read_text().splitlines())}
+        assert reports.pop(failed) is None
+        assert not (out / "reports" / f"{failed}.json").exists()
+        assert len(reports) == 3
+        assert all((out / report).is_file() for report in reports.values())
 
     def test_missing_train_split_fails(self, tmp_path, capsys):
         corpus = make_synthetic_corpus(n_train=0, n_test=4, seed=1, task="stance")
@@ -427,6 +468,10 @@ class TestPipelineCommand:
         assert (out / "checkpoints" / "model.bin").exists()
         assert run_cli("predict", *common) == 0
         assert (out / "predictions.jsonl").exists()
+        # No synthesize ran, so the bundle names no report.
+        explanations = [json.loads(line)
+                        for line in (out / "explanations.jsonl").read_text().splitlines()]
+        assert [e["report"] for e in explanations] == [None] * 4
         assert run_cli("evaluate", *common) == 0
         assert (out / "metrics.json").exists()
 
@@ -467,6 +512,14 @@ class TestPipelineCommand:
         assert f"{predictions}: line 2" in caplog.text
         assert (out / "metrics.json").read_bytes() == metrics
 
+    def test_evaluate_names_an_unlabeled_test_item(self, small_setup, evaluated, caplog):
+        common, out, metrics = evaluated
+        unlabeled = unlabel_one(small_setup[1], "test")
+        (out / "predictions.jsonl").write_text("not read\n")
+        assert run_cli("evaluate", *common) == 1
+        assert f"test item {unlabeled!r} has no label" in caplog.text
+        assert (out / "metrics.json").read_bytes() == metrics
+
     def test_evaluate_scores_against_dataset_labels(self, evaluated):
         common, out, metrics = evaluated
         predictions = out / "predictions.jsonl"
@@ -496,10 +549,15 @@ class TestPipelineCommand:
         config_path = tmp_path / "cfg.ini"
         config_path.write_text(SMALL_CONFIG)
         common = ("--config", config_path, "--dataset", dataset_path, "--seed", "5")
-        for command in ("train", "predict", "evaluate"):
+        for command in ("debate", "synthesize", "train", "predict", "evaluate"):
             assert run_cli(command, *common, "--out", tmp_path / "stages") == 0
         assert run_cli("pipeline", *common, "--out", tmp_path / "whole") == 0
-        for name in ("metrics.json", "predictions.jsonl", "checkpoints/model.bin"):
+        per_item = [path.relative_to(tmp_path / "whole").as_posix()
+                    for stage in ("transcripts", "reports")
+                    for path in sorted((tmp_path / "whole" / stage).iterdir())]
+        assert len(per_item) == 2 * len(corpus.dataset.items)
+        for name in ("metrics.json", "predictions.jsonl", "explanations.jsonl",
+                     "checkpoints/model.bin", *per_item):
             staged = (tmp_path / "stages" / name).read_bytes()
             assert staged == (tmp_path / "whole" / name).read_bytes(), name
 
@@ -1046,13 +1104,24 @@ class UnreachableBackend:
         raise TransportError("unreachable")
 
 
+# What a stage after debate writes into a workspace.
+LATER_OUTPUTS = ("reports", "checkpoints", "predictions.jsonl", "explanations.jsonl",
+                 "metrics.json", "ablation.json")
+
+
+def unreachable(monkeypatch) -> None:
+    """Make every pipeline built from a config fail each generation request
+    at its first attempt."""
+    monkeypatch.setattr(pipeline_module, "MockBackend", UnreachableBackend)
+    monkeypatch.setattr(pipeline_module, "RetryPolicy", lambda: RetryPolicy(max_attempts=1))
+
+
 class TestStrictStageCommands:
     @pytest.mark.parametrize("command", ["debate", "synthesize"])
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     def test_failed_items_exit_1_only_under_strict(self, small_setup, monkeypatch,
                                                    command, strict):
-        monkeypatch.setattr(pipeline_module, "MockBackend", UnreachableBackend)
-        monkeypatch.setattr(pipeline_module, "RetryPolicy", lambda: RetryPolicy(max_attempts=1))
+        unreachable(monkeypatch)
         tmp_path, dataset_path, config_path = small_setup
         out = tmp_path / "ws"
         code = run_cli(command, "--config", config_path, "--dataset", dataset_path,
@@ -1061,6 +1130,52 @@ class TestStrictStageCommands:
         assert len(list((out / "transcripts").iterdir())) == 0
         # Under --strict, synthesize stops at the failed debate stage.
         assert (out / "reports").exists() == (command == "synthesize" and not strict)
+
+    @pytest.mark.parametrize("command", ["synthesize", "train", "pipeline", "ablate"])
+    def test_strict_stops_at_the_failed_debate_stage(self, small_setup, monkeypatch, caplog,
+                                                     command):
+        unreachable(monkeypatch)
+        tmp_path, dataset_path, config_path = small_setup
+        out = tmp_path / "ws"
+        code = run_cli(command, "--config", config_path, "--dataset", dataset_path,
+                       "--out", out, "--seed", "5", "--strict")
+        assert code == 1
+        assert "stage debate failed: 16 item(s) failed" in caplog.text
+        assert [name for name in LATER_OUTPUTS if (out / name).exists()] == []
+
+    def test_strict_stops_at_a_failed_synthesis(self, small_setup, monkeypatch, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        fail_one_synthesis(monkeypatch, dataset_path)
+        out = tmp_path / "ws"
+        code = run_cli("pipeline", "--config", config_path, "--dataset", dataset_path,
+                       "--out", out, "--seed", "5", "--strict")
+        assert code == 1
+        assert "stage synthesize failed: 1 item(s) failed" in caplog.text
+        assert len(list((out / "reports").iterdir())) == 15
+        assert [name for name in LATER_OUTPUTS[1:] if (out / name).exists()] == []
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_predict_stops_at_a_failed_debate(self, small_setup, monkeypatch, caplog, strict):
+        """predict in a trained workspace that lost one transcript and the
+        generation cache, with the backend unreachable: under --strict the
+        debate stage stops it; without, encode does, naming the item with
+        no transcript. Neither writes a prediction."""
+        tmp_path, dataset_path, config_path = small_setup
+        out = tmp_path / "ws"
+        common = ("--config", config_path, "--dataset", dataset_path, "--out", out,
+                  "--seed", "5")
+        assert run_cli("train", *common) == 0
+        lost = sorted((out / "transcripts").iterdir())[0]
+        lost.unlink()
+        shutil.rmtree(out / "cache" / "gen")
+        unreachable(monkeypatch)
+        caplog.clear()
+        assert run_cli("predict", *common, *(["--strict"] if strict else [])) == 1
+        expected = ("stage debate failed: 1 item(s) failed" if strict else
+                    f"stage encode failed: no transcript for item {lost.stem}")
+        assert expected in caplog.text
+        assert not (out / "predictions.jsonl").exists()
+        assert not (out / "explanations.jsonl").exists()
 
 
 class TestBuildGateway:

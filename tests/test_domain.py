@@ -144,6 +144,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             DebateConfig(temperature=-0.1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_debate_config_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            DebateConfig(temperature=temperature)
+
     def test_stance_teams_and_opponents(self):
         assert Stance.TRUE.team == "pro"
         assert Stance.FAKE.team == "opp"

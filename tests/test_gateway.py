@@ -43,6 +43,13 @@ class TestRequests:
         with pytest.raises(ValueError):
             GenerationRequest(messages=(("assistant", "hi"),))
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature_rejected(self, temperature):
+        """canonical_request would write such a value as NaN or Infinity,
+        which is not JSON."""
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            GenerationSettings(temperature=temperature)
+
 
 class TestCacheKey:
     def test_stable_within_process(self):

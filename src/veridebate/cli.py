@@ -111,8 +111,9 @@ def cmd_synthesize(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_train(config: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline, dataset = _setup(config)
-    samples = pipeline.build_samples(dataset, pipeline.run_debates(dataset)[0])
-    pipeline.train_model(dataset, samples)
+    logs, _ = pipeline.run_debates(dataset)
+    dataset = dataset.subset(logs)
+    pipeline.train_model(dataset, pipeline.build_samples(dataset, logs))
     print(f"train: checkpoint -> {pipeline.checkpoint_path()}")
     return 0
 
@@ -124,8 +125,9 @@ def cmd_predict(config: PipelineConfig, args: argparse.Namespace) -> int:
     if not checkpoint.exists():
         raise SystemExit(f"no checkpoint at {checkpoint}; run `veridebate train` first")
     model = load_model(checkpoint, pipeline.embedder.provider_id)
-    samples = pipeline.build_samples(dataset, pipeline.run_debates(dataset)[0])
-    rows = pipeline.predict_rows(model, dataset, samples)
+    logs, _ = pipeline.run_debates(dataset)
+    dataset = dataset.subset(logs)
+    rows = pipeline.predict_rows(model, dataset, pipeline.build_samples(dataset, logs))
     pipeline.write_predictions(rows)
     print(f"predict: {len(rows)} rows -> {pipeline.workspace / 'predictions.jsonl'}")
     return 0

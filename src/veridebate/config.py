@@ -46,7 +46,6 @@ class PipelineConfig:
 
     d_r: int = _in("model", 16)
     gat_hidden: int = _in("model", 128)
-    gat_layers: int = _in("model", 2)
     d_p: int = _in("model", 128)
     heads: int = _in("model", 4)
     interaction_mode: str = _in("model", "nodes")

@@ -41,6 +41,10 @@ class Dataset:
     def split(self, name: str) -> tuple[NewsItem, ...]:
         return tuple(item for item in self.items if item.split == name)
 
+    def subset(self, ids) -> "Dataset":
+        """The items whose id is in ``ids``, in dataset order."""
+        return Dataset(tuple(item for item in self.items if item.id in ids))
+
     def labeled_test_split(self) -> tuple[NewsItem, ...]:
         """The test split, which a scored run needs labeled: the first item
         with no label is a ValueError naming it."""
@@ -72,7 +76,10 @@ def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise ValueError("line is not a JSON object")
-            item_id = str(record["id"])
+            item_id = record["id"]
+            if isinstance(item_id, bool) or not isinstance(item_id, (str, int)):
+                raise ValueError(f"id must be a string or an integer, got {item_id!r}")
+            item_id = str(item_id)
             if item_id in seen_ids:
                 raise ValueError(f"duplicate id {item_id!r}")
             label = record.get("label")

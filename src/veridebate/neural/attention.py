@@ -114,7 +114,6 @@ class InteractCache:
     news_emb: np.ndarray   # (B, news_dim)
     pooled: np.ndarray     # (B, f)
     sources: np.ndarray    # (B, m, f): the node features, or the pool (m = 1)
-    graph_map: np.ndarray  # (d_p, f), as applied
     key_map: np.ndarray    # (heads, head_dim, f), key @ graph_map by heads
     value_map: np.ndarray  # (heads, head_dim, f), value @ graph_map by heads
     e_proj: np.ndarray     # (B, d_p)
@@ -126,15 +125,13 @@ class InteractCache:
 
 
 def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.ndarray,
-                    graph_map: np.ndarray, head: InteractionHead, mode: str = "nodes",
+                    head: InteractionHead, mode: str = "nodes",
                     mask: np.ndarray | None = None):
-    """Batched forward pass. ``graph_map`` is the map applied to the
-    sources: the head's own, or an equivalent one over other features
-    (the one-layer model folds the role table into it). No per-node key
-    or value is built: see the module docstring. The inputs are read in
-    ``graph_map``'s dtype."""
+    """Batched forward pass. No per-node key or value is built: see the
+    module docstring. The inputs are read in the head's dtype."""
     if mode not in INTERACTION_MODES:
         raise ValueError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
+    graph_map = head.graph_map
     dtype = graph_map.dtype
     news_emb = np.asarray(news_emb, dtype=dtype)
     pooled = np.asarray(pooled, dtype=dtype)
@@ -170,7 +167,6 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
         news_emb=news_emb,
         pooled=pooled,
         sources=sources,
-        graph_map=graph_map,
         key_map=key_map,
         value_map=value_map,
         e_proj=e_proj,
@@ -189,7 +185,7 @@ def interact(news_emb, node_feats, pooled, head: InteractionHead, mode: str = "n
     vector [g_proj ; context], plus the (heads, keys) attention weight
     matrix when asked."""
     fused, cache = interact_cached(np.asarray(news_emb)[None], np.asarray(node_feats)[None],
-                                   np.asarray(pooled)[None], head.graph_map, head, mode)
+                                   np.asarray(pooled)[None], head, mode)
     if return_weights:
         return fused[0], cache.weights[0]
     return fused[0]
@@ -199,14 +195,14 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
                       grads: dict[str, np.ndarray]):
     """Backward pass of interact_cached, summed over the batch. The
     gradient of each projection in ``PROJECTIONS`` is written into
-    ``grads[name]``; graph_map's is that of the map as applied.
+    ``grads[name]``.
 
     Returns (d_node_feats, d_pooled), w.r.t. the inputs as passed:
     d_node_feats is None in pooled mode (node features are not consumed
     there).
     """
     d_p, sources = head.d_p, cache.sources
-    batch, width = cache.news_emb.shape[0], cache.graph_map.shape[1]
+    batch, width = cache.news_emb.shape[0], head.graph_map.shape[1]
     scale = 1.0 / math.sqrt(head.head_dim)
 
     d_g_proj = d_fused[:, :d_p]
@@ -233,7 +229,7 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
 
     # key_map = key @ graph_map and value_map = value @ graph_map, with
     # their (heads, head_dim, f) maps read back as (d_p, f).
-    graph_map = cache.graph_map
+    graph_map = head.graph_map
     d_key_map = d_key_map.reshape(d_p, width)
     d_value_map = d_value_map.reshape(d_p, width)
     np.matmul(d_key_map, graph_map.T, out=grads["key"])

@@ -42,7 +42,8 @@ def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
     """Read a checkpoint to score ``provider_id``'s embeddings, checking
     its header and format version, its embedder, payload size,
     parameter count and finiteness; any defect is a ValueError that
-    names the file."""
+    names the file. A header key that is no ``ModelConfig`` field is
+    ignored; the parameter count refuses a file of another shape."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()

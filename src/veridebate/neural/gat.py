@@ -24,10 +24,12 @@ aggregate ``alpha @ H``, with scores leaky-ReLU(u . h_i + v . h_j).
 
 The caller passes the map to apply, a hidden layer's W or the last
 layer's [u ; v]: the layer's own, or an equivalent one over other
-features (the model's first layer reads narrower ones). The backward
+features (the model's hidden layer reads narrower ones). The backward
 pass writes the gradients of that map and of a hidden layer's
 attention vector into the arrays it is handed (views into the model's
-gradient buffer), each by one product.
+gradient buffer), each by one product. Only the last layer returns
+the gradient w.r.t. its inputs: the model's one hidden layer reads
+frozen features.
 """
 
 from __future__ import annotations
@@ -158,19 +160,18 @@ def gat_forward_cached(layer: GatLayer | LastGatLayer, features: np.ndarray,
 
 
 def gat_backward(layer: GatLayer | LastGatLayer, cache: GatCache, d_output: np.ndarray,
-                 d_applied: np.ndarray, d_attn: np.ndarray | None = None,
-                 input_grad: bool = True):
+                 d_applied: np.ndarray, d_attn: np.ndarray | None = None):
     """Gradients of a scalar loss, summed over the batch, given the
     gradient w.r.t. what the forward pass returned. The gradient of the
     applied map is written into ``d_applied``, and a hidden layer's
-    attention-vector gradient into ``d_attn``, each by one product; the
-    gradient w.r.t. the layer inputs is returned (None unless
-    ``input_grad``).
+    attention-vector gradient into ``d_attn``, each by one product. The
+    last layer returns the gradient w.r.t. its inputs; a hidden layer
+    returns None (see the module docstring).
 
     A hidden layer's projection P = X Wᵀ feeds both the aggregate and
-    the scores, so with G = dP, score path included, dW = Gᵀ X and dX =
-    G W. The last layer's scores are X [u ; v]ᵀ, so d[u ; v] = d_scores
-    X."""
+    the scores, so with G = dP, score path included, dW = Gᵀ X. The last
+    layer's scores are X [u ; v]ᵀ, so d[u ; v] = d_scores X, and dX is
+    alphaᵀ d_output plus d_scoresᵀ [u ; v]."""
     features, applied, alpha = cache.features, cache.applied, cache.alpha
     flat_features = features.reshape(-1, features.shape[-1])
 
@@ -187,8 +188,6 @@ def gat_backward(layer: GatLayer | LastGatLayer, cache: GatCache, d_output: np.n
 
     if last:
         np.matmul(d_scores, flat_features, out=d_applied)
-        if not input_grad:
-            return None
         d_features = alpha.transpose(0, 2, 1) @ d_output
         d_features += (d_scores.T @ applied).reshape(features.shape)
         return d_features
@@ -199,9 +198,7 @@ def gat_backward(layer: GatLayer | LastGatLayer, cache: GatCache, d_output: np.n
     d_proj += d_scores.T @ pair
     np.matmul(d_proj.T, flat_features, out=d_applied)
     np.matmul(d_scores, cache.projected.reshape(-1, out_dim), out=d_attn.reshape(2, out_dim))
-    if not input_grad:
-        return None
-    return (d_proj @ applied).reshape(features.shape)
+    return None
 
 
 def gat_forward(layer: GatLayer, features: np.ndarray, adjacency: np.ndarray,

@@ -5,7 +5,7 @@ dense batch.
 nodes have zero features, no role and a lone self-loop, and are masked
 out of pooling and of the attention keys, so a sample's result does not
 depend on what it is batched with. The model concatenates the projected
-role vectors onto the frozen turn embeddings, runs the GAT stack,
+role vectors onto the frozen turn embeddings, runs its two GAT layers,
 mean-pools the real nodes, fuses the result with the news embedding by
 interactive attention, and a softmax head predicts (p_real, p_fake).
 ``loss_and_grad`` differentiates the mean batch cross-entropy w.r.t.
@@ -23,11 +23,11 @@ graph_map = graph_proj @ W_last. The model trains those products as
 its blocks; ``create`` draws W_last, a and graph_proj in the factored
 model's order and multiplies them out.
 
-No node_dim wide activation is built: a map [M_e | M_r] that meets the
-node features [embedding ; onehot @ T], with T the role table, is
-applied as [M_e | M_r Tᵀ] to [embedding ; onehot]. Those maps are W_0,
-or with one layer [u ; v] and graph_map; the backward pass takes the
-same route.
+The shape is fixed: one hidden GAT layer, then the collapsed last
+layer, then the interaction. No node_dim wide activation is built: the
+hidden layer's W_0 = [W_e | W_r] meets the node features [embedding ;
+onehot @ T], with T the role table, so it is applied as [W_e | W_r Tᵀ]
+to [embedding ; onehot]; the backward pass takes the same route.
 
 The gradient is one flat vector aligned with the parameters, and the
 caller may pass it in (``out``): training fills one buffer at every
@@ -167,7 +167,6 @@ class ModelConfig:
     d_h: int = 384
     d_r: int = 16
     gat_hidden: int = 128
-    gat_layers: int = 2
     d_p: int = 128
     heads: int = 4
     interaction_mode: str = "nodes"
@@ -176,7 +175,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        for name in ("d_h", "d_r", "gat_hidden", "gat_layers", "d_p", "heads"):
+        for name in ("d_h", "d_r", "gat_hidden", "d_p", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -284,19 +283,18 @@ class AnalysisModel:
     """All trainable parameters, held as views into one flat buffer,
     ``flat``; updating it in place updates every block."""
 
-    def __init__(self, config: ModelConfig, role_table: RoleTable,
-                 gat_layers: list[GatLayer | LastGatLayer], interaction: InteractionHead,
-                 classifier: ClassifierHead):
+    def __init__(self, config: ModelConfig, role_table: RoleTable, hidden: GatLayer,
+                 last: LastGatLayer, interaction: InteractionHead, classifier: ClassifierHead):
         self.config = config
         self.role_table = role_table
-        self.gat_layers = gat_layers
+        self.gat_layers = [hidden, last]
         self.interaction = interaction
         self.classifier = classifier
 
         owners = [("role_embeddings", role_table, "embeddings"),
                   ("role_projection", role_table, "projection")]
         owners += [(f"gat{l}.{attr}", layer, attr)
-                   for l, layer in enumerate(gat_layers) for attr in layer.params]
+                   for l, layer in enumerate(self.gat_layers) for attr in layer.params]
         owners += [(f"interaction.{attr}", interaction, attr) for attr in PROJECTIONS]
         owners += [(f"classifier.{attr}", classifier, attr) for attr in ("weight", "bias")]
 
@@ -313,31 +311,22 @@ class AnalysisModel:
             setattr(owner, attr, self._views[name])
             self._blocks.append((name, sl, shape))
             offset = sl.stop
-        # The map each layer applies, then the interaction's; the first
-        # of them, or with one layer both, meet the node features.
-        last = len(gat_layers) - 1
-        self._maps = (*(f"gat{l}.weight" for l in range(last)),
-                      f"gat{last}.score", "interaction.graph_map")
-        self._role_maps = self._maps[:1] if last else self._maps
 
     @classmethod
     def create(cls, config: ModelConfig) -> "AnalysisModel":
         rng = np.random.default_rng(config.seed)
         role_table = RoleTable.create(config.d_h, config.d_r, rng)
         node_dim = 2 * config.d_h
-        dims = [node_dim] + [config.gat_hidden] * (config.gat_layers - 1)
-        layers: list[GatLayer | LastGatLayer] = [
-            GatLayer.create(dims[l], dims[l + 1], rng) for l in range(config.gat_layers - 1)
-        ]
+        hidden = GatLayer.create(node_dim, config.gat_hidden, rng)
         # The paper's last layer and graph projection, drawn in this
         # order, enter the model only multiplied out.
-        factored = GatLayer.create(dims[-1], node_dim, rng)
+        factored = GatLayer.create(config.gat_hidden, node_dim, rng)
         interaction = InteractionHead.create(node_dim, config.d_h, config.d_p,
                                              config.heads, rng)
-        layers.append(LastGatLayer(factored.attn.reshape(2, node_dim) @ factored.weight))
+        last = LastGatLayer(factored.attn.reshape(2, node_dim) @ factored.weight)
         interaction.graph_map = interaction.graph_map @ factored.weight
         classifier = ClassifierHead.create(2 * config.d_p, rng)
-        return cls(config, role_table, layers, interaction, classifier)
+        return cls(config, role_table, hidden, last, interaction, classifier)
 
     # ---- parameter bookkeeping -------------------------------------------
 
@@ -374,28 +363,23 @@ class AnalysisModel:
         # One-hot role rows; role-less and padding nodes get a zero row.
         table = self.role_table.embeddings @ self.role_table.projection.T
         roles = (batch.role_ids[..., None] == np.arange(table.shape[0])).astype(table.dtype)
-        # A map M = [M_e | M_r] over [embedding ; roles @ table] equals
-        # [M_e | M_r tableᵀ] applied to [embedding ; roles].
-        maps = []
-        for name in self._maps:
-            block = self._views[name]
-            if name in self._role_maps:
-                block = np.concatenate([block[:, :d_h], block[:, d_h:] @ table.T], axis=1)
-            maps.append(block)
-        activations = np.concatenate([batch.nodes, roles], axis=2)
-        gat_caches = []
-        for layer, applied in zip(self.gat_layers, maps):
-            activations, cache = gat_forward_cached(layer, activations, batch.adjacency, applied)
-            gat_caches.append(cache)
+        hidden, last = self.gat_layers
+        # W_0 = [W_e | W_r] over [embedding ; roles @ table] equals
+        # [W_e | W_r tableᵀ] applied to [embedding ; roles].
+        applied = np.concatenate([hidden.weight[:, :d_h], hidden.weight[:, d_h:] @ table.T],
+                                 axis=1)
+        features = np.concatenate([batch.nodes, roles], axis=2)
+        features, hidden_cache = gat_forward_cached(hidden, features, batch.adjacency, applied)
         # The last layer returns its input-space aggregate, which only
         # graph_map reads.
-        pooled = global_mean_pool(activations, batch.mask)
+        aggregated, last_cache = gat_forward_cached(last, features, batch.adjacency, last.score)
+        pooled = global_mean_pool(aggregated, batch.mask)
         fused, att_cache = interact_cached(
-            batch.news, activations, pooled, maps[-1], self.interaction,
-            self.config.interaction_mode, batch.mask,
+            batch.news, aggregated, pooled, self.interaction, self.config.interaction_mode,
+            batch.mask,
         )
         probs = classify(fused, self.classifier)
-        return probs, {"batch": batch, "table": table, "gat": gat_caches,
+        return probs, {"batch": batch, "table": table, "gat": [hidden_cache, last_cache],
                        "attention": att_cache, "fused": fused, "probs": probs}
 
     def gradient(self, cache: dict, labels: np.ndarray,
@@ -425,45 +409,38 @@ class AnalysisModel:
         np.sum(d_logits, axis=0, out=grads["classifier.bias"])
         d_fused = d_logits @ self.classifier.weight
 
-        # A map that read [embedding ; roles] as [M_e | M_r tableᵀ], width
-        # d_h + roles, gets that applied map's gradient: in the leading
-        # columns of its block when they fit, and the role columns are
+        # Layer 0 applied [W_e | W_r tableᵀ], width d_h + roles, and gets
+        # that map's gradient: in the leading columns of W_0's block when
+        # they fit, else in a buffer of its own; the role columns are
         # mapped back below.
         d_h, table = self.config.d_h, cache["table"]
         width = d_h + table.shape[0]
+        d_weight = grads["gat0.weight"]
         fits = width <= 2 * d_h
-        targets = dict(grads)
-        for name in self._role_maps:
-            block = grads[name]
-            targets[name] = block[:, :width] if fits else np.empty((len(block), width), out.dtype)
+        d_applied = d_weight[:, :width] if fits else np.empty((len(d_weight), width), out.dtype)
 
-        d_activations, d_pooled = interact_backward(
+        d_aggregated, d_pooled = interact_backward(
             self.interaction, cache["attention"], d_fused,
-            {name: targets[f"interaction.{name}"] for name in PROJECTIONS},
+            {name: grads[f"interaction.{name}"] for name in PROJECTIONS},
         )
         counts = batch.mask.sum(axis=1, dtype=out.dtype)
         d_mean = batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
-        if d_activations is None:
-            d_activations = d_mean
+        if d_aggregated is None:
+            d_aggregated = d_mean
         else:
-            d_activations += d_mean
+            d_aggregated += d_mean
 
-        for l in range(len(self.gat_layers) - 1, -1, -1):
-            layer = self.gat_layers[l]
-            d_activations = gat_backward(
-                layer, cache["gat"][l], d_activations,
-                *(targets[f"gat{l}.{attr}"] for attr in layer.params), input_grad=l > 0,
-            )
+        hidden, last = self.gat_layers
+        hidden_cache, last_cache = cache["gat"]
+        d_features = gat_backward(last, last_cache, d_aggregated, grads["gat1.score"])
+        gat_backward(hidden, hidden_cache, d_features, d_applied, grads["gat0.attn"])
 
-        # Back from each [M_e | M_r tableᵀ] to M and the role table.
-        d_table = 0.0
-        for name in self._role_maps:
-            d_applied, d_block = targets[name], grads[name]
-            d_roles = d_applied[:, d_h:].copy()
-            if not fits:
-                d_block[:, :d_h] = d_applied[:, :d_h]
-            np.matmul(d_roles, table, out=d_block[:, d_h:])
-            d_table = d_table + d_roles.T @ self._views[name][:, d_h:]
+        # Back from [W_e | W_r tableᵀ] to W_0 and the role table.
+        d_roles = d_applied[:, d_h:].copy()
+        if not fits:
+            d_weight[:, :d_h] = d_applied[:, :d_h]
+        np.matmul(d_roles, table, out=d_weight[:, d_h:])
+        d_table = d_roles.T @ hidden.weight[:, d_h:]
         np.matmul(d_table, self.role_table.projection, out=grads["role_embeddings"])
         np.matmul(d_table.T, self.role_table.embeddings, out=grads["role_projection"])
         return out

@@ -4,9 +4,9 @@ A workspace directory accumulates per-item artifacts (transcripts,
 reports, embedding and generation caches, checkpoints, predictions,
 metrics, the explanation bundle) so every stage is resumable: existing
 valid transcript and report files are picked up (an unusable one is
-regenerated), and embeddings come from the on-disk cache. Strict mode is
-enforced where items fail: under ``strict`` the debate or synthesis
-stage itself stops its caller. The ablation variants re-wire the stage
+regenerated, or removed if that fails), and embeddings come from the
+on-disk cache. Strict mode is enforced where items fail: under
+``strict`` the debate or synthesis stage itself stops its caller. The ablation variants re-wire the stage
 sequence or the samples without touching the persisted artifacts; a
 name outside ``VARIANTS`` is refused before any stage runs.
 """
@@ -145,6 +145,8 @@ class Pipeline:
             try:
                 record = produce(source)
             except Exception as exc:
+                # An unusable file left in place would be named as the item's.
+                path.unlink(missing_ok=True)
                 return news_id, None, False, f"{news_id}: {exc}"
             path.write_text(dump(record), encoding="utf-8")
             return news_id, record, False, None
@@ -277,14 +279,17 @@ class Pipeline:
         debate, synthesize, encode, train and predict. ``no_debate`` skips
         the debate and encodes the news alone; ``no_analysis`` stops at the
         reports' verdict hints; ``no_roles`` trains on role-less samples
-        (see ``build_samples``). Any name outside ``VARIANTS``, and any test
-        item with no label, is a ValueError before the first stage."""
+        (see ``build_samples``). Past the debate stage only the items with
+        a transcript go on, so a lenient run drops its failed debates. Any
+        name outside ``VARIANTS``, and any test item with no label, is a
+        ValueError before the first stage."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown ablation variant {variant!r}; valid: {list(VARIANTS)}")
         dataset.labeled_test_split()
         logs = {}
         if variant != "no_debate":
             logs, _ = self.run_debates(dataset)
+            dataset = dataset.subset(logs)
             reports, _ = self.run_synthesis(logs)
             if variant == "no_analysis":
                 return self.hint_rows(dataset, reports)

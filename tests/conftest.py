@@ -36,11 +36,17 @@ def default_log(news_item, mock_gateway):
     return run_debate(news_item, DebateConfig(), mock_gateway)
 
 
-def tiny_model(mode: str = "nodes", layers: int = 2, seed: int = 0,
-               heads: int = 1) -> AnalysisModel:
+def at_two_layers(values) -> list:
+    """``values`` as parameters whose ids lead with "2-": the names these
+    cases had when the model's layer count was a setting, which the
+    model now fixes at two."""
+    return [pytest.param(value, id=f"2-{value}") for value in values]
+
+
+def tiny_model(mode: str = "nodes", seed: int = 0, heads: int = 1) -> AnalysisModel:
     """A float64 model, for comparisons at float64 tolerances."""
     config = ModelConfig(
-        d_h=4, d_r=2, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
+        d_h=4, d_r=2, gat_hidden=5, d_p=4, heads=heads,
         interaction_mode=mode, seed=seed, dtype="float64",
     )
     return AnalysisModel.create(config)
@@ -91,9 +97,10 @@ def factored_param_count(config: ModelConfig) -> int:
     GAT layer's projection and attention vector and the interaction's
     graph_proj as factors: 418,210 at default dims."""
     node_dim = 2 * config.d_h
-    dims = [node_dim] + [config.gat_hidden] * (config.gat_layers - 1) + [node_dim]
     count = 10 * config.d_r + config.d_h * config.d_r
-    count += sum(dims[l + 1] * dims[l] + 2 * dims[l + 1] for l in range(config.gat_layers))
+    # The hidden layer, then the last layer's projection and attention vector.
+    count += config.gat_hidden * node_dim + 2 * config.gat_hidden
+    count += node_dim * config.gat_hidden + 2 * node_dim
     count += config.d_p * (node_dim + config.d_h + 4 * config.d_p)
     return count + 2 * 2 * config.d_p + 2
 

@@ -60,9 +60,7 @@ def test_criterion_2_gradient_oracle():
     worst = 0.0
     worst_block = ""
     for i in range(20):
-        layers = 1 + i % 2
-        model, batch = make_gradcheck_case(seed=1000 + i, mode="nodes",
-                                           layers=layers, heads=1)
+        model, batch = make_gradcheck_case(seed=1000 + i, mode="nodes", heads=1)
         analytic = backward(model, batch)
         numeric = finite_difference_gradient(model, batch, step=1e-4)
         errors = block_relative_errors(model, analytic, numeric)
@@ -182,7 +180,7 @@ def test_criterion_7_synthetic_separability(tmp_path):
     workspace = tmp_path / "ws"
     write_transcripts(corpus, workspace / "transcripts")
     config = PipelineConfig(
-        d_h=32, d_r=8, gat_hidden=16, gat_layers=2, d_p=16, heads=4,
+        d_h=32, d_r=8, gat_hidden=16, d_p=16, heads=4,
         lr=5e-3, epochs=20, batch_size=32, seed=1,
     )
     pipeline = Pipeline(config, workspace)
@@ -240,7 +238,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     config_path = tmp_path / "cfg.ini"
     config_path.write_text(
         "[embedding]\nd_h = 16\n\n"
-        "[model]\nd_r = 4\ngat_hidden = 8\ngat_layers = 2\nd_p = 8\nheads = 2\n"
+        "[model]\nd_r = 4\ngat_hidden = 8\nd_p = 8\nheads = 2\n"
         "epochs = 3\nbatch_size = 4\n"
     )
     blobs = []

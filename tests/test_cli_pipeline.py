@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountingBackend, CountingProvider, PoisonedProvider, write_factored_checkpoint
+from conftest import (CountingBackend, CountingProvider, PoisonedProvider, at_two_layers,
+                      write_factored_checkpoint)
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
 from veridebate import gateway as gateway_module, pipeline as pipeline_module
 from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider, text_key
 from veridebate.evaluation import Dataset, compute_metrics, load_dataset, write_dataset_jsonl
-from veridebate.neural import AnalysisModel, ModelConfig, load_model
+from veridebate.domain import DebateConfig
+from veridebate.neural import AnalysisModel, ModelConfig, TrainConfig, load_model
 from veridebate.neural.model import loss_and_grad
 from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
 from veridebate.pipeline import (ABLATION_TOGGLES, Pipeline, StageError, build_embedder,
@@ -31,7 +33,6 @@ d_h = 16
 [model]
 d_r = 4
 gat_hidden = 8
-gat_layers = 2
 d_p = 8
 heads = 2
 epochs = 3
@@ -51,8 +52,9 @@ def small_setup(tmp_path):
 
 # Values only a check at load rejects: the gateway's pacing and pool
 # size, the engine's max_tokens and temperature, the model's heads, which
-# must divide d_p = 128, the training settings, and the seed of the
-# model's and the trainer's generators.
+# must divide d_p = 128, the training settings, the seed of the
+# model's and the trainer's generators, and gat_layers, a key the model
+# no longer has: its depth is fixed.
 BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
                      "[gateway]\nrequests_per_minute = inf\n",
                      "[gateway]\nmax_concurrency = 0\n",
@@ -60,10 +62,10 @@ BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
                      "[debate]\ntemperature = inf\n", "[model]\nheads = 3\n",
                      "[model]\nlr = nan\n", "[model]\nlr = 0\n",
                      "[model]\nepochs = 0\n", "[model]\nbatch_size = 0\n",
-                     "[paths]\nseed = -1\n")
+                     "[paths]\nseed = -1\n", "[model]\ngat_layers = 2\n")
 BAD_STAGE_IDS = ("rpm_negative", "rpm_inf", "max_concurrency", "max_tokens", "temperature_nan",
                  "temperature_inf", "heads", "lr_nan", "lr_zero", "epochs", "batch_size",
-                 "seed_negative")
+                 "seed_negative", "gat_layers")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -143,6 +145,20 @@ class TestConfig:
         path = tmp_path / "readme.ini"
         path.write_text(block)
         assert load_config(path) == PipelineConfig()
+
+    def test_stage_defaults_are_stated_once(self):
+        """Each stage-config field PipelineConfig repeats has the same
+        default in both, and the only one it lacks is the model dtype: a
+        setting removed from one class but not the other shows here."""
+        ours = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        lacking = []
+        for cls in (DebateConfig, ModelConfig, TrainConfig):
+            for f in dataclasses.fields(cls):
+                if f.name in ours:
+                    assert ours[f.name] == f.default, (cls.__name__, f.name)
+                else:
+                    lacking.append(f"{cls.__name__}.{f.name}")
+        assert lacking == ["ModelConfig.dtype"]
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -354,6 +370,23 @@ class TestPipelineCommand:
         assert not (out / "reports" / f"{failed}.json").exists()
         assert len(reports) == 3
         assert all((out / report).is_file() for report in reports.values())
+
+    def test_failed_regeneration_leaves_no_unusable_report(self, small_setup, monkeypatch):
+        """A rerun that finds a test item's report unusable and then fails
+        to synthesize it removes the file, so the bundle names no report
+        for the item."""
+        tmp_path, dataset_path, config_path = small_setup
+        common = ("--config", config_path, "--dataset", dataset_path, "--out", tmp_path / "ws",
+                  "--seed", "5")
+        assert run_cli("pipeline", *common) == 0
+        failed = fail_one_synthesis(monkeypatch, dataset_path)
+        unusable = tmp_path / "ws" / "reports" / f"{failed}.json"
+        unusable.write_text("{not json")
+        assert run_cli("pipeline", *common) == 0
+        assert not unusable.exists()
+        reports = {e["id"]: e["report"] for e in map(
+            json.loads, (tmp_path / "ws" / "explanations.jsonl").read_text().splitlines())}
+        assert reports[failed] is None
 
     def test_missing_train_split_fails(self, tmp_path, capsys):
         corpus = make_synthetic_corpus(n_train=0, n_test=4, seed=1, task="stance")
@@ -936,7 +969,7 @@ class ExplodingBackend:
         raise AssertionError("gateway must not be called")
 
 
-TINY_CONFIG = PipelineConfig(d_h=16, d_r=4, gat_hidden=8, gat_layers=1, d_p=8,
+TINY_CONFIG = PipelineConfig(d_h=16, d_r=4, gat_hidden=8, d_p=8,
                              heads=2, epochs=1, batch_size=1)
 
 
@@ -971,55 +1004,50 @@ def role_corpus_samples(tmp_path, config: PipelineConfig):
 
 
 # d_h 8 maps the role columns back from a separate buffer; d_h 16 in place.
-@pytest.mark.parametrize("d_h", [8, 16])
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("d_h", at_two_layers([8, 16]))
 class TestNoRolesVariant:
     """Role-less samples through a random role table act as role samples
     through a zeroed one, and the role path gets no gradient, so no_roles
     is the ablation a zeroed, frozen role table gives."""
 
-    def model(self, d_h, layers, dtype, zeroed=False) -> AnalysisModel:
-        config = dataclasses.replace(TINY_CONFIG, d_h=d_h, gat_layers=layers).model_config()
+    def model(self, d_h, dtype, zeroed=False) -> AnalysisModel:
+        config = dataclasses.replace(TINY_CONFIG, d_h=d_h).model_config()
         model = AnalysisModel.create(dataclasses.replace(config, dtype=dtype))
         if zeroed:
             model.role_table.embeddings[...] = 0.0
         return model
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_forward_equals_a_zeroed_role_table(self, tmp_path, d_h, layers, dtype):
+    def test_forward_equals_a_zeroed_role_table(self, tmp_path, d_h, dtype):
         full, role_less = role_corpus_samples(
             tmp_path, dataclasses.replace(TINY_CONFIG, d_h=d_h))
         assert all((s.role_ids == -1).all() for s in role_less)
         assert all((s.role_ids >= 0).all() for s in full)
-        probs = self.model(d_h, layers, dtype).forward(role_less)[0]
-        zeroed = self.model(d_h, layers, dtype, zeroed=True).forward(full)[0]
+        probs = self.model(d_h, dtype).forward(role_less)[0]
+        zeroed = self.model(d_h, dtype, zeroed=True).forward(full)[0]
         assert probs.tobytes() == zeroed.tobytes()
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_role_path_gradient_is_exactly_0(self, tmp_path, d_h, layers, dtype):
+    def test_role_path_gradient_is_exactly_0(self, tmp_path, d_h, dtype):
         _, role_less = role_corpus_samples(tmp_path, dataclasses.replace(TINY_CONFIG, d_h=d_h))
-        model = self.model(d_h, layers, dtype)
+        model = self.model(d_h, dtype)
         _, grad = loss_and_grad(model, role_less)
         blocks = dict(model.block_slices())
         assert not grad[blocks["role_embeddings"]].any()
         assert not grad[blocks["role_projection"]].any()
-        # The first map meets the role features; with one layer the last
-        # layer's scores and the interaction's graph map both do.
-        first = ["gat0.weight"] if layers > 1 else ["gat0.score", "interaction.graph_map"]
-        for name in first:
-            block = grad[blocks[name]].reshape(model._views[name].shape)
-            assert not block[:, d_h:].any() and block[:, :d_h].any()
+        # Only the hidden layer's W_0 meets the role features.
+        block = grad[blocks["gat0.weight"]].reshape(model.gat_layers[0].weight.shape)
+        assert not block[:, d_h:].any() and block[:, :d_h].any()
 
-    def test_checkpoint_keeps_the_initial_role_blocks(self, tmp_path, d_h, layers):
-        config = dataclasses.replace(TINY_CONFIG, d_h=d_h, gat_layers=layers)
+    def test_checkpoint_keeps_the_initial_role_blocks(self, tmp_path, d_h):
+        config = dataclasses.replace(TINY_CONFIG, d_h=d_h)
         corpus = make_synthetic_corpus(n_train=6, n_test=2, seed=2, task="role")
         pipeline = Pipeline(config, tmp_path / "ws")
         fresh = AnalysisModel.create(config.model_config())
-        first = "gat0.weight" if layers > 1 else "gat0.score"
 
         def role_blocks(model):
             return (model.role_table.embeddings.tobytes(), model.role_table.projection.tobytes(),
-                    model._views[first][:, d_h:].tobytes())
+                    model.gat_layers[0].weight[:, d_h:].tobytes())
 
         for variant in ("full", "no_roles"):
             pipeline.evaluate_variant(corpus.dataset, variant)
@@ -1116,6 +1144,21 @@ def unreachable(monkeypatch) -> None:
     monkeypatch.setattr(pipeline_module, "RetryPolicy", lambda: RetryPolicy(max_attempts=1))
 
 
+def fail_one_debate(monkeypatch, dataset_path: Path) -> str:
+    """Make the debate of the dataset's first test item fail; returns its
+    id."""
+    failed = load_dataset(dataset_path).split("test")[0].id
+    run_debate = pipeline_module.run_debate
+
+    def failing(item, *args):
+        if item.id == failed:
+            raise TransportError("unreachable")
+        return run_debate(item, *args)
+
+    monkeypatch.setattr(pipeline_module, "run_debate", failing)
+    return failed
+
+
 class TestStrictStageCommands:
     @pytest.mark.parametrize("command", ["debate", "synthesize"])
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
@@ -1154,28 +1197,49 @@ class TestStrictStageCommands:
         assert len(list((out / "reports").iterdir())) == 15
         assert [name for name in LATER_OUTPUTS[1:] if (out / name).exists()] == []
 
+    def test_lenient_ablate_goes_on_without_the_failed_debate(self, small_setup, monkeypatch):
+        """Every variant but no_debate drops the item whose debate failed;
+        each row's n_items counts the test items it scored."""
+        tmp_path, dataset_path, config_path = small_setup
+        fail_one_debate(monkeypatch, dataset_path)
+        out = tmp_path / "ws"
+        assert run_cli("ablate", "--config", config_path, "--dataset", dataset_path,
+                       "--out", out, "--seed", "5") == 0
+        table = json.loads((out / "ablation.json").read_text())
+        assert {variant: row["n_items"] for variant, row in table.items()} == {
+            "full": 3, "no_debate": 4, "no_analysis": 3, "no_roles": 3}
+
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
     def test_predict_stops_at_a_failed_debate(self, small_setup, monkeypatch, caplog, strict):
-        """predict in a trained workspace that lost one transcript and the
-        generation cache, with the backend unreachable: under --strict the
-        debate stage stops it; without, encode does, naming the item with
-        no transcript. Neither writes a prediction."""
+        """predict in a trained workspace that lost one test item's
+        transcript and the generation cache, with the backend unreachable:
+        under --strict the debate stage stops it, writing no prediction;
+        without, it predicts the other test items and exits 0, and
+        evaluate then refuses the file, naming the missing id."""
         tmp_path, dataset_path, config_path = small_setup
         out = tmp_path / "ws"
         common = ("--config", config_path, "--dataset", dataset_path, "--out", out,
                   "--seed", "5")
         assert run_cli("train", *common) == 0
-        lost = sorted((out / "transcripts").iterdir())[0]
-        lost.unlink()
+        lost = load_dataset(dataset_path).split("test")[0].id
+        (out / "transcripts" / f"{lost}.json").unlink()
         shutil.rmtree(out / "cache" / "gen")
         unreachable(monkeypatch)
         caplog.clear()
-        assert run_cli("predict", *common, *(["--strict"] if strict else [])) == 1
-        expected = ("stage debate failed: 1 item(s) failed" if strict else
-                    f"stage encode failed: no transcript for item {lost.stem}")
-        assert expected in caplog.text
-        assert not (out / "predictions.jsonl").exists()
-        assert not (out / "explanations.jsonl").exists()
+        code = run_cli("predict", *common, *(["--strict"] if strict else []))
+        if strict:
+            assert code == 1
+            assert "stage debate failed: 1 item(s) failed" in caplog.text
+            assert not (out / "predictions.jsonl").exists()
+            assert not (out / "explanations.jsonl").exists()
+            return
+        assert code == 0
+        rows = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+        assert len(rows) == 3 and lost not in [row["id"] for row in rows]
+        caplog.clear()
+        assert run_cli("evaluate", *common) == 1
+        assert f"missing ['{lost}']" in caplog.text
+        assert not (out / "metrics.json").exists()
 
 
 class TestBuildGateway:

@@ -96,6 +96,20 @@ class TestLoadDataset:
         assert [item.id for item in dataset.items] == ["a"]
         assert "line 2" in caplog.text
 
+    @pytest.mark.parametrize("bad_id", [None, True, 1.5, [1]],
+                             ids=["null", "true", "float", "list"])
+    def test_id_that_is_no_string_or_integer_rejected(self, tmp_path, caplog, bad_id):
+        path = tmp_path / "ids.jsonl"
+        write_jsonl(path, [
+            {"id": 7, "content": "x", "label": 0},
+            {"id": bad_id, "content": "y", "label": 1},
+        ])
+        with pytest.raises(DatasetError, match="line 2: id must be a string or an integer"):
+            load_dataset(path)
+        dataset = load_dataset(path, strict=False)
+        assert [item.id for item in dataset.items] == ["7"]
+        assert "line 2" in caplog.text
+
     @pytest.mark.parametrize("content", [5, ["a", "list"], {"text": "x"}, True],
                              ids=["int", "list", "object", "bool"])
     def test_non_string_content_rejected(self, tmp_path, caplog, content):

@@ -8,7 +8,7 @@ backward path under test.
 import numpy as np
 import pytest
 
-from conftest import tiny_model
+from conftest import at_two_layers, tiny_model
 from oracles import block_relative_errors, finite_difference_gradient
 from strategies import make_gradcheck_case, random_graph_sample
 from veridebate.neural import NumericalFault, backward, batch_loss
@@ -16,25 +16,21 @@ from veridebate.neural import NumericalFault, backward, batch_loss
 TOLERANCE = 1e-4
 
 
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-# Three layers run a hidden layer's input gradient, which layer 0 never needs.
-@pytest.mark.parametrize("layers", [1, 2, 3])
-def test_gradient_matches_finite_differences(mode, layers):
-    model, batch = make_gradcheck_case(seed=layers * 100 + (mode == "pooled"),
-                                       mode=mode, layers=layers)
+@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
+def test_gradient_matches_finite_differences(mode):
+    model, batch = make_gradcheck_case(seed=200 + (mode == "pooled"), mode=mode)
     analytic = backward(model, batch)
     numeric = finite_difference_gradient(model, batch, step=1e-4)
     errors = block_relative_errors(model, analytic, numeric)
     assert max(errors.values()) < TOLERANCE, errors
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_gradient_matches_finite_differences_with_role_columns_in_place(layers):
+def test_gradient_matches_finite_differences_with_role_columns_in_place():
     # d_h = 10: layer 0's applied map is d_h + 10 roles = 20 wide, as wide
     # as W_0, so its gradient is written into W_0's own block, as at
     # default dims. (The other cases here, at d_h = 4, take the scratch
     # path.)
-    model, batch = make_gradcheck_case(seed=30 + layers, layers=layers, d_h=10)
+    model, batch = make_gradcheck_case(seed=32, d_h=10)
     analytic = backward(model, batch)
     numeric = finite_difference_gradient(model, batch, step=1e-4)
     errors = block_relative_errors(model, analytic, numeric)
@@ -42,7 +38,7 @@ def test_gradient_matches_finite_differences_with_role_columns_in_place(layers):
 
 
 def test_gradient_check_with_multiple_heads():
-    model, batch = make_gradcheck_case(seed=9, mode="nodes", layers=2, heads=2)
+    model, batch = make_gradcheck_case(seed=9, mode="nodes", heads=2)
     analytic = backward(model, batch)
     numeric = finite_difference_gradient(model, batch, step=1e-4)
     errors = block_relative_errors(model, analytic, numeric)
@@ -65,7 +61,7 @@ def test_gradient_matches_finite_differences_per_head(mode, heads):
 def test_pooled_mode_news_projection_gradient_is_zero():
     # Attention over a single key ignores the query entirely, so the
     # news projection cannot receive gradient in pooled mode.
-    model, batch = make_gradcheck_case(seed=21, mode="pooled", layers=1)
+    model, batch = make_gradcheck_case(seed=21, mode="pooled")
     grad = backward(model, batch)
     block = dict(model.block_slices())["interaction.news_proj"]
     assert np.array_equal(grad[block], np.zeros(block.stop - block.start))
@@ -90,7 +86,7 @@ def test_saturated_correct_prediction_has_tiny_classifier_gradient():
 
 
 def test_duplicated_batch_keeps_mean_gradient():
-    model, batch = make_gradcheck_case(seed=5, mode="nodes", layers=2)
+    model, batch = make_gradcheck_case(seed=5, mode="nodes")
     once = backward(model, batch)
     twice = backward(model, batch + batch)
     assert np.allclose(once, twice, rtol=1e-12, atol=1e-15)

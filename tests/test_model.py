@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import at_two_layers
 from oracles import (
     block_relative_errors,
     factored_forward,
@@ -44,11 +45,11 @@ attention_module = importlib.import_module("veridebate.neural.attention")
 D_H = 6  # node_dim = 12, a width no other dimension here shares
 
 
-def small_model(mode: str, layers: int, d_h: int = D_H, heads: int = 2,
+def small_model(mode: str, d_h: int = D_H, heads: int = 2,
                 dtype: str = "float64") -> AnalysisModel:
     """Float64 unless asked: the reference comparisons hold to 1e-12."""
-    config = ModelConfig(d_h=d_h, d_r=3, gat_hidden=5, gat_layers=layers, d_p=4, heads=heads,
-                         interaction_mode=mode, seed=layers, dtype=dtype)
+    config = ModelConfig(d_h=d_h, d_r=3, gat_hidden=5, d_p=4, heads=heads,
+                         interaction_mode=mode, seed=2, dtype=dtype)
     return AnalysisModel.create(config)
 
 
@@ -60,50 +61,45 @@ def mixed_samples(seed: int, counts=(1, 4, 9, 2), d_h: int = D_H):
     return samples
 
 
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2, 3])
-def test_forward_matches_literal_reference(mode, layers):
-    model = small_model(mode, layers)
-    samples = mixed_samples(layers)
+@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
+def test_forward_matches_literal_reference(mode):
+    model = small_model(mode)
+    samples = mixed_samples(2)
     probs, _ = model.forward(samples)
     assert np.abs(probs - reference_forward(model, samples)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2])
-def test_collapsed_blocks_match_the_factored_model(mode, layers):
+@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
+def test_collapsed_blocks_match_the_factored_model(mode):
     # Random factors of the paper's form: the last layer's projection W
     # (node_dim, in_dim) and attention vector a, and graph_proj (d_p,
     # node_dim). The model loaded with them multiplied out computes the
     # factored model's probabilities.
-    model = small_model(mode, layers)
+    model = small_model(mode)
     node_dim, in_dim = 2 * D_H, model.gat_layers[-1].score.shape[1]
-    rng = np.random.default_rng(50 + layers)
+    rng = np.random.default_rng(52)
     weight = rng.uniform(-0.5, 0.5, (node_dim, in_dim))
     attn = rng.uniform(-0.5, 0.5, 2 * node_dim)
     graph_proj = rng.uniform(-0.5, 0.5, (model.config.d_p, node_dim))
     model.gat_layers[-1].score[...] = attn.reshape(2, node_dim) @ weight
     model.interaction.graph_map[...] = graph_proj @ weight
-    samples = mixed_samples(layers + 10)
+    samples = mixed_samples(12)
     probs, _ = model.forward(samples)
     expected = factored_forward(model, samples, weight, attn, graph_proj)
     assert np.abs(probs / expected - 1.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_fresh_model_multiplies_out_the_factored_draws(layers):
-    # The factored layout drew the role table, the hidden layers, the
+def test_fresh_model_multiplies_out_the_factored_draws():
+    # The factored layout drew the role table, the hidden layer, the
     # last layer's W and a, and graph_proj, in that order, from the
     # model seed; a fresh model is that factored model.
-    model = small_model("nodes", layers)
+    model = small_model("nodes")
     rng = np.random.default_rng(model.config.seed)
     RoleTable.create(D_H, 3, rng)
-    in_dim = 2 * D_H
-    for _ in range(layers - 1):
-        in_dim = GatLayer.create(in_dim, 5, rng).out_dim
-    last = GatLayer.create(in_dim, 2 * D_H, rng)
+    GatLayer.create(2 * D_H, 5, rng)
+    last = GatLayer.create(5, 2 * D_H, rng)
     graph_proj = InteractionHead.create(2 * D_H, D_H, 4, 2, rng).graph_map
-    samples = mixed_samples(layers + 20)
+    samples = mixed_samples(22)
     expected = factored_forward(model, samples, last.weight, last.attn, graph_proj)
     assert np.abs(model.forward(samples)[0] / expected - 1.0).max() <= 1e-12
 
@@ -123,7 +119,7 @@ def test_default_dims_parameter_layout():
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_weights_match_literal_per_node_keys(heads):
-    model = small_model("nodes", layers=2, heads=heads)
+    model = small_model("nodes", heads=heads)
     samples = mixed_samples(heads)  # 1, 4, 9 and 2 nodes: three are padded
     _, cache = model.forward(samples)
     att = cache["attention"]
@@ -145,7 +141,7 @@ def test_attention_weights_match_literal_per_node_keys(heads):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_pooled_attention_weights_are_exactly_one(heads):
-    model = small_model("pooled", layers=2, heads=heads)
+    model = small_model("pooled", heads=heads)
     _, cache = model.forward(mixed_samples(heads))
     assert cache["attention"].weights.shape == (4, heads, 1)
     assert np.all(cache["attention"].weights == 1.0)
@@ -156,10 +152,9 @@ def test_pooled_attention_weights_are_exactly_one(heads):
     assert np.all(weights == 1.0)
 
 
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2])
-def test_no_cached_array_is_node_dim_wide(mode, layers):
-    model = small_model(mode, layers)
+@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
+def test_no_cached_array_is_node_dim_wide(mode):
+    model = small_model(mode)
     _, cache = model.forward(mixed_samples(0))
     for part in [*cache["gat"], cache["attention"]]:
         for name, value in vars(part).items():
@@ -182,7 +177,7 @@ def count_calls(monkeypatch, module, names):
 
 
 def test_loss_and_grad_calls_each_hook_once_per_layer(monkeypatch):
-    model = small_model("nodes", layers=2)
+    model = small_model("nodes")
     calls = count_calls(monkeypatch, model_module, (
         "gat_forward_cached", "gat_backward", "interact_cached", "interact_backward",
         "classify"))
@@ -196,7 +191,7 @@ def test_loss_and_grad_calls_each_hook_once_per_layer(monkeypatch):
 
 
 def test_one_train_step_calls_adam_once(monkeypatch):
-    model = small_model("nodes", layers=2)
+    model = small_model("nodes")
     calls = count_calls(monkeypatch, train_module, ("adam_step",))
     samples = mixed_samples(2)
     train(model, samples, TrainConfig(epochs=1, batch_size=len(samples)))
@@ -204,7 +199,7 @@ def test_one_train_step_calls_adam_once(monkeypatch):
 
 
 def test_one_train_step_checks_finiteness_once(monkeypatch):
-    model = small_model("nodes", layers=2)
+    model = small_model("nodes")
     samples = mixed_samples(2)
     calls = count_calls(monkeypatch, adam_module, ("all_finite",))
     calls.update(count_calls(monkeypatch, model_module, ("all_finite",)))
@@ -213,7 +208,7 @@ def test_one_train_step_checks_finiteness_once(monkeypatch):
 
 
 def test_non_finite_gradient_in_training_names_blocks():
-    model = small_model("nodes", layers=2)
+    model = small_model("nodes")
     model.gat_layers[-1].score[0, 0] = np.nan
     before = model.parameter_vector()
     with pytest.raises(NumericalFault, match="gat1.score"):
@@ -224,10 +219,9 @@ def test_non_finite_gradient_in_training_names_blocks():
 # d_h = 6 leaves layer 0's d_h + 10 role columns wider than W_0's 2 * d_h
 # columns; d_h = 16 fits them, the path default dims take.
 @pytest.mark.parametrize("d_h", [6, 16])
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2])
-def test_out_buffer_is_filled_and_returned(mode, layers, d_h):
-    model = small_model(mode, layers, d_h)
+@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
+def test_out_buffer_is_filled_and_returned(mode, d_h):
+    model = small_model(mode, d_h)
     samples = mixed_samples(3, d_h=d_h)
     out = np.full(model.num_params, np.nan)
     loss, grad = loss_and_grad(model, samples, out=out)
@@ -238,13 +232,13 @@ def test_out_buffer_is_filled_and_returned(mode, layers, d_h):
 
 
 def test_out_buffer_of_wrong_layout_rejected():
-    model = small_model("nodes", layers=2)
+    model = small_model("nodes")
     with pytest.raises(ValueError, match="contiguous float64"):
         loss_and_grad(model, mixed_samples(3), out=np.empty(2 * model.num_params)[::2])
 
 
 def test_out_buffer_of_another_dtype_rejected():
-    model = small_model("nodes", layers=2, dtype="float32")
+    model = small_model("nodes", dtype="float32")
     with pytest.raises(ValueError, match="contiguous float32"):
         loss_and_grad(model, mixed_samples(3), out=np.empty(model.num_params))
 
@@ -308,16 +302,15 @@ def recording_numpy(monkeypatch, modules, seen: list) -> None:
 
 # d_h = 6 maps the role columns back from a separate buffer; d_h = 16 in place.
 @pytest.mark.parametrize("d_h", [6, 16])
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_every_array_of_a_pass_has_the_model_dtype(monkeypatch, dtype, layers, mode, d_h):
+def test_every_array_of_a_pass_has_the_model_dtype(monkeypatch, dtype, mode, d_h):
     """numpy promotes to float64 without a word (a bool sum as a divisor,
     np.where over Python floats, a float64 literal), and a product
     written into the gradient buffer, or added in place, casts back
     without one; so each layer's inputs and outputs and every numpy
     call's result are checked, not only the results."""
-    model = small_model(mode, layers, d_h, dtype=dtype)
+    model = small_model(mode, d_h, dtype=dtype)
     seen = recording_arrays(monkeypatch, model_module, (
         "gat_forward_cached", "gat_backward", "interact_cached", "interact_backward",
         "classify", "global_mean_pool"))
@@ -332,7 +325,7 @@ def test_every_array_of_a_pass_has_the_model_dtype(monkeypatch, dtype, layers, m
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_training_step_runs_in_the_model_dtype(monkeypatch, dtype):
-    model = small_model("nodes", layers=2, dtype=dtype)
+    model = small_model("nodes", dtype=dtype)
     seen = recording_arrays(monkeypatch, train_module, ("adam_step",))
     recording_numpy(monkeypatch, (train_module, adam_module), seen)
     train(model, mixed_samples(2), TrainConfig(epochs=1), val_samples=mixed_samples(3))
@@ -346,7 +339,7 @@ def test_training_step_runs_in_the_model_dtype(monkeypatch, dtype):
 def test_saturated_batch_has_an_exactly_zero_gradient(dtype):
     """Each true-class probability rounds to 1, and the wrong class's,
     e^-100, is a subnormal in float32: p - y resolves to 0."""
-    model = small_model("nodes", layers=2, dtype=dtype)
+    model = small_model("nodes", dtype=dtype)
     model.classifier.weight[...] = 0.0
     model.classifier.bias[...] = [-50.0, 50.0]
     samples = [dataclasses.replace(s, label=1) for s in mixed_samples(6)]
@@ -363,18 +356,17 @@ FLOAT32_PROBS_BOUND = 1e-5
 FLOAT32_GRAD_BLOCK_BOUND = 1e-4
 
 
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-@pytest.mark.parametrize("layers", [1, 2])
-def test_float32_path_tracks_the_float64_path(mode, layers):
+@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
+def test_float32_path_tracks_the_float64_path(mode):
     """One set of parameters and inputs, exact in both dtypes, through
     both paths."""
-    wide = small_model(mode, layers)
-    narrow = small_model(mode, layers, dtype="float32")
+    wide = small_model(mode)
+    narrow = small_model(mode, dtype="float32")
     narrow.set_parameter_vector(wide.flat)
     wide.set_parameter_vector(narrow.flat)
     samples = [dataclasses.replace(s, node_embeddings=s.node_embeddings.astype(np.float32),
                                    news_embedding=s.news_embedding.astype(np.float32))
-               for s in mixed_samples(layers + 30)]
+               for s in mixed_samples(32)]
     labels = np.array([s.label for s in samples])
     (p64, c64), (p32, c32) = wide.forward(samples), narrow.forward(samples)
     assert np.abs(p32 - p64).max() <= FLOAT32_PROBS_BOUND
@@ -383,7 +375,7 @@ def test_float32_path_tracks_the_float64_path(mode, layers):
 
 
 def test_train_passes_one_buffer_to_every_step(monkeypatch):
-    model = small_model("nodes", layers=2)
+    model = small_model("nodes")
     filled, stepped = [], []
     fill, step = train_module.loss_and_grad, train_module.adam_step
 

@@ -24,12 +24,25 @@ from veridebate.synthetic import make_synthetic_corpus
 
 
 def small_config(seed=0, dtype=ModelConfig.dtype):
-    return ModelConfig(d_h=4, d_r=2, gat_hidden=5, gat_layers=2, d_p=4, heads=2,
+    return ModelConfig(d_h=4, d_r=2, gat_hidden=5, d_p=4, heads=2,
                        seed=seed, dtype=dtype)
 
 
 # The embedder every checkpoint here is written for.
 PROVIDER = "hash-d4-s0"
+
+
+def layered_param_count(config: ModelConfig, layers: int) -> int:
+    """Parameters of a model with ``layers - 1`` hidden GAT layers before
+    the collapsed last one, as checkpoints held when the depth was a
+    setting: 874 for a two-layer model at d_h 16, 842 for one layer."""
+    in_dim = 2 * config.d_h
+    count = 10 * config.d_r + config.d_h * config.d_r
+    for _ in range(layers - 1):
+        count += config.gat_hidden * in_dim + 2 * config.gat_hidden
+        in_dim = config.gat_hidden
+    count += 2 * in_dim + config.d_p * (in_dim + config.d_h + 4 * config.d_p)
+    return count + 2 * 2 * config.d_p + 2
 
 
 def random_samples(n, seed=0):
@@ -101,7 +114,7 @@ class TestTrainLoop:
             return [built[item.id] for item in corpus.dataset.split(split)]
 
         model = AnalysisModel.create(
-            ModelConfig(d_h=16, d_r=4, gat_hidden=8, gat_layers=2, d_p=8, heads=2, seed=1)
+            ModelConfig(d_h=16, d_r=4, gat_hidden=8, d_p=8, heads=2, seed=1)
         )
         result = train(model, samples("train"),
                        TrainConfig(lr=5e-3, epochs=10, batch_size=16, seed=1))
@@ -171,6 +184,30 @@ class TestCheckpoints:
         message = str(excinfo.value)
         assert str(path) in message
         assert "version 2" in message and "version 3" in message
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_header_with_a_layer_count_loads_only_at_two(self, tmp_path, layers):
+        """A version-3 header written when the depth was a setting carries
+        gat_layers. The key is ignored, so a two-layer file loads as it
+        was; a one- or three-layer payload fails the parameter count."""
+        config = ModelConfig(d_h=16, d_r=4, gat_hidden=8, d_p=8, heads=2)
+        model = AnalysisModel.create(config)
+        path = tmp_path / "model.bin"
+        save_model(path, model, PROVIDER)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        count = layered_param_count(config, layers)
+        if layers != 2:
+            payload = np.zeros(count, dtype="<f4").tobytes()
+        fields = {**json.loads(header), "gat_layers": layers, "param_count": count}
+        path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+        if layers == 2:
+            assert load_model(path, PROVIDER).flat.tobytes() == model.flat.tobytes()
+            return
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path, PROVIDER)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert f"holds {count} parameters" in message and f"model has {model.num_params}" in message
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_payload_not_whole_values_of_header_dtype_rejected(self, tmp_path, dtype):

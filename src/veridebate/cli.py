@@ -2,7 +2,7 @@
 
     veridebate debate|synthesize|train|predict|evaluate|pipeline|ablate
         --config FILE --dataset FILE --out DIR --seed N
-        --backend {mock,remote} --interaction-mode {pooled,nodes} --strict
+        --backend {mock,remote} --strict
 
 Every command operates on a run workspace (--out): transcripts, reports,
 caches, checkpoints, and result files accumulate there, which makes
@@ -27,7 +27,6 @@ from .config import PipelineConfig, load_config
 from .evaluation import compute_metrics, format_ablation_table, load_dataset
 from .files import write_json
 from .neural import load_model
-from .neural.attention import INTERACTION_MODES
 from .pipeline import ABLATION_TOGGLES, Pipeline, StageError
 
 logger = logging.getLogger("veridebate")
@@ -39,10 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="run workspace directory")
     parser.add_argument("--seed", type=int, help="seed for debates, init, and shuffling")
     parser.add_argument("--backend", choices=["mock", "remote"], help="generation backend")
-    parser.add_argument(
-        "--interaction-mode", choices=INTERACTION_MODES, dest="interaction_mode",
-        help="attention key/value source for the debate-news fusion",
-    )
     parser.add_argument("--strict", action="store_true", default=None,
                         help="treat per-item failures as fatal")
 
@@ -50,7 +45,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     overrides = {
         key: getattr(args, key)
-        for key in ("dataset", "out", "seed", "backend", "interaction_mode", "strict")
+        for key in ("dataset", "out", "seed", "backend", "strict")
         if getattr(args, key, None) is not None
     }
     return dataclasses.replace(load_config(args.config), **overrides)

@@ -48,7 +48,6 @@ class PipelineConfig:
     gat_hidden: int = _in("model", 128)
     d_p: int = _in("model", 128)
     heads: int = _in("model", 4)
-    interaction_mode: str = _in("model", "nodes")
     lr: float = _in("model", 5e-3)
     epochs: int = _in("model", 30)
     batch_size: int = _in("model", 32)

@@ -1,19 +1,14 @@
 """Debate-news interactive attention over a padded batch.
 
-The pooled debate vectors ``(B, f)`` and news embeddings ``(B,
-news_dim)`` are projected to a shared width d_p, by ``graph_map`` and
-``news_proj``; the projected news then queries the debate through
-multi-head scaled dot-product attention, with heads as an array axis.
-Two key/value sources exist:
-
-* ``pooled`` - the single pooled debate vector. Softmax over one key is
-  identically 1, so the context is constant in the query; the mode
-  exists because that literal reading is worth keeping testable.
-* ``nodes`` (default) - the per-node features ``(B, n, f)``, which lets
-  the news weight individual turns; a ``(B, n)`` real-node mask keeps
-  padding nodes out of the keys.
-
-The fused output is [g_proj ; context], ``(B, 2 * d_p)``.
+The news embeddings ``(B, news_dim)`` attend over the per-node debate
+features ``(B, n, f)``, so the news weights individual turns: projected
+to the shared width d_p by ``news_proj``, the news queries the nodes
+through multi-head scaled dot-product attention, with heads as an array
+axis, and a ``(B, n)`` real-node mask keeps padding nodes out of the
+keys. The fused output is [g_proj ; context], ``(B, 2 * d_p)``, with
+g_proj the pooled debate vectors ``(B, f)`` projected by ``graph_map``.
+A graph of one node has one key, whose weight is exactly 1: its context
+is the same for every news embedding.
 
 In the model the sources are the last GAT layer's input-space
 aggregates Z, and ``graph_map`` is the paper's graph projection times
@@ -27,7 +22,7 @@ Each sample has a single query per head, so the query is projected,
 not the keys: head h scores source j as ``(q_h @ key_map_h) · z_j``,
 mixes the sources by the softmax weights, and projects only that
 mixture, ``value_map_h @ (Σ_j w_j z_j)``. No per-node key or value is
-built. Pooled mode runs the same code with the pool as its one source.
+built.
 
 The backward pass writes each projection's gradient, graph_map's
 included, into the array it is handed.
@@ -42,7 +37,6 @@ import numpy as np
 
 from .gat import float_params, softmax, softmax_backward
 
-INTERACTION_MODES = ("pooled", "nodes")
 # The trainable projections, in parameter-buffer order.
 PROJECTIONS = ("graph_map", "news_proj", "query", "key", "value", "out")
 
@@ -110,27 +104,23 @@ def per_head(x: np.ndarray, maps: np.ndarray) -> np.ndarray:
 
 @dataclass
 class InteractCache:
-    mode: str
     news_emb: np.ndarray   # (B, news_dim)
     pooled: np.ndarray     # (B, f)
-    sources: np.ndarray    # (B, m, f): the node features, or the pool (m = 1)
+    sources: np.ndarray    # (B, n, f), the node features
     key_map: np.ndarray    # (heads, head_dim, f), key @ graph_map by heads
     value_map: np.ndarray  # (heads, head_dim, f), value @ graph_map by heads
     e_proj: np.ndarray     # (B, d_p)
     queries: np.ndarray    # (B, heads, head_dim)
     reach: np.ndarray      # (B, heads, f), each query in source space
-    weights: np.ndarray    # (B, heads, m)
+    weights: np.ndarray    # (B, heads, n)
     mixed: np.ndarray      # (B, heads, f), weights @ sources
     concat: np.ndarray     # (B, d_p)
 
 
 def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.ndarray,
-                    head: InteractionHead, mode: str = "nodes",
-                    mask: np.ndarray | None = None):
+                    head: InteractionHead, mask: np.ndarray | None = None):
     """Batched forward pass. No per-node key or value is built: see the
     module docstring. The inputs are read in the head's dtype."""
-    if mode not in INTERACTION_MODES:
-        raise ValueError(f"mode must be one of {INTERACTION_MODES}, got {mode!r}")
     graph_map = head.graph_map
     dtype = graph_map.dtype
     news_emb = np.asarray(news_emb, dtype=dtype)
@@ -139,12 +129,9 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
         raise ValueError("pooled vector width does not match graph projection")
     if news_emb.shape[-1] != head.news_proj.shape[1]:
         raise ValueError("news embedding width does not match news projection")
-    if mode == "pooled":
-        sources, mask = pooled[:, None, :], None
-    else:
-        sources = np.asarray(node_feats, dtype=dtype)
-        if sources.shape[-1] != graph_map.shape[1]:
-            raise ValueError("node feature width does not match graph projection")
+    sources = np.asarray(node_feats, dtype=dtype)
+    if sources.shape[-1] != graph_map.shape[1]:
+        raise ValueError("node feature width does not match graph projection")
 
     batch, width = news_emb.shape[0], graph_map.shape[1]
     by_heads = (head.heads, head.head_dim, width)
@@ -163,7 +150,6 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
     concat = per_head(mixed, value_map.transpose(0, 2, 1)).reshape(batch, head.d_p)
     fused = np.concatenate([g_proj, concat @ head.out.T], axis=1)
     cache = InteractCache(
-        mode=mode,
         news_emb=news_emb,
         pooled=pooled,
         sources=sources,
@@ -179,13 +165,13 @@ def interact_cached(news_emb: np.ndarray, node_feats: np.ndarray, pooled: np.nda
     return fused, cache
 
 
-def interact(news_emb, node_feats, pooled, head: InteractionHead, mode: str = "nodes",
+def interact(news_emb, node_feats, pooled, head: InteractionHead,
              return_weights: bool = False):
     """Fuse one debate graph with its news embedding; returns the 2*d_p
     vector [g_proj ; context], plus the (heads, keys) attention weight
     matrix when asked."""
     fused, cache = interact_cached(np.asarray(news_emb)[None], np.asarray(node_feats)[None],
-                                   np.asarray(pooled)[None], head, mode)
+                                   np.asarray(pooled)[None], head)
     if return_weights:
         return fused[0], cache.weights[0]
     return fused[0]
@@ -197,9 +183,7 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
     gradient of each projection in ``PROJECTIONS`` is written into
     ``grads[name]``.
 
-    Returns (d_node_feats, d_pooled), w.r.t. the inputs as passed:
-    d_node_feats is None in pooled mode (node features are not consumed
-    there).
+    Returns (d_node_feats, d_pooled), w.r.t. the inputs as passed.
     """
     d_p, sources = head.d_p, cache.sources
     batch, width = cache.news_emb.shape[0], head.graph_map.shape[1]
@@ -238,10 +222,4 @@ def interact_backward(head: InteractionHead, cache: InteractCache, d_fused: np.n
     np.matmul(d_g_proj.T, cache.pooled, out=d_graph_map)
     d_graph_map += head.key.T @ d_key_map
     d_graph_map += head.value.T @ d_value_map
-    d_pooled = d_g_proj @ graph_map
-    if cache.mode == "pooled":
-        d_pooled += d_sources[:, 0]
-        d_node_feats = None
-    else:
-        d_node_feats = d_sources
-    return d_node_feats, d_pooled
+    return d_sources, d_g_proj @ graph_map

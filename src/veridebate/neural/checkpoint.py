@@ -43,7 +43,10 @@ def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
     its header and format version, its embedder, payload size,
     parameter count and finiteness; any defect is a ValueError that
     names the file. A header key that is no ``ModelConfig`` field is
-    ignored; the parameter count refuses a file of another shape."""
+    ignored; the parameter count refuses a file of another shape. An
+    ``interaction_mode`` other than ``"nodes"`` is refused: such a model
+    attended over its pooled debate vector, which this program does not
+    compute."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -57,6 +60,9 @@ def load_model(path: str | Path, provider_id: str) -> AnalysisModel:
         if header["provider_id"] != provider_id:
             raise ValueError(f"trained on embeddings from {header['provider_id']!r}, "
                              f"but the configured embedder is {provider_id!r}")
+        if header.get("interaction_mode", "nodes") != "nodes":
+            raise ValueError(f"interaction mode {header['interaction_mode']!r}, but this "
+                             "program runs only 'nodes'")
         config = ModelConfig(**{f.name: header[f.name]
                                 for f in dataclasses.fields(ModelConfig)})
         model = AnalysisModel.create(config)

@@ -6,8 +6,9 @@ nodes have zero features, no role and a lone self-loop, and are masked
 out of pooling and of the attention keys, so a sample's result does not
 depend on what it is batched with. The model concatenates the projected
 role vectors onto the frozen turn embeddings, runs its two GAT layers,
-mean-pools the real nodes, fuses the result with the news embedding by
-interactive attention, and a softmax head predicts (p_real, p_fake).
+lets the news embedding attend over the resulting nodes, and a softmax
+head reads that attention's context beside the mean of the real nodes
+and predicts (p_real, p_fake).
 ``loss_and_grad`` differentiates the mean batch cross-entropy w.r.t.
 every parameter block. All parameters live in one flat buffer of the
 model's dtype (``ModelConfig.dtype``, float32 by default); each named
@@ -48,13 +49,7 @@ import numpy as np
 from ..domain import DebateLog, DebateRole, Stance
 from ..graph import log_mask
 from .adam import all_finite
-from .attention import (
-    INTERACTION_MODES,
-    PROJECTIONS,
-    InteractionHead,
-    interact_backward,
-    interact_cached,
-)
+from .attention import PROJECTIONS, InteractionHead, interact_backward, interact_cached
 from .gat import (
     FLOAT_DTYPES,
     GatLayer,
@@ -169,7 +164,6 @@ class ModelConfig:
     gat_hidden: int = 128
     d_p: int = 128
     heads: int = 4
-    interaction_mode: str = "nodes"
     seed: int = 0
     # The dtype of the parameters and of every array a pass computes.
     dtype: str = "float32"
@@ -182,8 +176,6 @@ class ModelConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d_p % self.heads != 0:
             raise ValueError("d_p must be divisible by heads")
-        if self.interaction_mode not in INTERACTION_MODES:
-            raise ValueError(f"unknown interaction mode {self.interaction_mode!r}")
         if self.dtype not in FLOAT_DTYPES:
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
@@ -374,10 +366,8 @@ class AnalysisModel:
         # graph_map reads.
         aggregated, last_cache = gat_forward_cached(last, features, batch.adjacency, last.score)
         pooled = global_mean_pool(aggregated, batch.mask)
-        fused, att_cache = interact_cached(
-            batch.news, aggregated, pooled, self.interaction, self.config.interaction_mode,
-            batch.mask,
-        )
+        fused, att_cache = interact_cached(batch.news, aggregated, pooled, self.interaction,
+                                           batch.mask)
         probs = classify(fused, self.classifier)
         return probs, {"batch": batch, "table": table, "gat": [hidden_cache, last_cache],
                        "attention": att_cache, "fused": fused, "probs": probs}
@@ -424,11 +414,7 @@ class AnalysisModel:
             {name: grads[f"interaction.{name}"] for name in PROJECTIONS},
         )
         counts = batch.mask.sum(axis=1, dtype=out.dtype)
-        d_mean = batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
-        if d_aggregated is None:
-            d_aggregated = d_mean
-        else:
-            d_aggregated += d_mean
+        d_aggregated += batch.mask[..., None] * (d_pooled / counts[:, None])[:, None, :]
 
         hidden, last = self.gat_layers
         hidden_cache, last_cache = cache["gat"]

@@ -304,12 +304,16 @@ class Pipeline:
 
     def ablate(self, dataset: Dataset, toggles) -> dict[str, MetricsReport]:
         """Each variant's metrics: ``full``, then each toggle in the order
-        given. Every toggle is checked before the first variant runs."""
+        given. Every toggle is checked before the first variant runs: an
+        unknown or a repeated one is a ValueError."""
         variants = ("full", *toggles)
         unknown = [t for t in variants[1:] if t not in ABLATION_TOGGLES]
         if unknown:
             raise ValueError(
                 f"unknown ablation toggles {unknown}; valid: {list(ABLATION_TOGGLES)}")
+        repeated = sorted({t for t in variants[1:] if variants.count(t) > 1})
+        if repeated:
+            raise ValueError(f"repeated ablation toggles {repeated}; each runs once")
         return {variant: self.evaluate_variant(dataset, variant) for variant in variants}
 
     def write_predictions(self, rows: list[dict]) -> None:

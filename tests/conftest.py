@@ -36,19 +36,10 @@ def default_log(news_item, mock_gateway):
     return run_debate(news_item, DebateConfig(), mock_gateway)
 
 
-def at_two_layers(values) -> list:
-    """``values`` as parameters whose ids lead with "2-": the names these
-    cases had when the model's layer count was a setting, which the
-    model now fixes at two."""
-    return [pytest.param(value, id=f"2-{value}") for value in values]
-
-
-def tiny_model(mode: str = "nodes", seed: int = 0, heads: int = 1) -> AnalysisModel:
+def tiny_model(seed: int = 0, heads: int = 1) -> AnalysisModel:
     """A float64 model, for comparisons at float64 tolerances."""
-    config = ModelConfig(
-        d_h=4, d_r=2, gat_hidden=5, d_p=4, heads=heads,
-        interaction_mode=mode, seed=seed, dtype="float64",
-    )
+    config = ModelConfig(d_h=4, d_r=2, gat_hidden=5, d_p=4, heads=heads, seed=seed,
+                         dtype="float64")
     return AnalysisModel.create(config)
 
 

@@ -73,7 +73,7 @@ def _literal_forward(model: AnalysisModel, samples: list[Sample], factors) -> np
                 h = np.where(h > 0, h, np.expm1(h))
         graph_proj = head.graph_map if factors is None else factors[2]
         g = graph_proj @ h.mean(axis=0)
-        kv = h @ graph_proj.T if model.config.interaction_mode == "nodes" else g[None]
+        kv = h @ graph_proj.T
         query = head.query @ (head.news_proj @ sample.news_embedding)
         keys, values = kv @ head.key.T, kv @ head.value.T
         context = []
@@ -92,8 +92,8 @@ def reference_forward(model: AnalysisModel, samples: list[Sample]) -> np.ndarray
     built: node features are [embedding ; role vector], each hidden GAT
     layer forms W h, scores every edge and aggregates, the last layer
     scores edges by [u ; v] and aggregates its inputs, the debate
-    vectors are those aggregates (or their mean) projected by
-    graph_map, and the news queries them head by head."""
+    vectors are those aggregates projected by graph_map, and the news
+    queries them head by head."""
     return _literal_forward(model, samples, None)
 
 

@@ -118,7 +118,7 @@ def _kink_clearance(model: AnalysisModel, batch: list[Sample]) -> float:
     return min(float(np.abs(layer.logits_pre[real]).min()) for layer in cache["gat"])
 
 
-def make_gradcheck_case(seed: int, mode: str = "nodes", heads: int = 1, batch_size: int = 2,
+def make_gradcheck_case(seed: int, heads: int = 1, batch_size: int = 2,
                         min_clearance: float = 3e-3, d_h: int = 4,
                         node_counts: tuple[int, ...] | None = None):
     """A random tiny model plus batch suitable for finite-difference
@@ -136,7 +136,7 @@ def make_gradcheck_case(seed: int, mode: str = "nodes", heads: int = 1, batch_si
     while True:
         config = ModelConfig(
             d_h=d_h, d_r=2, gat_hidden=5, d_p=4, heads=heads,
-            interaction_mode=mode, seed=int(rng.integers(0, 2**31)), dtype="float64",
+            seed=int(rng.integers(0, 2**31)), dtype="float64",
         )
         model = AnalysisModel.create(config)
         counts = node_counts or [int(rng.integers(3, 9)) for _ in range(batch_size)]

@@ -60,7 +60,7 @@ def test_criterion_2_gradient_oracle():
     worst = 0.0
     worst_block = ""
     for i in range(20):
-        model, batch = make_gradcheck_case(seed=1000 + i, mode="nodes", heads=1)
+        model, batch = make_gradcheck_case(seed=1000 + i, heads=1)
         analytic = backward(model, batch)
         numeric = finite_difference_gradient(model, batch, step=1e-4)
         errors = block_relative_errors(model, analytic, numeric)
@@ -92,7 +92,7 @@ def test_criterion_3_normalization_suite():
     for _ in range(1000):
         nodes = rng.standard_normal((int(rng.integers(1, 7)), 6))
         _, weights = interact(rng.standard_normal(3), nodes, nodes.mean(axis=0),
-                              head, mode="nodes", return_weights=True)
+                              head, return_weights=True)
         assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-6)
 
     for _ in range(1000):
@@ -212,23 +212,27 @@ def test_criterion_7_synthetic_separability(tmp_path):
     )
 
 
-def test_criterion_8_pooled_degeneracy():
+def test_criterion_8_single_key_degeneracy():
+    """A one-node graph, as every sample of the no_debate variant is,
+    gives the attention one key: its weight is exactly 1, and the
+    context does not depend on the news."""
     start = time.perf_counter()
     rng = np.random.default_rng(55)
     head = InteractionHead.create(node_dim=8, news_dim=4, d_p=8, heads=2, rng=rng)
     nodes = rng.standard_normal((6, 8))
-    pooled = nodes.mean(axis=0)
     news_a = rng.standard_normal(4)
     news_b = rng.standard_normal(4)
     assert not np.array_equal(news_a, news_b)
-    fused_a = interact(news_a, nodes, pooled, head, mode="pooled")
-    fused_b = interact(news_b, nodes, pooled, head, mode="pooled")
+    fused_a, weights_a = interact(news_a, nodes[:1], nodes[0], head, return_weights=True)
+    fused_b, weights_b = interact(news_b, nodes[:1], nodes[0], head, return_weights=True)
     context_a, context_b = fused_a[8:], fused_b[8:]
     assert np.array_equal(context_a, context_b)
+    assert weights_a.shape == weights_b.shape == (2, 1)
+    assert np.all(weights_a == 1.0) and np.all(weights_b == 1.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    report("criterion 8: pooled-mode degeneracy",
-           "context bitwise identical across distinct news embeddings")
+    report("criterion 8: single-key degeneracy",
+           "weights exactly 1, context bitwise identical across distinct news embeddings")
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):

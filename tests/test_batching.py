@@ -4,7 +4,6 @@ depend on what it is batched with."""
 import dataclasses
 
 import numpy as np
-import pytest
 
 from conftest import tiny_model
 from strategies import random_graph_sample
@@ -40,18 +39,16 @@ def test_collate_pads_to_largest_graph():
         assert np.array_equal(batch.adjacency[b, k:, :], np.eye(n, dtype=bool)[k:])
 
 
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-def test_batched_probs_match_single_samples(mode):
-    model = tiny_model(mode=mode, heads=2, seed=3)
+def test_batched_probs_match_single_samples():
+    model = tiny_model(heads=2, seed=3)
     samples = mixed_samples(1)
     batched = predict_proba(model, samples)
     single = np.stack([model.forward([s])[0][0] for s in samples])
     assert np.abs(batched - single).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mode", ["nodes", "pooled"])
-def test_batch_gradient_is_mean_of_single_gradients(mode):
-    model = tiny_model(mode=mode, heads=2, seed=4)
+def test_batch_gradient_is_mean_of_single_gradients():
+    model = tiny_model(heads=2, seed=4)
     samples = mixed_samples(2)
     batched = backward(model, samples)
     mean = np.mean([backward(model, [s]) for s in samples], axis=0)

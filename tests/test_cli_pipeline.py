@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (CountingBackend, CountingProvider, PoisonedProvider, at_two_layers,
+from conftest import (CountingBackend, CountingProvider, PoisonedProvider,
                       write_factored_checkpoint)
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
@@ -53,8 +53,9 @@ def small_setup(tmp_path):
 # Values only a check at load rejects: the gateway's pacing and pool
 # size, the engine's max_tokens and temperature, the model's heads, which
 # must divide d_p = 128, the training settings, the seed of the
-# model's and the trainer's generators, and gat_layers, a key the model
-# no longer has: its depth is fixed.
+# model's and the trainer's generators, and gat_layers and
+# interaction_mode, keys the model no longer has: its depth is fixed, and
+# its attention always reads the per-node debate features.
 BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
                      "[gateway]\nrequests_per_minute = inf\n",
                      "[gateway]\nmax_concurrency = 0\n",
@@ -62,10 +63,11 @@ BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
                      "[debate]\ntemperature = inf\n", "[model]\nheads = 3\n",
                      "[model]\nlr = nan\n", "[model]\nlr = 0\n",
                      "[model]\nepochs = 0\n", "[model]\nbatch_size = 0\n",
-                     "[paths]\nseed = -1\n", "[model]\ngat_layers = 2\n")
+                     "[paths]\nseed = -1\n", "[model]\ngat_layers = 2\n",
+                     "[model]\ninteraction_mode = nodes\n")
 BAD_STAGE_IDS = ("rpm_negative", "rpm_inf", "max_concurrency", "max_tokens", "temperature_nan",
                  "temperature_inf", "heads", "lr_nan", "lr_zero", "epochs", "batch_size",
-                 "seed_negative", "gat_layers")
+                 "seed_negative", "gat_layers", "interaction_mode")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -126,13 +128,14 @@ class TestConfig:
 
     def test_flags_override_file(self, small_setup):
         _, dataset_path, config_path = small_setup
+        config_path.write_text(SMALL_CONFIG + "\n[gateway]\nbackend = remote\n")
         args = build_parser().parse_args(
             ["pipeline", "--config", str(config_path), "--dataset", str(dataset_path),
-             "--seed", "42", "--backend", "mock", "--interaction-mode", "pooled"]
+             "--seed", "42", "--backend", "mock"]
         )
         config = resolve_config(args)
         assert config.seed == 42
-        assert config.interaction_mode == "pooled"
+        assert config.backend == "mock"
         assert config.d_h == 16  # file value survives where no flag given
 
     def test_readme_ini_example_is_the_defaults(self, tmp_path):
@@ -671,6 +674,14 @@ class TestAblateCommand:
         assert code == 1
         assert not (tmp_path / "ws" / "checkpoints").exists()
 
+    def test_repeated_toggle_exits_nonzero(self, small_setup, caplog):
+        tmp_path, dataset_path, config_path = small_setup
+        code = run_cli("ablate", "--config", config_path, "--dataset", dataset_path,
+                       "--out", tmp_path / "ws", "--seed", "5", "--toggles", "no_roles,no_roles")
+        assert code == 1
+        assert "repeated ablation toggles ['no_roles']" in caplog.text
+        assert not (tmp_path / "ws" / "checkpoints").exists()
+
 
 # A transcript's first turn with one field set to a value no decoder
 # accepts.
@@ -1004,7 +1015,7 @@ def role_corpus_samples(tmp_path, config: PipelineConfig):
 
 
 # d_h 8 maps the role columns back from a separate buffer; d_h 16 in place.
-@pytest.mark.parametrize("d_h", at_two_layers([8, 16]))
+@pytest.mark.parametrize("d_h", [8, 16])
 class TestNoRolesVariant:
     """Role-less samples through a random role table act as role samples
     through a zeroed one, and the role path gets no gradient, so no_roles
@@ -1111,6 +1122,12 @@ class TestAblate:
         pipeline, variants = recording_pipeline(tmp_path)
         with pytest.raises(ValueError, match="unknown ablation toggles"):
             pipeline.ablate(None, ["no_debate", "no_magic"])
+        assert variants == []
+
+    def test_repeated_toggle_rejected(self, tmp_path):
+        pipeline, variants = recording_pipeline(tmp_path)
+        with pytest.raises(ValueError, match=r"repeated ablation toggles \['no_roles'\]"):
+            pipeline.ablate(None, ["no_roles", "no_debate", "no_roles"])
         assert variants == []
 
     def test_runs_full_plus_requested(self, tmp_path):

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import at_two_layers
 from oracles import (
     block_relative_errors,
     factored_forward,
@@ -45,11 +44,10 @@ attention_module = importlib.import_module("veridebate.neural.attention")
 D_H = 6  # node_dim = 12, a width no other dimension here shares
 
 
-def small_model(mode: str, d_h: int = D_H, heads: int = 2,
-                dtype: str = "float64") -> AnalysisModel:
+def small_model(d_h: int = D_H, heads: int = 2, dtype: str = "float64") -> AnalysisModel:
     """Float64 unless asked: the reference comparisons hold to 1e-12."""
-    config = ModelConfig(d_h=d_h, d_r=3, gat_hidden=5, d_p=4, heads=heads,
-                         interaction_mode=mode, seed=2, dtype=dtype)
+    config = ModelConfig(d_h=d_h, d_r=3, gat_hidden=5, d_p=4, heads=heads, seed=2,
+                         dtype=dtype)
     return AnalysisModel.create(config)
 
 
@@ -61,21 +59,19 @@ def mixed_samples(seed: int, counts=(1, 4, 9, 2), d_h: int = D_H):
     return samples
 
 
-@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
-def test_forward_matches_literal_reference(mode):
-    model = small_model(mode)
+def test_forward_matches_literal_reference():
+    model = small_model()
     samples = mixed_samples(2)
     probs, _ = model.forward(samples)
     assert np.abs(probs - reference_forward(model, samples)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
-def test_collapsed_blocks_match_the_factored_model(mode):
+def test_collapsed_blocks_match_the_factored_model():
     # Random factors of the paper's form: the last layer's projection W
     # (node_dim, in_dim) and attention vector a, and graph_proj (d_p,
     # node_dim). The model loaded with them multiplied out computes the
     # factored model's probabilities.
-    model = small_model(mode)
+    model = small_model()
     node_dim, in_dim = 2 * D_H, model.gat_layers[-1].score.shape[1]
     rng = np.random.default_rng(52)
     weight = rng.uniform(-0.5, 0.5, (node_dim, in_dim))
@@ -93,7 +89,7 @@ def test_fresh_model_multiplies_out_the_factored_draws():
     # The factored layout drew the role table, the hidden layer, the
     # last layer's W and a, and graph_proj, in that order, from the
     # model seed; a fresh model is that factored model.
-    model = small_model("nodes")
+    model = small_model()
     rng = np.random.default_rng(model.config.seed)
     RoleTable.create(D_H, 3, rng)
     GatLayer.create(2 * D_H, 5, rng)
@@ -119,7 +115,7 @@ def test_default_dims_parameter_layout():
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_weights_match_literal_per_node_keys(heads):
-    model = small_model("nodes", heads=heads)
+    model = small_model(heads=heads)
     samples = mixed_samples(heads)  # 1, 4, 9 and 2 nodes: three are padded
     _, cache = model.forward(samples)
     att = cache["attention"]
@@ -140,21 +136,17 @@ def test_attention_weights_match_literal_per_node_keys(heads):
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
-def test_pooled_attention_weights_are_exactly_one(heads):
-    model = small_model("pooled", heads=heads)
+def test_one_node_sample_has_attention_weights_of_exactly_one(heads):
+    # The first sample is a one-node graph, batched with graphs of 4, 9
+    # and 2 nodes: its one real key per head takes all the weight.
+    model = small_model(heads=heads)
     _, cache = model.forward(mixed_samples(heads))
-    assert cache["attention"].weights.shape == (4, heads, 1)
-    assert np.all(cache["attention"].weights == 1.0)
-    rng = np.random.default_rng(heads)
-    nodes = rng.standard_normal((5, model.interaction.graph_map.shape[1]))
-    _, weights = interact(rng.standard_normal(D_H), nodes, nodes.mean(axis=0),
-                          model.interaction, mode="pooled", return_weights=True)
-    assert np.all(weights == 1.0)
+    weights = cache["attention"].weights[0]
+    assert np.all(weights[:, 0] == 1.0) and not weights[:, 1:].any()
 
 
-@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
-def test_no_cached_array_is_node_dim_wide(mode):
-    model = small_model(mode)
+def test_no_cached_array_is_node_dim_wide():
+    model = small_model()
     _, cache = model.forward(mixed_samples(0))
     for part in [*cache["gat"], cache["attention"]]:
         for name, value in vars(part).items():
@@ -177,7 +169,7 @@ def count_calls(monkeypatch, module, names):
 
 
 def test_loss_and_grad_calls_each_hook_once_per_layer(monkeypatch):
-    model = small_model("nodes")
+    model = small_model()
     calls = count_calls(monkeypatch, model_module, (
         "gat_forward_cached", "gat_backward", "interact_cached", "interact_backward",
         "classify"))
@@ -191,7 +183,7 @@ def test_loss_and_grad_calls_each_hook_once_per_layer(monkeypatch):
 
 
 def test_one_train_step_calls_adam_once(monkeypatch):
-    model = small_model("nodes")
+    model = small_model()
     calls = count_calls(monkeypatch, train_module, ("adam_step",))
     samples = mixed_samples(2)
     train(model, samples, TrainConfig(epochs=1, batch_size=len(samples)))
@@ -199,7 +191,7 @@ def test_one_train_step_calls_adam_once(monkeypatch):
 
 
 def test_one_train_step_checks_finiteness_once(monkeypatch):
-    model = small_model("nodes")
+    model = small_model()
     samples = mixed_samples(2)
     calls = count_calls(monkeypatch, adam_module, ("all_finite",))
     calls.update(count_calls(monkeypatch, model_module, ("all_finite",)))
@@ -208,7 +200,7 @@ def test_one_train_step_checks_finiteness_once(monkeypatch):
 
 
 def test_non_finite_gradient_in_training_names_blocks():
-    model = small_model("nodes")
+    model = small_model()
     model.gat_layers[-1].score[0, 0] = np.nan
     before = model.parameter_vector()
     with pytest.raises(NumericalFault, match="gat1.score"):
@@ -219,9 +211,8 @@ def test_non_finite_gradient_in_training_names_blocks():
 # d_h = 6 leaves layer 0's d_h + 10 role columns wider than W_0's 2 * d_h
 # columns; d_h = 16 fits them, the path default dims take.
 @pytest.mark.parametrize("d_h", [6, 16])
-@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
-def test_out_buffer_is_filled_and_returned(mode, d_h):
-    model = small_model(mode, d_h)
+def test_out_buffer_is_filled_and_returned(d_h):
+    model = small_model(d_h)
     samples = mixed_samples(3, d_h=d_h)
     out = np.full(model.num_params, np.nan)
     loss, grad = loss_and_grad(model, samples, out=out)
@@ -232,13 +223,13 @@ def test_out_buffer_is_filled_and_returned(mode, d_h):
 
 
 def test_out_buffer_of_wrong_layout_rejected():
-    model = small_model("nodes")
+    model = small_model()
     with pytest.raises(ValueError, match="contiguous float64"):
         loss_and_grad(model, mixed_samples(3), out=np.empty(2 * model.num_params)[::2])
 
 
 def test_out_buffer_of_another_dtype_rejected():
-    model = small_model("nodes", dtype="float32")
+    model = small_model(dtype="float32")
     with pytest.raises(ValueError, match="contiguous float32"):
         loss_and_grad(model, mixed_samples(3), out=np.empty(model.num_params))
 
@@ -302,15 +293,14 @@ def recording_numpy(monkeypatch, modules, seen: list) -> None:
 
 # d_h = 6 maps the role columns back from a separate buffer; d_h = 16 in place.
 @pytest.mark.parametrize("d_h", [6, 16])
-@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_every_array_of_a_pass_has_the_model_dtype(monkeypatch, dtype, mode, d_h):
+def test_every_array_of_a_pass_has_the_model_dtype(monkeypatch, dtype, d_h):
     """numpy promotes to float64 without a word (a bool sum as a divisor,
     np.where over Python floats, a float64 literal), and a product
     written into the gradient buffer, or added in place, casts back
     without one; so each layer's inputs and outputs and every numpy
     call's result are checked, not only the results."""
-    model = small_model(mode, d_h, dtype=dtype)
+    model = small_model(d_h, dtype=dtype)
     seen = recording_arrays(monkeypatch, model_module, (
         "gat_forward_cached", "gat_backward", "interact_cached", "interact_backward",
         "classify", "global_mean_pool"))
@@ -325,7 +315,7 @@ def test_every_array_of_a_pass_has_the_model_dtype(monkeypatch, dtype, mode, d_h
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_training_step_runs_in_the_model_dtype(monkeypatch, dtype):
-    model = small_model("nodes", dtype=dtype)
+    model = small_model(dtype=dtype)
     seen = recording_arrays(monkeypatch, train_module, ("adam_step",))
     recording_numpy(monkeypatch, (train_module, adam_module), seen)
     train(model, mixed_samples(2), TrainConfig(epochs=1), val_samples=mixed_samples(3))
@@ -339,7 +329,7 @@ def test_training_step_runs_in_the_model_dtype(monkeypatch, dtype):
 def test_saturated_batch_has_an_exactly_zero_gradient(dtype):
     """Each true-class probability rounds to 1, and the wrong class's,
     e^-100, is a subnormal in float32: p - y resolves to 0."""
-    model = small_model("nodes", dtype=dtype)
+    model = small_model(dtype=dtype)
     model.classifier.weight[...] = 0.0
     model.classifier.bias[...] = [-50.0, 50.0]
     samples = [dataclasses.replace(s, label=1) for s in mixed_samples(6)]
@@ -356,12 +346,11 @@ FLOAT32_PROBS_BOUND = 1e-5
 FLOAT32_GRAD_BLOCK_BOUND = 1e-4
 
 
-@pytest.mark.parametrize("mode", at_two_layers(["nodes", "pooled"]))
-def test_float32_path_tracks_the_float64_path(mode):
+def test_float32_path_tracks_the_float64_path():
     """One set of parameters and inputs, exact in both dtypes, through
     both paths."""
-    wide = small_model(mode)
-    narrow = small_model(mode, dtype="float32")
+    wide = small_model()
+    narrow = small_model(dtype="float32")
     narrow.set_parameter_vector(wide.flat)
     wide.set_parameter_vector(narrow.flat)
     samples = [dataclasses.replace(s, node_embeddings=s.node_embeddings.astype(np.float32),
@@ -375,7 +364,7 @@ def test_float32_path_tracks_the_float64_path(mode):
 
 
 def test_train_passes_one_buffer_to_every_step(monkeypatch):
-    model = small_model("nodes")
+    model = small_model()
     filled, stepped = [], []
     fill, step = train_module.loss_and_grad, train_module.adam_step
 

@@ -151,35 +151,23 @@ def identity_head(d_p=2, news_dim=1, heads=1):
 
 
 class TestInteract:
-    def test_pooled_mode_constant_in_query(self):
-        rng = np.random.default_rng(4)
-        head = InteractionHead.create(node_dim=6, news_dim=3, d_p=4, heads=2, rng=rng)
-        nodes = rng.standard_normal((5, 6))
-        pooled = nodes.mean(axis=0)
-        d_p = 4
-        a = interact(rng.standard_normal(3), nodes, pooled, head, mode="pooled")
-        b = interact(rng.standard_normal(3), nodes, pooled, head, mode="pooled")
-        assert np.array_equal(a[d_p:], b[d_p:])
-        # and the context equals out(value(g_proj)) exactly
-        g_proj = head.graph_map @ pooled
-        assert np.allclose(a[d_p:], head.out @ (head.value @ g_proj))
-
-    def test_identical_nodes_match_pooled_mode(self):
+    def test_identical_nodes_give_the_closed_form_context(self):
+        # Weights that sum to 1 mix identical nodes back into the node.
         rng = np.random.default_rng(5)
         head = InteractionHead.create(node_dim=6, news_dim=3, d_p=4, heads=2, rng=rng)
         shared = rng.standard_normal(6)
         nodes = np.tile(shared, (4, 1))
         news = rng.standard_normal(3)
-        a = interact(news, nodes, shared, head, mode="nodes")
-        b = interact(news, nodes, shared, head, mode="pooled")
-        assert np.allclose(a, b)
+        fused = interact(news, nodes, shared, head)
+        assert np.allclose(fused[:4], head.graph_map @ shared)
+        assert np.allclose(fused[4:], head.out @ head.value @ head.graph_map @ shared)
 
     def test_two_node_one_head_hand_case(self):
         head = identity_head()
         nodes = np.array([[1.0, 0.0], [0.0, 2.0]])
         pooled = nodes.mean(axis=0)
         news = np.array([2.0])
-        fused = interact(news, nodes, pooled, head, mode="nodes")
+        fused = interact(news, nodes, pooled, head)
         # independent arithmetic: q = [2, 0]; scores = (k_i . q)/sqrt(2)
         s0 = 2.0 / math.sqrt(2)
         s1 = 0.0
@@ -188,17 +176,12 @@ class TestInteract:
         expected = np.array([0.5, 1.0, w0 * 1.0, w1 * 2.0])
         assert np.allclose(fused, expected, atol=1e-12)
 
-    def test_unknown_mode_rejected(self):
-        head = identity_head()
-        with pytest.raises(ValueError):
-            interact(np.ones(1), np.ones((2, 2)), np.ones(2), head, mode="other")
-
     def test_head_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
         head = InteractionHead.create(node_dim=6, news_dim=3, d_p=8, heads=4, rng=rng)
         nodes = rng.standard_normal((7, 6))
         _, weights = interact(rng.standard_normal(3), nodes, nodes.mean(axis=0),
-                              head, mode="nodes", return_weights=True)
+                              head, return_weights=True)
         assert weights.shape == (4, 7)
         assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 

@@ -209,6 +209,27 @@ class TestCheckpoints:
         assert str(path) in message
         assert f"holds {count} parameters" in message and f"model has {model.num_params}" in message
 
+    @pytest.mark.parametrize("mode", ["nodes", "pooled"])
+    def test_header_with_an_interaction_mode_loads_only_at_nodes(self, tmp_path, mode):
+        """A version-3 header written when the attention's key source was a
+        setting carries interaction_mode. A nodes file loads as it was; a
+        pooled one holds as many parameters, but attended over the pooled
+        debate vector, which this program does not compute, and is
+        refused."""
+        model = AnalysisModel.create(small_config(seed=18))
+        path = tmp_path / "model.bin"
+        save_model(path, model, PROVIDER)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        fields = {**json.loads(header), "interaction_mode": mode}
+        path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+        if mode == "nodes":
+            assert load_model(path, PROVIDER).flat.tobytes() == model.flat.tobytes()
+            return
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path, PROVIDER)
+        message = str(excinfo.value)
+        assert str(path) in message and "interaction mode 'pooled'" in message
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_payload_not_whole_values_of_header_dtype_rejected(self, tmp_path, dtype):
         path = tmp_path / "model.bin"

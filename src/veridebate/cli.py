@@ -27,7 +27,7 @@ from .config import PipelineConfig, load_config
 from .evaluation import compute_metrics, format_ablation_table, load_dataset
 from .files import write_json
 from .neural import load_model
-from .pipeline import ABLATION_TOGGLES, Pipeline, StageError
+from .pipeline import ABLATION_TOGGLES, Pipeline, StageError, ablation_variants
 
 logger = logging.getLogger("veridebate")
 
@@ -180,8 +180,9 @@ def cmd_pipeline(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(config: PipelineConfig, args: argparse.Namespace) -> int:
-    pipeline, dataset = _setup(config)
     names = tuple(t.strip() for t in args.toggles.split(",") if t.strip())
+    ablation_variants(names)  # a refused toggle stops before the workspace is created
+    pipeline, dataset = _setup(config)
     table = pipeline.ablate(dataset, names)
     out = pipeline.workspace / "ablation.json"
     write_json(out, {variant: report.to_dict() for variant, report in table.items()})

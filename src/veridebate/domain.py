@@ -151,6 +151,7 @@ class DebateTurn:
     targets: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # engine.log_from_json fills turns without __init__ and casts them so too.
         object.__setattr__(self, "targets", tuple(self.targets))
 
 

@@ -105,9 +105,10 @@ class RemoteEmbeddingProvider(JsonClient):
             raise MalformedResponseError(f"could not parse embedding payload: {exc}") from exc
 
 
-def _usable_rows(payloads: Sequence[bytes | None], dim: int) -> tuple[list[int], np.ndarray]:
-    """The positions of the payloads that hold ``dim`` finite ``<f4``
-    values, and those values as rows: the check of every row handed out."""
+def _usable_rows(payloads: Sequence, dim: int) -> tuple[list[int], np.ndarray]:
+    """The positions of the payloads (bytes-like or None) that hold ``dim``
+    finite ``<f4`` values, and those values as rows: the check of every row
+    handed out."""
     sized = [i for i, p in enumerate(payloads) if p is not None and len(p) == 4 * dim]
     decoded = np.frombuffer(b"".join([payloads[i] for i in sized]), "<f4").reshape(-1, dim)
     finite = np.isfinite(decoded).all(axis=1)
@@ -147,18 +148,17 @@ class CachedEmbedder:
         dim = self.dim
         keys = [text_key(text) for text in texts]
         rows = np.empty((len(texts), dim), dtype=np.float32)
-        found, stored = [], 0
+        found, unusable = [], 0
         # In blocks: one stage's payloads held at once raised peak RSS by up to 13%.
         for start in range(0, len(keys), 256):
             payloads = self.cache.get_many(keys[start:start + 256])
             ok, decoded = _usable_rows(payloads, dim)
+            unusable += sum(p is not None for p in payloads) - len(ok)
             ok = [start + i for i in ok]
             rows[ok] = decoded
             found += ok
-            stored += len(payloads) - payloads.count(None)
         if len(found) == len(texts):
             return rows
-        unusable = stored - len(found)
         if unusable:
             logger.warning("recomputing %d cached embedding(s) in %s of the wrong size "
                            "or holding non-finite values", unusable, self.cache.root)

@@ -70,8 +70,8 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
     """
     if not train_samples:
         raise ValueError("no training items")
-    # An unlabeled val sample is refused before the first step.
-    val_labels = _labels(val_samples) if val_samples else None
+    if val_samples:
+        _labels(val_samples)  # an unlabeled val sample is refused before the first step
     rng = np.random.default_rng(config.seed)
     state = AdamState.create(model.flat, config.lr)
 
@@ -104,7 +104,7 @@ def train(model: AnalysisModel, train_samples: list[Sample], config: TrainConfig
             loss_history.append(total / n)
 
             if val_samples:
-                acc = float((predict(model, val_samples) == val_labels).mean())
+                acc = accuracy(model, val_samples)
                 val_history.append(acc)
                 if acc > best_acc:
                     best_acc = acc

@@ -24,7 +24,8 @@ holds only what one store wrote). A record whose header is not in that
 layout, whose payload is short or whose payload fails its crc ends the
 scan of its pack, so a torn tail is dropped, and it and the pack's later
 records read as misses. A lookup takes the lock once for any number of
-keys; each payload is then one ``os.pread``, checked against the crc again.
+keys; wanted records lying together are then read in one ``os.pread``, and
+each payload is checked against the crc again.
 """
 
 from __future__ import annotations
@@ -66,16 +67,6 @@ def _close_all(fds: list) -> None:
         os.close(fds.pop())
 
 
-def _read(entry: tuple[int, int, int, int]) -> bytes | None:
-    """The payload an index entry points at, or None if it is short or
-    fails its crc."""
-    fd, offset, size, crc = entry
-    payload = os.pread(fd, size, offset)
-    if len(payload) != size or zlib.crc32(payload) != crc:
-        return None
-    return payload
-
-
 class PackStore:
     """Key -> bytes store over the packs in one directory. Safe to share
     across threads."""
@@ -111,16 +102,33 @@ class PackStore:
             self._index[header[1].decode("ascii")] = (fd, offset, size, crc)
             offset += size
 
-    def get_many(self, keys) -> list[bytes | None]:
-        """The payload stored under each key, None where it is absent or
-        fails its crc; the index is looked up once for all keys."""
+    def get_many(self, keys) -> list[memoryview | None]:
+        """A read-only view of the payload stored under each key, None where
+        it is absent, short or fails its crc. The index is looked up once for
+        all keys; then each run of wanted records, in one pack and at most
+        ``_MAX_HEADER`` bytes apart, is one ``os.pread``."""
         with self._lock:
             index = self._load()
-            entries = [index.get(key) for key in keys]
-        return [None if entry is None else _read(entry) for entry in entries]
+            wanted = sorted((entry, i) for i, key in enumerate(keys)
+                            if (entry := index.get(key)) is not None)
+        views: list[memoryview | None] = [None] * len(keys)
+        first = 0
+        for n, ((fd, offset, size, _), _) in enumerate(wanted, 1):
+            if n < len(wanted) and wanted[n][0][0] == fd and (
+                    wanted[n][0][1] - offset - size <= _MAX_HEADER):
+                continue  # the next record extends this run
+            (_, start, _, _), _ = wanted[first]
+            buffer = memoryview(os.pread(fd, offset + size - start, start))
+            for (_, at, length, crc), i in wanted[first:n]:
+                payload = buffer[at - start:at - start + length]
+                if len(payload) == length and zlib.crc32(payload) == crc:
+                    views[i] = payload
+            first = n
+        return views
 
     def get(self, key: str) -> bytes | None:
-        return self.get_many((key,))[0]
+        view = self.get_many((key,))[0]
+        return None if view is None else bytes(view)
 
     def put(self, key: str, payload: bytes) -> None:
         if not _KEY.fullmatch(key):

@@ -14,6 +14,7 @@ name outside ``VARIANTS`` is refused before any stage runs.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -46,6 +47,20 @@ CHECKPOINT = "model.bin"
 # The components an ablation can switch off; _run_variant implements each.
 ABLATION_TOGGLES = ("no_debate", "no_analysis", "no_roles")
 VARIANTS = ("full", *ABLATION_TOGGLES)
+
+
+def ablation_variants(toggles) -> tuple[str, ...]:
+    """The variants an ablation over ``toggles`` runs: ``full``, then each
+    toggle in the order given. An unknown or a repeated toggle is a
+    ValueError."""
+    toggles = tuple(toggles)
+    unknown = [t for t in toggles if t not in ABLATION_TOGGLES]
+    if unknown:
+        raise ValueError(f"unknown ablation toggles {unknown}; valid: {list(ABLATION_TOGGLES)}")
+    repeated = sorted({t for t in toggles if toggles.count(t) > 1})
+    if repeated:
+        raise ValueError(f"repeated ablation toggles {repeated}; each runs once")
+    return ("full", *toggles)
 
 
 class StageError(Exception):
@@ -102,15 +117,19 @@ class Pipeline:
         return self.workspace / "checkpoints" / name
 
     @staticmethod
-    def _reuse(path: Path, parse, news_id: str, check=lambda record: []):
+    def _reuse(path: str, parse, news_id: str, check=lambda record: []):
         """The record stored at ``path`` for ``news_id``, or None when the
         file is absent or unusable (not UTF-8, does not parse, fails ``check``
         or belongs to another item); an unusable file is logged by name. An
         error reading the file is not a parse error and propagates."""
         try:
-            data = path.read_bytes()
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             return None
+        try:
+            data = os.read(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
         try:
             record = parse(data.decode("utf-8"))
             problems = check(record)
@@ -138,7 +157,7 @@ class Pipeline:
 
         def one(job):
             news_id, source = job
-            path = directory / f"{news_id}.json"
+            path = os.path.join(directory, f"{news_id}.json")
             record = self._reuse(path, parse, news_id, check)
             if record is not None:
                 return news_id, record, True, None
@@ -146,9 +165,9 @@ class Pipeline:
                 record = produce(source)
             except Exception as exc:
                 # An unusable file left in place would be named as the item's.
-                path.unlink(missing_ok=True)
+                Path(path).unlink(missing_ok=True)
                 return news_id, None, False, f"{news_id}: {exc}"
-            path.write_text(dump(record), encoding="utf-8")
+            Path(path).write_text(dump(record), encoding="utf-8")
             return news_id, record, False, None
 
         workers = self.config.max_concurrency
@@ -303,18 +322,10 @@ class Pipeline:
             self._run_variant(dataset, variant, f"model-{variant}.bin"))
 
     def ablate(self, dataset: Dataset, toggles) -> dict[str, MetricsReport]:
-        """Each variant's metrics: ``full``, then each toggle in the order
-        given. Every toggle is checked before the first variant runs: an
-        unknown or a repeated one is a ValueError."""
-        variants = ("full", *toggles)
-        unknown = [t for t in variants[1:] if t not in ABLATION_TOGGLES]
-        if unknown:
-            raise ValueError(
-                f"unknown ablation toggles {unknown}; valid: {list(ABLATION_TOGGLES)}")
-        repeated = sorted({t for t in variants[1:] if variants.count(t) > 1})
-        if repeated:
-            raise ValueError(f"repeated ablation toggles {repeated}; each runs once")
-        return {variant: self.evaluate_variant(dataset, variant) for variant in variants}
+        """Each variant's metrics, for the variants ``ablation_variants``
+        gives; every toggle is checked before the first variant runs."""
+        return {variant: self.evaluate_variant(dataset, variant)
+                for variant in ablation_variants(toggles)}
 
     def write_predictions(self, rows: list[dict]) -> None:
         """The per-item outputs: ``predictions.jsonl``, and the explanation

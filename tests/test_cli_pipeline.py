@@ -668,11 +668,12 @@ class TestAblateCommand:
         assert set(table) == {"full", "no_debate"}
 
     def test_invalid_toggle_exits_nonzero(self, small_setup):
+        """A refused toggle list exits 1 before the workspace is created."""
         tmp_path, dataset_path, config_path = small_setup
         code = run_cli("ablate", "--config", config_path, "--dataset", dataset_path,
                        "--out", tmp_path / "ws", "--seed", "5", "--toggles", "no_magic")
         assert code == 1
-        assert not (tmp_path / "ws" / "checkpoints").exists()
+        assert not (tmp_path / "ws").exists()
 
     def test_repeated_toggle_exits_nonzero(self, small_setup, caplog):
         tmp_path, dataset_path, config_path = small_setup
@@ -680,7 +681,7 @@ class TestAblateCommand:
                        "--out", tmp_path / "ws", "--seed", "5", "--toggles", "no_roles,no_roles")
         assert code == 1
         assert "repeated ablation toggles ['no_roles']" in caplog.text
-        assert not (tmp_path / "ws" / "checkpoints").exists()
+        assert not (tmp_path / "ws").exists()
 
 
 # A transcript's first turn with one field set to a value no decoder

@@ -1,12 +1,18 @@
+import dataclasses
 import hashlib
+import json
 
 import pytest
+from hypothesis import given
 
+from strategies import valid_logs
 from veridebate import engine
 from veridebate.domain import (
     DebateConfig,
+    DebateLog,
     DebateRole,
     DebateStage,
+    DebateTurn,
     NewsItem,
     Stance,
     validate_log,
@@ -249,6 +255,84 @@ class TestHistoryFormatting:
         rendered = format_history(default_log.turns)
         for turn in default_log.turns:
             assert turn.text in rendered
+
+
+def _first_turn(record):
+    return record["turns"][0]
+
+
+def _first_linked_turn(record):
+    return next(turn for turn in record["turns"] if turn["targets"])
+
+
+# One edit of a stored transcript each, the turn it edits, and what
+# ``log_from_json`` raises for it.
+REFUSED = {
+    "bool_turn_index": (_first_turn, lambda turn: turn.update(turn_index=False), ValueError),
+    "float_turn_index": (_first_turn, lambda turn: turn.update(turn_index=0.0), ValueError),
+    "bool_target": (_first_linked_turn, lambda turn: turn.update(targets=[True]), ValueError),
+    "float_target": (_first_linked_turn, lambda turn: turn.update(targets=[0.0]), ValueError),
+    "string_targets": (_first_linked_turn, lambda turn: turn.update(targets="0"), ValueError),
+    "unknown_stance": (_first_turn, lambda turn: turn.update(stance="maybe"), KeyError),
+    "unknown_role": (_first_turn, lambda turn: turn.update(role="moderator"), KeyError),
+    "unknown_stage": (_first_turn, lambda turn: turn.update(stage="intermission"), KeyError),
+    "stage_by_number": (_first_turn, lambda turn: turn.update(stage=0), AttributeError),
+    "role_by_name": (_first_turn, lambda turn: turn.update(role="OPENING_SPEAKER"), KeyError),
+    **{f"no_{key}": (_first_turn, lambda turn, key=key: turn.pop(key), KeyError)
+       for key in ("turn_index", "agent_id", "stance", "role", "stage", "text", "targets")},
+    "no_news_id": (lambda record: record, lambda record: record.pop("news_id"), KeyError),
+    "no_turns": (lambda record: record, lambda record: record.pop("turns"), KeyError),
+}
+
+
+class TestTranscriptParsing:
+    """``log_from_json`` refuses every value its checks name, with the
+    error the stage that reads transcripts expects, and reads back
+    exactly the log ``log_to_json`` wrote."""
+
+    @pytest.mark.parametrize("fault", REFUSED)
+    def test_refused(self, default_log, fault):
+        where, edit, error = REFUSED[fault]
+        record = json.loads(log_to_json(default_log))
+        edit(where(record))
+        with pytest.raises(error):
+            log_from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("spell, opening", [
+        (str.upper, "OPENING"),
+        (str.title, "Opening"),
+        (lambda name: "".join(c.upper() if i % 2 else c for i, c in enumerate(name)), "oPeNiNg"),
+    ], ids=["upper", "title", "mixed"])
+    def test_stage_name_in_any_case(self, default_log, spell, opening):
+        record = json.loads(log_to_json(default_log))
+        for turn in record["turns"]:
+            turn["stage"] = spell(turn["stage"])
+        assert _first_turn(record)["stage"] == opening
+        assert log_from_json(json.dumps(record)) == default_log
+
+    def test_unknown_keys_ignored(self, default_log):
+        record = json.loads(log_to_json(default_log))
+        record["extra"] = 1
+        _first_turn(record)["extra"] = "ignored"
+        parsed = log_from_json(json.dumps(record))
+        assert parsed == default_log
+        assert not hasattr(parsed.turns[0], "extra")
+
+    @given(valid_logs())
+    def test_roundtrip_keeps_every_field_type(self, log):
+        parsed = log_from_json(log_to_json(log))
+        assert parsed == log
+        assert type(parsed) is DebateLog and type(parsed.turns) is tuple
+        fields = [field.name for field in dataclasses.fields(DebateTurn)]
+        for turn in parsed.turns:
+            assert type(turn) is DebateTurn
+            assert list(vars(turn)) == fields
+            assert [type(getattr(turn, name)) for name in fields] == [
+                int, str, Stance, DebateRole, DebateStage, str, tuple]
+            assert all(type(target) is int for target in turn.targets)
+            assert hash(turn) == hash(dataclasses.replace(turn))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                turn.text = "changed"
 
 
 def _sha256(text: str) -> str:

@@ -4,13 +4,18 @@ layout, and what a torn, damaged or foreign file does to a later reader."""
 import gc
 import json
 import logging
+import math
+import os
 import sys
+import tempfile
 import threading
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CountingProvider
 from veridebate import packs as packs_module
@@ -37,6 +42,13 @@ NAME_ORDERS = pytest.mark.parametrize("hexes", [("0" * 32, "f" * 32), ("f" * 32,
 def draw_pack_names(monkeypatch, hexes):
     drawn = iter(hexes)
     monkeypatch.setattr(packs_module.uuid, "uuid4", lambda: SimpleNamespace(hex=next(drawn)))
+
+
+def count_preads(monkeypatch) -> list:
+    """The ``(fd, size, offset)`` of every ``os.pread`` from now on."""
+    calls, pread = [], os.pread
+    monkeypatch.setattr(os, "pread", lambda *args: calls.append(args) or pread(*args))
+    return calls
 
 
 class TestPackStore:
@@ -140,6 +152,39 @@ class TestPackStore:
         reader = PackStore(tmp_path)
         assert reader.get_many(list("abcde")) == [b"a" * 50, b"b" * 50, None, None, None]
 
+    def test_record_damaged_after_the_scan_reads_as_a_miss_inside_its_run(self, tmp_path,
+                                                                          monkeypatch):
+        """Adjacent wanted records are read together, yet each is checked
+        on its own: one damaged after the scan reads as a miss and its
+        neighbours in the same read still read."""
+        store = PackStore(tmp_path)
+        for key in "abcde":
+            store.put(key, key.encode() * 50)
+        reader = PackStore(tmp_path)
+        assert reader.get("a") == b"a" * 50  # the scan, before the damage
+        (pack,) = packs(tmp_path)
+        data = bytearray(pack.read_bytes())
+        data[data.index(b"c" * 50) + 10] ^= 0x01
+        pack.write_bytes(bytes(data))
+        preads = count_preads(monkeypatch)
+        assert reader.get_many(list("edcba")) == [b"e" * 50, b"d" * 50, None, b"b" * 50,
+                                                  b"a" * 50]
+        assert len(preads) == 1
+
+    def test_record_longer_than_a_header_between_wanted_ones_splits_the_read(self, tmp_path,
+                                                                            monkeypatch):
+        """A read spans at most a header's length of bytes nobody asked for."""
+        store = PackStore(tmp_path)
+        for key, payload in (("a", b"alpha"), ("big", b"b" * packs_module._MAX_HEADER),
+                             ("c", b"gamma")):
+            store.put(key, payload)
+        preads = count_preads(monkeypatch)
+        reader = PackStore(tmp_path)
+        assert reader.get_many(["a", "c"]) == [b"alpha", b"gamma"]
+        assert len(preads) == 1 + 2
+        assert reader.get_many(["c", "big", "a"])[::2] == [b"gamma", b"alpha"]
+        assert len(preads) == 1 + 2 + 1
+
     def test_flipped_payload_byte_reads_as_miss(self, tmp_path):
         provider = HashEmbeddingProvider(dim=8, seed=0)
         expected = CachedEmbedder(provider, tmp_path).embed_text("flip me")
@@ -234,3 +279,47 @@ def test_recomputed_embedding_is_read_back_by_later_runs(tmp_path, monkeypatch, 
     assert counting.calls == 0
     assert caplog.text == ""
     assert len(packs(tmp_path / provider.provider_id)) == 2
+
+
+KEYS = tuple(f"k{i}" for i in range(6))
+# Small payloads lie within a header's length of each other, large ones
+# do not, so a lookup's reads both span unwanted records and split.
+PAYLOADS = st.one_of(st.binary(max_size=40),
+                     st.tuples(st.binary(min_size=1, max_size=8), st.integers(4500, 5000))
+                     .map(lambda drawn: (drawn[0] * 5000)[:drawn[1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(writes=st.lists(st.lists(st.tuples(st.sampled_from(KEYS), PAYLOADS), min_size=1,
+                                max_size=6), min_size=2, max_size=3),
+       wanted=st.lists(st.sampled_from(KEYS + ("absent",)), max_size=16))
+def test_get_many_reads_what_get_reads(writes, wanted):
+    """Over several packs, with keys repeated, absent, rewritten in a
+    later pack and asked for out of pack order, one lookup of many keys
+    reads what one lookup per key reads: each key's newest record."""
+    with tempfile.TemporaryDirectory() as root:
+        newest = {}
+        for pack in writes:
+            store = PackStore(root)
+            for key, payload in pack:
+                store.put(key, payload)
+                newest[key] = payload
+        reader = PackStore(root)
+        assert len(packs(Path(root))) == len(writes)
+        assert reader.get_many(wanted) == [reader.get(key) for key in wanted]
+        assert reader.get_many(wanted) == [newest.get(key) for key in wanted]
+
+
+def test_warm_embed_texts_reads_one_pread_per_lookup_block(tmp_path, monkeypatch):
+    """A warm read of N rows that lie in order in one pack makes one
+    ``os.pread`` for the scan and one per block of 256 keys, not one per
+    row."""
+    provider = HashEmbeddingProvider(dim=8, seed=0)
+    texts = [f"row {i}" for i in range(600)]
+    expected = CachedEmbedder(provider, tmp_path).embed_texts(texts)
+    counting = CountingProvider(provider)
+    preads = count_preads(monkeypatch)
+    rows = CachedEmbedder(counting, tmp_path).embed_texts(texts)
+    assert rows.tobytes() == expected.tobytes()
+    assert counting.calls == 0
+    assert len(preads) <= 1 + math.ceil(len(texts) / 256)

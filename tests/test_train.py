@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -97,6 +98,26 @@ class TestTrainLoop:
         restored = accuracy(model, val_samples)
         assert restored == max(result.val_accuracy_history)
         assert result.val_accuracy_history[result.best_epoch] == restored
+
+    @pytest.mark.parametrize("with_val", [True, False], ids=["val", "no_val"])
+    def test_val_accuracy_goes_through_accuracy(self, monkeypatch, with_val):
+        """Each epoch's val accuracy is one call of the module's
+        ``accuracy``, so a caller that rebinds it sees every one; with no
+        val split it is never called."""
+        calls = []
+
+        def counting(model, samples):
+            calls.append(len(samples))
+            return accuracy(model, samples)
+
+        monkeypatch.setattr(importlib.import_module("veridebate.neural.train"), "accuracy",
+                            counting)
+        val_samples = random_samples(5, seed=6) if with_val else None
+        model = AnalysisModel.create(small_config(seed=7))
+        result = train(model, random_samples(8, seed=5), TrainConfig(epochs=3, seed=8),
+                       val_samples=val_samples)
+        assert calls == ([5] * 3 if with_val else [])
+        assert len(result.val_accuracy_history) == len(calls)
 
     def test_unlabeled_val_sample_rejected_naming_it(self):
         val_samples = random_samples(3, seed=9)

@@ -3,7 +3,9 @@
 Texts are embedded by a pluggable provider (a deterministic
 hash-projection provider for hermetic runs, or a remote embedding
 endpoint), which returns a float64 ``(dim,)`` array; the embedder hands
-it out as the float32 row it caches.
+it out as the float32 row it caches. The hash provider tokenizes with
+``gateway.words``, the word splitter of the mock backend, and sums its
+token bases in one reduce.
 
 Each ``CachedEmbedder`` owns one cache, under ``<root>/<provider_id>/``, in
 append-only, checksummed pack files (see ``packs.py``): each record is
@@ -17,7 +19,8 @@ Each distinct miss goes to the provider under the embedder's
 ``RetryPolicy`` and, when it has one, its ``RateLimiter``, so a remote
 endpoint is retried and paced as the chat endpoint is. A fresh vector is
 cast to float32 and checked as a cached record is; one that fails is a
-``MalformedResponseError`` naming the provider, and nothing is cached.
+``MalformedResponseError`` naming the provider, and nothing more is
+cached: each miss is checked and cached before the next is asked for.
 """
 
 from __future__ import annotations
@@ -25,27 +28,40 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import re
 from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-from .gateway import JsonClient, MalformedResponseError, RateLimiter, RetryPolicy, paced
+from .gateway import JsonClient, MalformedResponseError, RateLimiter, RetryPolicy, paced, words
 from .packs import PackStore, store_root
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[\w']+")
+
+class _Bases(dict):
+    """Token -> basis vector, each drawn on its first lookup."""
+
+    def __init__(self, dim: int, seed: int):
+        super().__init__()
+        self.dim, self.seed = dim, seed
+
+    def __missing__(self, token: str) -> np.ndarray:
+        digest = hashlib.sha256(f"{self.seed}:{token}".encode("utf-8")).digest()
+        basis = self[token] = np.random.default_rng(
+            int.from_bytes(digest[:8], "big")).standard_normal(self.dim)
+        return basis
 
 
 class HashEmbeddingProvider:
     """Deterministic test-grade embedder.
 
-    Each token gets a fixed pseudo-random basis vector derived from a
-    salted hash of the token; a text embeds to the L2-normalized,
-    count-weighted sum of its tokens' bases. Same text, same vector, on
+    A text's tokens are the ``words`` of its lowercase form, or the whole
+    text when it has none. Each token gets a fixed pseudo-random float64
+    basis vector drawn from a salted hash of the token; a text embeds to
+    the L2-normalized, count-weighted sum of its distinct tokens' bases,
+    added row by row in sorted token order. Same text, same vector, on
     every platform.
     """
 
@@ -55,28 +71,19 @@ class HashEmbeddingProvider:
         self.dim = dim
         self.seed = seed
         self.provider_id = f"hash-d{dim}-s{seed}"
-        self._basis: dict[str, np.ndarray] = {}
-
-    def _token_basis(self, token: str) -> np.ndarray:
-        basis = self._basis.get(token)
-        if basis is None:
-            digest = hashlib.sha256(f"{self.seed}:{token}".encode("utf-8")).digest()
-            rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-            basis = rng.standard_normal(self.dim)
-            self._basis[token] = basis
-        return basis
+        self._basis = _Bases(dim, seed)
 
     def embed_text(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise ValueError("cannot embed empty text")
-        tokens = _TOKEN_RE.findall(text.lower())
-        if not tokens:
-            tokens = [text]
-        vec = np.zeros(self.dim)
+        counts = Counter(words(text.lower()) or [text])
         # Canonical summation order: equal token multisets embed to
-        # bit-identical vectors regardless of word order.
-        for token, count in sorted(Counter(tokens).items()):
-            vec += count * self._token_basis(token)
+        # bit-identical vectors regardless of word order. A reduce over
+        # axis 0 adds the rows one after another, in that order.
+        tokens = sorted(counts)
+        rows = np.array([self._basis[token] for token in tokens])
+        rows *= np.array([counts[token] for token in tokens], dtype=np.float64)[:, None]
+        vec = np.add.reduce(rows, axis=0)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec = vec / norm
@@ -107,8 +114,8 @@ class RemoteEmbeddingProvider(JsonClient):
 
 def _usable_rows(payloads: Sequence, dim: int) -> tuple[list[int], np.ndarray]:
     """The positions of the payloads (bytes-like or None) that hold ``dim``
-    finite ``<f4`` values, and those values as rows: the check of every row
-    handed out."""
+    finite ``<f4`` values, and those values as rows: the check of every
+    cached row handed out, which ``embed_texts`` gives each fresh row too."""
     sized = [i for i, p in enumerate(payloads) if p is not None and len(p) == 4 * dim]
     decoded = np.frombuffer(b"".join([payloads[i] for i in sized]), "<f4").reshape(-1, dim)
     finite = np.isfinite(decoded).all(axis=1)
@@ -163,19 +170,20 @@ class CachedEmbedder:
             logger.warning("recomputing %d cached embedding(s) in %s of the wrong size "
                            "or holding non-finite values", unusable, self.cache.root)
         first: dict[str, int] = {}  # the row each miss is embedded into
-        for i in sorted(set(range(len(texts))).difference(found)):
-            text = texts[i]
-            if text not in first:
-                values = self.retry.call(paced, self.limiter, self.provider.embed_text, text)
-                with np.errstate(over="ignore"):  # an overflow is refused just below
-                    payload = np.asarray(values, dtype="<f4").tobytes()
-                ok, decoded = _usable_rows([payload], dim)
-                if not ok:
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            for i in sorted(set(range(len(texts))).difference(found)):
+                j = first.setdefault(texts[i], i)
+                if j != i:
+                    rows[i] = rows[j]
+                    continue
+                values = self.retry.call(paced, self.limiter, self.provider.embed_text, texts[i])
+                # The check of _usable_rows: dim finite <f4 values, in any shape.
+                row = np.asarray(values, dtype="<f4").reshape(-1)
+                if len(row) != dim or not np.isfinite(row).all():
                     raise MalformedResponseError(f"provider {self.provider_id} returned an "
                                                  f"embedding that is not {dim} finite float32s")
-                self.cache.put(text_key(text), payload)
-                first[text], rows[i] = i, decoded[0]
-            rows[i] = rows[first[text]]
+                self.cache.put(keys[i], row.tobytes())
+                rows[i] = row
         return rows
 
     def embed_text(self, text: str) -> np.ndarray:

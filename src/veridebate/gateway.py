@@ -1,7 +1,8 @@
 """Uniform text-generation interface.
 
 Two backends share one request/response shape: a remote chat-completion
-endpoint and a deterministic mock used for hermetic tests. The gateway
+endpoint and a deterministic mock used for hermetic tests, which splits
+prompts with ``words``, the hash embedder's tokenizer too. The gateway
 wraps either with its on-disk response cache, bounded retry with
 nondecreasing backoff (``RetryPolicy``, which the embedding endpoint
 shares), and gateway-wide rate limiting, and is safe to share across
@@ -28,6 +29,7 @@ import math
 import os
 import random
 import re
+import string
 import threading
 import time
 import urllib.error
@@ -135,6 +137,22 @@ def cache_key(req: GenerationRequest) -> str:
 # Backends
 # --------------------------------------------------------------------------
 
+_WORD_RE = re.compile(r"[\w']+")
+# Each byte outside [A-Za-z0-9_'] maps to a space.
+_WORD_BYTES = (string.ascii_letters + string.digits + "_'").encode("ascii")
+_NON_WORD_TO_SPACE = bytes(b if b in _WORD_BYTES else 0x20 for b in range(256))
+
+
+def words(text: str) -> list[str]:
+    r"""The runs of word characters and apostrophes in ``text``, equal to
+    ``re.findall(r"[\w']+", text)``. An ASCII text, where ``\w`` is
+    ``[A-Za-z0-9_]``, is split by one ``bytes.translate`` and a
+    ``str.split``; any other goes through the regex."""
+    if text.isascii():
+        return text.encode("ascii").translate(_NON_WORD_TO_SPACE).decode("ascii").split()
+    return _WORD_RE.findall(text)
+
+
 _MOCK_OPENERS = (
     "Looking at the claim itself,",
     "On the question before us,",
@@ -161,8 +179,8 @@ _MOCK_CLOSERS = (
 class MockBackend:
     """Deterministic backend: output is a pure function of the request.
 
-    A hash of the canonical request seeds a phrase assembler; a short
-    fragment of the latest user message is woven into the output so
+    A hash of the canonical request seeds a phrase assembler; short spans
+    of the latest user message's ``words`` are woven into the output so
     content-dependent signals survive the round trip.
     """
 
@@ -170,13 +188,11 @@ class MockBackend:
 
     def complete(self, req: GenerationRequest) -> str:
         rng = random.Random(int(req.digest[:16], 16))
-        words = re.findall(r"[\w']+", req.last_user_text())
-        if not words:
-            words = ["this", "item"]
+        tokens = words(req.last_user_text()) or ["this", "item"]
         sentences = []
         for _ in range(rng.randint(2, 4)):
-            start = rng.randrange(len(words))
-            span = words[start : start + rng.randint(2, 5)]
+            start = rng.randrange(len(tokens))
+            span = tokens[start : start + rng.randint(2, 5)]
             frag = "\"" + " ".join(span) + "\""
             sentences.append(
                 " ".join(

@@ -26,7 +26,7 @@ from .domain import DebateLog, LABEL_REAL, LABEL_FAKE, VerdictHint, validate_log
 from .encoding import CachedEmbedder, HashEmbeddingProvider, RemoteEmbeddingProvider
 from .engine import log_from_json, log_to_json, run_debate
 from .evaluation import Dataset, MetricsReport, compute_metrics, write_predictions_jsonl
-from .files import write_json, write_jsonl
+from .files import atomic_write, write_json, write_jsonl
 from .gateway import Gateway, MockBackend, RateLimiter, RemoteBackend, RetryPolicy
 from .neural import (
     AnalysisModel,
@@ -148,10 +148,11 @@ class Pipeline:
                    check=lambda record: []) -> tuple[dict, StageReport]:
         """One record per ``(news_id, source)`` job, stored as
         ``<dirname>/<news_id>.json``: a valid stored record is reused,
-        otherwise ``produce(source)`` makes one and it is written. A
-        failure to produce is counted per item; on ``max_concurrency > 1``
-        the jobs run on a thread pool. Under ``strict``, a stage with a
-        failed item is a ``StageError`` once every job has run."""
+        otherwise ``produce(source)`` makes one and ``atomic_write``
+        writes it whole. A failure to produce is counted per item; on
+        ``max_concurrency > 1`` the jobs run on a thread pool. Under
+        ``strict``, a stage with a failed item is a ``StageError`` once
+        every job has run."""
         directory = self.workspace / dirname
         directory.mkdir(parents=True, exist_ok=True)
 
@@ -167,7 +168,7 @@ class Pipeline:
                 # An unusable file left in place would be named as the item's.
                 Path(path).unlink(missing_ok=True)
                 return news_id, None, False, f"{news_id}: {exc}"
-            Path(path).write_text(dump(record), encoding="utf-8")
+            atomic_write(path, dump(record))
             return news_id, record, False, None
 
         workers = self.config.max_concurrency

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import tempfile
@@ -73,6 +74,30 @@ class TestHashProvider:
         a = provider.embed_text("alpha bravo cedar")
         b = provider.embed_text("cedar alpha bravo")
         assert np.array_equal(a, b)
+
+    # Mixed case, apostrophes, underscores and digits; repeated tokens; a
+    # punctuation-only text (one whole-text token); Chinese; accented
+    # Latin; the Kelvin sign, which lowercases to an ASCII "k".
+    PIN_TEXTS = [
+        "Officials SAY the harbor's ferry_line reopens at 09:30 on route 7B",
+        "fake fake FAKE news, news... and 'fake' news again",
+        "?!... -- ;;",
+        "官方表示，港口渡轮周一恢复运营。",
+        "Café naïve Résumé: the Ångström déjà vu",
+        "\u212aELVIN readings of 300\u212a at the plant",
+    ]
+
+    def test_pinned_vector_bytes(self, tmp_path):
+        """Golden sha256 of the float64 vectors and of the float32 rows the
+        embedder caches: any change to tokenizing, bases or summation order
+        shows up here."""
+        provider = HashEmbeddingProvider()
+        vectors = b"".join(provider.embed_text(text).tobytes() for text in self.PIN_TEXTS)
+        rows = CachedEmbedder(provider, tmp_path).embed_texts(self.PIN_TEXTS)
+        assert hashlib.sha256(vectors).hexdigest() == (
+            "9501bf7ec7ed1679f701d0db1076544614a7b39b44fd786ed8977166ea3b1588")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "70b258ecef6844e8e29c1303f7dba1f910e8279b9114de04969332b47f299dfa")
 
 
 class TestEmbeddingCache:
@@ -151,6 +176,20 @@ class TestEmbedTexts:
         assert str(tmp_path / provider.provider_id) in caplog.text
         assert np.array_equal(embedder.embed_text("poisoned text"), rows[1])
         assert counting.calls == 1
+
+    def test_refusal_stops_the_miss_loop_in_order(self, tmp_path):
+        """Each miss is checked and cached before the next is asked for:
+        after the refusal the first text is cached and the last was never
+        sent to the provider."""
+        provider = PoisonedProvider(HashEmbeddingProvider(dim=8, seed=0), "poisoned",
+                                    np.full(8, np.nan))
+        embedder = CachedEmbedder(provider, tmp_path)
+        with pytest.raises(MalformedResponseError, match=provider.provider_id):
+            embedder.embed_texts(["first", "poisoned", "last"])
+        assert provider.calls == 1  # "first" only: the poisoned text is not counted
+        cache = CachedEmbedder(provider, tmp_path).cache
+        assert cache.get(text_key("first")) is not None
+        assert cache.get(text_key("last")) is None
 
     @pytest.mark.parametrize("bad", [np.r_[np.ones(7), np.nan], np.r_[np.ones(7), 1e39],
                                      np.ones(4)],

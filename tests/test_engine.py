@@ -32,6 +32,7 @@ from veridebate.engine import (
     stage_prompt,
 )
 from veridebate.gateway import Gateway, GatewayError, MockBackend, TransportError
+from veridebate.synthesis import report_to_json, synthesize
 from veridebate.synthetic import make_synthetic_corpus
 
 OPENING, CROSS_EXAM, REBUTTAL, CLOSING = DebateStage
@@ -355,6 +356,15 @@ class TestPinnedTranscriptBytes:
     def test_mock_debate(self, config, digest, mock_gateway):
         log = run_debate(self.PIN_NEWS, config, mock_gateway)
         assert _sha256(log_to_json(log)) == digest
+
+    def test_mixed_language_debate_and_report(self, mock_gateway):
+        """Chinese mixed with English, so the mock backend splits words of
+        non-ASCII prompts, and the report in Chinese."""
+        news = NewsItem("pin-cn", "官方表示，港口渡轮 will resume service 周一 after repairs（维修）.")
+        log = run_debate(news, DebateConfig(), mock_gateway)
+        report = synthesize(log, mock_gateway, language="cn")
+        assert _sha256(log_to_json(log) + report_to_json(report)) == (
+            "b4ef1a2c8dff886f2c9d9a79cd7849c543caac50c43166dd64b53283105b2165")
 
     @pytest.mark.parametrize("task, digest", [
         ("stance", "22fdc16e7c535039606a46a6b71a1323c3b7a76a60696b87da03c63594045253"),

@@ -113,3 +113,23 @@ def test_write_failing_midway_keeps_old_file(tmp_path, monkeypatch, writer):
     monkeypatch.undo()
     assert target.read_bytes() == OLD
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("stage", ["transcripts", "reports"])
+def test_stage_write_failing_midway_leaves_no_part(tmp_path, monkeypatch, stage):
+    """A transcript or report write that fails part-way fails the stage
+    and leaves neither a partial ``<id>.json`` nor a temp file."""
+    dataset = small_corpus().dataset
+    pipeline = Pipeline(PipelineConfig(**SMALL), tmp_path)
+    news_id = dataset.items[0].id
+    if stage == "reports":
+        logs, _ = pipeline.run_debates(dataset)
+    tear_writes_to(monkeypatch, f"{news_id}.json")
+    with pytest.raises(OSError, match="injected failure"):
+        if stage == "transcripts":
+            pipeline.run_debates(dataset)
+        else:
+            pipeline.run_synthesis(logs)
+    monkeypatch.undo()
+    assert not (tmp_path / stage / f"{news_id}.json").exists()
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +20,7 @@ from veridebate.gateway import (
     RetryPolicy,
     TransportError,
     cache_key,
+    words,
 )
 from veridebate.packs import PackStore
 
@@ -95,6 +97,25 @@ class TestMockBackend:
                                     settings=settings)
         text = MockBackend().complete(request)
         assert len(text.split(" ")) <= 5
+
+
+# ASCII controls \x1c-\x1f are whitespace to str.split but not to the regex.
+ASCII_TEXT = st.text(st.characters(max_codepoint=0x7F))
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+
+
+class TestWords:
+    @given(st.one_of(ASCII_TEXT, ANY_TEXT))
+    def test_equals_the_regex(self, text):
+        assert words(text) == re.findall(r"[\w']+", text)
+
+    @pytest.mark.parametrize("text", ["", "?!... -- ;;", "\x1c\x1d\x1e\x1f", "«»—", " \t\n"])
+    def test_no_words(self, text):
+        assert words(text) == []
+
+    def test_ascii_and_unicode_word_characters(self):
+        assert words("it's a_b\x1fc 9x\u212a naïve 渡轮-周一") == [
+            "it's", "a_b", "c", "9x\u212a", "naïve", "渡轮", "周一"]
 
 
 class TestCache:

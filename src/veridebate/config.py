@@ -32,7 +32,6 @@ class PipelineConfig:
     requests_per_minute: float = _in("gateway", 0.0)  # 0 disables pacing
     max_concurrency: int = _in("gateway", 1)
 
-    agents_per_team: int = _in("debate", 2)
     temperature: float = _in("debate", 0.7)
     max_tokens: int = _in("debate", 300)
     history_char_budget: int = _in("debate", 6000)

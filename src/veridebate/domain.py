@@ -184,22 +184,16 @@ class SummaryReport:
 
 @dataclass(frozen=True)
 class DebateConfig:
-    """Knobs for running a debate.
+    """Knobs for running a debate: the sampling settings of every request
+    and the character budget of a prompt's quoted history. Who speaks
+    when is fixed (``engine.SPEAKING_ORDER``)."""
 
-    ``agents_per_team`` sets the team roster size; one agent per team
-    speaks in each stage regardless, with roles assigned round-robin
-    across the roster.
-    """
-
-    agents_per_team: int = 2
     temperature: float = 0.7
     max_tokens: int = 300
     seed: int = 0
     history_char_budget: int = 6000
 
     def __post_init__(self):
-        if self.agents_per_team < 1:
-            raise ValueError("agents_per_team must be >= 1")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:

@@ -2,10 +2,12 @@
 
 ``PROTOCOL`` states the protocol once: per stage, the speaking role, the
 prompt template, the earlier turns the speaker hears and the earlier
-turns the new turn links to. The speaking order, the stage prompts, the
-reply links and the synthetic corpora all read it. ``run_debate`` runs
-the turns against a generation gateway and emits a validated DebateLog.
-Prompt wording lives in editable text assets under ``templates/``.
+turns the new turn links to. ``SPEAKING_ORDER`` states the fixed order of
+the eight turns: two agents per team, each team speaking once per stage.
+The stage prompts, the reply links and the synthetic corpora read both.
+``run_debate`` runs the turns against a generation gateway and emits a
+validated DebateLog. Prompt wording lives in editable text assets under
+``templates/``.
 """
 
 from __future__ import annotations
@@ -109,12 +111,11 @@ def load_template(template_id: str) -> PromptTemplate:
     return PromptTemplate(template_id, system_text.strip(), user_text.strip())
 
 
-def plan_debate(config: DebateConfig) -> list[tuple[DebateStage, Stance, str]]:
-    """The speaking order as (stage, stance, agent_id) slots: one slot
-    per team per stage, Proponent first. Stages are spread round-robin
-    over each team's roster."""
-    return [(stage, stance, f"{stance.team}_{stage.value % config.agents_per_team}")
-            for stage in STAGES for stance in (Stance.TRUE, Stance.FAKE)]
+# The speaking order as (stage, stance, agent_id) slots: one slot per team
+# per stage, Proponent first. Each team's two agents take the stages in
+# turn; only the transcript's agent_id tells them apart.
+SPEAKING_ORDER = tuple((stage, stance, f"{stance.team}_{stage.value % 2}")
+                       for stage in STAGES for stance in (Stance.TRUE, Stance.FAKE))
 
 
 def _select(pairs: tuple[tuple[DebateStage, str], ...], stance: Stance,
@@ -209,7 +210,7 @@ def run_debate(news: NewsItem, config: DebateConfig, gateway) -> DebateLog:
     stages. Gateway failures propagate; no partial log is ever returned.
     """
     turns: list[DebateTurn] = []
-    for stage, stance, agent_id in plan_debate(config):
+    for stage, stance, agent_id in SPEAKING_ORDER:
         response = gateway.generate(stage_prompt(stage, stance, news, turns, config))
         turns.append(
             DebateTurn(

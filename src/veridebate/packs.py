@@ -20,12 +20,15 @@ held in several packs maps to its record in the newest: a value
 recomputed after a bad cached record, which goes to the recomputing
 store's new pack, replaces it for every later reader. A pack is read in
 one ``os.pread`` of its size, a buffer dropped after the scan (a pack
-holds only what one store wrote). A record whose header is not in that
-layout, whose payload is short or whose payload fails its crc ends the
-scan of its pack, so a torn tail is dropped, and it and the pack's later
-records read as misses. A lookup takes the lock once for any number of
-keys; wanted records lying together are then read in one ``os.pread``, and
-each payload is checked against the crc again.
+holds only what one store wrote). The scan only frames records: a record
+whose header is not in that layout, or whose payload runs past the end
+of the file, ends the scan of its pack, so a torn tail is dropped, and it
+and the pack's later records read as misses. A lookup takes the lock once
+for any number of keys; wanted records lying together are then read in
+one ``os.pread``, and each payload is checked against its crc there. A
+payload that fails it reads as a miss on its own, even where an older
+pack holds a good copy of its key: the value recomputed after the miss
+then replaces it.
 """
 
 from __future__ import annotations
@@ -92,14 +95,13 @@ class PackStore:
 
     def _scan(self, fd: int) -> None:
         data = os.pread(fd, os.fstat(fd).st_size, 0)
-        view = memoryview(data)
         offset = 0
         while header := _HEADER.match(data, offset, offset + _MAX_HEADER):
-            size, crc = int(header[2]), int(header[3])
+            size = int(header[2])
             offset = header.end()
-            if offset + size > len(data) or zlib.crc32(view[offset:offset + size]) != crc:
+            if offset + size > len(data):
                 return
-            self._index[header[1].decode("ascii")] = (fd, offset, size, crc)
+            self._index[header[1].decode("ascii")] = (fd, offset, size, int(header[3]))
             offset += size
 
     def get_many(self, keys) -> list[memoryview | None]:

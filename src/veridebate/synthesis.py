@@ -44,28 +44,18 @@ def build_synthesis_prompt(log: DebateLog, language: str = "en",
                          history=format_history(log.turns, config.history_char_budget))
 
 
-_REAL_PATTERNS = (
-    r"\blikely (?:true|real|genuine|authentic)\b",
-    r"\bappears (?:to be )?(?:true|real|genuine|authentic)\b",
-    r"\bnews is (?:true|real|credible|authentic)\b",
-    r"\bprobably (?:true|real)\b",
-    r"\bleans real\b",
-    r"\bwell[- ]sourced\b",
-    r"属实",
-    r"可信",
-)
-
-_FAKE_PATTERNS = (
-    r"\blikely (?:fake|false|fabricated)\b",
-    r"\bappears (?:to be )?(?:fake|false|fabricated)\b",
-    r"\bnews is (?:fake|false|fabricated|misleading)\b",
-    r"\bprobably (?:fake|false)\b",
-    r"\bleans fake\b",
-    r"\bmisinformation\b",
-    r"\bhoax\b",
-    r"虚假",
-    r"捏造",
-)
+# Each lean's cues, searched for once per report: English phrases share
+# one pair of word boundaries, so a search tries them only at a boundary;
+# Chinese ones match anywhere.
+_REAL_CUES = re.compile(
+    r"\b(?:likely (?:true|real|genuine|authentic)"
+    r"|appears (?:to be )?(?:true|real|genuine|authentic)"
+    r"|news is (?:true|real|credible|authentic)|probably (?:true|real)|leans real"
+    r"|well[- ]sourced)\b|属实|可信")
+_FAKE_CUES = re.compile(
+    r"\b(?:likely (?:fake|false|fabricated)|appears (?:to be )?(?:fake|false|fabricated)"
+    r"|news is (?:fake|false|fabricated|misleading)|probably (?:fake|false)|leans fake"
+    r"|misinformation|hoax)\b|虚假|捏造")
 
 _HINT_OF = {hint.value: hint for hint in VerdictHint}
 
@@ -76,8 +66,8 @@ def parse_verdict_hint(report_text: str) -> VerdictHint:
     if not report_text or not report_text.strip():
         raise ValueError("report text is empty")
     lowered = report_text.lower()
-    real = any(re.search(p, lowered) for p in _REAL_PATTERNS)
-    fake = any(re.search(p, lowered) for p in _FAKE_PATTERNS)
+    real = _REAL_CUES.search(lowered) is not None
+    fake = _FAKE_CUES.search(lowered) is not None
     if real and not fake:
         return VerdictHint.LEANS_REAL
     if fake and not real:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import (
-    DebateConfig,
     DebateLog,
     DebateRole,
     DebateTurn,
@@ -30,7 +29,7 @@ from .domain import (
     NewsItem,
     Stance,
 )
-from .engine import PROTOCOL, log_to_json, plan_debate, stage_targets
+from .engine import PROTOCOL, SPEAKING_ORDER, log_to_json, stage_targets
 from .evaluation import Dataset
 from .files import atomic_write
 
@@ -110,7 +109,7 @@ def _news_content(rng: random.Random, index: int, label: int, task: str) -> str:
 def _make_log(news_id: str, rng: random.Random, label: int, task: str) -> DebateLog:
     text_fn = _stance_turn_text if task == "stance" else _role_turn_text
     turns: list[DebateTurn] = []
-    for stage, stance, agent_id in plan_debate(DebateConfig()):
+    for stage, stance, agent_id in SPEAKING_ORDER:
         role = PROTOCOL[stage].role
         turns.append(
             DebateTurn(

@@ -15,13 +15,16 @@ from conftest import (CountingBackend, CountingProvider, PoisonedProvider,
                       write_factored_checkpoint)
 from veridebate.cli import main, resolve_config, build_parser
 from veridebate.config import PipelineConfig, load_config
-from veridebate import gateway as gateway_module, pipeline as pipeline_module
+from veridebate import files as files_module, gateway as gateway_module
+from veridebate import packs as packs_module, pipeline as pipeline_module
 from veridebate.encoding import CachedEmbedder, RemoteEmbeddingProvider, text_key
 from veridebate.evaluation import Dataset, compute_metrics, load_dataset, write_dataset_jsonl
 from veridebate.domain import DebateConfig
 from veridebate.neural import AnalysisModel, ModelConfig, TrainConfig, load_model
+from veridebate.neural import checkpoint as checkpoint_module
 from veridebate.neural.model import loss_and_grad
 from veridebate.gateway import Gateway, MockBackend, RetryPolicy, TransportError
+from veridebate.packs import PackStore
 from veridebate.pipeline import (ABLATION_TOGGLES, Pipeline, StageError, build_embedder,
                                  build_gateway)
 from veridebate.synthetic import make_synthetic_corpus
@@ -55,7 +58,9 @@ def small_setup(tmp_path):
 # must divide d_p = 128, the training settings, the seed of the
 # model's and the trainer's generators, and gat_layers and
 # interaction_mode, keys the model no longer has: its depth is fixed, and
-# its attention always reads the per-node debate features.
+# its attention always reads the per-node debate features; and
+# agents_per_team, a key the debate no longer has: its speaking order is
+# fixed.
 BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
                      "[gateway]\nrequests_per_minute = inf\n",
                      "[gateway]\nmax_concurrency = 0\n",
@@ -64,10 +69,10 @@ BAD_STAGE_CONFIGS = ("[gateway]\nrequests_per_minute = -5\n",
                      "[model]\nlr = nan\n", "[model]\nlr = 0\n",
                      "[model]\nepochs = 0\n", "[model]\nbatch_size = 0\n",
                      "[paths]\nseed = -1\n", "[model]\ngat_layers = 2\n",
-                     "[model]\ninteraction_mode = nodes\n")
+                     "[model]\ninteraction_mode = nodes\n", "[debate]\nagents_per_team = 2\n")
 BAD_STAGE_IDS = ("rpm_negative", "rpm_inf", "max_concurrency", "max_tokens", "temperature_nan",
                  "temperature_inf", "heads", "lr_nan", "lr_zero", "epochs", "batch_size",
-                 "seed_negative", "gat_layers", "interaction_mode")
+                 "seed_negative", "gat_layers", "interaction_mode", "agents_per_team")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -829,7 +834,70 @@ class TestReusedArtifacts:
         assert first.is_dir()
 
 
+class Interrupted(BaseException):
+    """A crash of the process: no stage catches it."""
+
+
+# Where a run is interrupted: right after the n-th call of a write function
+# whose target (a file, or a store's directory) lies under the given part
+# of the workspace. The transcripts and reports go through the pipeline's
+# atomic_write, the checkpoint through the checkpoint module's, and the
+# outputs through the files module's; both caches go through PackStore.put.
+INTERRUPTIONS = {
+    "transcript": (pipeline_module, "atomic_write", "transcripts", 5),
+    "report": (pipeline_module, "atomic_write", "reports", 7),
+    "generation_record": (PackStore, "put", "cache/gen", 43),
+    "embedding_record": (PackStore, "put", "cache/emb", 50),
+    "checkpoint": (checkpoint_module, "atomic_write", "checkpoints", 1),
+    "outputs": (files_module, "atomic_write", "predictions.jsonl", 1),
+}
+
+
+def workspace_contents(workspace: Path) -> tuple[dict, dict]:
+    """Every file's bytes, and every cache directory's pack records as a
+    sorted list of (key, payload): pack names differ between runs, and a
+    resumed run adds a pack of its own."""
+    files, records = {}, {}
+    for path in sorted(workspace.rglob("*")):
+        if path.suffix == ".pack":
+            data, offset = path.read_bytes(), 0
+            found = records.setdefault(path.parent.relative_to(workspace), [])
+            while header := packs_module._HEADER.match(data, offset):
+                offset = header.end() + int(header[2])
+                found.append((header[1], data[header.end():offset]))
+        elif path.is_file():
+            files[path.relative_to(workspace)] = path.read_bytes()
+    return files, {folder: sorted(found) for folder, found in records.items()}
+
+
 class TestResume:
+    @pytest.mark.parametrize("point", INTERRUPTIONS)
+    def test_interrupted_run_resumes_to_the_clean_bytes(self, tmp_path, monkeypatch, point):
+        """A run interrupted right after one artifact write, then run again
+        over the same workspace, leaves what a clean run leaves: the same
+        bytes in every file, the same records in each cache."""
+        dataset = make_synthetic_corpus(n_train=6, n_val=2, n_test=4, seed=3).dataset
+        Pipeline(TINY_CONFIG, tmp_path / "clean").run(dataset)
+        workspace = tmp_path / "resumed"
+        owner, name, part, n = INTERRUPTIONS[point]
+        write, calls = getattr(owner, name), []
+
+        def interrupting(target, *args):
+            write(target, *args)
+            where = Path(target.root if isinstance(target, PackStore) else target)
+            if where.relative_to(workspace).as_posix().startswith(part):
+                calls.append(where)
+                if len(calls) == n:
+                    raise Interrupted
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, interrupting)
+            with pytest.raises(Interrupted):
+                Pipeline(TINY_CONFIG, workspace).run(dataset)
+        assert not (workspace / "metrics.json").exists()
+        Pipeline(TINY_CONFIG, workspace).run(dataset)
+        assert workspace_contents(workspace) == workspace_contents(tmp_path / "clean")
+
     def test_caches_alone_rebuild_the_run(self, small_setup):
         """With transcripts and reports gone, a fresh pipeline over the
         same workspace rebuilds everything from the generation and

@@ -136,10 +136,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             NewsItem(id="x", content="text", label=3)
 
-    def test_debate_config_rejects_zero_agents(self):
-        with pytest.raises(ValueError):
-            DebateConfig(agents_per_team=0)
-
     def test_debate_config_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             DebateConfig(temperature=-0.1)

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from strategies import valid_logs
 from veridebate import engine
+from veridebate.config import PipelineConfig
 from veridebate.domain import (
     DebateConfig,
     DebateLog,
@@ -27,7 +28,6 @@ from veridebate.engine import (
     log_from_json,
     log_to_json,
     one_line_abstract,
-    plan_debate,
     run_debate,
     stage_prompt,
 )
@@ -57,18 +57,11 @@ EXPECTED_TARGETS = [(), (), (0,), (1,), (3,), (2,), (), ()]
 
 class TestPlanDebate:
     def test_default_plan_has_eight_slots_in_order(self):
-        slots = plan_debate(DebateConfig())
+        slots = engine.SPEAKING_ORDER
         assert [stage for stage, _, _ in slots[::2]] == list(DebateStage)
         assert [(stance, PROTOCOL[stage].role) for stage, stance, _ in slots] == EXPECTED_SLOTS
-
-    def test_single_agent_team_reuses_agent(self):
-        slots = plan_debate(DebateConfig(agents_per_team=1))
-        assert len(slots) == 8
-        assert {agent_id for _, _, agent_id in slots} == {"pro_0", "opp_0"}
-
-    def test_zero_agents_rejected(self):
-        with pytest.raises(ValueError):
-            plan_debate(DebateConfig(agents_per_team=0))
+        assert [agent_id for _, _, agent_id in slots] == [
+            "pro_0", "opp_0", "pro_1", "opp_1", "pro_0", "opp_0", "pro_1", "opp_1"]
 
 
 class TestTemplates:
@@ -350,9 +343,9 @@ class TestPinnedTranscriptBytes:
 
     @pytest.mark.parametrize("config, digest", [
         (DebateConfig(), "d74df676071c6ad9ed641ecbee7b5375ffa1db6475a45b619323a4a23dfa2d93"),
-        (DebateConfig(agents_per_team=1, history_char_budget=300),
-         "0bf29f18457f9241b2267b1bacecae6199ea38a44299471e18a0560bbf9fa107"),
-    ], ids=["default", "one_agent_short_history"])
+        (DebateConfig(history_char_budget=300),
+         "47d550098c30338019f59d67bdeb055a3a3a096ac1144993d2fd25813d7a552b"),
+    ], ids=["default", "short_history"])
     def test_mock_debate(self, config, digest, mock_gateway):
         log = run_debate(self.PIN_NEWS, config, mock_gateway)
         assert _sha256(log_to_json(log)) == digest
@@ -373,3 +366,38 @@ class TestPinnedTranscriptBytes:
     def test_synthetic_corpus(self, task, digest):
         logs = make_synthetic_corpus(n_train=4, n_test=2, seed=0, task=task).logs
         assert _sha256("".join(log_to_json(logs[k]) for k in sorted(logs))) == digest
+
+
+class RecordingGateway:
+    """A gateway wrapper that keeps the digest of every request."""
+
+    def __init__(self, inner):
+        self.inner, self.digests = inner, []
+
+    def generate(self, req):
+        self.digests.append(req.digest)
+        return self.inner.generate(req)
+
+
+# Each debate setting, with a value other than its default.
+CHANGED_DEBATE_SETTINGS = {"temperature": 0.2, "max_tokens": 50, "seed": 1,
+                           "history_char_budget": 300, "language": "cn"}
+
+
+def test_every_debate_setting_changes_a_request(news_item, mock_gateway):
+    """A setting that changed no request of a debate and its report would
+    change no output; each one changes at least one."""
+    settings = {f.name for f in dataclasses.fields(DebateConfig)} | {
+        f.name for f in dataclasses.fields(PipelineConfig) if f.metadata["section"] == "debate"}
+    assert settings == set(CHANGED_DEBATE_SETTINGS)
+
+    def digests(config: PipelineConfig) -> list[str]:
+        gateway = RecordingGateway(mock_gateway)
+        log = run_debate(news_item, config.debate_config(), gateway)
+        synthesize(log, gateway, config.language, config.debate_config())
+        return gateway.digests
+
+    default = digests(PipelineConfig())
+    assert len(default) == 9
+    for name, value in CHANGED_DEBATE_SETTINGS.items():
+        assert digests(PipelineConfig(**{name: value})) != default, name

@@ -139,9 +139,9 @@ class TestPackStore:
         expected = [None, None] if overlong else [b"long", b"zulu"]
         assert PackStore(tmp_path).get_many([key, "z"]) == expected
 
-    def test_crc_failure_mid_pack_ends_the_scan_there(self, tmp_path):
-        """Records before a payload that fails its crc still read; it and
-        the pack's later records read as misses."""
+    def test_crc_failure_mid_pack_is_a_miss_on_its_own(self, tmp_path):
+        """A payload that fails its crc reads as a miss; the records before
+        and after it in its pack still read."""
         store = PackStore(tmp_path)
         for key in "abcde":
             store.put(key, key.encode() * 50)
@@ -150,7 +150,19 @@ class TestPackStore:
         data[data.index(b"c" * 50) + 10] ^= 0x01
         pack.write_bytes(bytes(data))
         reader = PackStore(tmp_path)
-        assert reader.get_many(list("abcde")) == [b"a" * 50, b"b" * 50, None, None, None]
+        assert reader.get_many(list("abcde")) == [b"a" * 50, b"b" * 50, None, b"d" * 50,
+                                                  b"e" * 50]
+
+    def test_damaged_newest_copy_reads_as_a_miss(self, tmp_path):
+        """The newest record of a key is the one read, even when its crc
+        fails and an older pack holds a good copy."""
+        PackStore(tmp_path).put("k", b"older")
+        PackStore(tmp_path).put("k", b"newer")
+        newest = packs(tmp_path)[-1]
+        data = bytearray(newest.read_bytes())
+        data[-1] ^= 0x01
+        newest.write_bytes(bytes(data))
+        assert PackStore(tmp_path).get("k") is None
 
     def test_record_damaged_after_the_scan_reads_as_a_miss_inside_its_run(self, tmp_path,
                                                                           monkeypatch):

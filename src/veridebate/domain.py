@@ -1,8 +1,9 @@
 """Core vocabulary shared by the whole pipeline.
 
-News items, stances, debate roles and stages, single turns, full debate
-logs, summary reports, and the debate configuration live here, together
-with the validity rules that every other module relies on.
+News items, stances, debate roles and stages with the one role that
+speaks in each stage, single turns, full debate logs, summary reports,
+and the sampling and debate settings live here, together with the
+validity rules that every other module relies on.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ class Stance(enum.Enum):
 class DebateRole(enum.Enum):
     OPENING_SPEAKER = "opening_speaker"
     QUESTIONER = "questioner"
+    # No stage speaks it (``STAGE_ROLES``), so a turn that claims it is
+    # invalid. It stays because the model's role table draws one row pair
+    # per member: dropping it would move every block's initial values.
     RESPONDER = "responder"
     REBUTTER = "rebutter"
     CLOSING_SPEAKER = "closing_speaker"
@@ -84,17 +88,14 @@ STAGE_LABELS = {
     DebateStage.CLOSING: "Closing",
 }
 
-# Which stage each role may speak in. Answers to cross-examination are
-# folded into the Rebuttal stage, so the Responder role lives there too.
-ROLE_STAGE = {
-    DebateRole.OPENING_SPEAKER: DebateStage.OPENING,
-    DebateRole.QUESTIONER: DebateStage.CROSS_EXAMINATION,
-    DebateRole.RESPONDER: DebateStage.REBUTTAL,
-    DebateRole.REBUTTER: DebateStage.REBUTTAL,
-    DebateRole.CLOSING_SPEAKER: DebateStage.CLOSING,
-}
-# ROLE_STAGE by position, so a role is found by identity, not hashed.
-_ROLES, _ROLE_STAGES = tuple(ROLE_STAGE), tuple(ROLE_STAGE.values())
+# The one role that speaks in each stage, indexed by stage value.
+# Answers to cross-examination are folded into the Rebuttal stage.
+STAGE_ROLES = (
+    DebateRole.OPENING_SPEAKER,
+    DebateRole.QUESTIONER,
+    DebateRole.REBUTTER,
+    DebateRole.CLOSING_SPEAKER,
+)
 
 
 class VerdictHint(enum.Enum):
@@ -183,21 +184,30 @@ class SummaryReport:
 
 
 @dataclass(frozen=True)
-class DebateConfig:
-    """Knobs for running a debate: the sampling settings of every request
-    and the character budget of a prompt's quoted history. Who speaks
-    when is fixed (``engine.SPEAKING_ORDER``)."""
+class GenerationSettings:
+    """The sampling settings of one generation request."""
 
     temperature: float = 0.7
     max_tokens: int = 300
     seed: int = 0
-    history_char_budget: int = 6000
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+
+
+@dataclass(frozen=True)
+class DebateConfig(GenerationSettings):
+    """Knobs for running a debate: the sampling settings of every request
+    and the character budget of a prompt's quoted history. Who speaks
+    when is fixed (``STAGE_ROLES``, ``engine.SPEAKING_ORDER``)."""
+
+    history_char_budget: int = 6000
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.history_char_budget < 1:
             raise ValueError("history_char_budget must be >= 1")
 
@@ -225,7 +235,7 @@ def validate_log(log: DebateLog) -> list[str]:
                 violations.append(f"target out of range at turn {i}")
             elif target >= turn.turn_index:
                 violations.append(f"forward reference at turn {i}")
-        if _ROLE_STAGES[_ROLES.index(turn.role)] is not stage:
+        if turn.role is not STAGE_ROLES[stage]:
             violations.append(
                 f"role {turn.role.value} illegal in stage {STAGE_LABELS[stage]} at turn {i}"
             )

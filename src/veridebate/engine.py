@@ -1,12 +1,13 @@
 """The debate protocol and the engine that runs it.
 
-``PROTOCOL`` states the protocol once: per stage, the speaking role, the
-prompt template, the earlier turns the speaker hears and the earlier
-turns the new turn links to. ``SPEAKING_ORDER`` states the fixed order of
-the eight turns: two agents per team, each team speaking once per stage.
-The stage prompts, the reply links and the synthetic corpora read both.
-``run_debate`` runs the turns against a generation gateway and emits a
-validated DebateLog. Prompt wording lives in editable text assets under
+``PROTOCOL`` states, per stage, the prompt template, the earlier turns
+the speaker hears and the earlier turns the new turn links to; the role
+that speaks in each stage is ``domain.STAGE_ROLES``. ``SPEAKING_ORDER``
+states the fixed order of the eight turns: two agents per team, each team
+speaking once per stage. ``speak`` is the one loop over that order: it
+builds a log from any source of turn texts, the gateway's replies in
+``run_debate`` (which also validates the log) or the planted texts of the
+synthetic corpora. Prompt wording lives in editable text assets under
 ``templates/``.
 """
 
@@ -16,11 +17,12 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .domain import (
     STAGES,
     STAGE_LABELS,
+    STAGE_ROLES,
     DebateConfig,
     DebateLog,
     DebateRole,
@@ -53,26 +55,25 @@ class StageRule:
     "opponent" or "both", seen from the speaker. Every template may also
     quote the news item as ``{news}``; only the opening's does."""
 
-    role: DebateRole
     template_id: str
     hears: tuple[tuple[DebateStage, str], ...]
     targets: tuple[tuple[DebateStage, str], ...]
 
 
 PROTOCOL = {
-    DebateStage.OPENING: StageRule(DebateRole.OPENING_SPEAKER, "opening", hears=(), targets=()),
+    DebateStage.OPENING: StageRule("opening", hears=(), targets=()),
     # A question links back to its own team's opening, the position under
     # examination; a rebuttal links to the question it answers.
     DebateStage.CROSS_EXAMINATION: StageRule(
-        DebateRole.QUESTIONER, "cross_exam",
+        "cross_exam",
         hears=((DebateStage.OPENING, "opponent"),), targets=((DebateStage.OPENING, "own"),)),
     DebateStage.REBUTTAL: StageRule(
-        DebateRole.REBUTTER, "rebuttal",
+        "rebuttal",
         hears=((DebateStage.CROSS_EXAMINATION, "opponent"),),
         targets=((DebateStage.CROSS_EXAMINATION, "opponent"),)),
     # Closings hear the whole debate before them, never each other.
     DebateStage.CLOSING: StageRule(
-        DebateRole.CLOSING_SPEAKER, "closing",
+        "closing",
         hears=tuple((stage, "both") for stage in STAGES[:DebateStage.CLOSING]), targets=()),
 }
 
@@ -198,9 +199,22 @@ def stage_prompt(stage: DebateStage, stance: Stance, news: NewsItem,
         config,
         news=news.content,
         stance=stance.value,
-        role=rule.role.display,
+        role=STAGE_ROLES[stage].display,
         history=format_history(_select(rule.hears, stance, turns), config.history_char_budget),
     )
+
+
+def speak(news_id: str,
+          text_of: Callable[[DebateStage, Stance, Sequence[DebateTurn]], str]) -> DebateLog:
+    """The log of one debate in ``SPEAKING_ORDER``. Each turn's text is
+    ``text_of(stage, stance, turns)``, given the turns spoken before it;
+    its role and reply links follow from the protocol."""
+    turns: list[DebateTurn] = []
+    for stage, stance, agent_id in SPEAKING_ORDER:
+        turns.append(DebateTurn(len(turns), agent_id, stance, STAGE_ROLES[stage], stage,
+                                text_of(stage, stance, turns),
+                                stage_targets(stage, stance, turns)))
+    return DebateLog(news_id=news_id, turns=tuple(turns))
 
 
 def run_debate(news: NewsItem, config: DebateConfig, gateway) -> DebateLog:
@@ -209,21 +223,8 @@ def run_debate(news: NewsItem, config: DebateConfig, gateway) -> DebateLog:
     Strictly sequential: each prompt embeds only text from earlier
     stages. Gateway failures propagate; no partial log is ever returned.
     """
-    turns: list[DebateTurn] = []
-    for stage, stance, agent_id in SPEAKING_ORDER:
-        response = gateway.generate(stage_prompt(stage, stance, news, turns, config))
-        turns.append(
-            DebateTurn(
-                turn_index=len(turns),
-                agent_id=agent_id,
-                stance=stance,
-                role=PROTOCOL[stage].role,
-                stage=stage,
-                text=response.text,
-                targets=stage_targets(stage, stance, turns),
-            )
-        )
-    log = DebateLog(news_id=news.id, turns=tuple(turns))
+    log = speak(news.id, lambda stage, stance, turns: gateway.generate(
+        stage_prompt(stage, stance, news, turns, config)).text)
     violations = validate_log(log)
     if violations:
         raise EngineError(f"generated log is invalid: {violations}")

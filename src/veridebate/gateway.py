@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 import random
 import re
@@ -39,6 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .domain import GenerationSettings
 from .packs import PackStore, store_root
 
 API_KEY_ENV = "VERIDEBATE_API_KEY"
@@ -61,19 +61,6 @@ class RateLimitError(TransportError):
 
 class MalformedResponseError(GatewayError):
     pass
-
-
-@dataclass(frozen=True)
-class GenerationSettings:
-    temperature: float = 0.7
-    max_tokens: int = 300
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
 
 
 @dataclass(frozen=True)

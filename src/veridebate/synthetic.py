@@ -1,6 +1,8 @@
 """Synthetic corpora with planted, learnable signals.
 
-Two task flavors, both producing default-protocol eight-turn debates:
+Two task flavors, both producing default-protocol eight-turn debates
+through the engine's one speaking loop (``engine.speak``), which plants
+each turn's text:
 
 * ``stance`` - the team matching the ground-truth label argues with
   distinctive marker vocabulary, so pooled text content alone separates
@@ -17,28 +19,21 @@ Two task flavors, both producing default-protocol eight-turn debates:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .domain import (
-    DebateLog,
-    DebateRole,
-    DebateTurn,
-    LABEL_FAKE,
-    LABEL_REAL,
-    NewsItem,
-    Stance,
-)
-from .engine import PROTOCOL, SPEAKING_ORDER, log_to_json, stage_targets
+from .domain import LABEL_FAKE, LABEL_REAL, DebateLog, DebateStage, NewsItem, Stance
+from .engine import log_to_json, speak
 from .evaluation import Dataset
 from .files import atomic_write
 
-_ROLE_FILLER = {
-    DebateRole.OPENING_SPEAKER: "we open the case with a careful reading of the claim and its context",
-    DebateRole.QUESTIONER: "we put direct questions to the other side about sourcing and chronology",
-    DebateRole.REBUTTER: "we answer the questions point by point and return to the evidence",
-    DebateRole.CLOSING_SPEAKER: "we close by weighing what survived scrutiny in this exchange",
-}
+# The filler of each stage's speaking role, indexed by stage value.
+_STAGE_FILLER = (
+    "we open the case with a careful reading of the claim and its context",
+    "we put direct questions to the other side about sourcing and chronology",
+    "we answer the questions point by point and return to the evidence",
+    "we close by weighing what survived scrutiny in this exchange",
+)
 
 _REAL_MARKERS = ("corroborated", "documented", "bylined", "archived", "datelined")
 _FAKE_MARKERS = ("doctored", "recycled", "unattributed", "stitched", "backdated")
@@ -75,9 +70,9 @@ def _noise(rng: random.Random, k: int) -> str:
     return " ".join(rng.choice(_NOISE_WORDS) for _ in range(k))
 
 
-def _stance_turn_text(rng: random.Random, role: DebateRole, stance: Stance,
+def _stance_turn_text(rng: random.Random, stage: DebateStage, stance: Stance,
                       label: int) -> str:
-    filler = _ROLE_FILLER[role]
+    filler = _STAGE_FILLER[stage]
     # The team matching the truth argues in marker vocabulary; the other
     # team gets a single weak counter-marker.
     matching = (label == LABEL_REAL and stance is Stance.TRUE) or (
@@ -91,7 +86,7 @@ def _stance_turn_text(rng: random.Random, role: DebateRole, stance: Stance,
 _SHARED_FILLER = "the panel weighs the statement and its provenance with care"
 
 
-def _role_turn_text(rng: random.Random, role: DebateRole, stance: Stance,
+def _role_turn_text(rng: random.Random, stage: DebateStage, stance: Stance,
                     label: int) -> str:
     carrier = Stance.TRUE if label == LABEL_REAL else Stance.FAKE
     marker = f" {_ROLE_MARKER} {_ROLE_MARKER}" if stance is carrier else ""
@@ -108,24 +103,13 @@ def _news_content(rng: random.Random, index: int, label: int, task: str) -> str:
 
 def _make_log(news_id: str, rng: random.Random, label: int, task: str) -> DebateLog:
     text_fn = _stance_turn_text if task == "stance" else _role_turn_text
-    turns: list[DebateTurn] = []
-    for stage, stance, agent_id in SPEAKING_ORDER:
-        role = PROTOCOL[stage].role
-        turns.append(
-            DebateTurn(
-                turn_index=len(turns),
-                agent_id=agent_id,
-                stance=stance,
-                role=role,
-                stage=stage,
-                text=text_fn(rng, role, stance, label),
-                # No reference edges in the role task: the bare chain is
-                # symmetric under reversal, which is what removes every
-                # structural route to the label.
-                targets=() if task == "role" else stage_targets(stage, stance, turns),
-            )
-        )
-    return DebateLog(news_id=news_id, turns=tuple(turns))
+    log = speak(news_id, lambda stage, stance, turns: text_fn(rng, stage, stance, label))
+    if task == "stance":
+        return log
+    # No reference edges in the role task: the bare chain is symmetric
+    # under reversal, which is what removes every structural route to the
+    # label.
+    return DebateLog(news_id, tuple(replace(t, targets=()) for t in log.turns))
 
 
 def make_synthetic_corpus(n_train: int = 500, n_test: int = 200, n_val: int = 0,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from veridebate.domain import ROLE_STAGE, STAGE_LABELS, STAGES, DebateLog, Stance
+from veridebate.domain import STAGE_LABELS, STAGES, DebateLog, DebateRole, DebateStage, Stance
 from veridebate.neural import AnalysisModel, Sample, batch_loss
 
 
@@ -166,6 +166,16 @@ def brute_force_neighbors(edges, num_nodes: int) -> list[set[int]]:
     return result
 
 
+# The four legal (role, stage) pairs of the paper's protocol, stated here
+# apart from domain.STAGE_ROLES. No stage admits the Responder.
+LEGAL_ROLE_STAGES = {
+    (DebateRole.OPENING_SPEAKER, DebateStage.OPENING),
+    (DebateRole.QUESTIONER, DebateStage.CROSS_EXAMINATION),
+    (DebateRole.REBUTTER, DebateStage.REBUTTAL),
+    (DebateRole.CLOSING_SPEAKER, DebateStage.CLOSING),
+}
+
+
 def reference_validate_log(log: DebateLog) -> list[str]:
     """validate_log's violations, found with sets of the stages and of each
     stage's stances present and one scan of the turns per rule group."""
@@ -189,7 +199,7 @@ def reference_validate_log(log: DebateLog) -> list[str]:
                 violations.append(f"target out of range at turn {i}")
             elif target >= turn.turn_index:
                 violations.append(f"forward reference at turn {i}")
-        if ROLE_STAGE[turn.role] is not turn.stage:
+        if (turn.role, turn.stage) not in LEGAL_ROLE_STAGES:
             violations.append(
                 f"role {turn.role.value} illegal in stage "
                 f"{STAGE_LABELS[turn.stage]} at turn {i}"

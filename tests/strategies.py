@@ -9,8 +9,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from veridebate.domain import STAGES, DebateLog, DebateRole, DebateTurn, Stance
-from veridebate.engine import PROTOCOL
+from veridebate.domain import STAGES, STAGE_ROLES, DebateLog, DebateRole, DebateTurn, Stance
 from veridebate.neural import AnalysisModel, ModelConfig, Sample
 
 _WORDS = ("alpha", "bravo", "cedar", "delta", "ember", "frost", "gale", "harbor")
@@ -39,7 +38,7 @@ def random_valid_log(rng: random.Random, max_extra_turns: int = 2,
                         turn_index=index,
                         agent_id=f"{stance.team}_0",
                         stance=stance,
-                        role=PROTOCOL[stage].role,
+                        role=STAGE_ROLES[stage],
                         stage=stage,
                         text=_turn_text(rng),
                         targets=targets,

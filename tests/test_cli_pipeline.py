@@ -704,7 +704,8 @@ def corrupt(path, fault: str, other) -> None:
     """Overwrite an artifact: cut it short, replace it with one that
     parses but is invalid, copy another item's file over it, or give a
     report's verdict hint or a transcript's first turn a value no
-    decoder accepts, or write the first turn targets as floats."""
+    decoder accepts, write the first turn targets as floats, or give the
+    first rebuttal turn the role no stage speaks."""
     text = path.read_text(encoding="utf-8")
     if fault == "truncated":
         path.write_text(text[: len(text) // 2], encoding="utf-8")
@@ -729,6 +730,10 @@ def corrupt(path, fault: str, other) -> None:
         turn = next(t for t in record["turns"] if t["targets"])
         turn["targets"] = [float(target) for target in turn["targets"]]
         path.write_text(json.dumps(record), encoding="utf-8")
+    elif fault == "responder_rebuttal":
+        record = json.loads(text)
+        next(t for t in record["turns"] if t["stage"] == "rebuttal")["role"] = "responder"
+        path.write_text(json.dumps(record), encoding="utf-8")
     else:
         path.write_text(other.read_text(encoding="utf-8"), encoding="utf-8")
 
@@ -752,7 +757,7 @@ class TestReusedArtifacts:
         pipeline.run_synthesis(logs)
         return dataset, config, workspace
 
-    @pytest.mark.parametrize("fault", FAULTS + tuple(TURN_FAULTS) + ("float_target",))
+    @pytest.mark.parametrize("fault", FAULTS + tuple(TURN_FAULTS) + ("float_target", "responder_rebuttal"))
     def test_bad_transcript_is_regenerated(self, small_setup, fresh_cache, fault, caplog):
         dataset, config, workspace = self._setup(small_setup)
         first, second = sorted((workspace / "transcripts").glob("*.json"))[:2]

@@ -67,6 +67,13 @@ class TestValidateLog:
         violations = validate_log(DebateLog("n1", tuple(turns)))
         assert any("rebutter" in v and "turn 0" in v for v in violations)
 
+    def test_responder_rebuttal_turn_reported(self):
+        turns = list(default_protocol_turns())
+        turns[4] = make_turn(4, Stance.TRUE, DebateRole.RESPONDER, DebateStage.REBUTTAL,
+                             targets=(3,))
+        violations = validate_log(DebateLog("n1", tuple(turns)))
+        assert violations == ["role responder illegal in stage Rebuttal at turn 4"]
+
     def test_stage_regression_reported(self):
         turns = list(default_protocol_turns())
         turns[7] = make_turn(7, Stance.FAKE, DebateRole.OPENING_SPEAKER, DebateStage.OPENING)

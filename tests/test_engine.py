@@ -9,6 +9,7 @@ from strategies import valid_logs
 from veridebate import engine
 from veridebate.config import PipelineConfig
 from veridebate.domain import (
+    STAGE_ROLES,
     DebateConfig,
     DebateLog,
     DebateRole,
@@ -59,7 +60,7 @@ class TestPlanDebate:
     def test_default_plan_has_eight_slots_in_order(self):
         slots = engine.SPEAKING_ORDER
         assert [stage for stage, _, _ in slots[::2]] == list(DebateStage)
-        assert [(stance, PROTOCOL[stage].role) for stage, stance, _ in slots] == EXPECTED_SLOTS
+        assert [(stance, STAGE_ROLES[stage]) for stage, stance, _ in slots] == EXPECTED_SLOTS
         assert [agent_id for _, _, agent_id in slots] == [
             "pro_0", "opp_0", "pro_1", "opp_1", "pro_0", "opp_0", "pro_1", "opp_1"]
 

@@ -407,13 +407,15 @@ def test_steady_state_step_peak_is_bounded():
     assert peak < STEP_PEAK_BOUND, peak
 
 
-def test_neural_loads_no_endpoint_code():
-    """The classifier depends on the domain and the graph only: a fresh
-    interpreter that imports it loads no embedding client, cache or HTTP
-    module."""
-    endpoint = ("veridebate.gateway", "veridebate.encoding", "veridebate.packs",
-                "urllib.request")
-    code = f"import sys, veridebate.neural; print([m for m in {endpoint!r} if m in sys.modules])"
+@pytest.mark.parametrize("module", ["veridebate.neural", "veridebate.domain"])
+def test_neural_loads_no_endpoint_code(module):
+    """The classifier depends on the domain and the graph only, and the
+    domain on no other module of the package: a fresh interpreter that
+    imports either loads no gateway, debate engine, embedding client,
+    cache or HTTP module."""
+    endpoint = ("veridebate.gateway", "veridebate.engine", "veridebate.encoding",
+                "veridebate.packs", "urllib.request")
+    code = f"import sys, {module}; print([m for m in {endpoint!r} if m in sys.modules])"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(veridebate.__file__).parents[1]), env.get("PYTHONPATH", "")) if p)

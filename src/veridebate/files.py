@@ -3,6 +3,7 @@ form of the run's JSON outputs."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import uuid
@@ -12,21 +13,27 @@ from pathlib import Path
 def atomic_write(path: str | Path, data) -> None:
     """Replace ``path`` with ``data``: a str (written as UTF-8), a
     bytes-like object, or a list of them written in order. The data goes
-    to a uniquely named temp file in the same directory, which
-    ``os.replace`` then moves over ``path``, so a reader sees the old
-    file or the new one, never a part. If the write fails, the temp file
-    is removed and ``path`` is untouched. Nothing is fsynced: this guards
-    against a crash of the process, not of the machine."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
+    to a uniquely named temp file in the same directory (made if
+    missing), which ``os.replace`` then moves over ``path``, so a reader
+    sees the old file or the new one, never a part. If the write fails,
+    the temp file is removed and ``path`` is untouched. Nothing is
+    fsynced: this guards against a crash of the process, not of the
+    machine."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "xb") as fh:
+        fh = open(tmp, "xb")
+    except FileNotFoundError:  # the directory is made only when it is missing
+        os.makedirs(head, exist_ok=True)
+        fh = open(tmp, "xb")
+    try:
+        with fh:
             for chunk in data if isinstance(data, list) else [data]:
                 fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 

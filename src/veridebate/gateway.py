@@ -6,7 +6,9 @@ prompts with ``words``, the hash embedder's tokenizer too. The gateway
 wraps either with its on-disk response cache, bounded retry with
 nondecreasing backoff (``RetryPolicy``, which the embedding endpoint
 shares), and gateway-wide rate limiting, and is safe to share across
-threads.
+threads. The HTTP client stack (``urllib.request`` and what it pulls in:
+``http.client``, ``ssl``, ``email``) loads on the first remote request, so
+a mock run never loads it.
 
 The response cache is content-addressed by the request digest
 (``cache_key``) and lives in append-only, checksummed pack files (see
@@ -31,8 +33,6 @@ import re
 import string
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -199,6 +199,9 @@ class MockBackend:
 
 
 def _urllib_transport(url: str, body: bytes, headers: dict[str, str], timeout: float):
+    import urllib.error  # the HTTP client stack loads on the first remote request
+    import urllib.request
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as resp:

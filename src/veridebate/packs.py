@@ -19,16 +19,17 @@ order (by sequence, then name; a pack named without a sequence counts as
 held in several packs maps to its record in the newest: a value
 recomputed after a bad cached record, which goes to the recomputing
 store's new pack, replaces it for every later reader. A pack is read in
-one ``os.pread`` of its size, a buffer dropped after the scan (a pack
-holds only what one store wrote). The scan only frames records: a record
-whose header is not in that layout, or whose payload runs past the end
-of the file, ends the scan of its pack, so a torn tail is dropped, and it
-and the pack's later records read as misses. A lookup takes the lock once
-for any number of keys; wanted records lying together are then read in
-one ``os.pread``, and each payload is checked against its crc there. A
-payload that fails it reads as a miss on its own, even where an older
-pack holds a good copy of its key: the value recomputed after the miss
-then replaces it.
+windows, ``os.pread`` calls of ``_SCAN_WINDOW`` bytes, so a scan holds
+about one window of it at a time whatever the pack's size; a payload that
+reaches past the window is skipped unread. The scan only frames records:
+a record whose header is not in that layout, or whose payload runs past
+the end of the file, ends the scan of its pack, so a torn tail is
+dropped, and it and the pack's later records read as misses. A lookup
+takes the lock once for any number of keys; wanted records lying
+together are then read in one ``os.pread``, and each payload is checked
+against its crc there. A payload that fails it reads as a miss on its
+own, even where an older pack holds a good copy of its key: the value
+recomputed after the miss then replaces it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ _HEADER = re.compile(
 )
 # A header holds a short key and two integers; a longer line is not one.
 _MAX_HEADER = 4096
+# The bytes a scan asks each ``os.pread`` for.
+_SCAN_WINDOW = 1 << 16
 _SEQUENCED_NAME = re.compile(r"([0-9]+)-[0-9]+-[0-9a-f]{32}\.pack")
 
 
@@ -94,15 +97,27 @@ class PackStore:
         return self._index
 
     def _scan(self, fd: int) -> None:
-        data = os.pread(fd, os.fstat(fd).st_size, 0)
-        offset = 0
-        while header := _HEADER.match(data, offset, offset + _MAX_HEADER):
-            size = int(header[2])
-            offset = header.end()
-            if offset + size > len(data):
+        end = os.fstat(fd).st_size
+        data, base, offset = b"", 0, 0  # data holds the pack's bytes from base on
+        while True:
+            if len(data) - offset < _MAX_HEADER:
+                # Slide the unread tail forward (past a payload that reached
+                # beyond the window, unread) and refill until a header fits.
+                data, base, offset = data[offset:], base + offset, 0
+                while len(data) < _MAX_HEADER and base + len(data) < end:
+                    chunk = os.pread(fd, _SCAN_WINDOW, base + len(data))
+                    if not chunk:  # the pack shrank under the scan
+                        break
+                    data += chunk
+            header = _HEADER.match(data, offset, offset + _MAX_HEADER)
+            if header is None:
                 return
-            self._index[header[1].decode("ascii")] = (fd, offset, size, int(header[3]))
-            offset += size
+            size = int(header[2])
+            offset = header.end() + size
+            if base + offset > end:
+                return
+            self._index[header[1].decode("ascii")] = (fd, base + header.end(), size,
+                                                      int(header[3]))
 
     def get_many(self, keys) -> list[memoryview | None]:
         """A read-only view of the payload stored under each key, None where

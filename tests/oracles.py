@@ -3,12 +3,15 @@
 Each function here recomputes a quantity from first principles by a
 route the production code never takes: central finite differences for
 gradients, raw confusion-count arithmetic for metrics, edge-scan
-neighbor recomputation for graphs, set-based debate-log validation, and
-a literal one-sample-at-a-time forward pass of the classifier, as it
-stands and in the paper's factored form.
+neighbor recomputation for graphs, set-based debate-log validation, a
+literal one-sample-at-a-time forward pass of the classifier, as it
+stands and in the paper's factored form, and a whole-file scan of a
+pack's records that parses each header as JSON.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -218,3 +221,33 @@ def reference_validate_log(log: DebateLog) -> list[str]:
                 )
 
     return violations
+
+
+def reference_scan(data: bytes, max_header: int) -> dict[str, tuple[int, int, int]]:
+    """The records a pack's bytes, read whole, frame: key -> (payload
+    offset, size, crc), a later record of a key replacing an earlier one.
+    A header is a line of at most ``max_header`` bytes, newline included,
+    that is exactly ``json.dumps({"key": k, "size": n, "crc": c})`` for a
+    key of printable ASCII without '"' or '\\' and integers n, c >= 0. The
+    first line that is not one, or a payload that runs past the end of the
+    data, ends the scan."""
+    index: dict[str, tuple[int, int, int]] = {}
+    offset = 0
+    while (newline := data.find(b"\n", offset, offset + max_header)) >= 0:
+        try:
+            line = data[offset:newline].decode("ascii")
+            header = json.loads(line)
+        except ValueError:
+            break
+        if not isinstance(header, dict):
+            break
+        key, size, crc = header.get("key"), header.get("size"), header.get("crc")
+        if not (isinstance(key, str) and all(" " <= c <= "~" and c not in '"\\' for c in key)
+                and type(size) is int and size >= 0 and type(crc) is int and crc >= 0
+                and json.dumps({"key": key, "size": size, "crc": crc}) == line):
+            break
+        if newline + 1 + size > len(data):
+            break
+        index[key] = (newline + 1, size, crc)
+        offset = newline + 1 + size
+    return index

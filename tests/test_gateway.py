@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import veridebate
 from conftest import CountingBackend
 from veridebate import gateway as gateway_module
 from veridebate.gateway import (
@@ -308,6 +313,12 @@ class TestRemoteBackend:
         with pytest.raises(MalformedResponseError):
             backend.complete(req())
 
+    def test_url_error_raises_transport_error(self):
+        """The default transport, whose HTTP stack loads on first use, turns
+        a URL error into a TransportError; no host means no connection."""
+        with pytest.raises(TransportError, match="no host given"):
+            gateway_module._urllib_transport("http:///x", b"{}", {}, 1.0)
+
     def test_cached_remote_roundtrip(self, tmp_path):
         calls = []
 
@@ -323,3 +334,18 @@ class TestRemoteBackend:
         second = gateway.generate(req())
         assert len(calls) == 1
         assert second.cached and second.text == first.text
+
+
+@pytest.mark.parametrize("module", ["veridebate.pipeline", "veridebate.cli"])
+def test_mock_runs_load_no_http_client(module):
+    """A fresh interpreter that imports the pipeline or the CLI loads no
+    HTTP client module: the stack loads on the first remote request."""
+    http = ("urllib.request", "urllib.error", "http.client", "ssl", "email")
+    code = f"import sys, {module}; print([m for m in {http!r} if m in sys.modules])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(veridebate.__file__).parents[1]), env.get("PYTHONPATH", "")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

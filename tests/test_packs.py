@@ -9,6 +9,7 @@ import os
 import sys
 import tempfile
 import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CountingProvider
+from oracles import reference_scan
 from veridebate import packs as packs_module
 from veridebate.encoding import CachedEmbedder, HashEmbeddingProvider, text_key
 from veridebate.packs import PackStore
@@ -324,14 +326,134 @@ def test_get_many_reads_what_get_reads(writes, wanted):
 
 def test_warm_embed_texts_reads_one_pread_per_lookup_block(tmp_path, monkeypatch):
     """A warm read of N rows that lie in order in one pack makes one
-    ``os.pread`` for the scan and one per block of 256 keys, not one per
-    row."""
+    ``os.pread`` per scan window of the pack and one per block of 256
+    keys, not one per row."""
     provider = HashEmbeddingProvider(dim=8, seed=0)
     texts = [f"row {i}" for i in range(600)]
     expected = CachedEmbedder(provider, tmp_path).embed_texts(texts)
+    (pack,) = packs(tmp_path / provider.provider_id)
     counting = CountingProvider(provider)
     preads = count_preads(monkeypatch)
     rows = CachedEmbedder(counting, tmp_path).embed_texts(texts)
     assert rows.tobytes() == expected.tobytes()
     assert counting.calls == 0
-    assert len(preads) <= 1 + math.ceil(len(texts) / 256)
+    assert len(preads) <= (math.ceil(pack.stat().st_size / packs_module._SCAN_WINDOW)
+                           + math.ceil(len(texts) / 256))
+
+
+def scanned_index(root) -> dict:
+    """key -> (payload offset, size, crc) as a fresh store over the one
+    pack under ``root`` indexes it."""
+    store = PackStore(root)
+    store.get_many(())
+    return {key: entry[1:] for key, entry in store._index.items()}
+
+
+def records(*sizes: int) -> bytes:
+    return b"".join(record(f"k{i}", bytes([i % 251]) * size) for i, size in enumerate(sizes))
+
+
+# A key whose header line over a 4-byte payload is exactly _MAX_HEADER
+# bytes, newline included.
+LONG_KEY = "L" * (packs_module._MAX_HEADER - len(record("L", b"long")) + len(b"long") + 1)
+# Records of assorted sizes, so that every small window has records and
+# headers straddling its edges; the larger payloads reach past both a
+# small window and a header's length.
+SCAN_CASES = {
+    "straddling_records": records(0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377),
+    "payload_longer_than_the_window": records(7, 4097, 3, 9000, 0, 300, 5000),
+    "header_at_the_limit": record(LONG_KEY, b"long") + records(12, 4200, 1),
+    "torn_tail_payload": records(40, 5000, 10, 700)[:-300],
+    "torn_tail_header": records(40, 5000, 10) + record("last", b"x" * 20)[:15],
+    "garbage_header_mid_pack": (records(40, 5000, 10) + b'{"key": "g", "size": 1}\n'
+                                + records(3, 4)),
+    "key_rewritten": records(10, 20) + record("k0", b"newer") + records(30),
+    "empty_pack": b"",
+}
+SCAN_WINDOWS = range(1, 301)
+
+
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_window_scan_indexes_what_a_whole_file_scan_does(tmp_path, monkeypatch, name):
+    """For every window from 1 byte to a few hundred, and the default one,
+    the scan indexes exactly the records a whole-file scan frames, and no
+    ``os.pread`` it issues asks for more than the window."""
+    data = SCAN_CASES[name]
+    (tmp_path / f"1-1-{'0' * 32}.pack").write_bytes(data)
+    expected = reference_scan(data, packs_module._MAX_HEADER)
+    assert bool(expected) == (name != "empty_pack")
+    preads = count_preads(monkeypatch)
+    for window in (*SCAN_WINDOWS, packs_module._SCAN_WINDOW):
+        monkeypatch.setattr(packs_module, "_SCAN_WINDOW", window)
+        preads.clear()
+        assert scanned_index(tmp_path) == expected, window
+        assert all(size <= window for _, size, _ in preads), window
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(0, 6000), max_size=8), cut=st.integers(0, 200),
+       junk=st.sampled_from([b"", b"\n", b"{}\n", b'{"key": "j", "size": 01, "crc": 0}\nx']),
+       window=st.integers(1, 400))
+def test_window_scan_matches_the_whole_file_scan_on_random_packs(sizes, cut, junk, window):
+    """Random packs: records of any size, then foreign bytes, then the
+    tail cut off at any point."""
+    data = records(*sizes) + junk
+    data = data[:max(0, len(data) - cut)]
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / f"1-1-{'0' * 32}.pack").write_bytes(data)
+        scan_window = packs_module._SCAN_WINDOW
+        packs_module._SCAN_WINDOW = window
+        try:
+            assert scanned_index(root) == reference_scan(data, packs_module._MAX_HEADER)
+        finally:
+            packs_module._SCAN_WINDOW = scan_window
+
+
+def test_payload_longer_than_the_window_is_skipped_unread(tmp_path, monkeypatch):
+    """No read covers the middle of a payload three windows long that no
+    lookup asks for."""
+    window = packs_module._SCAN_WINDOW
+    store = PackStore(tmp_path)
+    store.put("a", b"alpha")
+    store.put("big", b"b" * (3 * window))
+    store.put("c", b"gamma")
+    (pack,) = packs(tmp_path)
+    middle = pack.read_bytes().index(b"b" * 100) + window + window // 2
+    preads = count_preads(monkeypatch)
+    assert PackStore(tmp_path).get_many(["a", "c"]) == [b"alpha", b"gamma"]
+    assert not any(offset <= middle < offset + size for _, size, offset in preads)
+
+
+def test_pack_that_shrinks_under_the_scan_ends_it(tmp_path, monkeypatch):
+    """A pack cut short after the scan took its size: the scan ends, and a
+    record cut off reads as a miss."""
+    store = PackStore(tmp_path)
+    for key in "abc":
+        store.put(key, key.encode() * 100)
+    (pack,) = packs(tmp_path)
+    fstat = os.fstat
+
+    def fstat_then_truncate(fd):
+        stat = fstat(fd)
+        os.truncate(pack, stat.st_size - 50)
+        return stat
+
+    monkeypatch.setattr(os, "fstat", fstat_then_truncate)
+    assert PackStore(tmp_path).get_many(["a", "b", "c"]) == [b"a" * 100, b"b" * 100, None]
+
+
+def test_scan_memory_does_not_grow_with_the_pack(tmp_path):
+    """Indexing a pack holds its index and a few windows, not the pack."""
+    store = PackStore(tmp_path)
+    for i in range(1000):
+        store.put(f"key {i:04d}", b"%04d" % i * 512)
+    (pack,) = packs(tmp_path)
+    reader = PackStore(tmp_path)
+    tracemalloc.start()
+    try:
+        reader.get_many(())
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pack.stat().st_size > 2e6
+    assert peak - retained < 4 * packs_module._SCAN_WINDOW, (peak, retained)

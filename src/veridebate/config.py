@@ -30,7 +30,7 @@ class PipelineConfig:
     endpoint: str = _in("gateway", "")
     model_name: str = _in("gateway", "gpt-4o-mini")
     requests_per_minute: float = _in("gateway", 0.0)  # 0 disables pacing
-    max_concurrency: int = _in("gateway", 1)
+    max_concurrency: int = _in("gateway", 1)  # chat requests in flight
 
     temperature: float = _in("debate", 0.7)
     max_tokens: int = _in("debate", 300)

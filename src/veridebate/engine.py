@@ -241,23 +241,34 @@ _ROLE_OF = {role.value: role for role in DebateRole}
 _STAGE_OF = {stage.name: stage for stage in DebateStage}
 
 
+# json's C string escaper, the one json.dumps uses under ensure_ascii=False.
+_encode_string = json.encoder.encode_basestring
+_TURN_JSON = (
+    '    {\n      "agent_id": %s,\n      "role": %s,\n      "stage": %s,\n'
+    '      "stance": %s,\n      "targets": %s,\n      "text": %s,\n      "turn_index": %d\n    }'
+)
+
+
+def _int_list_json(values) -> str:
+    if not values:
+        return "[]"
+    return "[\n" + ",\n".join(["        %d" % v for v in values]) + "\n      ]"
+
+
 def log_to_json(log: DebateLog) -> str:
-    data = {
-        "news_id": log.news_id,
-        "turns": [
-            {
-                "turn_index": t.turn_index,
-                "agent_id": t.agent_id,
-                "stance": t.stance.value,
-                "role": t.role.value,
-                "stage": t.stage.key,
-                "text": t.text,
-                "targets": list(t.targets),
-            }
-            for t in log.turns
-        ],
-    }
-    return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
+    """The log as ``json.dumps(data, ensure_ascii=False, sort_keys=True,
+    indent=2)`` writes its record ``data``, byte for byte: news_id, then
+    one object per turn with its fields, enums by value and the stage by
+    key. Built from json's C string escaper, since ``json.dumps`` with an
+    indent runs the pure-Python encoder."""
+    turns = [
+        _TURN_JSON % (_encode_string(t.agent_id), _encode_string(t.role.value),
+                      _encode_string(t.stage.key), _encode_string(t.stance.value),
+                      _int_list_json(t.targets), _encode_string(t.text), t.turn_index)
+        for t in log.turns
+    ]
+    body = "[\n" + ",\n".join(turns) + "\n  ]" if turns else "[]"
+    return '{\n  "news_id": %s,\n  "turns": %s\n}' % (_encode_string(log.news_id), body)
 
 
 def log_from_json(text: str) -> DebateLog:

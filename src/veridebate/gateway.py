@@ -16,10 +16,14 @@ The response cache is content-addressed by the request digest
 directory name, so a gateway reads back only its own backend's responses;
 there is one pack per gateway that writes. Each record is the response text
 as UTF-8, so equal requests write equal records; a damaged, torn, empty or
-non-UTF-8 record reads as a miss and the request is sent again. A request
-holds one of ``LOCK_STRIPES`` locks, picked by its digest, while it reads
-the cache and calls the backend, so identical concurrent requests make one
-backend call.
+non-UTF-8 record reads as a miss and the request is sent again.
+
+A gateway keeps at most ``max_concurrency`` backend calls in flight: each
+attempt takes one of that many slots, is paced by the rate limiter, if
+there is one, and calls the backend; a retry's backoff sleep holds no
+slot. Requests are single-flight per digest: a request waits only on an
+identical request in flight, then reads its response from the cache, so
+identical concurrent requests make one backend call.
 """
 
 from __future__ import annotations
@@ -42,9 +46,6 @@ from .domain import GenerationSettings
 from .packs import PackStore, store_root
 
 API_KEY_ENV = "VERIDEBATE_API_KEY"
-# Locks a gateway holds requests on; distinct digests share one with
-# probability 1/LOCK_STRIPES.
-LOCK_STRIPES = 64
 
 
 class GatewayError(Exception):
@@ -334,18 +335,36 @@ def paced(limiter: RateLimiter | None, fn, *args):
         return fn(*args)
 
 
+class _Flight:
+    """The lock requests of one digest take in turn, and how many of them
+    hold or wait on it."""
+
+    __slots__ = ("lock", "users")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.users = 0
+
+
 class Gateway:
     """Front door for text generation: cache, retry, and rate limiting
-    around a backend. Shareable across threads; generate() may be called
+    around a backend, with at most ``max_concurrency`` backend calls in
+    flight. Shareable across threads; generate() may be called
     concurrently."""
 
     def __init__(self, backend, cache_dir: str | Path, retry: RetryPolicy = RetryPolicy(),
-                 limiter: RateLimiter | None = None):
+                 limiter: RateLimiter | None = None, max_concurrency: int = 1):
+        if max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         self._cache_dir = Path(cache_dir)
         self.backend = backend
         self.retry = retry
         self.limiter = limiter
-        self._locks = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
+        self._slots = threading.BoundedSemaphore(max_concurrency)
+        # digest -> _Flight of the requests for it in generate(); the entry
+        # goes when its last user leaves.
+        self._inflight: dict[str, _Flight] = {}
+        self._inflight_lock = threading.Lock()
 
     @property
     def backend(self):
@@ -365,17 +384,34 @@ class Gateway:
         except UnicodeDecodeError:
             return None
 
+    def _attempt(self, req: GenerationRequest) -> str:
+        """One backend call, made in a slot once the rate limiter lets it."""
+        with self._slots:
+            return paced(self.limiter, self.backend.complete, req)
+
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if not isinstance(req, GenerationRequest):
             raise TypeError("generate expects a GenerationRequest")
         digest = cache_key(req)
-        # Identical requests share a stripe: concurrent ones make one backend call.
-        with self._locks[int(digest[:8], 16) % LOCK_STRIPES]:
-            text = self._cached_text(digest)
-            if text is not None:
-                return GenerationResponse(text, self.backend.backend_id, cached=True)
-            text = self.retry.call(paced, self.limiter, self.backend.complete, req)
-            if not text:
-                raise MalformedResponseError("backend returned empty text")
-            self._store.put(digest, text.encode("utf-8"))
-            return GenerationResponse(text, self.backend.backend_id, cached=False)
+        with self._inflight_lock:
+            flight = self._inflight.get(digest)
+            if flight is None:
+                flight = self._inflight[digest] = _Flight()
+            flight.users += 1
+        try:
+            # Identical requests take turns: the first to miss calls the
+            # backend, the rest read its response from the cache.
+            with flight.lock:
+                text = self._cached_text(digest)
+                if text is not None:
+                    return GenerationResponse(text, self.backend.backend_id, cached=True)
+                text = self.retry.call(self._attempt, req)
+                if not text:
+                    raise MalformedResponseError("backend returned empty text")
+                self._store.put(digest, text.encode("utf-8"))
+                return GenerationResponse(text, self.backend.backend_id, cached=False)
+        finally:
+            with self._inflight_lock:
+                flight.users -= 1
+                if not flight.users:
+                    del self._inflight[digest]

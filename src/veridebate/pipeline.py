@@ -74,10 +74,10 @@ def build_gateway(config: PipelineConfig, workspace: Path) -> Gateway:
         backend = MockBackend()
     else:
         backend = RemoteBackend(config.endpoint, model=config.model_name)
-    # max_concurrency needs no limiter: each worker makes one request at a time.
     limiter = RateLimiter(config.requests_per_minute) if config.requests_per_minute else None
+    # The gateway's slots, not the stage's workers, bound the requests in flight.
     return Gateway(backend, cache_dir=workspace / "cache" / "gen", retry=RetryPolicy(),
-                   limiter=limiter)
+                   limiter=limiter, max_concurrency=config.max_concurrency)
 
 
 def build_embedder(config: PipelineConfig, workspace: Path) -> CachedEmbedder:
@@ -149,8 +149,11 @@ class Pipeline:
         """One record per ``(news_id, source)`` job, stored as
         ``<dirname>/<news_id>.json``: a valid stored record is reused,
         otherwise ``produce(source)`` makes one and ``atomic_write``
-        writes it whole. A failure to produce is counted per item; on
-        ``max_concurrency > 1`` the jobs run on a thread pool. Under
+        writes it whole. A failure to produce is counted per item. With
+        ``max_concurrency > 1`` the jobs run on ``2 * max_concurrency``
+        threads: while ``max_concurrency`` of them hold the gateway's
+        request slots, the rest build prompts and read and write files;
+        with 1 they run in order in the caller's thread. Under
         ``strict``, a stage with a failed item is a ``StageError`` once
         every job has run."""
         directory = self.workspace / dirname
@@ -171,9 +174,9 @@ class Pipeline:
             atomic_write(path, dump(record))
             return news_id, record, False, None
 
-        workers = self.config.max_concurrency
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        slots = self.config.max_concurrency
+        if slots > 1:
+            with ThreadPoolExecutor(max_workers=2 * slots) as pool:
                 results = list(pool.map(one, jobs))
         else:
             results = [one(job) for job in jobs]

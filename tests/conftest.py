@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -44,30 +45,36 @@ def tiny_model(seed: int = 0, heads: int = 1) -> AnalysisModel:
 
 
 class CountingBackend:
-    """Mock backend that counts completion calls."""
+    """Mock backend that counts completion calls; calls from several
+    threads are all counted."""
 
     backend_id = "counting-mock"
 
     def __init__(self):
         self.calls = 0
+        self._count_lock = threading.Lock()
         self._inner = MockBackend()
 
     def complete(self, req):
-        self.calls += 1
+        with self._count_lock:
+            self.calls += 1
         return self._inner.complete(req)
 
 
 class CountingProvider:
-    """Embedding provider wrapper that counts embed calls."""
+    """Embedding provider wrapper that counts embed calls; calls from
+    several threads are all counted."""
 
     def __init__(self, inner):
         self.inner = inner
         self.provider_id = inner.provider_id
         self.dim = inner.dim
         self.calls = 0
+        self._count_lock = threading.Lock()
 
     def embed_text(self, text):
-        self.calls += 1
+        with self._count_lock:
+            self.calls += 1
         return self.inner.embed_text(text)
 
 

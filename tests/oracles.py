@@ -5,8 +5,9 @@ route the production code never takes: central finite differences for
 gradients, raw confusion-count arithmetic for metrics, edge-scan
 neighbor recomputation for graphs, set-based debate-log validation, a
 literal one-sample-at-a-time forward pass of the classifier, as it
-stands and in the paper's factored form, and a whole-file scan of a
-pack's records that parses each header as JSON.
+stands and in the paper's factored form, a whole-file scan of a
+pack's records that parses each header as JSON, and a transcript
+written by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -251,3 +252,18 @@ def reference_scan(data: bytes, max_header: int) -> dict[str, tuple[int, int, in
         index[key] = (newline + 1, size, crc)
         offset = newline + 1 + size
     return index
+
+
+def reference_log_json(log: DebateLog) -> str:
+    """A transcript as ``json.dumps`` with a two-space indent, sorted keys
+    and non-ASCII kept writes the log's record."""
+    data = {
+        "news_id": log.news_id,
+        "turns": [
+            {"turn_index": t.turn_index, "agent_id": t.agent_id, "stance": t.stance.value,
+             "role": t.role.value, "stage": t.stage.key, "text": t.text,
+             "targets": list(t.targets)}
+            for t in log.turns
+        ],
+    }
+    return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)

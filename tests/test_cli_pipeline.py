@@ -875,33 +875,50 @@ def workspace_contents(workspace: Path) -> tuple[dict, dict]:
     return files, {folder: sorted(found) for folder, found in records.items()}
 
 
+def interrupt_and_resume(tmp_path, monkeypatch, point, config):
+    """Runs the pipeline under ``config`` until the interruption ``point``,
+    runs it again over the same workspace, and checks that it leaves what
+    a clean sequential run leaves: the same bytes in every file, the same
+    records in each cache."""
+    dataset = make_synthetic_corpus(n_train=6, n_val=2, n_test=4, seed=3).dataset
+    Pipeline(TINY_CONFIG, tmp_path / "clean").run(dataset)
+    workspace = tmp_path / "resumed"
+    owner, name, part, n = INTERRUPTIONS[point]
+    write, calls = getattr(owner, name), []
+
+    def interrupting(target, *args):
+        write(target, *args)
+        where = Path(target.root if isinstance(target, PackStore) else target)
+        if where.relative_to(workspace).as_posix().startswith(part):
+            calls.append(where)
+            if len(calls) == n:
+                raise Interrupted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, interrupting)
+        with pytest.raises(Interrupted):
+            Pipeline(config, workspace).run(dataset)
+    assert not (workspace / "metrics.json").exists()
+    Pipeline(config, workspace).run(dataset)
+    assert workspace_contents(workspace) == workspace_contents(tmp_path / "clean")
+
+
 class TestResume:
     @pytest.mark.parametrize("point", INTERRUPTIONS)
     def test_interrupted_run_resumes_to_the_clean_bytes(self, tmp_path, monkeypatch, point):
         """A run interrupted right after one artifact write, then run again
-        over the same workspace, leaves what a clean run leaves: the same
-        bytes in every file, the same records in each cache."""
-        dataset = make_synthetic_corpus(n_train=6, n_val=2, n_test=4, seed=3).dataset
-        Pipeline(TINY_CONFIG, tmp_path / "clean").run(dataset)
-        workspace = tmp_path / "resumed"
-        owner, name, part, n = INTERRUPTIONS[point]
-        write, calls = getattr(owner, name), []
+        over the same workspace, leaves what a clean run leaves."""
+        interrupt_and_resume(tmp_path, monkeypatch, point, TINY_CONFIG)
 
-        def interrupting(target, *args):
-            write(target, *args)
-            where = Path(target.root if isinstance(target, PackStore) else target)
-            if where.relative_to(workspace).as_posix().startswith(part):
-                calls.append(where)
-                if len(calls) == n:
-                    raise Interrupted
-
-        with monkeypatch.context() as patch:
-            patch.setattr(owner, name, interrupting)
-            with pytest.raises(Interrupted):
-                Pipeline(TINY_CONFIG, workspace).run(dataset)
-        assert not (workspace / "metrics.json").exists()
-        Pipeline(TINY_CONFIG, workspace).run(dataset)
-        assert workspace_contents(workspace) == workspace_contents(tmp_path / "clean")
+    @pytest.mark.parametrize("point", ["transcript", "report", "generation_record"])
+    def test_concurrent_interrupted_run_resumes_to_the_clean_bytes(self, tmp_path, monkeypatch,
+                                                                   point):
+        """With debates and reports made concurrently, an interruption
+        in the debate or synthesis stage, which other workers' requests
+        and writes may outlive, resumes to the clean sequential run's
+        bytes."""
+        config = dataclasses.replace(TINY_CONFIG, max_concurrency=2)
+        interrupt_and_resume(tmp_path, monkeypatch, point, config)
 
     def test_caches_alone_rebuild_the_run(self, small_setup):
         """With transcripts and reports gone, a fresh pipeline over the

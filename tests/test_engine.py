@@ -3,8 +3,9 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
+from oracles import reference_log_json
 from strategies import valid_logs
 from veridebate import engine
 from veridebate.config import PipelineConfig
@@ -328,6 +329,47 @@ class TestTranscriptParsing:
             assert hash(turn) == hash(dataclasses.replace(turn))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 turn.text = "changed"
+
+
+# Text that exercises every escape: quotes, backslashes, control
+# characters, U+2028 and U+2029, which JSON leaves raw, and non-ASCII.
+ESCAPE_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029é渡🙂'),
+                                st.characters()))
+
+
+@st.composite
+def escaping_logs(draw) -> DebateLog:
+    """A log of zero or more turns, valid or not, with every string field
+    drawn from ``ESCAPE_TEXT`` and zero, one or several targets."""
+    turns = tuple(
+        DebateTurn(
+            turn_index=draw(st.integers(-3, 10**12)),
+            agent_id=draw(ESCAPE_TEXT),
+            stance=draw(st.sampled_from(tuple(Stance))),
+            role=draw(st.sampled_from(tuple(DebateRole))),
+            stage=draw(st.sampled_from(tuple(DebateStage))),
+            text=draw(ESCAPE_TEXT),
+            targets=tuple(draw(st.lists(st.integers(-3, 10**6), max_size=4))),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    return DebateLog(draw(ESCAPE_TEXT), turns)
+
+
+def _one_turn_log(targets) -> DebateLog:
+    turn = DebateTurn(7, "pro_0", Stance.TRUE, DebateRole.REBUTTER, REBUTTAL,
+                      'say "hi"\\\u2028\x01', targets)
+    return DebateLog("n\u00e9", (turn,))
+
+
+class TestTranscriptWriter:
+    @given(st.one_of(escaping_logs(), valid_logs()))
+    @example(DebateLog("empty", ()))
+    @example(_one_turn_log(()))
+    @example(_one_turn_log((0,)))
+    @example(_one_turn_log((0, 2, 5)))
+    def test_equals_json_dumps(self, log):
+        assert log_to_json(log) == reference_log_json(log)
 
 
 def _sha256(text: str) -> str:

@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -195,7 +197,146 @@ class TestCache:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(gateway.generate, requests))
         assert backend.calls == 50
-        assert not any(lock.locked() for lock in gateway._locks)
+        assert gateway._inflight == {}
+
+
+def run_threads(targets, timeout=10.0) -> list:
+    """Runs each callable on a thread of its own and returns what each
+    raised (None for none); every thread must finish within ``timeout``."""
+    errors = [None] * len(targets)
+
+    def guarded(i):
+        try:
+            targets[i]()
+        except Exception as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(len(targets))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+class PeakBackend:
+    """Records the most calls in flight at once. A call waits, up to
+    ``timeout``, until ``target`` calls have been in flight together, so
+    the peak reaches every slot a gateway lets through; it then lasts a
+    few milliseconds more, so calls a gateway should hold back pile up."""
+
+    backend_id = "peak"
+
+    def __init__(self, target, timeout=5.0):
+        self.target, self.timeout = target, timeout
+        self.in_flight = self.peak = self.calls = 0
+        self._cond = threading.Condition()
+
+    def complete(self, request):
+        with self._cond:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: self.peak >= self.target, self.timeout)
+        time.sleep(0.003)
+        with self._cond:
+            self.in_flight -= 1
+        return f"answer to {request.last_user_text()}"
+
+
+def stripe(request) -> int:
+    """The lock a request held when a gateway locked 64 digest stripes."""
+    return int(cache_key(request)[:8], 16) % 64
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize("slots", [1, 2, 4])
+    def test_backend_calls_in_flight_reach_and_never_exceed_the_slots(self, tmp_path, slots):
+        backend = PeakBackend(target=slots)
+        gateway = Gateway(backend, tmp_path, max_concurrency=slots)
+        batches = [[req(text=f"thread {t} request {i}") for i in range(3)]
+                   for t in range(4 * slots)]
+        errors = run_threads([lambda b=b: [gateway.generate(r) for r in b] for b in batches])
+        assert errors == [None] * len(batches)
+        assert (backend.peak, backend.calls) == (slots, 3 * len(batches))
+
+    def test_distinct_requests_on_one_former_stripe_run_together(self, tmp_path):
+        """Two distinct requests whose digests fell on the same one of the
+        64 lock stripes the gateway once held are in the backend at once."""
+        first, seen = req(text="stripe probe 0"), {}
+        for i in range(1, 1000):
+            other = req(text=f"stripe probe {i}")
+            if stripe(other) == stripe(first):
+                break
+        assert stripe(other) == stripe(first) and cache_key(other) != cache_key(first)
+        barrier = threading.Barrier(2, timeout=5.0)
+
+        class BarrierBackend:
+            backend_id = "barrier"
+
+            def complete(self, request):
+                barrier.wait()
+                return request.last_user_text()
+
+        gateway = Gateway(BarrierBackend(), tmp_path, max_concurrency=2)
+        errors = run_threads([lambda r=r: seen.update({r: gateway.generate(r).text})
+                              for r in (first, other)])
+        assert errors == [None, None]
+        assert seen == {first: "stripe probe 0", other: other.last_user_text()}
+
+    def test_retry_backoff_holds_no_slot(self, tmp_path):
+        free = []
+
+        def sleep(seconds):
+            taken = gateway._slots.acquire(blocking=False)
+            if taken:
+                gateway._slots.release()
+            free.append(taken)
+
+        gateway = Gateway(FlakyBackend(2), tmp_path,
+                          retry=RetryPolicy(max_attempts=3, sleep=sleep))
+        assert gateway.generate(req()).text == "recovered"
+        assert free == [True, True]
+
+    def test_max_concurrency_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="max_concurrency"):
+            Gateway(MockBackend(), tmp_path, max_concurrency=0)
+
+    def test_stress_identical_and_distinct_requests(self, tmp_path):
+        """32 threads, switching every microsecond, each sending a shuffled
+        mix of requests drawn from 12 digests, all from the same moment:
+        one backend call per digest, one text per digest, and no in-flight
+        entry left behind."""
+        class SlowCountingBackend(CountingBackend):
+            def complete(self, request):
+                time.sleep(0.001)  # long enough for identical requests to meet
+                return super().complete(request)
+
+        backend = SlowCountingBackend()
+        gateway = Gateway(backend, tmp_path, max_concurrency=4)
+        pool = [req(text=f"shared {i}") for i in range(12)]
+        texts = {}
+        batches = [random.Random(t).choices(pool, k=6) for t in range(32)]
+        start = threading.Barrier(len(batches), timeout=10.0)
+
+        def send(batch):
+            start.wait()
+            for request in batch:
+                texts.setdefault(request, set()).add(gateway.generate(request).text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = run_threads([lambda b=b: send(b) for b in batches], timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [None] * len(batches)
+        distinct = {cache_key(r) for batch in batches for r in batch}
+        assert backend.calls == len(distinct)
+        assert all(len(found) == 1 for found in texts.values())
+        assert gateway._inflight == {}
 
 
 class FlakyBackend:
